@@ -138,9 +138,7 @@ def cli_certify(ns) -> int:
 def cli_heis(ns) -> int:
     if ns.heis_cmd == "dist":
         dk = koranyi_dist(ns.p, ns.q)
-        bounds = cc_dist_bounds(
-            ns.p, ns.q, waypoints=ns.waypoints, iter_cap=ns.iter_cap, seed=ns.seed
-        )
+        bounds = cc_dist_bounds(ns.p, ns.q)
         _print_csv(
             ("koranyi", "cc_lower", "cc_upper", "loose"),
             [(repr(dk), repr(bounds.lower), repr(bounds.upper), bounds.loose)],
@@ -212,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = hs.add_parser("dist", help="Koranyi distance and CC bounds")
     d.add_argument("p", type=_point, help="x,y,t")
     d.add_argument("q", type=_point, help="x,y,t")
-    d.add_argument("--waypoints", type=int, default=16)
-    d.add_argument("--iter-cap", type=int, default=200)
-    d.add_argument("--seed", type=int, default=0)
     d.set_defaults(func=cli_heis)
 
     ga = hs.add_parser("graph", help="analyze a saved graph height function")

@@ -76,10 +76,6 @@ def multiindices_upto(n: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def multiindex_order(alpha: tuple[int, ...]) -> int:
-    return sum(alpha)
-
-
 def multiindex_factorial(alpha: tuple[int, ...]) -> int:
     out = 1
     for a in alpha:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -87,7 +87,9 @@ def stream_rng(master: int, label: str) -> np.random.Generator:
 
 def _atomic_write(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-lusinkit-")
+    tmp = os.path.join(directory, ".tmp-lusinkit-" + secrets.token_hex(8))
+    # exclusive like mkstemp, but with open()'s mode 0666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

@@ -14,10 +14,10 @@ affine along each segment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import BoxDomain, BumpPolySum
 from .lusin import BuildConfig, field_catalog, multi_stage_build
@@ -179,7 +179,10 @@ class HorizontalPath:
 
 @dataclass(frozen=True)
 class CcBounds:
-    """Certified sandwich for the CC distance; unpacks as (lower, upper)."""
+    """Certified sandwich for the CC distance; unpacks as (lower, upper).
+
+    loose is always False; `heis dist` prints it to keep its four columns.
+    """
 
     lower: float
     upper: float
@@ -189,118 +192,88 @@ class CcBounds:
         return iter((self.lower, self.upper))
 
 
-def _arc_points(chord: float, area: float, count: int) -> np.ndarray:
-    """Points on a circular arc from (0,0) to (chord,0) with given signed
-    area between arc and chord (positive = above the axis)."""
-    if abs(area) < 1e-15 * max(chord, 1.0) ** 2:
-        s = np.linspace(0.0, 1.0, count + 2)[1:-1]
-        return np.stack([chord * s, np.zeros_like(s)], axis=1)
-    if chord < 1e-15:
-        # closed loop: a full circle through the origin, oriented so the
-        # lift gains 4*area like the arc branch below
-        r = math.sqrt(abs(area) / math.pi)
-        phi = np.linspace(0.0, 2.0 * math.pi, count + 2)[1:-1]
-        sgn = -1.0 if area > 0 else 1.0
-        return np.stack(
-            [r * np.sin(phi), sgn * r * (1.0 - np.cos(phi))], axis=1
-        )
-    # circular segment area r^2 (phi - sin phi) / 2 with chord 2 r sin(phi/2)
-    # grows monotonically in the opening angle phi; bisect for it
-    target = abs(area)
-
-    def seg_area(phi):
-        r = chord / (2.0 * math.sin(phi / 2.0))
-        return 0.5 * r * r * (phi - math.sin(phi))
-
-    lo, hi = 1e-9, 2.0 * math.pi - 1e-9
-    if seg_area(hi) < target:
-        phi = hi
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if seg_area(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        phi = 0.5 * (lo + hi)
-    r = chord / (2.0 * math.sin(phi / 2.0))
-    cx, cy = chord / 2.0, -r * math.cos(phi / 2.0)
-    base = math.atan2(-cy, -cx)
-    ang = base + np.linspace(0.0, phi, count + 2)[1:-1] * (-1.0)
-    pts = np.stack([cx + r * np.cos(ang), cy + r * np.sin(ang)], axis=1)
-    if area < 0:
-        pts[:, 1] = -pts[:, 1]
-    return pts
+# outward rounding of both bracket ends, relative; covers the evaluation
+# error of the bisection and of the length at its ends
+_PAD = 16.0 * sys.float_info.epsilon
+# for |t| / c^2 outside [1 / _TIGHT, _TIGHT] the analytic sandwich is
+# narrower than _PAD, and the bisection would under- or overflow
+_TIGHT = 1e32
 
 
-def _gap_and_length(inner: np.ndarray, target: np.ndarray):
-    w = np.concatenate([[[0.0, 0.0]], inner, [target[:2]]], axis=0)
-    path = HorizontalPath(w)
-    return float(target[2] - path.endpoint().t), path.length()
+def _phi_minus_sin(phi: float) -> float:
+    """phi - sin(phi), by its Taylor series up to phi = 1 to avoid cancellation."""
+    if phi > 1.0:
+        return phi - math.sin(phi)
+    x2 = phi * phi
+    term = total = phi * x2 / 6.0
+    for k in range(4, 20, 2):
+        term *= -x2 / (k * (k + 1))
+        total += term
+    return total
 
 
-def cc_dist_bounds(p, q, waypoints: int = 16, iter_cap: int = 200, seed: int = 0):
-    """Certified (lower, upper) bounds on the CC distance.
+def cc_dist_bounds(p, q) -> CcBounds:
+    """The CC distance as a bracket (lower, upper) a few ulps wide.
 
-    Lower bound: the planar projection is 1-Lipschitz, and a path whose
-    projection ends at distance A while the vertical gap is t must, after
-    closing with the zero-lift radial chord, enclose area |t|/4, so its
-    length is at least sqrt(pi |t|) - A.  Upper bound: waypoint descent on
-    the planar polyline with a penalty on the unclosed t-gap, restarted
-    from a straight segment, a circular-arc ansatz, and a seeded jitter;
-    any remaining gap is then closed exactly by an appended circle of
-    length sqrt(pi |gap|), so the reported upper bound is always realized
-    by a genuine horizontal path.  loose=True flags that no restart
-    converged and the bound leans on the closing circle alone.
+    Geodesics of H^1 project to circular arcs (Dido's problem).  With
+    (z, t) = p^-1 * q and chord c = |z|, the arc encloses area |t| / 4
+    with the chord, so its opening angle phi in (0, 2 pi) is the root of
+
+        (phi - sin phi) / (2 sin^2(phi / 2)) = |t| / c^2,
+
+    whose left side increases in phi, and the distance is the arc length
+    d = c phi / (2 sin(phi / 2)), which increases in phi too.  Bisection
+    narrows phi until the bracket stops shrinking in floating point; past
+    phi = pi it runs on 2 pi - phi, so angles near a full turn keep their
+    relative precision.  d at the bracket ends, rounded outwards by
+    16 ulps, gives the bounds, clipped to the analytic sandwich
+    max(c, sqrt(pi |t|) - c) <= d <= c + sqrt(pi |t|); where |t| / c^2
+    is below 1e-32 or above 1e32 that sandwich is the narrower bracket
+    and is returned as is.  t = 0 is exact at (c, c), the straight
+    segment, and c = 0 at sqrt(pi |t|), a full circle.  The analytic
+    bounds are evaluated in floating point, so where one is tight it can
+    differ from d by an ulp of rounding.
     """
-    if waypoints < 1 or iter_cap < 1:
-        raise ValueError("waypoint count and iteration cap must be positive")
     w = _xyz(group_mul(group_inv(p), q))
-    dx, dy, dt = float(w[0]), float(w[1]), float(w[2])
-    A = math.hypot(dx, dy)
-    B = math.sqrt(abs(dt))
-    if A == 0.0 and B == 0.0:
-        return CcBounds(0.0, 0.0)
-    lower = max(A, math.sqrt(math.pi) * B - A)
-    scale = A + B
-    target = np.array([dx, dy, dt])
+    c = math.hypot(float(w[0]), float(w[1]))
+    T = abs(float(w[2]))
+    if T == 0.0:
+        return CcBounds(c, c)
+    # the length of a circle enclosing area |t| / 4
+    circle = math.sqrt(math.pi) * math.sqrt(T)
+    if c == 0.0:
+        return CcBounds(circle, circle)
+    # a path to (z, t) is no shorter than the chord, nor than that circle
+    # less the chord; the chord followed by the circle is a path
+    floor = max(c, circle - c)
+    ceiling = c + circle
+    ratio = T / c / c
+    if not 1.0 / _TIGHT <= ratio <= _TIGHT:
+        return CcBounds(floor, ceiling)
+    # x is phi up to pi, where the left side equals pi / 2, and 2 pi - phi beyond
+    wide = ratio > 0.5 * math.pi
 
-    # rotate the chord onto the x-axis to build ansatz paths, rotate back
-    ang = math.atan2(dy, dx) if A > 0 else 0.0
-    rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
-    starts = []
-    straight = _arc_points(A, 0.0, waypoints) @ rot.T
-    starts.append(straight)
-    # the chord itself lifts with zero gap, so the arc only needs to close dt
-    starts.append(_arc_points(A, dt / 4.0, waypoints) @ rot.T)
-    rng = np.random.default_rng(seed)
-    starts.append(straight + rng.normal(scale=0.1 * scale, size=straight.shape))
+    def area_ratio(x):
+        s = math.sin(0.5 * x)
+        excess = 2.0 * math.pi - x + math.sin(x) if wide else _phi_minus_sin(x)
+        return excess / (2.0 * s * s)
 
-    best = A + math.sqrt(math.pi) * B  # radial chord plus closing circle
-    best_gap = abs(dt)
-    converged = False
-    for start in starts:
-        x0 = start.ravel()
-        sol = x0
-        for lam in (10.0, 1e3, 1e5):
+    def length(x):
+        phi = 2.0 * math.pi - x if wide else x
+        return c * phi / (2.0 * math.sin(0.5 * x))
 
-            def objective(v):
-                gap, length = _gap_and_length(v.reshape(-1, 2), target)
-                return length / scale + lam * (gap / scale**2) ** 2
-
-            res = minimize(
-                objective, sol, method="L-BFGS-B", options={"maxiter": iter_cap}
-            )
-            sol = res.x
-        gap, length = _gap_and_length(sol.reshape(-1, 2), target)
-        upper = length + math.sqrt(math.pi * abs(gap))
-        if upper < best:
-            best = upper
-            best_gap = abs(gap)
-        if res.success:
-            converged = True
-    loose = not converged and best_gap > 1e-8 * scale**2
-    return CcBounds(lower, max(lower, best) if best < lower else best, loose)
+    lo, hi = 0.0, math.pi
+    mid = 0.5 * math.pi
+    while lo < mid < hi:
+        # the area ratio grows with phi, so it falls with x = 2 pi - phi
+        if (area_ratio(mid) < ratio) != wide:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    lower, upper = sorted((length(lo), length(hi)))
+    lower = max(floor, lower * (1.0 - _PAD))
+    return CcBounds(lower, min(ceiling, upper * (1.0 + _PAD)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import numpy.testing as npt
@@ -246,6 +247,19 @@ class TestCli:
         assert "match: pass" in text
         assert os.path.exists(os.path.join(out, "z.report.json"))
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_artifacts_honour_umask(self, tmp_path, capsys, umask):
+        out = tmp_path / "run"
+        construct = ["construct", "--field", "zero", "--grid", "8", "--stages", "1"]
+        old = os.umask(umask)
+        try:
+            assert main([*construct, "--out", str(out), "--name", "z"]) == 0
+            assert main(["certify", str(out / "z.lkf"), "--pairs", "500"]) == 0
+        finally:
+            os.umask(old)
+        for name in ("z.lkf", "z.certificate.json", "z.manifest.json", "z.report.json"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask
+
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("LUSINKIT_OUT", str(target))
@@ -311,9 +325,7 @@ class TestCli:
         assert out[1] == "-2.0,2.0,4.0"
 
     def test_heis_dist(self, capsys):
-        rc = main(
-            ["heis", "dist", "0,0,0", "1,0,0", "--waypoints", "6", "--iter-cap", "40"]
-        )
+        rc = main(["heis", "dist", "0,0,0", "1,0,0"])
         assert rc == 0
         header, row = capsys.readouterr().out.splitlines()
         assert header == "koranyi,cc_lower,cc_upper,loose"

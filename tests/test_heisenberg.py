@@ -185,6 +185,63 @@ class TestHorizontalPath:
             HorizontalPath(np.array([[0.0, 0.0], [math.nan, 1.0]]))
 
 
+def _arc_points(chord: float, area: float, count: int) -> np.ndarray:
+    """Points on a circular arc from (0,0) to (chord,0) with given signed
+    area between arc and chord (positive = above the axis)."""
+    if abs(area) < 1e-15 * max(chord, 1.0) ** 2:
+        s = np.linspace(0.0, 1.0, count + 2)[1:-1]
+        return np.stack([chord * s, np.zeros_like(s)], axis=1)
+    if chord < 1e-15:
+        # closed loop: a full circle through the origin, oriented so the
+        # lift gains 4*area like the arc branch below
+        r = math.sqrt(abs(area) / math.pi)
+        phi = np.linspace(0.0, 2.0 * math.pi, count + 2)[1:-1]
+        sgn = -1.0 if area > 0 else 1.0
+        return np.stack([r * np.sin(phi), sgn * r * (1.0 - np.cos(phi))], axis=1)
+    # circular segment area r^2 (phi - sin phi) / 2 with chord 2 r sin(phi/2)
+    # grows monotonically in the opening angle phi; bisect for it
+    target = abs(area)
+
+    def seg_area(phi):
+        r = chord / (2.0 * math.sin(phi / 2.0))
+        return 0.5 * r * r * (phi - math.sin(phi))
+
+    lo, hi = 1e-9, 2.0 * math.pi - 1e-9
+    if seg_area(hi) < target:
+        phi = hi
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if seg_area(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        phi = 0.5 * (lo + hi)
+    r = chord / (2.0 * math.sin(phi / 2.0))
+    cx, cy = chord / 2.0, -r * math.cos(phi / 2.0)
+    base = math.atan2(-cy, -cx)
+    ang = base + np.linspace(0.0, phi, count + 2)[1:-1] * (-1.0)
+    pts = np.stack([cx + r * np.cos(ang), cy + r * np.sin(ang)], axis=1)
+    if area < 0:
+        pts[:, 1] = -pts[:, 1]
+    return pts
+
+
+def _arc_path_length(w: HPoint, count: int = 4096) -> float:
+    """Length of a genuine horizontal path from the identity to w.
+
+    The arc ansatz over the chord is rotated onto it and lifted exactly;
+    a circle of length sqrt(pi |gap|) then closes the t-gap the polygon
+    leaves, so the length is an upper bound on the CC distance.
+    """
+    ang = math.atan2(w.y, w.x)
+    rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+    inner = _arc_points(math.hypot(w.x, w.y), w.t / 4.0, count) @ rot.T
+    path = HorizontalPath(np.concatenate([[[0.0, 0.0]], inner, [[w.x, w.y]]]))
+    gap = w.t - path.endpoint().t
+    return path.length() + math.sqrt(math.pi * abs(gap))
+
+
 class TestCcBounds:
     def test_same_point(self):
         p = HPoint(0.3, -0.2, 0.5)
@@ -216,15 +273,42 @@ class TestCcBounds:
 
     def test_sandwich_battery(self):
         rng = np.random.default_rng(13)
-        for k in range(200):
+        for _ in range(200):
             p = HPoint(*rng.uniform(-1, 1, 3))
             q = HPoint(*rng.uniform(-1, 1, 3))
-            b = cc_dist_bounds(p, q, waypoints=4, iter_cap=30, seed=k)
+            b = cc_dist_bounds(p, q)
             assert b.lower <= b.upper + 1e-12
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            cc_dist_bounds(IDENTITY, HPoint(1, 0, 0), waypoints=0)
+    def test_against_arc_path_oracle(self):
+        rng = np.random.default_rng(29)
+        pairs = [
+            (HPoint(*rng.uniform(-1, 1, 3)), HPoint(*rng.uniform(-1, 1, 3)))
+            for _ in range(200)
+        ]
+        pairs += [
+            (IDENTITY, q)
+            for q in (
+                HPoint(1.0, 0.0, 1e-12),  # |t| <= 1e-12 c^2
+                HPoint(0.3, -0.4, -2e-13),
+                HPoint(1e-6, 0.0, 1.0),  # c <= 1e-6
+                HPoint(0.0, -3e-7, -0.5),
+                HPoint(1e-3, 0.0, 1.0),  # phi near 2 pi
+                HPoint(1.0, 0.0, 1e-40),  # |t| / c^2 beyond the bisection
+                HPoint(1e-200, 0.0, 1.0),
+            )
+        ]
+        root_pi = math.sqrt(math.pi)
+        for p, q in pairs:
+            w = group_mul(group_inv(p), q)
+            A, B = math.hypot(w.x, w.y), math.sqrt(abs(w.t))
+            lower, upper = cc_dist_bounds(p, q)
+            assert max(A, root_pi * B - A) <= lower <= upper <= A + root_pi * B
+            assert (upper - lower) / upper <= 1e-9
+            oracle = _arc_path_length(w)
+            assert lower <= oracle <= upper * (1.0 + 1e-3)
+            r = HPoint(*rng.uniform(-1, 1, 3))
+            lo2, up2 = cc_dist_bounds(group_mul(r, p), group_mul(r, q))
+            assert max(lower, lo2) <= min(upper, up2)
 
 
 class TestGraphMap:
