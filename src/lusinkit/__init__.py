@@ -16,7 +16,6 @@ from .core import (
     cell_derivative_bounds,
     cutoff_eval,
     enumerate_multiindices,
-    modulus_eval,
     modulus_from_dict,
     multiindices_upto,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "cell_derivative_bounds",
     "cutoff_eval",
     "enumerate_multiindices",
-    "modulus_eval",
     "modulus_from_dict",
     "multiindices_upto",
     "__version__",

@@ -101,26 +101,16 @@ def _index_table(n: int, m: int):
 
 @dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """An axis-aligned open box, optionally restricted by a cell mask.
-
-    The mask, when present, is a boolean array with one flag per grid cell
-    (shape = cells per axis); True marks cells belonging to the region.
-    """
+    """An axis-aligned open box."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("lower and upper must have the same length")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower must be strictly below upper componentwise")
-        if self.mask is not None:
-            if self.mask.ndim != len(self.lower):
-                raise ValueError("mask rank must equal the dimension")
-            if self.mask.dtype != bool:
-                raise ValueError("mask must be boolean")
 
     @property
     def dimension(self) -> int:
@@ -131,13 +121,6 @@ class BoxDomain:
 
     def volume(self) -> float:
         return float(np.prod(self.side_lengths()))
-
-    def measure(self) -> float:
-        """Volume of the active region (cell volume times active count)."""
-        if self.mask is None:
-            return self.volume()
-        cell = self.volume() / self.mask.size
-        return cell * int(np.count_nonzero(self.mask))
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.side_lengths()))
@@ -160,6 +143,13 @@ def _as_float_array(t):
     return arr
 
 
+def _positive_array(delta):
+    arr = np.asarray(delta, dtype=float)
+    if np.any(arr <= 0):
+        raise ValueError("delta must be positive")
+    return arr
+
+
 def _match_shape(out, t):
     if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
         return float(out)
@@ -179,8 +169,11 @@ class Modulus:
     def __call__(self, t):
         raise NotImplementedError
 
-    def sup_ratio(self, delta: float) -> float:
-        """M(delta) = sup of mu(t)/t over t >= delta; finite for delta > 0."""
+    def sup_ratio(self, delta):
+        """M(delta) = sup of mu(t)/t over t >= delta; finite for delta > 0.
+
+        delta is a float or an array; the result has the same shape.
+        """
         raise NotImplementedError
 
     def scale_cut(self, bound: float) -> float:
@@ -218,13 +211,13 @@ class LogModulus(Modulus):
         out[big] = math.e * arr[big]
         return _match_shape(out, t)
 
-    def sup_ratio(self, delta: float) -> float:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if delta >= INV_E:
-            return math.e
+    def sup_ratio(self, delta):
+        arr = _positive_array(delta)
+        out = np.full(arr.shape, math.e)
         # mu(t)/t = 1/(t log(1/t)) is decreasing up to 1/e, constant e after
-        return 1.0 / (delta * math.log(1.0 / delta))
+        small = arr < INV_E
+        out[small] = 1.0 / (arr[small] * np.log(1.0 / arr[small]))
+        return _match_shape(out, delta)
 
     def scale_cut(self, bound: float) -> float:
         if bound <= 0:
@@ -261,10 +254,9 @@ class PowerModulus(Modulus):
         arr = _as_float_array(t)
         return _match_shape(arr**self.beta, t)
 
-    def sup_ratio(self, delta: float) -> float:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        return float(delta ** (self.beta - 1.0))
+    def sup_ratio(self, delta):
+        arr = _positive_array(delta)
+        return _match_shape(arr ** (self.beta - 1.0), delta)
 
     def scale_cut(self, bound: float) -> float:
         if bound <= 0:
@@ -319,6 +311,14 @@ class PiecewiseLinearModulus(Modulus):
         tail = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
         return ts, vs, float(tail)
 
+    @cached_property
+    def _knot_ratio_suffix(self) -> np.ndarray:
+        """Entry j is the largest v/t over knots j.. with t > 0 (-inf if none)."""
+        ts, vs, _ = self._arrays
+        ratios = np.full(ts.size + 1, -np.inf)
+        ratios[1:-1] = vs[1:] / ts[1:]
+        return np.maximum.accumulate(ratios[::-1])[::-1]
+
     def __call__(self, t):
         ts, vs, tail = self._arrays
         arr = _as_float_array(t)
@@ -328,18 +328,17 @@ class PiecewiseLinearModulus(Modulus):
             out = np.where(over, vs[-1] + tail * (arr - ts[-1]), out)
         return _match_shape(out, t)
 
-    def sup_ratio(self, delta: float) -> float:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+    def sup_ratio(self, delta):
+        arr = _positive_array(delta)
         ts, vs, tail = self._arrays
-        cands = [float(self(delta)) / delta]
-        for t, v in zip(ts, vs):
-            if t >= delta and t > 0:
-                cands.append(v / t)
+        # mu(t)/t is monotone between knots, so the sup over t >= delta is
+        # taken at delta, at a knot beyond it, or along the extrapolated ray
+        beyond = self._knot_ratio_suffix[np.searchsorted(ts, arr)]
+        out = np.maximum(self(arr) / arr, beyond)
         # ratio on the extrapolated ray tends monotonically to the tail slope
         if vs[-1] - tail * ts[-1] < 0:
-            cands.append(tail)
-        return max(cands)
+            out = np.maximum(out, tail)
+        return _match_shape(out, delta)
 
     def scale_cut(self, bound: float) -> float:
         if bound < 0:
@@ -381,11 +380,6 @@ def modulus_from_dict(spec: dict) -> Modulus:
             tuple((float(t), float(v)) for t, v in spec["knots"])
         )
     raise ValueError("unknown modulus kind: %r" % (kind,))
-
-
-def modulus_eval(mu: Modulus, t):
-    """Evaluate mu at t >= 0 (scalar or array)."""
-    return mu(t)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +550,9 @@ def _bound_plan(n: int, m: int):
         for alpha in idx:
             if dominates(alpha, gp):
                 diff = tuple(a - g for a, g in zip(alpha, gp))
-                rows.append((pos[alpha], sum(diff), 1.0 / multiindex_factorial(diff)))
+                rows.append(
+                    (pos[alpha], sum(diff), 1.0 / multiindex_factorial(diff), diff)
+                )
         poly_terms[gp] = tuple(rows)
     leibniz = {}
     for gamma in idx:
@@ -593,7 +589,7 @@ def cell_derivative_bounds(
     ub: dict[tuple[int, ...], np.ndarray] = {}
     for gp in idx:
         tot = np.zeros(coeffs.shape[0])
-        for col, deg, invfact in poly_terms[gp]:
+        for col, deg, invfact, _ in poly_terms[gp]:
             tot += ac[:, col] * (half_width**deg * invfact)
         ub[gp] = tot
     out = np.zeros((len(idx), coeffs.shape[0]))
@@ -674,18 +670,19 @@ class _Block:
         hit = self._keys[posn] == key
         return where[hit], self._rows[posn[hit]]
 
-    def accumulate(self, x: np.ndarray, gamma: tuple[int, ...], out: np.ndarray):
+    def add_jet(self, x: np.ndarray, gammas, out: np.ndarray):
+        """Add this block's D^gammas[j] at the points x to out[:, j]."""
         pts, rows = self.locate(x)
         if pts.size == 0:
             return
-        _, pos, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
+        _, _, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
         hw = self.half_width
         centers = self.lows[rows] + hw
         dx = x[pts] - centers
         # per-axis tables of cutoff-factor derivatives in the x variable
         fac = []
         for i in range(self.n):
-            k_i = gamma[i]
+            k_i = max((gamma[i] for gamma in gammas), default=0)
             s = np.abs(dx[:, i]) / hw
             tab = self.profile.profile_derivatives(s, k_i)
             axis = [tab[0]]
@@ -694,33 +691,26 @@ class _Block:
                 for k in range(1, k_i + 1):
                     axis.append(tab[k] * sgn**k / hw**k)
             fac.append(axis)
-        total = np.zeros(pts.size)
         crows = self.coeffs[rows]
-        for beta, comb, gp in leibniz[gamma]:
-            cut = np.full(pts.size, comb)
-            for i, b in enumerate(beta):
-                cut = cut * fac[i][b]
-            pv = np.zeros(pts.size)
-            for col, _deg, invfact in poly_terms[gp]:
-                mono = np.full(pts.size, invfact)
-                alpha = _monomial_exponents(self.n, self.profile.order, col, gp)
-                for i, e in enumerate(alpha):
-                    if e:
-                        mono = mono * dx[:, i] ** e
-                pv += crows[:, col] * mono
-            total += cut * pv
-        out[pts] += total
-
-
-@lru_cache(maxsize=None)
-def _monomial_cache(n: int, m: int):
-    idx, _ = _index_table(n, m)
-    return idx
-
-
-def _monomial_exponents(n, m, col, gp):
-    alpha = _monomial_cache(n, m)[col]
-    return tuple(a - g for a, g in zip(alpha, gp))
+        # D^gp of the cell polynomials, shared by every gamma that needs it
+        poly = {}
+        for j, gamma in enumerate(gammas):
+            total = np.zeros(pts.size)
+            for beta, comb, gp in leibniz[gamma]:
+                cut = np.full(pts.size, comb)
+                for i, b in enumerate(beta):
+                    cut = cut * fac[i][b]
+                if gp not in poly:
+                    pv = np.zeros(pts.size)
+                    for col, _deg, invfact, expo in poly_terms[gp]:
+                        mono = np.full(pts.size, invfact)
+                        for i, e in enumerate(expo):
+                            if e:
+                                mono = mono * dx[:, i] ** e
+                        pv += crows[:, col] * mono
+                    poly[gp] = pv
+                total += cut * poly[gp]
+            out[pts, j] += total
 
 
 class BumpPolySum:
@@ -777,23 +767,34 @@ class BumpPolySum:
         )
         return BumpPolySum(self._n, self._m, self._blocks + (blk,))
 
+    def jet(self, x, gammas, stages=None) -> np.ndarray:
+        """Exact derivatives at the points x (M, n), one column per multi-index.
+
+        Column j of the (M, len(gammas)) result is D^gammas[j] of the sum;
+        stages, when given, restricts the sum to the blocks of those stages.
+        """
+        gammas = [tuple(int(g) for g in gamma) for gamma in gammas]
+        for gamma in gammas:
+            if len(gamma) != self._n or any(g < 0 for g in gamma):
+                raise ValueError("gamma must be a length-%d multi-index" % self._n)
+            if sum(gamma) > self._m:
+                raise ValueError(
+                    "derivatives above order %d are not defined" % self._m
+                )
+        pts = np.asarray(x, float)
+        out = np.zeros((pts.shape[0], len(gammas)))
+        for b in self._blocks:
+            if stages is None or b.stage in stages:
+                b.add_jet(pts, gammas, out)
+        return out
+
     def derivative(self, x, gamma=None, stages=None):
         """Exact D^gamma of the sum at x ((M, n) array or a single point)."""
         if gamma is None:
             gamma = (0,) * self._n
-        gamma = tuple(int(g) for g in gamma)
-        if len(gamma) != self._n or any(g < 0 for g in gamma):
-            raise ValueError("gamma must be a length-%d multi-index" % self._n)
-        if sum(gamma) > self._m:
-            raise ValueError("derivatives above order %d are not defined" % self._m)
         x = np.asarray(x, float)
         single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros(pts.shape[0])
-        for b in self._blocks:
-            if stages is not None and b.stage not in stages:
-                continue
-            b.accumulate(pts, gamma, out)
+        out = self.jet(x[None, :] if single else x, [gamma], stages)[:, 0]
         return float(out[0]) if single else out
 
     def value(self, x, stages=None):

@@ -347,13 +347,7 @@ class GraphMap:
         boundary ring."""
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.surface is not None:
-            grad = np.stack(
-                [
-                    self.surface.derivative(pts, (1, 0)),
-                    self.surface.derivative(pts, (0, 1)),
-                ],
-                axis=1,
-            )
+            grad = self.surface.jet(pts, [(1, 0), (0, 1)])
             return grad, np.ones(pts.shape[0], bool)
         R = self.samples.shape[0]
         h = self._cell_steps()

@@ -27,7 +27,6 @@ from .core import (
     InfeasibleBudgetError,
     LogModulus,
     Modulus,
-    PowerModulus,
     StageReport,
     cell_derivative_bounds,
     enumerate_multiindices,
@@ -157,18 +156,17 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class LemmaParams:
-    """Stage parameters: truncation level, scale cut and the derived caps.
+    """Stage parameters: truncation level, scale cut and the gradient cap.
 
-    budget is the measure-driven quantity that sets the modulus scale cut;
-    gradient_cap (its reciprocal) caps the certified top-order gradient
-    bound of any accepted cell; sup_cap is reported for reference.
+    budget is the measure-driven quantity that sets the modulus scale cut
+    delta, and sup_ratio is M(delta); gradient_cap (the budget's reciprocal)
+    caps the certified top-order gradient bound of any accepted cell.
     """
 
     truncation: float
     budget: float
     delta: float
     sup_ratio: float
-    sup_cap: float
     gradient_cap: float
 
 
@@ -197,13 +195,11 @@ def choose_lemma_params(
     C = profile.bound_constant(n)
     if truncation <= 0.0:
         delta = dom.diameter()
-        ratio = modulus.sup_ratio(delta)
         return LemmaParams(
             truncation=float(truncation),
             budget=math.inf,
             delta=delta,
-            sup_ratio=ratio,
-            sup_cap=1.0 / (2.0 * ratio) if ratio > 0 else math.inf,
+            sup_ratio=modulus.sup_ratio(delta),
             gradient_cap=math.inf,
         )
     budget = target_measure**order / (math.sqrt(n) * C * vol**order * truncation)
@@ -216,14 +212,11 @@ def choose_lemma_params(
                 f"(truncation {truncation:.3e}, target measure {target_measure:.3e})"
             ) from exc
         delta = 0.0
-    ratio = math.inf if delta == 0.0 else modulus.sup_ratio(delta)
-    sup_cap = min(budget / math.sqrt(n), 0.0 if ratio == 0 else 1.0 / (2.0 * ratio))
     return LemmaParams(
         truncation=float(truncation),
         budget=budget,
         delta=delta,
-        sup_ratio=ratio,
-        sup_cap=sup_cap,
+        sup_ratio=math.inf if delta == 0.0 else modulus.sup_ratio(delta),
         gradient_cap=1.0 / budget,
     )
 
@@ -290,20 +283,6 @@ class _OrderTables:
             self.grad_rows[q] = np.array(rows)
 
 
-def _sup_ratio_array(mu: Modulus, deltas: np.ndarray) -> np.ndarray:
-    d = np.asarray(deltas, float)
-    if isinstance(mu, PowerModulus):
-        with np.errstate(divide="ignore"):
-            return np.where(d > 0, d ** (mu.beta - 1.0), np.inf)
-    if isinstance(mu, LogModulus):
-        out = np.full(d.shape, math.e)
-        small = (d > 0) & (d <= math.exp(-1.0))
-        out[small] = 1.0 / (d[small] * np.log(1.0 / d[small]))
-        out[d == 0.0] = np.inf
-        return out
-    return np.array([mu.sup_ratio(float(x)) for x in d.ravel()]).reshape(d.shape)
-
-
 def _square_side(dom: BoxDomain) -> float:
     sides = dom.side_lengths()
     if np.ptp(sides) > 1e-9 * sides.max():
@@ -317,8 +296,7 @@ def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
     def evaluate(pts: np.ndarray) -> np.ndarray:
         out = field.evaluate(pts)
         if g.term_count:
-            for j, a in enumerate(alphas):
-                out[:, j] -= g.derivative(pts, a)
+            out -= g.jet(pts, alphas)
         return out
 
     return evaluate
@@ -432,7 +410,7 @@ def _run_stage(
             }
             S_t = bmax[m - 1]
             L_t = lip[m - 1]
-            env_t = 2.0 * S_t * _sup_ratio_array(cfg.modulus, S_t / L_t)
+            env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
 
             cap = np.full(ti.size, b_sup)
             if dist_fn is not None:
@@ -861,9 +839,7 @@ def tail_pinch_check(
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction
-        tail = np.zeros(each)
-        for gamma in gammas:
-            tail = np.maximum(tail, np.abs(g.derivative(pts, gamma, stages=later[k])))
+        tail = np.abs(g.jet(pts, gammas, stages=later[k])).max(axis=1)
         ratios = tail / (cert.sigma * radius**2)
         per_stage[k] = float(ratios.max())
         worst = max(worst, per_stage[k])

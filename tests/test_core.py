@@ -20,6 +20,7 @@ from lusinkit.core import (
     modulus_from_dict,
     multiindices_upto,
 )
+from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
 
 INV_E = math.exp(-1.0)
 
@@ -60,14 +61,7 @@ class TestBoxDomain:
     def test_measures(self):
         dom = BoxDomain((0.0, 0.0), (2.0, 1.0))
         assert dom.volume() == pytest.approx(2.0)
-        assert dom.measure() == pytest.approx(2.0)
         assert dom.diameter() == pytest.approx(math.sqrt(5.0))
-
-    def test_masked_measure_counts_cells(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[:2, :] = True
-        dom = BoxDomain((0.0, 0.0), (1.0, 1.0), mask=mask)
-        assert dom.measure() == pytest.approx(0.5)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -176,6 +170,74 @@ class TestPiecewiseLinearModulus:
             M = mu.sup_ratio(delta)
             ts = np.geomspace(delta, 1e3, 1000)
             assert np.all(mu(ts) / ts <= M * (1 + 1e-12))
+
+
+# tail slope 0.95 exceeds every knot ratio (0.1, 0.05, 0.5)
+STEEP_TAIL_KNOTS = ((0.0, 0.0), (0.1, 0.01), (1.0, 0.05), (2.0, 1.0))
+# mu(t)/t rises from 0.1 to 0.5 on [1, 2], so on (0, 2] the sup is the knot at 2
+KINK_KNOTS = ((0.0, 0.0), (1.0, 0.1), (2.0, 1.0), (3.0, 1.2))
+
+
+def _pwl_sup_ratio_oracle(mu, delta):
+    """The candidate list of M(delta): delta itself, knots beyond it, tail."""
+    (t1, v1), (t2, v2) = mu.knots[-2:]
+    tail = (v2 - v1) / (t2 - t1)
+    cands = [float(mu(delta)) / delta]
+    cands += [v / t for t, v in mu.knots if t >= delta and t > 0]
+    if v2 - tail * t2 < 0:
+        cands.append(tail)
+    return max(cands)
+
+
+class TestSupRatioArrays:
+    MODULI = {
+        "log": LogModulus(),
+        "power0.7": PowerModulus(0.7),
+        "power1": PowerModulus(1.0),
+        "pwl": PiecewiseLinearModulus(KNOTS),
+        "pwl-steep-tail": PiecewiseLinearModulus(STEEP_TAIL_KNOTS),
+        "pwl-kink": PiecewiseLinearModulus(KINK_KNOTS),
+    }
+
+    @staticmethod
+    def _deltas(mu):
+        extra = [INV_E, np.nextafter(INV_E, 0.0), np.nextafter(INV_E, 1.0)]
+        if isinstance(mu, PiecewiseLinearModulus):
+            ts = np.array([t for t, _ in mu.knots[1:]])
+            # exactly at each knot, one ulp to either side, and past the last
+            extra += [ts, np.nextafter(ts, 0.0), np.nextafter(ts, np.inf)]
+            extra += [ts[-1] * 1.5, ts[-1] * 1e6]
+        return np.concatenate([np.geomspace(1e-9, 1e3, 600), np.hstack(extra)])
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_array_equals_scalar(self, name):
+        mu = self.MODULI[name]
+        d = self._deltas(mu)
+        want = np.array([mu.sup_ratio(float(v)) for v in d])
+        npt.assert_array_equal(mu.sup_ratio(d), want)
+        grid = mu.sup_ratio(d[:600].reshape(300, 2))
+        npt.assert_array_equal(grid, want[:600].reshape(300, 2), strict=True)
+        assert type(mu.sup_ratio(0.25)) is float
+
+    @pytest.mark.parametrize("name", ["pwl", "pwl-steep-tail", "pwl-kink"])
+    def test_pwl_matches_candidate_oracle(self, name):
+        mu = self.MODULI[name]
+        d = self._deltas(mu)
+        want = np.array([_pwl_sup_ratio_oracle(mu, float(v)) for v in d])
+        npt.assert_array_equal(mu.sup_ratio(d), want)
+
+    def test_binding_tail_and_knot(self):
+        mu = self.MODULI["pwl-steep-tail"]
+        assert mu.sup_ratio(np.array([5.0, 1e9])).tolist() == [0.95, 0.95]
+        mu = self.MODULI["pwl-kink"]
+        assert mu.sup_ratio(np.array([1e-3, 1.0, 1.5, 2.0])).tolist() == [0.5] * 4
+
+    @pytest.mark.parametrize("name", MODULI)
+    def test_non_positive_rejected(self, name):
+        mu = self.MODULI[name]
+        for bad in (np.array([0.5, 0.0]), np.array([[1e-3], [-1.0]]), 0.0):
+            with pytest.raises(ValueError):
+                mu.sup_ratio(bad)
 
 
 @given(st.sampled_from(["log", "power", "pwl"]), st.floats(1e-6, 50.0))
@@ -348,6 +410,92 @@ class TestBumpPolySum:
             BumpPolySum(2, 1).with_block(
                 lows, 1.0, 0.5, 0.5, 1, np.zeros((2, len(idx))), anchor=(0.0, 0.0)
             )
+
+
+GROWTH_CFG = BuildConfig(
+    eps=0.05,
+    sigma=50.0,
+    tau=0.08,
+    theta=0.125,
+    grid=32,
+    stages=3,
+    quantile=0.7,
+    refine_max=3,
+    modulus=PowerModulus(1.0),
+)
+
+
+@pytest.fixture(scope="module")
+def growth_sum():
+    g, _ = multi_stage_build(
+        field_catalog("heisenberg"), BoxDomain((0.0, 0.0), (1.0, 1.0)), GROWTH_CFG
+    )
+    # several lattice levels in two stages, the later ones overlapping
+    assert g.stage_ids == (1, 2)
+    assert len({(b.stage, b.spacing) for b in g.blocks}) > 2
+    return g
+
+
+class TestJet:
+    """jet is one pass over the blocks for many multi-indices at once; it
+    must equal one derivative call per multi-index bit for bit."""
+
+    @pytest.fixture(params=["growth", "random"])
+    def case(self, request, growth_sum):
+        rng = np.random.default_rng(21)
+        if request.param == "growth":
+            g = growth_sum
+            pts = rng.uniform(-0.1, 1.1, size=(20_000, 2))
+        else:
+            g = _random_sum(rng)
+            pts = rng.uniform(-0.5, 3.5, size=(20_000, 2))
+        outside = np.array([[-5.0, -5.0], [50.0, 0.5], [0.5, -1e-3]])
+        return g, np.concatenate([pts, outside])
+
+    def test_equals_stacked_derivatives(self, case):
+        g, pts = case
+        gammas = list(g.multiindices)
+        # any order, with a repeat
+        gammas = gammas[::-1] + gammas[:1]
+        want = np.stack([g.derivative(pts, gm) for gm in gammas], axis=1)
+        got = g.jet(pts, gammas)
+        assert got.shape == (pts.shape[0], len(gammas))
+        npt.assert_array_equal(got, want)
+        assert np.all(got[-3:] == 0.0)
+        assert np.any(got[:-3] != 0.0)
+
+    def test_stage_filter(self, case):
+        g, pts = case
+        gammas = list(g.multiindices)
+        for stages in ({1}, {2}, {1, 2}, {3}, set()):
+            want = np.stack(
+                [g.derivative(pts, gm, stages=stages) for gm in gammas], axis=1
+            )
+            npt.assert_array_equal(g.jet(pts, gammas, stages=stages), want)
+        assert np.all(g.jet(pts, gammas, stages=set()) == 0.0)
+
+    def test_subset_of_multiindices(self, case):
+        g, pts = case
+        full = g.jet(pts, g.multiindices)
+        top = [gm for gm in g.multiindices if sum(gm) == g.order]
+        cols = [g.multiindices.index(gm) for gm in top]
+        npt.assert_array_equal(g.jet(pts, top), full[:, cols])
+
+    def test_single_point_through_derivative(self, case):
+        g, pts = case
+        for gm in g.multiindices:
+            for p in pts[:5]:
+                got = g.derivative(p, gm)
+                assert type(got) is float
+                assert got == g.jet(p[None, :], [gm])[0, 0]
+
+    def test_validation(self, case):
+        g, pts = case
+        with pytest.raises(ValueError):
+            g.jet(pts, [(0,) * g.dimension, (g.order + 1,) + (0,) * (g.dimension - 1)])
+        with pytest.raises(ValueError):
+            g.jet(pts, [(0,)])
+        assert g.jet(pts, []).shape == (pts.shape[0], 0)
 
 
 class TestCellBounds:
