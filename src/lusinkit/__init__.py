@@ -14,7 +14,6 @@ from .core import (
     PowerModulus,
     StageReport,
     cell_derivative_bounds,
-    cutoff_eval,
     enumerate_multiindices,
     modulus_from_dict,
     multiindices_upto,
@@ -34,7 +33,6 @@ __all__ = [
     "PowerModulus",
     "StageReport",
     "cell_derivative_bounds",
-    "cutoff_eval",
     "enumerate_multiindices",
     "modulus_from_dict",
     "multiindices_upto",

@@ -505,37 +505,6 @@ def _subindices(gamma: tuple[int, ...]):
     return itertools.product(*(range(g + 1) for g in gamma))
 
 
-def cutoff_eval(profile: CutoffProfile, cell_low, cell_high, x, deriv=None):
-    """Evaluate the tensor cutoff of a box cell, or an exact partial derivative.
-
-    The cutoff is 1 on the centered (1 - theta)-scaled box, 0 outside the
-    cell.  deriv is a multi-index; total order above profile.order is
-    rejected.  x may be a single point or an array of points (..., n).
-    """
-    low = np.asarray(cell_low, float)
-    high = np.asarray(cell_high, float)
-    x = np.asarray(x, float)
-    n = low.shape[-1] if low.ndim else 1
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if deriv is None:
-        deriv = (0,) * n
-    if sum(deriv) > profile.order:
-        raise ValueError("derivative order exceeds the profile smoothness")
-    center = (low + high) / 2.0
-    halfw = (high - low) / 2.0
-    dx = pts - center
-    val = np.ones(pts.shape[0])
-    for i, k in enumerate(deriv):
-        s = np.abs(dx[:, i]) / halfw[i]
-        tab = profile.profile_derivatives(s, k)
-        fac = tab[k]
-        if k:
-            fac = fac * np.sign(dx[:, i]) ** k / halfw[i] ** k
-        val = val * fac
-    return float(val[0]) if single else val
-
-
 # ---------------------------------------------------------------------------
 # rigorous per-cell derivative bounds
 

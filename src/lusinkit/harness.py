@@ -34,7 +34,6 @@ from .lusin import (
     field_catalog,
     lusin_truncate,
     multi_stage_build,
-    single_stage_build,
     tail_pinch_check,
 )
 
@@ -394,10 +393,9 @@ def run_construct(
     # stage budget; probe the stage-1 parameters strictly first so an
     # infeasible request fails loudly instead of producing an empty cover
     T, _ = lusin_truncate(field, dom, cfg.quantile, grid=cfg.grid)
-    target = cfg.eps * dom.volume() * (0.5 if cfg.stages > 1 else 1.0)
     choose_lemma_params(
         cfg.modulus,
-        target,
+        cfg.eps * dom.volume() * 0.5,
         dom,
         T,
         field.order,
@@ -405,8 +403,7 @@ def run_construct(
         volume=dom.volume(),
         strict=True,
     )
-    build = single_stage_build if cfg.stages == 1 else multi_stage_build
-    g, cert = build(field, dom, cfg)
+    g, cert = multi_stage_build(field, dom, cfg)
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "function": os.path.join(out_dir, basename + ".lkf"),

@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import ndimage
 
 from .core import (
     BoxDomain,
@@ -28,6 +27,7 @@ from .core import (
     LogModulus,
     Modulus,
     StageReport,
+    _index_table,
     cell_derivative_bounds,
     enumerate_multiindices,
     multiindices_upto,
@@ -41,7 +41,6 @@ __all__ = [
     "field_catalog",
     "lusin_truncate",
     "multi_stage_build",
-    "single_stage_build",
     "tail_pinch_check",
 ]
 
@@ -256,33 +255,6 @@ def lusin_truncate(field: FieldCollection, dom: BoxDomain, quantile: float, grid
     return T, (vals <= T).reshape(shape)
 
 
-class _OrderTables:
-    """Index bookkeeping shared by the per-cell checks."""
-
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-        self.idx = multiindices_upto(n, m)
-        pos = {a: i for i, a in enumerate(self.idx)}
-        self.top_cols = np.array([pos[a] for a in enumerate_multiindices(n, m)])
-        self.by_order = [
-            np.array([i for i, a in enumerate(self.idx) if sum(a) == q])
-            for q in range(m + 1)
-        ]
-        self.grad_rows = {}
-        for q in range(m):
-            rows = []
-            for a in self.idx:
-                if sum(a) != q:
-                    continue
-                rows.append(
-                    [
-                        pos[tuple(x + (1 if j == i else 0) for j, x in enumerate(a))]
-                        for i in range(n)
-                    ]
-                )
-            self.grad_rows[q] = np.array(rows)
-
-
 def _square_side(dom: BoxDomain) -> float:
     sides = dom.side_lengths()
     if np.ptp(sides) > 1e-9 * sides.max():
@@ -337,9 +309,11 @@ def _run_stage(
     dom: BoxDomain,
     cfg: BuildConfig,
     profile: CutoffProfile,
-    tables: _OrderTables,
     params: LemmaParams,
     *,
+    top_cols: np.ndarray,
+    by_order: list,
+    grad_rows: list,
     b_sup: float,
     w_mod: float,
     seeds: list,
@@ -352,11 +326,14 @@ def _run_stage(
     per-order sup caps scaled by the pinch distance (later stages only),
     the Lipschitz caps, the top-gradient cap, the modulus envelope
     2 S M(S/L) <= w_mod, and last the sampled oscillation against tau.
-    Failing cells split into 2^n children until refine_max.
+    Failing cells split into 2^n children until refine_max.  top_cols,
+    by_order and grad_rows locate, in the coefficient columns, the top-order
+    indices, the indices of each order q, and the n first-order raises of
+    each index of order q < m.
     """
-    n, m = tables.n, tables.m
+    n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
-    K = len(tables.idx)
+    K = sum(b.size for b in by_order)
     reject = Counter()
     accepted = []
     boxes = []
@@ -393,19 +370,20 @@ def _run_stage(
         fail_env = np.zeros(N, bool)
         S = np.zeros(N)
         L = np.zeros(N)
+        lip_low = np.zeros(N)
         env = np.zeros(N)
         border = np.zeros((N, m))
 
         ti = np.flatnonzero(test)
         if ti.size:
             coeffs = np.zeros((ti.size, K))
-            coeffs[:, tables.top_cols] = vals[ti]
+            coeffs[:, top_cols] = vals[ti]
             bounds = cell_derivative_bounds(profile, n, m, coeffs, hw)
             bmax = np.stack(
-                [bounds[tables.by_order[q]].max(axis=0) for q in range(m + 1)]
+                [bounds[by_order[q]].max(axis=0) for q in range(m + 1)]
             )
             lip = {
-                q: np.sqrt((bounds[tables.grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
+                q: np.sqrt((bounds[grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
                 for q in range(m)
             }
             S_t = bmax[m - 1]
@@ -419,9 +397,8 @@ def _run_stage(
             fail_cap[ti] = (bmax[:m] > cap[None, :]).any(axis=0)
             fail_scap[ti] = S_t > b_sup / sqrt_n
             if m >= 2:
-                fail_lip[ti] = np.stack(
-                    [lip[q] > b_sup for q in range(m - 1)]
-                ).any(axis=0)
+                lip_low[ti] = np.stack([lip[q] for q in range(m - 1)]).max(axis=0)
+                fail_lip[ti] = lip_low[ti] > b_sup
             fail_grad[ti] = L_t > params.gradient_cap
             fail_env[ti] = env_t > w_mod
             S[ti], L[ti], env[ti] = S_t, L_t, env_t
@@ -444,7 +421,7 @@ def _run_stage(
         if ok_term.any():
             oi = np.flatnonzero(ok_term)
             cf = np.zeros((oi.size, K))
-            cf[:, tables.top_cols] = vals[oi]
+            cf[:, top_cols] = vals[oi]
             accepted.append((level, idx[oi].copy(), cf))
             p = (1.0 - cfg.theta) * hw
             boxes.append(
@@ -452,19 +429,7 @@ def _run_stage(
             )
             covered += oi.size * (2.0 * p) ** n
             sup_acc = np.maximum(sup_acc, border[oi].max(axis=0))
-            lip_vals = [
-                np.sqrt(
-                    (
-                        cell_derivative_bounds(profile, n, m, cf, hw)[
-                            tables.grad_rows[q]
-                        ]
-                        ** 2
-                    ).sum(axis=1)
-                ).max()
-                for q in range(m - 1)
-            ]
-            if lip_vals:
-                lip_acc = max(lip_acc, max(lip_vals))
+            lip_acc = max(lip_acc, lip_low[oi].max())
             env_acc = max(env_acc, env[oi].max())
         accepted_count += int(ok_zero.sum() + ok_term.sum())
 
@@ -539,6 +504,61 @@ def _free_cells(covered_fine: np.ndarray, grid: int, refine_max: int):
     return out
 
 
+def _chessboard_distance(free: np.ndarray) -> np.ndarray:
+    """Chessboard distance from each cell to the nearest cell that is not free.
+
+    Exact and in integers; at least one cell must be occupied.  Occupied
+    cells start at 0 and free cells above any distance.  A shortest
+    king-move path changes each coordinate monotonically, so its steps can
+    be reordered to take those that go forward in raster order first; one
+    raster pass forward and one over the reversed array find every distance.
+    """
+    size = max(free.shape)
+    d = np.where(free, size, 0)
+    ramp = np.arange(size)
+    _raster_pass(d, ramp)
+    _raster_pass(np.flip(d), ramp)
+    return d
+
+
+def _raster_pass(d: np.ndarray, ramp: np.ndarray):
+    """In place: d(x) <- min(d(x), 1 + d(y)) over king neighbours y before x.
+
+    Cells are visited in raster (C) order, so each takes in the paths that
+    reach it by forward steps.  In one dimension this is a running minimum
+    of d(y) - y; otherwise each slice along axis 0 takes the smaller of
+    itself and 1 + the 3^(n-1) box minimum of the slice before it, then is
+    passed over in one dimension fewer.  ramp is 0, 1, 2, ... at least as
+    long as every axis.
+    """
+    if d.ndim == 1:
+        x = ramp[: d.shape[0]]
+        d -= x
+        np.minimum.accumulate(d, out=d)
+        d += x
+        return
+    box = np.empty_like(d[0])
+    _raster_pass(d[0], ramp)
+    for i in range(1, d.shape[0]):
+        row = d[i]
+        _box_min(d[i - 1], box)
+        box += 1
+        np.minimum(row, box, out=row)
+        _raster_pass(row, ramp)
+
+
+def _box_min(src: np.ndarray, out: np.ndarray):
+    """out <- the minimum of src over the 3^k box around each cell."""
+    np.copyto(out, src)
+    o, s = out, src
+    for axis in range(out.ndim):
+        if axis:
+            # later axes take the minimum over the earlier ones in place
+            o = s = np.moveaxis(out, axis, 0)
+        np.minimum(o[1:], s[:-1], out=o[1:])
+        np.minimum(o[:-1], s[1:], out=o[:-1])
+
+
 def _make_dist_fn(covered_fine: np.ndarray, grid: int, refine_max: int, h0: float):
     """Euclidean lower bound on the distance to the covered region."""
     n = covered_fine.ndim
@@ -549,7 +569,7 @@ def _make_dist_fn(covered_fine: np.ndarray, grid: int, refine_max: int, h0: floa
     occ = covered_fine.reshape(shape).any(axis=tuple(range(1, 2 * n, 2)))
     if not occ.any():
         return lambda level, idx: np.full(idx.shape[0], math.inf)
-    cdt = ndimage.distance_transform_cdt(~occ, metric="chessboard").astype(float)
+    cdt = _chessboard_distance(~occ).astype(float)
     h_rm = h0 / 2**rm
     pools = {rm: cdt}
     for r in range(rm - 1, -1, -1):
@@ -627,103 +647,57 @@ def _assemble_certificate(field, dom, cfg, profile, reports, covered, g, stage_c
     )
 
 
-def single_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
-    """One covering pass over the whole box.
-
-    Returns (g, certificate) where g carries one cutoff-polynomial term per
-    accepted cell and the certificate records coverage and the budget
-    ledgers of the single stage (budgets sigma/2 and weight 1/2, so that
-    iterating stages could continue the geometric split).
-    """
-    if field.dimension != dom.dimension:
-        raise ValueError("field and domain dimensions differ")
-    n, m = field.dimension, field.order
-    side = _square_side(dom)
-    h0 = side / cfg.grid
-    profile = CutoffProfile(m, cfg.theta)
-    tables = _OrderTables(n, m)
-    g = BumpPolySum(n, m)
-    evaluate = _residual_evaluator(field, g)
-
-    centers, _ = _grid_centers(dom, cfg.grid)
-    vals = np.abs(evaluate(centers)).max(axis=1)
-    T = _quantile_level(vals, cfg.quantile)
-    target = cfg.eps * dom.volume()
-    params = choose_lemma_params(
-        cfg.modulus, target, dom, T, m, profile, volume=dom.volume(), strict=False
-    )
-
-    seeds = [(0, np.indices((cfg.grid,) * n).reshape(n, -1).T)]
-    outcome = _run_stage(
-        evaluate,
-        dom,
-        cfg,
-        profile,
-        tables,
-        params,
-        b_sup=cfg.sigma / 2.0,
-        w_mod=0.5,
-        seeds=seeds,
-        h0=h0,
-        dist_fn=None,
-    )
-    for level, idx, cf in outcome.accepted:
-        h = h0 / 2**level
-        g = g.with_block(
-            np.asarray(dom.lower) + idx * h,
-            h,
-            cfg.theta,
-            0.5,
-            1,
-            cf,
-            anchor=dom.lower,
-        )
-    report = _stage_report(
-        1,
-        cfg.sigma / 2.0,
-        0.5,
-        target,
-        params,
-        outcome,
-        dom.volume(),
-        dom.volume() - outcome.covered_measure,
-    )
-    cert = _assemble_certificate(
-        field, dom, cfg, profile, [report], [outcome.covered_boxes], g, 1
-    )
-    return g, cert
-
-
 def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     """Iterated covering passes with geometrically split budgets.
 
-    Stage k works on the region not yet certified, targets all but
-    eps |box| 2^-k of it, and spends sup budget sigma 2^-k and modulus
-    weight 2^-k, so the per-order ledgers sum strictly below the global
-    budgets.  Certified plateau boxes of earlier stages repel later cells
-    through a quadratic pinch on their sup bounds.  The transition
-    fraction theta must be a power of 1/2 so plateau boxes stay exact
-    unions of dyadic cells and the free region can be re-tiled.
+    Returns (g, certificate): g carries one cutoff-polynomial term per
+    accepted cell, and the certificate records coverage and the budget
+    ledgers of every stage run.  Stage k works on the region not yet
+    certified, targets all but eps |box| 2^-k of it, and spends sup budget
+    sigma 2^-k and modulus weight 2^-k, so the per-order ledgers sum
+    strictly below the global budgets.  Certified plateau boxes of earlier
+    stages repel later cells through a quadratic pinch on their sup bounds.
+    With more than one stage the transition fraction theta must be a power
+    of 1/2 so plateau boxes stay exact unions of dyadic cells and the free
+    region can be re-tiled; a one-stage build takes any theta.
     """
     if field.dimension != dom.dimension:
         raise ValueError("field and domain dimensions differ")
-    j0 = -math.log2(cfg.theta)
-    if abs(j0 - round(j0)) > 1e-9 or round(j0) < 1:
-        raise ValueError("multi-stage tiling needs theta equal to a power of 1/2")
-    j0 = int(round(j0))
     n, m = field.dimension, field.order
     side = _square_side(dom)
     h0 = side / cfg.grid
     profile = CutoffProfile(m, cfg.theta)
-    tables = _OrderTables(n, m)
     lower = np.asarray(dom.lower)
+    covered_fine = None
+    if cfg.stages > 1:
+        j0 = -math.log2(cfg.theta)
+        if abs(j0 - round(j0)) > 1e-9 or round(j0) < 1:
+            raise ValueError("multi-stage tiling needs theta equal to a power of 1/2")
+        level_cap = cfg.refine_max + int(round(j0)) + 1
+        fine_R = cfg.grid * 2**level_cap
+        if fine_R**n > 3e8:
+            raise ValueError("grid * 2**(refine_max + extra) exceeds the mask budget")
+        covered_fine = np.zeros((fine_R,) * n, bool)
+        h_fine = h0 / 2**level_cap
 
-    level_cap = cfg.refine_max + j0 + 1
-    fine_R = cfg.grid * 2**level_cap
-    if fine_R**n > 3e8:
-        raise ValueError("grid * 2**(refine_max + extra) exceeds the mask budget")
-    covered_fine = np.zeros((fine_R,) * n, bool)
-    h_fine = h0 / 2**level_cap
+    indices, pos = _index_table(n, m)
+    tables = dict(
+        top_cols=np.array([pos[a] for a in enumerate_multiindices(n, m)]),
+        by_order=[
+            np.array([i for i, a in enumerate(indices) if sum(a) == q])
+            for q in range(m + 1)
+        ],
+        grad_rows=[
+            np.array(
+                [
+                    [pos[a[:i] + (a[i] + 1,) + a[i + 1 :]] for i in range(n)]
+                    for a in indices
+                    if sum(a) == q
+                ]
+            )
+            for q in range(m)
+        ],
+    )
 
     g = BumpPolySum(n, m)
     reports = []
@@ -733,9 +707,14 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         b_sup = cfg.sigma * 2.0**-stage
         w_mod = 2.0**-stage
         target = cfg.eps * dom.volume() * 2.0**-stage
-        seeds = _free_cells(covered_fine, cfg.grid, cfg.refine_max)
-        if all(idx.shape[0] == 0 for _, idx in seeds):
-            break
+        if stage == 1:
+            seeds = [(0, np.indices((cfg.grid,) * n).reshape(n, -1).T)]
+            dist_fn = None
+        else:
+            seeds = _free_cells(covered_fine, cfg.grid, cfg.refine_max)
+            if all(idx.shape[0] == 0 for _, idx in seeds):
+                break
+            dist_fn = _make_dist_fn(covered_fine, cfg.grid, cfg.refine_max, h0)
         active = dom.volume() - covered_total
         evaluate = _residual_evaluator(field, g)
 
@@ -751,18 +730,13 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         params = choose_lemma_params(
             cfg.modulus, target, dom, T, m, profile, volume=active, strict=False
         )
-        dist_fn = (
-            None
-            if stage == 1
-            else _make_dist_fn(covered_fine, cfg.grid, cfg.refine_max, h0)
-        )
         outcome = _run_stage(
             evaluate,
             dom,
             cfg,
             profile,
-            tables,
             params,
+            **tables,
             b_sup=b_sup,
             w_mod=w_mod,
             seeds=seeds,
@@ -774,7 +748,8 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             g = g.with_block(
                 lower + idx * h, h, cfg.theta, w_mod, stage, cf, anchor=dom.lower
             )
-        _paint_boxes(covered_fine, outcome.covered_boxes, lower, h_fine)
+        if covered_fine is not None:
+            _paint_boxes(covered_fine, outcome.covered_boxes, lower, h_fine)
         covered_total += outcome.covered_measure
         reports.append(
             _stage_report(

@@ -15,7 +15,6 @@ from lusinkit.core import (
     PiecewiseLinearModulus,
     PowerModulus,
     cell_derivative_bounds,
-    cutoff_eval,
     enumerate_multiindices,
     modulus_from_dict,
     multiindices_upto,
@@ -308,6 +307,37 @@ class TestCutoffProfile:
             assert prof.bound_constant(2) == pytest.approx(1.0 + 3.0 / theta)
 
 
+def cutoff_eval(profile: CutoffProfile, cell_low, cell_high, x, deriv=None):
+    """Oracle: the tensor cutoff of one box cell, or an exact partial derivative.
+
+    The cutoff is 1 on the centered (1 - theta)-scaled box, 0 outside the
+    cell.  deriv is a multi-index; total order above profile.order is
+    rejected.  x may be a single point or an array of points (..., n).
+    """
+    low = np.asarray(cell_low, float)
+    high = np.asarray(cell_high, float)
+    x = np.asarray(x, float)
+    n = low.shape[-1] if low.ndim else 1
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if deriv is None:
+        deriv = (0,) * n
+    if sum(deriv) > profile.order:
+        raise ValueError("derivative order exceeds the profile smoothness")
+    center = (low + high) / 2.0
+    halfw = (high - low) / 2.0
+    dx = pts - center
+    val = np.ones(pts.shape[0])
+    for i, k in enumerate(deriv):
+        s = np.abs(dx[:, i]) / halfw[i]
+        tab = profile.profile_derivatives(s, k)
+        fac = tab[k]
+        if k:
+            fac = fac * np.sign(dx[:, i]) ** k / halfw[i] ** k
+        val = val * fac
+    return float(val[0]) if single else val
+
+
 class TestCutoffEval:
     def test_plateau_and_support(self):
         prof = CutoffProfile(1, 0.5)
@@ -338,6 +368,22 @@ class TestCutoffEval:
         prof = CutoffProfile(1, 0.5)
         with pytest.raises(ValueError):
             cutoff_eval(prof, [0.0, 0.0], [1.0, 1.0], np.array([0.5, 0.5]), (1, 1))
+
+    def test_constant_cell_term_is_the_cutoff(self):
+        # a one-cell sum with c_0 = 1 is the cell's cutoff itself
+        idx = multiindices_upto(2, 2)
+        coeffs = np.zeros((1, len(idx)))
+        coeffs[0, idx.index((0, 0))] = 1.0
+        low = np.array([0.25, 0.5])
+        g = BumpPolySum(2, 2).with_block(
+            low[None, :], 0.5, 0.4, 0.5, 1, coeffs, anchor=(0.25, 0.5)
+        )
+        pts = np.random.default_rng(12).uniform(0.2, 1.05, size=(2000, 2))
+        prof = CutoffProfile(2, 0.4)
+        got = g.jet(pts, idx)
+        for j, gamma in enumerate(idx):
+            want = cutoff_eval(prof, low, low + 0.5, pts, gamma)
+            npt.assert_allclose(got[:, j], want, rtol=1e-12, atol=1e-9)
 
 
 def _random_sum(rng, n=2, m=2):

@@ -2,11 +2,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lusinkit
 from lusinkit.cli import main
 from lusinkit.core import BoxDomain, BumpPolySum, PowerModulus
 from lusinkit.harness import (
@@ -219,6 +222,20 @@ class TestManifest:
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lusinkit.__file__)))
+        probe = (
+            "import sys, lusinkit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_construct_and_certify(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         rc = main(

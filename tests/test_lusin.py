@@ -15,11 +15,11 @@ from lusinkit.core import (
 from lusinkit.lusin import (
     BuildConfig,
     FieldCollection,
+    _chessboard_distance,
     choose_lemma_params,
     field_catalog,
     lusin_truncate,
     multi_stage_build,
-    single_stage_build,
     tail_pinch_check,
 )
 
@@ -41,7 +41,7 @@ def single_build():
         refine_max=2,
         modulus=PowerModulus(1.0),
     )
-    g, cert = single_stage_build(field, UNIT_SQUARE, cfg)
+    g, cert = multi_stage_build(field, UNIT_SQUARE, cfg)
     return field, cfg, g, cert
 
 
@@ -287,14 +287,14 @@ class TestSingleStage:
     def test_non_cubic_box_rejected(self):
         cfg = BuildConfig(grid=8, stages=1)
         with pytest.raises(ValueError, match="cubic"):
-            single_stage_build(
+            multi_stage_build(
                 field_catalog("heisenberg"), BoxDomain((0.0, 0.0), (1.0, 2.0)), cfg
             )
 
     def test_dimension_mismatch_rejected(self):
         cfg = BuildConfig(grid=8, stages=1)
         with pytest.raises(ValueError, match="dimension"):
-            single_stage_build(field_catalog("invx"), UNIT_SQUARE, cfg)
+            multi_stage_build(field_catalog("invx"), UNIT_SQUARE, cfg)
 
 
 class TestMultiStage:
@@ -415,6 +415,37 @@ class TestMultiStage:
         _, cert_b = multi_stage_build(field, UNIT_SQUARE, cfg)
         dump = lambda c: json.dumps(c.to_dict(include_cells=True), sort_keys=True)
         assert dump(cert_a) == dump(cert_b)
+
+
+class TestChessboardDistance:
+    @staticmethod
+    def _brute_force(free):
+        cells = np.argwhere(np.ones_like(free))
+        occupied = np.argwhere(~free)
+        gaps = np.abs(cells[:, None, :] - occupied[None, :, :]).max(axis=2)
+        return gaps.min(axis=1).reshape(free.shape)
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(0)
+        densities = (0.001, 0.01, 0.05, 0.2, 0.7)
+        max_side = {1: 200, 2: 40, 3: 12}
+        for k in range(330):
+            n = 1 + k % 3
+            shape = tuple(int(v) for v in rng.integers(1, max_side[n] + 1, size=n))
+            if k % 11 == 0:
+                # a length-1 axis
+                axis = int(rng.integers(n))
+                shape = shape[:axis] + (1,) + shape[axis + 1 :]
+            occupied = rng.random(shape) < densities[k % 5]
+            if k % 7 == 0:
+                # a single occupied cell
+                occupied[...] = False
+            if not occupied.any():
+                occupied[tuple(int(rng.integers(s)) for s in shape)] = True
+            free = ~occupied
+            got = _chessboard_distance(free)
+            assert got.shape == shape
+            npt.assert_array_equal(got, self._brute_force(free))
 
 
 class TestTailPinch:
