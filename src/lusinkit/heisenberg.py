@@ -143,10 +143,6 @@ class HorizontalPath:
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "waypoints", w)
 
-    @property
-    def segment_count(self) -> int:
-        return self.waypoints.shape[0] - 1
-
     def lift(self) -> np.ndarray:
         """t at every waypoint, starting from t0."""
         w = self.waypoints

@@ -155,18 +155,16 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class LemmaParams:
-    """Stage parameters: truncation level, scale cut and the gradient cap.
+    """Stage parameters: truncation level and modulus scale cut.
 
     budget is the measure-driven quantity that sets the modulus scale cut
-    delta, and sup_ratio is M(delta); gradient_cap (the budget's reciprocal)
-    caps the certified top-order gradient bound of any accepted cell.
+    delta, and sup_ratio is M(delta).
     """
 
     truncation: float
     budget: float
     delta: float
     sup_ratio: float
-    gradient_cap: float
 
 
 def choose_lemma_params(
@@ -179,7 +177,7 @@ def choose_lemma_params(
     volume: float | None = None,
     strict: bool = True,
 ) -> LemmaParams:
-    """Derive the scale cut and caps for one stage.
+    """Derive the truncation budget and modulus scale cut for one stage.
 
     target_measure is the absolute uncovered-measure target of the stage.
     With strict=True an unrepresentable scale cut raises
@@ -199,7 +197,6 @@ def choose_lemma_params(
             budget=math.inf,
             delta=delta,
             sup_ratio=modulus.sup_ratio(delta),
-            gradient_cap=math.inf,
         )
     budget = target_measure**order / (math.sqrt(n) * C * vol**order * truncation)
     try:
@@ -216,7 +213,6 @@ def choose_lemma_params(
         budget=budget,
         delta=delta,
         sup_ratio=math.inf if delta == 0.0 else modulus.sup_ratio(delta),
-        gradient_cap=1.0 / budget,
     )
 
 
@@ -287,13 +283,21 @@ class _StageOutcome:
     modulus_coeff: float
 
 
-def _stencil_osc(evaluate, centers, center_vals, hw, theta, chunk=200_000):
-    """Max deviation of the data from its center value over a 3^n stencil."""
+# Cells a stage tests in one vectorised pass, and stencil points one call of
+# the evaluator takes: no array of a stage grows with the cells of a level.
+_BATCH = 2**15
+
+
+def _stencil_osc(evaluate, centers, center_vals, hw, theta):
+    """Max deviation of the data from its center value over a 3^n stencil.
+
+    Evaluates at most _BATCH points per call, or one center's 3^n if more.
+    """
     n = centers.shape[1]
     p = (1.0 - theta) * hw
     offs = np.array(list(itertools.product((-p, 0.0, p), repeat=n)))
     out = np.empty(centers.shape[0])
-    step = max(1, chunk // offs.shape[0])
+    step = max(1, _BATCH // offs.shape[0])
     for s in range(0, centers.shape[0], step):
         block = centers[s : s + step]
         pts = (block[:, None, :] + offs[None, :, :]).reshape(-1, n)
@@ -322,18 +326,34 @@ def _run_stage(
 ) -> _StageOutcome:
     """One certification pass over the free cells, with dyadic refinement.
 
+    seeds lists (level, idx) pairs: idx holds cells of the level-r lattice,
+    grid 2^r cells per axis.  dist_fn, in later stages, gives the pinch
+    distance read off the coverage mask on the refine_max lattice.
     Checks per cell, cheapest first: truncation of the center data, the
     per-order sup caps scaled by the pinch distance (later stages only),
-    the Lipschitz caps, the top-gradient cap, the modulus envelope
-    2 S M(S/L) <= w_mod, and last the sampled oscillation against tau.
-    Failing cells split into 2^n children until refine_max.  top_cols,
-    by_order and grad_rows locate, in the coefficient columns, the top-order
-    indices, the indices of each order q, and the n first-order raises of
-    each index of order q < m.
+    the Lipschitz caps, the modulus envelope 2 S M(S/L) <= w_mod, and last
+    the sampled oscillation against tau.  Failing cells split into 2^n
+    children until refine_max.  Each queue entry, one level's cells, is
+    tested in batches of _BATCH cells; a refined entry holds the failing
+    parents, and each batch expands only its own children.  Results are
+    merged once per entry, so the outcome does not depend on _BATCH.
+    top_cols, by_order and grad_rows locate, in the coefficient columns,
+    the top-order indices, the indices of each order q, and the n
+    first-order raises of each index of order q < m.
     """
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
     K = sum(b.size for b in by_order)
+    # a cell failing at refine_max is counted under the first reason it fails
+    reasons = (
+        "truncation",
+        "pinch" if dist_fn is not None else "supnorm",
+        "supnorm",
+        "lipschitz",
+        "modulus",
+        "oscillation",
+    )
+    shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
     reject = Counter()
     accepted = []
     boxes = []
@@ -345,117 +365,130 @@ def _run_stage(
     env_acc = 0.0
     sqrt_n = math.sqrt(n)
 
-    queue = [(lvl, np.asarray(idx, np.int64).reshape(-1, n)) for lvl, idx in seeds]
+    # (level, cells, split): with split, the entry's cells are the 2^n
+    # children of each row of cells, in row order
+    queue = [
+        (lvl, np.asarray(idx, np.int64).reshape(-1, n), False) for lvl, idx in seeds
+    ]
     while queue:
-        level, idx = queue.pop(0)
-        if idx.shape[0] == 0:
+        level, cells, split = queue.pop(0)
+        per_row = shifts.shape[0] if split else 1
+        N = cells.shape[0] * per_row
+        if N == 0:
             continue
-        N = idx.shape[0]
         considered += N
         h = h0 / 2**level
         hw = h / 2.0
-        lows = lower + idx * h
-        centers = lows + hw
-        vals = evaluate(centers)
-        amax = np.abs(vals).max(axis=1)
+        p = (1.0 - cfg.theta) * hw
+        zero_lows, term_idx, term_vals, plateaus, failed = [], [], [], [], []
+        zero_count = 0
+        rejected = np.zeros(len(reasons), np.int64)
 
-        zero = amax == 0.0
-        trunc_bad = ~zero & (amax > params.truncation)
-        test = ~zero & ~trunc_bad
+        for s in range(0, N, _BATCH):
+            if split:
+                r0, r1 = s // per_row, -(-(s + _BATCH) // per_row)
+                kids = (cells[r0:r1, None, :] * 2 + shifts[None, :, :]).reshape(-1, n)
+                idx = kids[s - r0 * per_row : s - r0 * per_row + _BATCH]
+            else:
+                idx = cells[s : s + _BATCH]
+            B = idx.shape[0]
+            lows = lower + idx * h
+            centers = lows + hw
+            vals = evaluate(centers)
+            amax = np.abs(vals).max(axis=1)
 
-        fail_cap = np.zeros(N, bool)
-        fail_scap = np.zeros(N, bool)
-        fail_lip = np.zeros(N, bool)
-        fail_grad = np.zeros(N, bool)
-        fail_env = np.zeros(N, bool)
-        S = np.zeros(N)
-        L = np.zeros(N)
-        lip_low = np.zeros(N)
-        env = np.zeros(N)
-        border = np.zeros((N, m))
+            zero = amax == 0.0
+            trunc_bad = ~zero & (amax > params.truncation)
+            test = ~zero & ~trunc_bad
 
-        ti = np.flatnonzero(test)
-        if ti.size:
-            coeffs = np.zeros((ti.size, K))
-            coeffs[:, top_cols] = vals[ti]
-            bounds = cell_derivative_bounds(profile, n, m, coeffs, hw)
-            bmax = np.stack(
-                [bounds[by_order[q]].max(axis=0) for q in range(m + 1)]
-            )
-            lip = {
-                q: np.sqrt((bounds[grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
-                for q in range(m)
-            }
-            S_t = bmax[m - 1]
-            L_t = lip[m - 1]
-            env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
+            fail_cap = np.zeros(B, bool)
+            fail_scap = np.zeros(B, bool)
+            fail_lip = np.zeros(B, bool)
+            fail_env = np.zeros(B, bool)
+            lip_low = np.zeros(B)
+            env = np.zeros(B)
+            border = np.zeros((B, m))
 
-            cap = np.full(ti.size, b_sup)
-            if dist_fn is not None:
-                D = dist_fn(level, idx[ti])
-                cap = b_sup * np.minimum(D**2, 1.0)
-            fail_cap[ti] = (bmax[:m] > cap[None, :]).any(axis=0)
-            fail_scap[ti] = S_t > b_sup / sqrt_n
-            if m >= 2:
-                lip_low[ti] = np.stack([lip[q] for q in range(m - 1)]).max(axis=0)
-                fail_lip[ti] = lip_low[ti] > b_sup
-            fail_grad[ti] = L_t > params.gradient_cap
-            fail_env[ti] = env_t > w_mod
-            S[ti], L[ti], env[ti] = S_t, L_t, env_t
-            border[ti] = bmax[:m].T
+            ti = np.flatnonzero(test)
+            if ti.size:
+                coeffs = np.zeros((ti.size, K))
+                coeffs[:, top_cols] = vals[ti]
+                bounds = cell_derivative_bounds(profile, n, m, coeffs, hw)
+                bmax = np.stack(
+                    [bounds[by_order[q]].max(axis=0) for q in range(m + 1)]
+                )
+                lip = {
+                    q: np.sqrt((bounds[grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
+                    for q in range(m)
+                }
+                S_t = bmax[m - 1]
+                L_t = lip[m - 1]
+                env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
 
-        bounds_ok = test & ~(fail_cap | fail_scap | fail_lip | fail_grad | fail_env)
-        survivors = zero | bounds_ok
-        fail_osc = np.zeros(N, bool)
-        si = np.flatnonzero(survivors)
-        if si.size:
-            osc = _stencil_osc(evaluate, centers[si], vals[si], hw, cfg.theta)
-            fail_osc[si] = osc > cfg.tau
+                cap = np.full(ti.size, b_sup)
+                if dist_fn is not None:
+                    D = dist_fn(level, idx[ti])
+                    cap = b_sup * np.minimum(D**2, 1.0)
+                fail_cap[ti] = (bmax[:m] > cap[None, :]).any(axis=0)
+                fail_scap[ti] = S_t > b_sup / sqrt_n
+                if m >= 2:
+                    lip_low[ti] = np.stack([lip[q] for q in range(m - 1)]).max(axis=0)
+                    fail_lip[ti] = lip_low[ti] > b_sup
+                fail_env[ti] = env_t > w_mod
+                env[ti] = env_t
+                border[ti] = bmax[:m].T
 
-        ok_zero = zero & ~fail_osc
-        ok_term = bounds_ok & ~fail_osc
-        if ok_zero.any():
-            zl = lows[ok_zero]
+            bounds_ok = test & ~(fail_cap | fail_scap | fail_lip | fail_env)
+            survivors = zero | bounds_ok
+            fail_osc = np.zeros(B, bool)
+            si = np.flatnonzero(survivors)
+            if si.size:
+                osc = _stencil_osc(evaluate, centers[si], vals[si], hw, cfg.theta)
+                fail_osc[si] = osc > cfg.tau
+
+            ok_zero = zero & ~fail_osc
+            ok_term = bounds_ok & ~fail_osc
+            if ok_zero.any():
+                zero_lows.append(lows[ok_zero])
+                zero_count += ok_zero.sum()
+            if ok_term.any():
+                oi = np.flatnonzero(ok_term)
+                term_idx.append(idx[oi])
+                term_vals.append(vals[oi])
+                plateaus.append(
+                    np.concatenate([centers[oi] - p, centers[oi] + p], axis=1)
+                )
+                sup_acc = np.maximum(sup_acc, border[oi].max(axis=0))
+                lip_acc = max(lip_acc, lip_low[oi].max())
+                env_acc = max(env_acc, env[oi].max())
+
+            failing = ~(ok_zero | ok_term)
+            if level < cfg.refine_max:
+                failed.append(idx[failing])
+                continue
+            masks = (trunc_bad, fail_cap, fail_scap, fail_lip, fail_env, fail_osc)
+            for j, mask in enumerate(masks):
+                rejected[j] += (failing & mask).sum()
+                failing &= ~mask
+
+        terms = sum(part.shape[0] for part in term_idx)
+        if zero_lows:
+            zl = np.concatenate(zero_lows)
             boxes.append(np.concatenate([zl, zl + h], axis=1))
-            covered += ok_zero.sum() * h**n
-        if ok_term.any():
-            oi = np.flatnonzero(ok_term)
-            cf = np.zeros((oi.size, K))
-            cf[:, top_cols] = vals[oi]
-            accepted.append((level, idx[oi].copy(), cf))
-            p = (1.0 - cfg.theta) * hw
-            boxes.append(
-                np.concatenate([centers[oi] - p, centers[oi] + p], axis=1)
-            )
-            covered += oi.size * (2.0 * p) ** n
-            sup_acc = np.maximum(sup_acc, border[oi].max(axis=0))
-            lip_acc = max(lip_acc, lip_low[oi].max())
-            env_acc = max(env_acc, env[oi].max())
-        accepted_count += int(ok_zero.sum() + ok_term.sum())
-
-        failing = ~(ok_zero | ok_term)
-        if not failing.any():
-            continue
-        if level < cfg.refine_max:
-            fi = np.flatnonzero(failing)
-            base = idx[fi] * 2
-            shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
-            children = (base[:, None, :] + shifts[None, :, :]).reshape(-1, n)
-            queue.append((level + 1, children))
-        else:
-            for name, mask in (
-                ("truncation", trunc_bad),
-                ("pinch" if dist_fn is not None else "supnorm", fail_cap),
-                ("supnorm", fail_scap),
-                ("lipschitz", fail_lip),
-                ("gradient_cap", fail_grad),
-                ("modulus", fail_env),
-                ("oscillation", fail_osc),
-            ):
-                take = failing & mask
-                if take.any():
-                    reject[name] += int(take.sum())
-                    failing &= ~mask
+            covered += zero_count * h**n
+        if terms:
+            cf = np.zeros((terms, K))
+            cf[:, top_cols] = np.concatenate(term_vals)
+            accepted.append((level, np.concatenate(term_idx), cf))
+            boxes.append(np.concatenate(plateaus))
+            covered += terms * (2.0 * p) ** n
+        accepted_count += int(zero_count) + terms
+        for name, count in zip(reasons, rejected):
+            if count:
+                reject[name] += int(count)
+        parents = np.concatenate(failed) if failed else cells[:0]
+        if parents.shape[0]:
+            queue.append((level + 1, parents, True))
 
     all_boxes = (
         np.concatenate(boxes, axis=0) if boxes else np.zeros((0, 2 * n))
@@ -473,34 +506,48 @@ def _run_stage(
     )
 
 
-def _paint_boxes(mask: np.ndarray, boxes: np.ndarray, lower, h_fine: float):
-    for row in boxes:
-        lo = np.rint((row[: mask.ndim] - lower) / h_fine).astype(np.int64)
-        hi = np.rint((row[mask.ndim :] - lower) / h_fine).astype(np.int64)
-        mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+def _paint_boxes(mask: np.ndarray, boxes: np.ndarray, lower, h_fine: float, f: int):
+    """Mark every cell of the coverage mask that a box meets.
+
+    mask is on the refine_max lattice; box corners are rounded to the finer
+    lattice of spacing h_fine, f of its cells per mask cell, and widened out
+    to whole mask cells.  A +-1 at each of the 2^n corners of every box in a
+    difference array, summed along each axis, counts the boxes over a cell.
+    """
+    n = mask.ndim
+    lo = np.rint((boxes[:, :n] - lower) / h_fine).astype(np.int64) // f
+    hi = -(-np.rint((boxes[:, n:] - lower) / h_fine).astype(np.int64) // f)
+    diff = np.zeros(tuple(s + 1 for s in mask.shape), np.int32)
+    for corner in itertools.product((0, 1), repeat=n):
+        at = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
+        np.add.at(diff, at, (-1) ** sum(corner))
+    for axis in range(n):
+        np.cumsum(diff, axis=axis, out=diff)
+    mask |= diff[(slice(-1),) * n] > 0
 
 
-def _free_cells(covered_fine: np.ndarray, grid: int, refine_max: int):
-    """Maximal free dyadic cells per level, each listed exactly once."""
-    n = covered_fine.ndim
-    fine_R = covered_fine.shape[0]
+def _free_cells(covered: np.ndarray, refine_max: int):
+    """Maximal free dyadic cells per level, each listed exactly once.
+
+    covered is the coverage mask on the refine_max lattice; level r reads
+    it pooled over blocks of 2^(refine_max - r) cells per axis.
+    """
+    n = covered.ndim
+    pooled = [covered]
+    for _ in range(refine_max):
+        c = pooled[-1]
+        shape = sum(((c.shape[0] // 2, 2),) * n, ())
+        pooled.append(c.reshape(shape).any(axis=tuple(range(1, 2 * n, 2))))
+    pooled.reverse()
     out = []
-    prev_any = None
-    for r in range(refine_max + 1):
-        Rr = grid * 2**r
-        f = fine_R // Rr
-        shape = sum(((Rr, f),) * n, ())
-        pooled = covered_fine.reshape(shape).any(axis=tuple(range(1, 2 * n, 2)))
-        free = ~pooled
-        if r == 0:
-            sel = free
-        else:
-            par = prev_any
+    for r, occ in enumerate(pooled):
+        sel = ~occ
+        if r:
+            par = pooled[r - 1]
             for axis in range(n):
                 par = par.repeat(2, axis=axis)
-            sel = free & par
+            sel &= par
         out.append((r, np.argwhere(sel)))
-        prev_any = pooled
     return out
 
 
@@ -559,17 +606,17 @@ def _box_min(src: np.ndarray, out: np.ndarray):
         np.minimum(o[:-1], s[1:], out=o[:-1])
 
 
-def _make_dist_fn(covered_fine: np.ndarray, grid: int, refine_max: int, h0: float):
-    """Euclidean lower bound on the distance to the covered region."""
-    n = covered_fine.ndim
+def _make_dist_fn(covered: np.ndarray, refine_max: int, h0: float):
+    """Euclidean lower bound on the distance to the covered region.
+
+    covered is the coverage mask on the refine_max lattice; a cell of level
+    r takes the least distance over the refine_max cells it contains.
+    """
+    n = covered.ndim
     rm = refine_max
-    Rrm = grid * 2**rm
-    f = covered_fine.shape[0] // Rrm
-    shape = sum(((Rrm, f),) * n, ())
-    occ = covered_fine.reshape(shape).any(axis=tuple(range(1, 2 * n, 2)))
-    if not occ.any():
+    if not covered.any():
         return lambda level, idx: np.full(idx.shape[0], math.inf)
-    cdt = _chessboard_distance(~occ).astype(float)
+    cdt = _chessboard_distance(~covered).astype(float)
     h_rm = h0 / 2**rm
     pools = {rm: cdt}
     for r in range(rm - 1, -1, -1):
@@ -668,17 +715,18 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     h0 = side / cfg.grid
     profile = CutoffProfile(m, cfg.theta)
     lower = np.asarray(dom.lower)
-    covered_fine = None
+    covered = None
     if cfg.stages > 1:
         j0 = -math.log2(cfg.theta)
         if abs(j0 - round(j0)) > 1e-9 or round(j0) < 1:
             raise ValueError("multi-stage tiling needs theta equal to a power of 1/2")
+        # plateau corners of refine_max cells lie on the level_cap lattice
         level_cap = cfg.refine_max + int(round(j0)) + 1
-        fine_R = cfg.grid * 2**level_cap
-        if fine_R**n > 3e8:
+        if (cfg.grid * 2**level_cap) ** n > 3e8:
             raise ValueError("grid * 2**(refine_max + extra) exceeds the mask budget")
-        covered_fine = np.zeros((fine_R,) * n, bool)
+        covered = np.zeros((cfg.grid * 2**cfg.refine_max,) * n, bool)
         h_fine = h0 / 2**level_cap
+        fine_per_cell = 2 ** (level_cap - cfg.refine_max)
 
     indices, pos = _index_table(n, m)
     tables = dict(
@@ -711,21 +759,19 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             seeds = [(0, np.indices((cfg.grid,) * n).reshape(n, -1).T)]
             dist_fn = None
         else:
-            seeds = _free_cells(covered_fine, cfg.grid, cfg.refine_max)
+            seeds = _free_cells(covered, cfg.refine_max)
             if all(idx.shape[0] == 0 for _, idx in seeds):
                 break
-            dist_fn = _make_dist_fn(covered_fine, cfg.grid, cfg.refine_max, h0)
+            dist_fn = _make_dist_fn(covered, cfg.refine_max, h0)
         active = dom.volume() - covered_total
         evaluate = _residual_evaluator(field, g)
 
         samples = []
         for r, idx in seeds:
-            if idx.shape[0] == 0:
-                continue
             h = h0 / 2**r
-            samples.append(
-                np.abs(evaluate(lower + idx * h + h / 2.0)).max(axis=1)
-            )
+            for s in range(0, idx.shape[0], _BATCH):
+                centers = lower + idx[s : s + _BATCH] * h + h / 2.0
+                samples.append(np.abs(evaluate(centers)).max(axis=1))
         T = _quantile_level(np.concatenate(samples), cfg.quantile)
         params = choose_lemma_params(
             cfg.modulus, target, dom, T, m, profile, volume=active, strict=False
@@ -748,8 +794,10 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             g = g.with_block(
                 lower + idx * h, h, cfg.theta, w_mod, stage, cf, anchor=dom.lower
             )
-        if covered_fine is not None:
-            _paint_boxes(covered_fine, outcome.covered_boxes, lower, h_fine)
+        if covered is not None:
+            _paint_boxes(
+                covered, outcome.covered_boxes, lower, h_fine, fine_per_cell
+            )
         covered_total += outcome.covered_measure
         reports.append(
             _stage_report(

@@ -1,21 +1,26 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lusinkit import harness, lusin
 from lusinkit.core import (
     BoxDomain,
     CutoffProfile,
     InfeasibleBudgetError,
     LogModulus,
+    PiecewiseLinearModulus,
     PowerModulus,
 )
 from lusinkit.lusin import (
     BuildConfig,
     FieldCollection,
     _chessboard_distance,
+    _paint_boxes,
     choose_lemma_params,
     field_catalog,
     lusin_truncate,
@@ -24,6 +29,18 @@ from lusinkit.lusin import (
 )
 
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
+
+GROWTH_CFG = BuildConfig(
+    eps=0.05,
+    sigma=50.0,
+    tau=0.08,
+    theta=0.125,
+    grid=32,
+    stages=3,
+    quantile=0.7,
+    refine_max=3,
+    modulus=PowerModulus(1.0),
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +66,8 @@ def single_build():
 def growth_build():
     """Loose budgets so a second stage visibly extends the first."""
     field = field_catalog("heisenberg")
-    cfg = BuildConfig(
-        eps=0.05,
-        sigma=50.0,
-        tau=0.08,
-        theta=0.125,
-        grid=32,
-        stages=3,
-        quantile=0.7,
-        refine_max=3,
-        modulus=PowerModulus(1.0),
-    )
-    g, cert = multi_stage_build(field, UNIT_SQUARE, cfg)
-    return field, cfg, g, cert
+    g, cert = multi_stage_build(field, UNIT_SQUARE, GROWTH_CFG)
+    return field, GROWTH_CFG, g, cert
 
 
 @pytest.fixture(scope="module")
@@ -205,14 +211,12 @@ class TestChooseLemmaParams:
         assert p.budget == pytest.approx(budget, rel=1e-12)
         assert p.delta == pytest.approx(budget, rel=1e-12)
         assert p.sup_ratio == 1.0
-        assert p.gradient_cap == pytest.approx(1.0 / budget, rel=1e-12)
 
     def test_zero_truncation_degenerates(self):
         prof = CutoffProfile(1, 0.5)
         p = choose_lemma_params(PowerModulus(1.0), 0.05, UNIT_SQUARE, 0.0, 1, prof)
         assert p.budget == math.inf
         assert p.delta == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert p.gradient_cap == math.inf
 
     def test_strict_raises_on_underflow(self):
         prof = CutoffProfile(1, 0.5)
@@ -226,7 +230,7 @@ class TestChooseLemmaParams:
         )
         assert p.delta == 0.0
         assert p.sup_ratio == math.inf
-        assert p.budget > 0.0 and p.gradient_cap == pytest.approx(1.0 / p.budget)
+        assert p.budget > 0.0
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target"):
@@ -399,6 +403,12 @@ class TestMultiStage:
         with pytest.raises(ValueError, match="power of 1/2"):
             multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
 
+    def test_mask_budget_refuses_deep_lattices(self):
+        # (64 * 2^(6 + 2 + 1))^2 = 1.07e9 corner-lattice cells exceed 3e8
+        cfg = BuildConfig(theta=0.25, grid=64, stages=2, refine_max=6)
+        with pytest.raises(ValueError, match="exceeds the mask budget"):
+            multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+
     def test_deterministic_rebuild(self):
         cfg = BuildConfig(
             eps=0.05,
@@ -415,6 +425,139 @@ class TestMultiStage:
         _, cert_b = multi_stage_build(field, UNIT_SQUARE, cfg)
         dump = lambda c: json.dumps(c.to_dict(include_cells=True), sort_keys=True)
         assert dump(cert_a) == dump(cert_b)
+
+
+class TestBatching:
+    """Stages test their cells in batches of lusin._BATCH; outputs must not
+    depend on it.  The small sizes are not multiples of 2^n, so batches end
+    inside a parent's children, and each level spans many batches."""
+
+    CASES = {
+        "growth": ("heisenberg", GROWTH_CFG, (5, 7)),
+        "second_order": (
+            "xx2",
+            BuildConfig(
+                tau=1e-3,
+                theta=0.5,
+                grid=32,
+                stages=2,
+                refine_max=2,
+                modulus=PowerModulus(0.75),
+            ),
+            (5, 7),
+        ),
+        "pwl_permissive": (
+            "heisenberg",
+            BuildConfig(
+                eps=0.05,
+                sigma=1e6,
+                tau=10.0,
+                theta=0.5,
+                grid=16,
+                stages=3,
+                refine_max=4,
+                modulus=PiecewiseLinearModulus(((0.0, 0.0), (1.0, 1e-12))),
+            ),
+            (97, 251),
+        ),
+    }
+
+    @staticmethod
+    def _artifacts(field, cfg, out_dir):
+        g, cert = multi_stage_build(field, UNIT_SQUARE, cfg)
+        out_dir.mkdir()
+        lkf, cert_json = out_dir / "g.lkf", out_dir / "g.certificate.json"
+        harness.save_function(g, UNIT_SQUARE, str(lkf))
+        harness.write_json(str(cert_json), cert.to_dict(include_cells=True))
+        # one block per level of a stage, which the flat .lkf records hide
+        blocks = [(b.stage, b.spacing, b.lows.shape[0]) for b in g.blocks]
+        return lkf.read_bytes(), cert_json.read_bytes(), cert.stage_reports, blocks
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_do_not_depend_on_batch_size(self, case, tmp_path, monkeypatch):
+        name, cfg, batches = self.CASES[case]
+        field = field_catalog(name)
+        want = self._artifacts(field, cfg, tmp_path / "default")
+        for batch in batches:
+            monkeypatch.setattr(lusin, "_BATCH", batch)
+            got = self._artifacts(field, cfg, tmp_path / str(batch))
+            for part in range(4):
+                assert got[part] == want[part]
+
+    def test_flagship_memory_stays_bounded(self):
+        # the flagship settings: 1024^2 cells at level 4 of stage 1, and a
+        # stage 2 seeded from free cells of every level
+        cfg = BuildConfig(
+            eps=0.05, sigma=0.5, tau=1e-3, theta=0.5, grid=64, stages=2, refine_max=4
+        )
+        tracemalloc.start()
+        try:
+            _, cert = multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.stage_reports[0].cells_considered > 2**20
+        assert peak < 64 * 2**20
+
+
+def _fine_painted_mask(boxes, lower, h_fine, fine_R, f):
+    """Oracle: paint each box on the fine lattice of spacing h_fine, fine_R
+    cells per axis, one slice per box, then pool f x ... x f blocks."""
+    n = boxes.shape[1] // 2
+    fine = np.zeros((fine_R,) * n, bool)
+    for row in boxes:
+        lo = np.rint((row[:n] - lower) / h_fine).astype(np.int64)
+        hi = np.rint((row[n:] - lower) / h_fine).astype(np.int64)
+        fine[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+    shape = sum(((fine_R // f, f),) * n, ())
+    return fine.reshape(shape).any(axis=tuple(range(1, 2 * n, 2)))
+
+
+class TestPaintBoxes:
+    GRID = {1: 40, 2: 6, 3: 3}
+
+    @staticmethod
+    def _dyadic_boxes(rng, lower, h0, grid, refine_max, theta, count):
+        """Whole cells and theta-plateaus at random levels up to refine_max,
+        with corners computed the way the builder computes them."""
+        n = lower.shape[0]
+        rows = []
+        for _ in range(count):
+            level = int(rng.integers(refine_max + 1))
+            h = h0 / 2**level
+            idx = rng.integers(grid * 2**level, size=n)
+            lows = lower + idx * h
+            if rng.random() < 0.5:
+                rows.append(np.concatenate([lows, lows + h]))
+            else:
+                center, p = lows + h / 2.0, (1.0 - theta) * (h / 2.0)
+                rows.append(np.concatenate([center - p, center + p]))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("theta", [0.5, 0.125])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_pooled_fine_painter(self, n, theta):
+        rng = np.random.default_rng(10 * n + int(1 / theta))
+        grid, refine_max = self.GRID[n], 2
+        j0 = round(-math.log2(theta))
+        level_cap = refine_max + j0 + 1
+        f = 2 ** (j0 + 1)
+        for _ in range(4):
+            lower = rng.uniform(-1.0, 1.0, size=n)
+            h0 = 1.7 / grid
+            h_fine = h0 / 2**level_cap
+            R = grid * 2**refine_max
+            mask = np.zeros((R,) * n, bool)
+            want = np.zeros((R,) * n, bool)
+            # two stages painted into one mask
+            for _ in range(2):
+                count = max(2, R**n // 40)
+                boxes = self._dyadic_boxes(
+                    rng, lower, h0, grid, refine_max, theta, count
+                )
+                _paint_boxes(mask, boxes, lower, h_fine, f)
+                want |= _fine_painted_mask(boxes, lower, h_fine, R * f, f)
+                npt.assert_array_equal(mask, want)
 
 
 class TestChessboardDistance:
