@@ -160,8 +160,7 @@ class Modulus:
     """Common interface of the modulus-of-continuity variants.
 
     A modulus mu satisfies mu(0) = 0, is continuous and non-decreasing, and
-    is O(t) at infinity with constants reported by linear_bound().  The
-    increment bounds of the constructor have the form
+    is O(t) at infinity.  The increment bounds of the constructor have the form
     |Dg(x) - Dg(y)| <= |x - y| / mu(|x - y|), so a smaller mu near zero is a
     weaker requirement.
     """
@@ -182,10 +181,6 @@ class Modulus:
         Returns math.inf when mu never exceeds the bound.  Raises
         InfeasibleBudgetError when no positive representable delta exists.
         """
-        raise NotImplementedError
-
-    def linear_bound(self) -> tuple[float, float]:
-        """(C, t0) with mu(t) <= C*t for every t >= t0."""
         raise NotImplementedError
 
     def spec_dict(self) -> dict:
@@ -216,7 +211,11 @@ class LogModulus(Modulus):
         out = np.full(arr.shape, math.e)
         # mu(t)/t = 1/(t log(1/t)) is decreasing up to 1/e, constant e after
         small = arr < INV_E
-        out[small] = 1.0 / (arr[small] * np.log(1.0 / arr[small]))
+        t = arr[small]
+        with np.errstate(over="ignore"):
+            inv = 1.0 / t
+        # 1/t overflows below about 5.6e-309, where the ratio passes 1e305
+        out[small] = np.where(np.isinf(inv), math.inf, 1.0 / (t * np.log(inv)))
         return _match_shape(out, delta)
 
     def scale_cut(self, bound: float) -> float:
@@ -232,9 +231,6 @@ class LogModulus(Modulus):
                 "log-modulus scale cut exp(-1/%.6g) underflows float64" % bound
             )
         return delta
-
-    def linear_bound(self) -> tuple[float, float]:
-        return math.e, INV_E
 
     def spec_dict(self) -> dict:
         return {"kind": "log"}
@@ -270,9 +266,6 @@ class PowerModulus(Modulus):
                 % (bound, self.beta)
             )
         return delta
-
-    def linear_bound(self) -> tuple[float, float]:
-        return 1.0, 1.0
 
     def spec_dict(self) -> dict:
         return {"kind": "power", "beta": self.beta}
@@ -359,10 +352,6 @@ class PiecewiseLinearModulus(Modulus):
                 "piecewise modulus exceeds %g at every positive scale" % bound
             )
         return delta
-
-    def linear_bound(self) -> tuple[float, float]:
-        ts, vs, tail = self._arrays
-        return max(tail, vs[-1] / ts[-1]), float(ts[-1])
 
     def spec_dict(self) -> dict:
         return {"kind": "pwl", "knots": [[float(t), float(v)] for t, v in self.knots]}
@@ -458,13 +447,6 @@ class CutoffProfile:
             for k in range(1, kmax + 1):
                 out[k][band] = -npoly.polyval(u, self._step_derivs[k]) / self.theta**k
         return out
-
-    def value(self, s):
-        return self.profile_derivatives(s, 0)[0]
-
-    def derivative_bound(self, k: int) -> float:
-        """Sup over s of |d^k/ds^k profile| = A_k / theta^k."""
-        return self.derivative_maxima[k] / self.theta**k
 
     def bound_constant(self, n: int) -> float:
         """Worst-case constant C(n, m) of this profile.

@@ -30,6 +30,7 @@ from .core import (
 )
 from .lusin import (
     BuildConfig,
+    _sample_in_boxes,
     choose_lemma_params,
     field_catalog,
     lusin_truncate,
@@ -392,15 +393,13 @@ def run_construct(
     # the build itself degrades gracefully when the modulus cannot meet a
     # stage budget; probe the stage-1 parameters strictly first so an
     # infeasible request fails loudly instead of producing an empty cover
-    T, _ = lusin_truncate(field, dom, cfg.quantile, grid=cfg.grid)
     choose_lemma_params(
         cfg.modulus,
         cfg.eps * dom.volume() * 0.5,
         dom,
-        T,
+        lusin_truncate(field, dom, cfg.quantile, grid=cfg.grid),
         field.order,
         CutoffProfile(field.order, cfg.theta),
-        volume=dom.volume(),
         strict=True,
     )
     g, cert = multi_stage_build(field, dom, cfg)
@@ -458,14 +457,6 @@ def _ratio_margin(bound: float, worst: float) -> float:
     if worst <= 0.0:
         return math.inf
     return bound / worst
-
-
-def _sample_in_boxes(boxes: np.ndarray, count: int, rng) -> np.ndarray:
-    n = boxes.shape[1] // 2
-    vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
-    pick = rng.choice(boxes.shape[0], size=count, p=vols / vols.sum())
-    u = rng.uniform(size=(count, n))
-    return boxes[pick, :n] + u * (boxes[pick, n:] - boxes[pick, :n])
 
 
 def _sample_domain(dom: BoxDomain, count: int, rng) -> np.ndarray:
@@ -573,6 +564,22 @@ def _check_supnorm(g, cert, count, rng, dom) -> dict:
     }
 
 
+def _increment_check(g, gammas, cap, count, rng, dom) -> dict:
+    """Worst |D^gamma g(x) - D^gamma g(y)| / cap(|x - y|) over stratified pairs."""
+    x, y, d = _stratified_pairs(dom, count, rng)
+    ratio = np.abs(g.jet(x, gammas) - g.jet(y, gammas)) / cap(d)[:, None]
+    i, j = _worst_entry(ratio)
+    worst = float(ratio[i, j])
+    return {
+        "passed": worst <= 1.0 + 1e-9,
+        "worst": worst,
+        "bound": 1.0,
+        "margin": _ratio_margin(1.0, worst),
+        "pairs": int(d.size),
+        "witness": _witness_pair(x[i], y[i], worst),
+    }
+
+
 def _check_lipschitz(g, cert, count, rng, dom) -> dict:
     gammas = [
         gm
@@ -587,17 +594,9 @@ def _check_lipschitz(g, cert, count, rng, dom) -> dict:
             "bound": 1.0,
             "margin": math.inf,
         }
-    x, y, d = _stratified_pairs(dom, count, rng)
-    ratio = np.abs(g.jet(x, gammas) - g.jet(y, gammas)) / (cert.sigma * d)[:, None]
-    i, j = _worst_entry(ratio)
-    worst = float(ratio[i, j])
-    return {
-        "passed": worst <= 1.0 + 1e-9,
-        "worst": worst,
-        "bound": 1.0,
-        "margin": _ratio_margin(1.0, worst),
-        "witness": _witness_pair(x[i], y[i], worst),
-    }
+    out = _increment_check(g, gammas, lambda d: cert.sigma * d, count, rng, dom)
+    del out["pairs"]
+    return out
 
 
 def _check_modulus(g, cert, count, rng, dom) -> dict:
@@ -607,26 +606,13 @@ def _check_modulus(g, cert, count, rng, dom) -> dict:
         for gm in multiindices_upto(cert.dimension, cert.order - 1)
         if sum(gm) == cert.order - 1
     ]
-    x, y, d = _stratified_pairs(dom, count, rng)
-    cap = d / mu(d)
-    ratio = np.abs(g.jet(x, gammas) - g.jet(y, gammas)) / cap[:, None]
-    i, j = _worst_entry(ratio)
-    worst = float(ratio[i, j])
-    return {
-        "passed": worst <= 1.0 + 1e-9,
-        "worst": worst,
-        "bound": 1.0,
-        "margin": _ratio_margin(1.0, worst),
-        "pairs": int(d.size),
-        "witness": _witness_pair(x[i], y[i], worst),
-    }
+    return _increment_check(g, gammas, lambda d: d / mu(d), count, rng, dom)
 
 
 def _check_pinch(g, cert, count, rng) -> dict:
     out = tail_pinch_check(
         g, cert, samples=max(200, count // 10), seed=int(rng.integers(2**32))
     )
-    out = dict(out)
     out["bound"] = 1.0
     out["worst"] = out.pop("worst_ratio")
     out["margin"] = _ratio_margin(1.0, out["worst"])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoxDomain, BumpPolySum
-from .lusin import BuildConfig, field_catalog, multi_stage_build
 
 __all__ = [
     "HPoint",
@@ -40,7 +39,6 @@ __all__ = [
     "koranyi_graph_sampler",
     "holder_transfer_check",
     "circulation_counterexample",
-    "build_horizontal_graph",
 ]
 
 
@@ -155,18 +153,9 @@ class HorizontalPath:
         d = np.diff(self.waypoints, axis=0)
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
-    def start_point(self) -> HPoint:
-        return HPoint(self.waypoints[0, 0], self.waypoints[0, 1], self.t0)
-
     def endpoint(self) -> HPoint:
         t = self.lift()
         return HPoint(self.waypoints[-1, 0], self.waypoints[-1, 1], float(t[-1]))
-
-    def left_translate(self, r: HPoint) -> "HorizontalPath":
-        """The lift of r * path; left translations preserve horizontality."""
-        shifted = self.waypoints + np.array([r.x, r.y])
-        start = group_mul(r, self.start_point())
-        return HorizontalPath(shifted, start.t)
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +537,3 @@ def circulation_counterexample() -> tuple:
     path_a = HorizontalPath(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
     path_b = HorizontalPath(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     return float(path_a.lift()[-1]), float(path_b.lift()[-1])
-
-
-def build_horizontal_graph(dom: BoxDomain, cfg: BuildConfig):
-    """Construct a graph that is horizontal on the certified region.
-
-    Delegates to the multi-stage constructor with the fixed first-order
-    data (2y, -2x); the returned certificate's ledgers carry the sup-norm
-    and modulus-of-continuity guarantees of the height function.
-    """
-    if dom.dimension != 2:
-        raise ValueError("horizontal graphs live over a planar box")
-    g, cert = multi_stage_build(field_catalog("heisenberg"), dom, cfg)
-    return GraphMap.from_sum(dom, g), cert

@@ -83,15 +83,6 @@ class FieldCollection:
                 out[:, j] = np.asarray(fn(pts), float)
         return out
 
-    def component(self, alpha, x) -> np.ndarray:
-        for a, fn in self.sources:
-            if a == tuple(alpha):
-                pts = np.atleast_2d(np.asarray(x, float))
-                if fn is None:
-                    return np.zeros(pts.shape[0])
-                return np.asarray(fn(pts), float)
-        raise ValueError(f"{tuple(alpha)} is not a top-order index of this field")
-
 
 def field_catalog(name: str) -> FieldCollection:
     """Named example fields used by the command line tools and tests."""
@@ -216,39 +207,9 @@ def choose_lemma_params(
     )
 
 
-def _grid_centers(dom: BoxDomain, grid: int):
-    n = dom.dimension
-    lower = np.asarray(dom.lower)
-    steps = dom.side_lengths() / grid
-    axes = [lower[i] + steps[i] * (np.arange(grid) + 0.5) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1), (grid,) * n
-
-
-def _quantile_level(vals: np.ndarray, quantile: float) -> float:
-    if vals.size == 0:
-        return 0.0
-    if quantile >= 1.0:
-        return float(vals.max())
-    k = min(vals.size - 1, max(0, math.ceil(quantile * vals.size) - 1))
-    return float(np.partition(vals, k)[k])
-
-
-def lusin_truncate(field: FieldCollection, dom: BoxDomain, quantile: float, grid: int = 64):
-    """Truncation level T and the cell mask where max|f_alpha| stays below it.
-
-    T is the smallest sampled level with max|f_alpha| <= T on at least the
-    requested fraction of grid cells (sampled at cell centers); quantile 1
-    degenerates to the sampled maximum.
-    """
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError("quantile must lie in (0, 1]")
-    if field.dimension != dom.dimension:
-        raise ValueError("field and domain dimensions differ")
-    centers, shape = _grid_centers(dom, grid)
-    vals = np.abs(field.evaluate(centers)).max(axis=1)
-    T = _quantile_level(vals, quantile)
-    return T, (vals <= T).reshape(shape)
+# Cells a stage tests in one vectorised pass, and stencil points one call of
+# the evaluator takes: no array of a stage grows with the cells of a level.
+_BATCH = 2**15
 
 
 def _square_side(dom: BoxDomain) -> float:
@@ -256,6 +217,51 @@ def _square_side(dom: BoxDomain) -> float:
     if np.ptp(sides) > 1e-9 * sides.max():
         raise ValueError("builders tile with congruent cubes; use a cubic box")
     return float(sides[0])
+
+
+def _grid_cells(grid: int, n: int) -> list:
+    """Stage 1's seeds: every cell of the level-0 lattice."""
+    return [(0, np.indices((grid,) * n).reshape(n, -1).T)]
+
+
+def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> float:
+    """Smallest level T with max|data| <= T at the requested fraction of the
+    seed cells' centers; quantile 1 gives the sampled maximum.
+
+    seeds lists (level, idx) pairs of cells on the level-r lattice of
+    spacing h0 2^-r; evaluate takes at most _BATCH centers per call.
+    """
+    samples = []
+    for r, idx in seeds:
+        h = h0 / 2**r
+        for s in range(0, idx.shape[0], _BATCH):
+            centers = lower + idx[s : s + _BATCH] * h + h / 2.0
+            samples.append(np.abs(evaluate(centers)).max(axis=1))
+    vals = np.concatenate(samples)
+    if quantile >= 1.0:
+        return float(vals.max())
+    k = min(vals.size - 1, max(0, math.ceil(quantile * vals.size) - 1))
+    return float(np.partition(vals, k)[k])
+
+
+def lusin_truncate(
+    field: FieldCollection, dom: BoxDomain, quantile: float, grid: int = 64
+) -> float:
+    """The truncation level T that stage 1 of multi_stage_build uses.
+
+    T is the smallest sampled level with max|f_alpha| <= T on at least the
+    requested fraction of the grid^n cells of the cubic box (sampled at
+    cell centers); quantile 1 degenerates to the sampled maximum.
+    """
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError("quantile must lie in (0, 1]")
+    if field.dimension != dom.dimension:
+        raise ValueError("field and domain dimensions differ")
+    h0 = _square_side(dom) / grid
+    seeds = _grid_cells(grid, dom.dimension)
+    return _truncation_level(
+        field.evaluate, seeds, np.asarray(dom.lower), h0, quantile
+    )
 
 
 def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
@@ -281,11 +287,6 @@ class _StageOutcome:
     sup_bounds: np.ndarray
     lipschitz: float
     modulus_coeff: float
-
-
-# Cells a stage tests in one vectorised pass, and stencil points one call of
-# the evaluator takes: no array of a stage grows with the cells of a level.
-_BATCH = 2**15
 
 
 def _stencil_osc(evaluate, centers, center_vals, hw, theta):
@@ -655,11 +656,13 @@ def _stage_report(
     )
 
 
-def _assemble_certificate(field, dom, cfg, profile, reports, covered, g, stage_count):
+def _assemble_certificate(field, dom, cfg, profile, reports, covered, g):
     m = field.order
     sup_ledger = tuple(
         float(sum(r.sup_bounds[q] for r in reports)) for q in range(m)
     )
+    covered_measure = sum(r.covered_measure for r in reports)
+    residual = dom.volume() - covered_measure
     return BuildCertificate(
         dimension=field.dimension,
         order=m,
@@ -672,7 +675,7 @@ def _assemble_certificate(field, dom, cfg, profile, reports, covered, g, stage_c
         eps=cfg.eps,
         tau=cfg.tau,
         quantile=cfg.quantile,
-        stages_requested=stage_count,
+        stages_requested=cfg.stages,
         grid=(cfg.grid,) * field.dimension,
         refine_max=cfg.refine_max,
         seed=cfg.seed,
@@ -682,15 +685,10 @@ def _assemble_certificate(field, dom, cfg, profile, reports, covered, g, stage_c
         sup_ledger=sup_ledger,
         lipschitz_ledger=float(sum(r.lipschitz_bound for r in reports)),
         modulus_ledger=float(sum(r.modulus_coefficient for r in reports)),
-        coverage_measure=float(sum(r.covered_measure for r in reports)),
-        residual_measure=float(
-            dom.volume() - sum(r.covered_measure for r in reports)
-        ),
+        coverage_measure=float(covered_measure),
+        residual_measure=float(residual),
         term_count=g.term_count,
-        partial_cover=bool(
-            dom.volume() - sum(r.covered_measure for r in reports)
-            > cfg.eps * dom.volume() * (1 + 1e-12)
-        ),
+        partial_cover=bool(residual > cfg.eps * dom.volume() * (1 + 1e-12)),
     )
 
 
@@ -720,10 +718,11 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         j0 = -math.log2(cfg.theta)
         if abs(j0 - round(j0)) > 1e-9 or round(j0) < 1:
             raise ValueError("multi-stage tiling needs theta equal to a power of 1/2")
+        # the mask does not depend on theta, so neither does its cap
+        if (cfg.grid * 2 ** (cfg.refine_max + 2)) ** n > 3e8:
+            raise ValueError("grid * 2**(refine_max + 2) exceeds the mask budget")
         # plateau corners of refine_max cells lie on the level_cap lattice
         level_cap = cfg.refine_max + int(round(j0)) + 1
-        if (cfg.grid * 2**level_cap) ** n > 3e8:
-            raise ValueError("grid * 2**(refine_max + extra) exceeds the mask budget")
         covered = np.zeros((cfg.grid * 2**cfg.refine_max,) * n, bool)
         h_fine = h0 / 2**level_cap
         fine_per_cell = 2 ** (level_cap - cfg.refine_max)
@@ -756,7 +755,7 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         w_mod = 2.0**-stage
         target = cfg.eps * dom.volume() * 2.0**-stage
         if stage == 1:
-            seeds = [(0, np.indices((cfg.grid,) * n).reshape(n, -1).T)]
+            seeds = _grid_cells(cfg.grid, n)
             dist_fn = None
         else:
             seeds = _free_cells(covered, cfg.refine_max)
@@ -765,14 +764,7 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             dist_fn = _make_dist_fn(covered, cfg.refine_max, h0)
         active = dom.volume() - covered_total
         evaluate = _residual_evaluator(field, g)
-
-        samples = []
-        for r, idx in seeds:
-            h = h0 / 2**r
-            for s in range(0, idx.shape[0], _BATCH):
-                centers = lower + idx[s : s + _BATCH] * h + h / 2.0
-                samples.append(np.abs(evaluate(centers)).max(axis=1))
-        T = _quantile_level(np.concatenate(samples), cfg.quantile)
+        T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
         params = choose_lemma_params(
             cfg.modulus, target, dom, T, m, profile, volume=active, strict=False
         )
@@ -815,10 +807,17 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         if outcome.accepted_count == 0:
             break
 
-    cert = _assemble_certificate(
-        field, dom, cfg, profile, reports, covered_arrays, g, cfg.stages
-    )
+    cert = _assemble_certificate(field, dom, cfg, profile, reports, covered_arrays, g)
     return g, cert
+
+
+def _sample_in_boxes(boxes: np.ndarray, count: int, rng) -> np.ndarray:
+    """Uniform points in a union of disjoint boxes (rows low then high)."""
+    n = boxes.shape[1] // 2
+    vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
+    pick = rng.choice(boxes.shape[0], size=count, p=vols / vols.sum())
+    u = rng.uniform(size=(count, n))
+    return boxes[pick, :n] + u * (boxes[pick, n:] - boxes[pick, :n])
 
 
 def tail_pinch_check(
@@ -854,10 +853,7 @@ def tail_pinch_check(
     per_stage = {}
     each = max(1, samples // len(usable))
     for k, boxes in usable:
-        vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
-        pick = rng.choice(boxes.shape[0], size=each, p=vols / vols.sum())
-        u = rng.uniform(size=(each, n))
-        x = boxes[pick, :n] + u * (boxes[pick, n:] - boxes[pick, :n])
+        x = _sample_in_boxes(boxes, each, rng)
         direction = rng.normal(size=(each, n))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))

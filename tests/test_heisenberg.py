@@ -1,15 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+import lusinkit
 
 from lusinkit.core import BoxDomain, BumpPolySum, PowerModulus
 from lusinkit.heisenberg import (
     GraphMap,
     HorizontalPath,
     HPoint,
-    build_horizontal_graph,
     cc_dist_bounds,
     characteristic_fraction,
     circulation_counterexample,
@@ -24,7 +28,7 @@ from lusinkit.heisenberg import (
     koranyi_graph_sampler,
     koranyi_norm,
 )
-from lusinkit.lusin import BuildConfig
+from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
 
 IDENTITY = HPoint(0.0, 0.0, 0.0)
 
@@ -161,22 +165,8 @@ class TestHorizontalPath:
 
     def test_start_offset(self):
         path = HorizontalPath(np.array([[0.0, 0.0], [1.0, 0.0]]), t0=7.5)
-        assert path.start_point().t == 7.5
+        assert path.lift()[0] == 7.5
         assert path.endpoint().t == 7.5
-
-    def test_left_translate_battery(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            w = rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 9)), 2))
-            path = HorizontalPath(w, float(rng.uniform(-2, 2)))
-            r = HPoint(*rng.uniform(-2, 2, 3))
-            moved = path.left_translate(r)
-            assert moved.length() == pytest.approx(path.length(), abs=1e-10)
-            expect = group_mul(r, path.endpoint())
-            got = moved.endpoint()
-            assert abs(got.x - expect.x) <= 1e-10
-            assert abs(got.y - expect.y) <= 1e-10
-            assert abs(got.t - expect.t) <= 1e-10
 
     def test_waypoint_validation(self):
         with pytest.raises(ValueError, match="waypoints"):
@@ -526,7 +516,8 @@ def built():
         refine_max=3,
         modulus=PowerModulus(1.0),
     )
-    return build_horizontal_graph(dom, cfg), cfg
+    g, cert = multi_stage_build(field_catalog("heisenberg"), dom, cfg)
+    return (GraphMap.from_sum(dom, g), cert), cfg
 
 
 class TestBuildHorizontalGraph:
@@ -549,4 +540,15 @@ class TestBuildHorizontalGraph:
 
     def test_rejects_non_planar_domain(self):
         with pytest.raises(ValueError, match="planar"):
-            build_horizontal_graph(BoxDomain((0.0,), (1.0,)), BuildConfig(grid=8))
+            GraphMap.from_sum(BoxDomain((0.0,), (1.0,)), BumpPolySum(1, 1))
+
+
+def test_import_leaves_the_builder_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lusinkit.__file__)))
+    probe = "import sys, lusinkit.heisenberg; print('lusinkit.lusin' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
