@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -179,7 +180,7 @@ class Modulus:
         """Largest delta with mu(t) <= bound for all t in [0, delta].
 
         Returns math.inf when mu never exceeds the bound.  Raises
-        InfeasibleBudgetError when no positive representable delta exists.
+        InfeasibleBudgetError when no delta of normal float size exists.
         """
         raise NotImplementedError
 
@@ -226,9 +227,9 @@ class LogModulus(Modulus):
         if bound > 1.0:
             return bound / math.e
         delta = math.exp(-1.0 / bound)
-        if delta <= 0.0:
+        if delta < sys.float_info.min:
             raise InfeasibleBudgetError(
-                "log-modulus scale cut exp(-1/%.6g) underflows float64" % bound
+                "log-modulus scale cut exp(-1/%.6g) is subnormal or zero" % bound
             )
         return delta
 
@@ -260,9 +261,9 @@ class PowerModulus(Modulus):
                 "modulus scale cut needs a positive bound, got %g" % bound
             )
         delta = float(bound ** (1.0 / self.beta))
-        if delta <= 0.0:
+        if delta < sys.float_info.min:
             raise InfeasibleBudgetError(
-                "power-modulus scale cut %g**(1/%g) underflows float64"
+                "power-modulus scale cut %g**(1/%g) is subnormal or zero"
                 % (bound, self.beta)
             )
         return delta
@@ -456,31 +457,16 @@ class CutoffProfile:
         normalization used by BumpPolySum), every order-m derivative of the
         term is bounded by C(n, m) * F on the cell, independently of the cell
         size.  Used by the scale-selection formula and reported in
-        certificates.
+        certificates.  It is the largest top-order row of
+        cell_derivative_bounds for unit top-order coefficients: there the
+        cell size cancels, so half-width 1 gives it.
         """
         m = self.order
-        A = self.derivative_maxima
-        best = 0.0
-        for gamma in enumerate_multiindices(n, m):
-            total = 0.0
-            for beta in _subindices(gamma):
-                comb = 1.0
-                for g, b in zip(gamma, beta):
-                    comb *= math.comb(g, b)
-                afac = 1.0
-                for b in beta:
-                    afac *= A[b]
-                gp = tuple(g - b for g, b in zip(gamma, beta))
-                # sum over homogeneous alpha >= gamma - beta of 1/(alpha-gp)!
-                nsum = 0.0
-                for alpha in enumerate_multiindices(n, m):
-                    if dominates(alpha, gp):
-                        nsum += 1.0 / multiindex_factorial(
-                            tuple(a - g for a, g in zip(alpha, gp))
-                        )
-                total += comb * afac * nsum / self.theta ** sum(beta)
-            best = max(best, total)
-        return best
+        _, pos = _index_table(n, m)
+        top = [pos[a] for a in enumerate_multiindices(n, m)]
+        coeffs = np.zeros((1, len(pos)))
+        coeffs[0, top] = 1.0
+        return float(cell_derivative_bounds(self, n, m, coeffs, 1.0)[top].max())
 
 
 def _subindices(gamma: tuple[int, ...]):

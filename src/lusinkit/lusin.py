@@ -323,15 +323,13 @@ def _run_stage(
     w_mod: float,
     seeds: list,
     h0: float,
-    dist_fn=None,
+    sat: np.ndarray | None = None,
 ) -> _StageOutcome:
     """One certification pass over the free cells, with dyadic refinement.
 
     seeds lists (level, idx) pairs: idx holds cells of the level-r lattice,
-    grid 2^r cells per axis.  dist_fn, in later stages, gives the pinch
-    distance read off the coverage mask on the refine_max lattice.
-    Checks per cell, cheapest first: truncation of the center data, the
-    per-order sup caps scaled by the pinch distance (later stages only),
+    grid 2^r cells per axis.  Checks per cell, cheapest first: truncation
+    of the center data, the per-order sup caps (pinched in later stages),
     the Lipschitz caps, the modulus envelope 2 S M(S/L) <= w_mod, and last
     the sampled oscillation against tau.  Failing cells split into 2^n
     children until refine_max.  Each queue entry, one level's cells, is
@@ -340,7 +338,9 @@ def _run_stage(
     merged once per entry, so the outcome does not depend on _BATCH.
     top_cols, by_order and grad_rows locate, in the coefficient columns,
     the top-order indices, the indices of each order q, and the n
-    first-order raises of each index of order q < m.
+    first-order raises of each index of order q < m.  In later stages sat
+    is the summed-area table of the coverage mask, and _pinch_fails reads
+    each tested cell's pinch off it.
     """
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
@@ -348,7 +348,7 @@ def _run_stage(
     # a cell failing at refine_max is counted under the first reason it fails
     reasons = (
         "truncation",
-        "pinch" if dist_fn is not None else "supnorm",
+        "pinch" if sat is not None else "supnorm",
         "supnorm",
         "lipschitz",
         "modulus",
@@ -365,6 +365,7 @@ def _run_stage(
     lip_acc = 0.0
     env_acc = 0.0
     sqrt_n = math.sqrt(n)
+    h_rm = h0 / 2**cfg.refine_max
 
     # (level, cells, split): with split, the entry's cells are the 2^n
     # children of each row of cells, in row order
@@ -426,11 +427,12 @@ def _run_stage(
                 L_t = lip[m - 1]
                 env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
 
-                cap = np.full(ti.size, b_sup)
-                if dist_fn is not None:
-                    D = dist_fn(level, idx[ti])
-                    cap = b_sup * np.minimum(D**2, 1.0)
-                fail_cap[ti] = (bmax[:m] > cap[None, :]).any(axis=0)
+                if sat is None:
+                    fail_cap[ti] = (bmax[:m] > b_sup).any(axis=0)
+                else:
+                    f = 2 ** (cfg.refine_max - level)
+                    worst = bmax[:m].max(axis=0)
+                    fail_cap[ti] = _pinch_fails(sat, idx[ti], f, worst, b_sup, h_rm)
                 fail_scap[ti] = S_t > b_sup / sqrt_n
                 if m >= 2:
                     lip_low[ti] = np.stack([lip[q] for q in range(m - 1)]).max(axis=0)
@@ -527,109 +529,77 @@ def _paint_boxes(mask: np.ndarray, boxes: np.ndarray, lower, h_fine: float, f: i
     mask |= diff[(slice(-1),) * n] > 0
 
 
-def _free_cells(covered: np.ndarray, refine_max: int):
-    """Maximal free dyadic cells per level, each listed exactly once.
+def _coverage_table(covered: np.ndarray) -> np.ndarray:
+    """Summed-area table of the coverage mask (Crow, SIGGRAPH 1984).
 
-    covered is the coverage mask on the refine_max lattice; level r reads
-    it pooled over blocks of 2^(refine_max - r) cells per axis.
+    Entry i counts the covered mask cells below i on every axis, so the
+    coverage of any box is a signed sum over its 2^n corners.  int32 holds
+    every count: the mask admission rule keeps (4 x mask side)^n <= 3e8, so
+    the mask has fewer than 2^31 cells.
     """
-    n = covered.ndim
-    pooled = [covered]
-    for _ in range(refine_max):
-        c = pooled[-1]
-        shape = sum(((c.shape[0] // 2, 2),) * n, ())
-        pooled.append(c.reshape(shape).any(axis=tuple(range(1, 2 * n, 2))))
-    pooled.reverse()
+    sat = np.zeros(tuple(s + 1 for s in covered.shape), np.int32)
+    sat[(slice(1, None),) * covered.ndim] = covered
+    for axis in range(covered.ndim):
+        np.cumsum(sat, axis=axis, out=sat)
+    return sat
+
+
+def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarray:
+    """Covered mask cells in each cell, grown by gap mask cells on every side.
+
+    cells index a lattice of f mask cells per axis; gap is one integer or
+    one per cell.  Grown boxes are clipped to the mask.
+    """
+    n = cells.shape[1]
+    side = sat.shape[0]
+    gap = np.reshape(gap, -1)
+    # flat offsets of each axis's low and high corner, clipped to the mask
+    ends = [
+        (np.maximum(c - gap, 0) * s, np.minimum(c + f + gap, side - 1) * s)
+        for c, s in zip((cells * f).T, side ** np.arange(n - 1, -1, -1))
+    ]
+    flat = sat.reshape(-1)
+    count = np.zeros(cells.shape[0], np.int64)
+    for corner in itertools.product((0, 1), repeat=n):
+        at = sum(ends[i][c] for i, c in enumerate(corner))
+        count += (-1) ** (n - sum(corner)) * np.take(flat, at)
+    return count
+
+
+def _pinch_fails(sat, cells, f, worst, b_sup: float, h_rm: float) -> np.ndarray:
+    """Whether each cell's worst order-<m sup bound exceeds its pinched cap.
+
+    The cap is b_sup min((G h_rm)^2, 1), G the L-infinity gap in whole mask
+    cells from the cell to the coverage.  The least gap whose cap holds
+    worst is found in a table of caps, so the float comparison is the cap's
+    own; the cell fails if, grown by that gap, it holds coverage.  Past the
+    table's end a grown cell holds the whole mask, never empty in a later
+    stage: a stage 1 that covers nothing ends the build.
+    """
+    caps = b_sup * np.minimum((np.arange(sat.shape[0]) * h_rm) ** 2, 1.0)
+    return _coverage_near(sat, cells, f, np.searchsorted(caps, worst)) > 0
+
+
+def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
+    """Maximal free dyadic cells per level, each listed once, in C order.
+
+    sat is the summed-area table of the coverage mask on the refine_max
+    lattice.  The walk starts from the level-0 grid: a cell holding no
+    coverage is free, and only cells holding both covered and free mask
+    cells split into their 2^n children.
+    """
+    n = sat.ndim
+    shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
+    cells = _grid_cells(grid, n)[0][1]
     out = []
-    for r, occ in enumerate(pooled):
-        sel = ~occ
-        if r:
-            par = pooled[r - 1]
-            for axis in range(n):
-                par = par.repeat(2, axis=axis)
-            sel &= par
-        out.append((r, np.argwhere(sel)))
+    for r in range(refine_max + 1):
+        f = 2 ** (refine_max - r)
+        count = _coverage_near(sat, cells, f, 0)
+        out.append((r, cells[count == 0]))
+        mixed = cells[(count > 0) & (count < f**n)]
+        kids = (mixed[:, None, :] * 2 + shifts[None, :, :]).reshape(-1, n)
+        cells = kids[np.lexsort(kids.T[::-1])]
     return out
-
-
-def _chessboard_distance(free: np.ndarray) -> np.ndarray:
-    """Chessboard distance from each cell to the nearest cell that is not free.
-
-    Exact and in integers; at least one cell must be occupied.  Occupied
-    cells start at 0 and free cells above any distance.  A shortest
-    king-move path changes each coordinate monotonically, so its steps can
-    be reordered to take those that go forward in raster order first; one
-    raster pass forward and one over the reversed array find every distance.
-    """
-    size = max(free.shape)
-    d = np.where(free, size, 0)
-    ramp = np.arange(size)
-    _raster_pass(d, ramp)
-    _raster_pass(np.flip(d), ramp)
-    return d
-
-
-def _raster_pass(d: np.ndarray, ramp: np.ndarray):
-    """In place: d(x) <- min(d(x), 1 + d(y)) over king neighbours y before x.
-
-    Cells are visited in raster (C) order, so each takes in the paths that
-    reach it by forward steps.  In one dimension this is a running minimum
-    of d(y) - y; otherwise each slice along axis 0 takes the smaller of
-    itself and 1 + the 3^(n-1) box minimum of the slice before it, then is
-    passed over in one dimension fewer.  ramp is 0, 1, 2, ... at least as
-    long as every axis.
-    """
-    if d.ndim == 1:
-        x = ramp[: d.shape[0]]
-        d -= x
-        np.minimum.accumulate(d, out=d)
-        d += x
-        return
-    box = np.empty_like(d[0])
-    _raster_pass(d[0], ramp)
-    for i in range(1, d.shape[0]):
-        row = d[i]
-        _box_min(d[i - 1], box)
-        box += 1
-        np.minimum(row, box, out=row)
-        _raster_pass(row, ramp)
-
-
-def _box_min(src: np.ndarray, out: np.ndarray):
-    """out <- the minimum of src over the 3^k box around each cell."""
-    np.copyto(out, src)
-    o, s = out, src
-    for axis in range(out.ndim):
-        if axis:
-            # later axes take the minimum over the earlier ones in place
-            o = s = np.moveaxis(out, axis, 0)
-        np.minimum(o[1:], s[:-1], out=o[1:])
-        np.minimum(o[:-1], s[1:], out=o[:-1])
-
-
-def _make_dist_fn(covered: np.ndarray, refine_max: int, h0: float):
-    """Euclidean lower bound on the distance to the covered region.
-
-    covered is the coverage mask on the refine_max lattice; a cell of level
-    r takes the least distance over the refine_max cells it contains.
-    """
-    n = covered.ndim
-    rm = refine_max
-    if not covered.any():
-        return lambda level, idx: np.full(idx.shape[0], math.inf)
-    cdt = _chessboard_distance(~covered).astype(float)
-    h_rm = h0 / 2**rm
-    pools = {rm: cdt}
-    for r in range(rm - 1, -1, -1):
-        c = pools[r + 1]
-        shape = sum(((c.shape[0] // 2, 2),) * n, ())
-        pools[r] = c.reshape(shape).min(axis=tuple(range(1, 2 * n, 2)))
-
-    def dist(level, idx):
-        c = pools[level][tuple(idx.T)]
-        return np.maximum(c - 1.0, 0.0) * h_rm
-
-    return dist
 
 
 def _stage_report(
@@ -702,9 +672,13 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     sigma 2^-k and modulus weight 2^-k, so the per-order ledgers sum
     strictly below the global budgets.  Certified plateau boxes of earlier
     stages repel later cells through a quadratic pinch on their sup bounds.
-    With more than one stage the transition fraction theta must be a power
-    of 1/2 so plateau boxes stay exact unions of dyadic cells and the free
-    region can be re-tiled; a one-stage build takes any theta.
+    Each later stage reads its free cells and every tested cell's pinch as
+    box counts off one summed-area table of the coverage mask, which lives
+    on the refine_max lattice; its counts fit int32, as the 3e8 admission
+    rule keeps the mask under 2^31 cells.  With more than one stage the
+    transition fraction theta must be a power of 1/2 so plateau boxes stay
+    exact unions of dyadic cells and the free region can be re-tiled; a
+    one-stage build takes any theta.
     """
     if field.dimension != dom.dimension:
         raise ValueError("field and domain dimensions differ")
@@ -756,12 +730,12 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         target = cfg.eps * dom.volume() * 2.0**-stage
         if stage == 1:
             seeds = _grid_cells(cfg.grid, n)
-            dist_fn = None
+            sat = None
         else:
-            seeds = _free_cells(covered, cfg.refine_max)
+            sat = _coverage_table(covered)
+            seeds = _free_cells(sat, cfg.grid, cfg.refine_max)
             if all(idx.shape[0] == 0 for _, idx in seeds):
                 break
-            dist_fn = _make_dist_fn(covered, cfg.refine_max, h0)
         active = dom.volume() - covered_total
         evaluate = _residual_evaluator(field, g)
         T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
@@ -779,7 +753,7 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             w_mod=w_mod,
             seeds=seeds,
             h0=h0,
-            dist_fn=dist_fn,
+            sat=sat,
         )
         for level, idx, cf in outcome.accepted:
             h = h0 / 2**level

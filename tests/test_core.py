@@ -1,5 +1,7 @@
 import importlib
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -92,8 +94,12 @@ class TestLogModulus:
         assert mu.scale_cut(2.0) == pytest.approx(2.0 / math.e, rel=1e-14)
 
     def test_scale_cut_underflow_is_an_error(self):
-        with pytest.raises(InfeasibleBudgetError):
-            LogModulus().scale_cut(1e-4)
+        # exp(-1e4) is 0; exp(-740) = 4.2e-322 is subnormal
+        for bound in (1e-4, 1 / 740):
+            with pytest.raises(InfeasibleBudgetError):
+                LogModulus().scale_cut(bound)
+        # exp(-708) = 3.3e-308 is the last whole exponent above the normal floor
+        assert LogModulus().scale_cut(1 / 708) >= sys.float_info.min
 
     def test_sup_ratio_dominates_samples(self):
         mu = LogModulus()
@@ -127,6 +133,14 @@ class TestPowerModulus:
         lin = PowerModulus(1.0)
         assert lin.scale_cut(0.125) == pytest.approx(0.125)
         assert lin.sup_ratio(1e-9) == pytest.approx(1.0)
+
+    def test_scale_cut_underflow_is_an_error(self):
+        tiny = sys.float_info.min
+        assert PowerModulus(1.0).scale_cut(tiny) == tiny
+        # 1e-160**2 = 1e-320 is subnormal, 1e-200**2 is 0
+        for beta, bound in ((1.0, tiny / 2), (0.5, 1e-160), (0.5, 1e-200)):
+            with pytest.raises(InfeasibleBudgetError):
+                PowerModulus(beta).scale_cut(bound)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
@@ -307,6 +321,40 @@ class TestCutoffProfile:
         for theta in (0.25, 0.5, 0.9):
             prof = CutoffProfile(1, theta)
             assert prof.bound_constant(2) == pytest.approx(1.0 + 3.0 / theta)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bound_constant_matches_scalar_oracle(self, m):
+        for n in (1, 2, 3):
+            for theta in (0.5, 0.125, 0.25, 0.3, 0.005, 0.9):
+                prof = CutoffProfile(m, theta)
+                want = bound_constant_oracle(prof, n)
+                assert prof.bound_constant(n) == pytest.approx(want, rel=1e-15)
+
+
+def bound_constant_oracle(profile: CutoffProfile, n: int) -> float:
+    """Oracle: C(n, m) summed term by term over the Leibniz rule.
+
+    For each order-m gamma, sum over beta <= gamma of
+    C(gamma, beta) prod A_beta_i / theta^|beta| times the sum over
+    order-m alpha >= gamma - beta of 1/(alpha - gamma + beta)!.
+    """
+    m = profile.order
+    A = profile.derivative_maxima
+    best = 0.0
+    for gamma in enumerate_multiindices(n, m):
+        total = 0.0
+        for beta in itertools.product(*(range(g + 1) for g in gamma)):
+            comb = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
+            afac = math.prod(A[b] for b in beta)
+            gp = tuple(g - b for g, b in zip(gamma, beta))
+            nsum = 0.0
+            for alpha in enumerate_multiindices(n, m):
+                if all(a >= g for a, g in zip(alpha, gp)):
+                    fact = math.prod(math.factorial(a - g) for a, g in zip(alpha, gp))
+                    nsum += 1.0 / fact
+            total += comb * afac * nsum / profile.theta ** sum(beta)
+        best = max(best, total)
+    return best
 
 
 def cutoff_eval(profile: CutoffProfile, cell_low, cell_high, x, deriv=None):

@@ -320,6 +320,29 @@ class TestCli:
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
 
+    def test_subnormal_scale_cut_exit_code(self, tmp_path, capsys):
+        # the log modulus's stage-1 cut here is 3.5e-323, a subnormal
+        rc = main(
+            [
+                "construct",
+                "--field",
+                "heisenberg",
+                "--domain",
+                "0,0,1,1",
+                "--grid",
+                "8",
+                "--stages",
+                "2",
+                "--refine-max",
+                "1",
+                "--out",
+                str(tmp_path / "sub"),
+            ]
+        )
+        assert rc == 3
+        assert "infeasible" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+
     def test_certify_version_mismatch(self, growth_run, tmp_path, capsys):
         paths, _, _ = growth_run
         raw = open(paths["function"], "rb").read()

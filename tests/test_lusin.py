@@ -19,7 +19,6 @@ from lusinkit.core import (
 from lusinkit.lusin import (
     BuildConfig,
     FieldCollection,
-    _chessboard_distance,
     _paint_boxes,
     choose_lemma_params,
     field_catalog,
@@ -489,6 +488,28 @@ class TestBatching:
             for part in range(4):
                 assert got[part] == want[part]
 
+    # cells considered, cells accepted and reject counts of stages 2 and 3
+    LATER_STAGES = {
+        "growth": (
+            (11163, 1968, {"truncation": 4032, "pinch": 2446}),
+            (8475, 0, {"truncation": 4293, "pinch": 2185}),
+        ),
+        "pwl_permissive": (
+            (36128, 18465, {"truncation": 184, "pinch": 9215}),
+            (9399, 0, {"truncation": 46, "pinch": 9353}),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LATER_STAGES))
+    def test_later_stage_reports(self, case):
+        name, cfg, _ = self.CASES[case]
+        _, cert = multi_stage_build(field_catalog(name), UNIT_SQUARE, cfg)
+        got = tuple(
+            (r.cells_considered, r.cells_accepted, r.reject_counts)
+            for r in cert.stage_reports[1:]
+        )
+        assert got == self.LATER_STAGES[case]
+
     def test_flagship_memory_stays_bounded(self):
         # the flagship settings: 1024^2 cells at level 4 of stage 1, and a
         # stage 2 seeded from free cells of every level
@@ -565,35 +586,90 @@ class TestPaintBoxes:
                 npt.assert_array_equal(mask, want)
 
 
-class TestChessboardDistance:
-    @staticmethod
-    def _brute_force(free):
-        cells = np.argwhere(np.ones_like(free))
-        occupied = np.argwhere(~free)
-        gaps = np.abs(cells[:, None, :] - occupied[None, :, :]).max(axis=2)
-        return gaps.min(axis=1).reshape(free.shape)
+def _chessboard_oracle(free):
+    """Chessboard distance from each cell to the nearest cell that is not free."""
+    cells = np.argwhere(np.ones_like(free))
+    occupied = np.argwhere(~free)
+    gaps = np.abs(cells[:, None, :] - occupied[None, :, :]).max(axis=2)
+    return gaps.min(axis=1).reshape(free.shape)
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        densities = (0.001, 0.01, 0.05, 0.2, 0.7)
-        max_side = {1: 200, 2: 40, 3: 12}
-        for k in range(330):
-            n = 1 + k % 3
-            shape = tuple(int(v) for v in rng.integers(1, max_side[n] + 1, size=n))
-            if k % 11 == 0:
-                # a length-1 axis
-                axis = int(rng.integers(n))
-                shape = shape[:axis] + (1,) + shape[axis + 1 :]
-            occupied = rng.random(shape) < densities[k % 5]
-            if k % 7 == 0:
-                # a single occupied cell
-                occupied[...] = False
-            if not occupied.any():
-                occupied[tuple(int(rng.integers(s)) for s in shape)] = True
-            free = ~occupied
-            got = _chessboard_distance(free)
-            assert got.shape == shape
-            npt.assert_array_equal(got, self._brute_force(free))
+
+def _block(arr, idx, f):
+    return arr[tuple(slice(i * f, (i + 1) * f) for i in idx)]
+
+
+class TestCoverageTable:
+    """Later stages read the coverage mask through one summed-area table."""
+
+    SHAPES = {1: (5, 4), 2: (3, 3), 3: (2, 2)}  # grid, refine_max
+
+    @staticmethod
+    def _masks(rng, n, side):
+        """Unions of random boxes plus scattered cells, so that coarse cells
+        come out free, mixed and fully covered."""
+        for density in (0.0, 0.01, 0.05, 0.3):
+            for boxes in (1, 3):
+                mask = rng.random((side,) * n) < density
+                for _ in range(boxes):
+                    lo = rng.integers(side, size=n)
+                    hi = lo + rng.integers(1, side // 2 + 1, size=n)
+                    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+                yield mask
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_free_cells_match_brute_force(self, n):
+        grid, refine_max = self.SHAPES[n]
+        rng = np.random.default_rng(n)
+        for covered in self._masks(rng, n, grid * 2**refine_max):
+            got = lusin._free_cells(lusin._coverage_table(covered), grid, refine_max)
+            assert [r for r, _ in got] == list(range(refine_max + 1))
+            for r, cells in got:
+                # maximal free cells in C order: free, with a covered parent
+                f = 2 ** (refine_max - r)
+                want = [
+                    idx
+                    for idx in np.ndindex(*(grid * 2**r,) * n)
+                    if not _block(covered, idx, f).any()
+                    and (r == 0 or _block(covered, [i // 2 for i in idx], 2 * f).any())
+                ]
+                npt.assert_array_equal(cells, np.array(want, np.int64).reshape(-1, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pinch_matches_chessboard_oracle(self, n):
+        grid, refine_max = self.SHAPES[n]
+        side = grid * 2**refine_max
+        rng = np.random.default_rng(10 + n)
+        b_sup = 0.37
+        for k, covered in enumerate(self._masks(rng, n, side)):
+            covered[(0,) * n] = True
+            sat = lusin._coverage_table(covered)
+            dist = _chessboard_oracle(~covered)
+            # caps saturate inside the mask, or never reach b_sup
+            h_rm = (1.7 if k % 2 else 0.3) / side
+            caps = b_sup * np.minimum((np.arange(side + 2) * h_rm) ** 2, 1.0)
+            for r in range(refine_max + 1):
+                f = 2 ** (refine_max - r)
+                # tested cells are free
+                cells = np.array(
+                    [
+                        idx
+                        for idx in np.ndindex(*(grid * 2**r,) * n)
+                        if not _block(covered, idx, f).any()
+                    ],
+                    np.int64,
+                ).reshape(-1, n)
+                if not cells.shape[0]:
+                    continue
+                # worst from 0 to above b_sup, hitting every cap exactly
+                pool = np.concatenate(
+                    [caps, np.nextafter(caps, 1.0), rng.uniform(0.0, 1.2 * b_sup, 50)]
+                )
+                worst = rng.choice(pool, size=cells.shape[0])
+                c = np.array([_block(dist, idx, f).min() for idx in cells], float)
+                D = np.maximum(c - 1.0, 0.0) * h_rm
+                want = worst > b_sup * np.minimum(D**2, 1.0)
+                got = lusin._pinch_fails(sat, cells, f, worst, b_sup, h_rm)
+                npt.assert_array_equal(got, want)
 
 
 class TestTailPinch:
