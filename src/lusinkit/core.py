@@ -5,7 +5,10 @@ The central representation is :class:`BumpPolySum`: a finite sum of cell
 terms, each a compactly supported tensor cutoff multiplied by a polynomial.
 Terms live on uniform lattices (one lattice per construction stage and
 refinement level), so locating the cell containing a query point is an index
-computation plus a sorted lookup rather than a scan over terms.
+computation rather than a scan over terms: one gather from a row table over
+the block's bounding lattice, padded by an empty border that catches every
+point outside it, non-finite ones included.  A block too sparse for such a
+table (more than 64 entries per cell) binary-searches its sorted cell keys.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -348,9 +351,9 @@ class PiecewiseLinearModulus(Modulus):
         # vs[j] > bound >= vs[j-1], slope over that segment is positive
         slope = (vs[j] - vs[j - 1]) / (ts[j] - ts[j - 1])
         delta = float(ts[j - 1] + (bound - vs[j - 1]) / slope)
-        if delta <= 0.0:
+        if delta < sys.float_info.min:
             raise InfeasibleBudgetError(
-                "piecewise modulus exceeds %g at every positive scale" % bound
+                "piecewise modulus exceeds %g at every normal-float scale" % bound
             )
         return delta
 
@@ -546,8 +549,23 @@ def cell_derivative_bounds(
 # bump-polynomial sums
 
 
+# a block whose padded bounding lattice would hold more table entries than
+# this per cell keeps a sorted key search instead of the dense row table
+_DENSE_FILL = 64
+# how far, in lattice steps, a cell corner may sit from the block's lattice
+_LATTICE_TOL = 1e-6
+
+
 class _Block:
-    """Congruent cubic cells on one uniform lattice (one stage, one level)."""
+    """Congruent cubic cells on one uniform lattice (one stage, one level).
+
+    Cells are located through a row table over the block's bounding lattice,
+    padded by one empty entry (-1) on every side: a point's floored lattice
+    index, clamped onto that border, reads its cell row in one gather.  Where
+    the padded lattice would hold more than _DENSE_FILL entries per cell (a
+    sparse refinement, or an arbitrary function file), the block keeps its
+    cells' lattice keys sorted and binary-searches them instead.
+    """
 
     __slots__ = (
         "n",
@@ -559,8 +577,10 @@ class _Block:
         "lows",
         "coeffs",
         "profile",
-        "_min_idx",
-        "_dims",
+        "_base",
+        "_top",
+        "_strides",
+        "_table",
         "_keys",
         "_rows",
     )
@@ -579,14 +599,34 @@ class _Block:
         if self.coeffs.shape[0] != self.lows.shape[0]:
             raise ValueError("one coefficient row per cell required")
         self.profile = CutoffProfile(m, self.theta)
-        idx = np.rint((self.lows - self.anchor) / self.spacing).astype(np.int64)
-        self._min_idx = idx.min(axis=0)
-        self._dims = idx.max(axis=0) - self._min_idx + 1
-        key = np.ravel_multi_index((idx - self._min_idx).T, self._dims)
-        order = np.argsort(key, kind="stable")
-        self._keys = key[order]
-        self._rows = order
-        if np.any(np.diff(self._keys) == 0):
+        rel = (self.lows - self.anchor) / self.spacing
+        idx = np.rint(rel)
+        if not np.all(np.abs(rel - idx) <= _LATTICE_TOL):
+            raise ValueError("cell corners off the block's lattice")
+        # on the padded lattice, index 0 and _top are the empty border
+        self._base = idx.min(axis=0) - 1.0
+        idx -= self._base
+        shape = [int(d) + 2 for d in idx.max(axis=0)]
+        self._top = np.asarray(shape, float) - 1.0
+        size = math.prod(shape)
+        if size >= 2**63:
+            raise ValueError("block lattice too large to index")
+        self._strides = np.asarray(
+            [math.prod(shape[i + 1 :]) for i in range(n)], np.int64
+        )
+        key = idx.astype(np.int64) @ self._strides
+        count = key.size
+        if size <= _DENSE_FILL * count:
+            self._table = np.full(size, -1, np.int32)
+            self._table[key] = np.arange(count, dtype=np.int32)
+            self._keys = self._rows = None
+            filled = np.count_nonzero(self._table >= 0)
+        else:
+            self._table = None
+            self._rows = np.argsort(key, kind="stable")
+            self._keys = key[self._rows]
+            filled = 1 + np.count_nonzero(np.diff(self._keys))
+        if filled != count:
             raise ValueError("overlapping cells within one block")
 
     @property
@@ -595,17 +635,25 @@ class _Block:
 
     def locate(self, x: np.ndarray):
         """Indices (into x) and cell rows for points inside some cell."""
-        rel = (x - self.anchor) / self.spacing
-        idx = np.floor(rel).astype(np.int64) - self._min_idx
-        ok = np.all((idx >= 0) & (idx < self._dims), axis=1)
-        if not np.any(ok):
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        where = np.nonzero(ok)[0]
-        key = np.ravel_multi_index(idx[where].T, self._dims)
+        with np.errstate(over="ignore"):
+            # far-out finite points may overflow to +-inf: the border holds them
+            rel = (x - self.anchor) / self.spacing
+        np.floor(rel, out=rel)
+        rel -= self._base
+        # NaN and +-inf land on the empty border too
+        np.fmax(rel, 0.0, out=rel)
+        np.fmin(rel, self._top, out=rel)
+        if self._table is not None:
+            # the flat index is an integer below 2**53, so the float dot is exact
+            rows = self._table[(rel @ self._strides).astype(np.intp)]
+            pts = np.flatnonzero(rows >= 0)
+            return pts, rows[pts]
+        # border keys match no cell; int64 keeps keys above 2**53 exact
+        key = rel.astype(np.int64) @ self._strides
         posn = np.searchsorted(self._keys, key)
         posn[posn == len(self._keys)] = 0
-        hit = self._keys[posn] == key
-        return where[hit], self._rows[posn[hit]]
+        pts = np.flatnonzero(self._keys[posn] == key)
+        return pts, self._rows[posn[pts]]
 
     def add_jet(self, x: np.ndarray, gammas, out: np.ndarray):
         """Add this block's D^gammas[j] at the points x to out[:, j]."""

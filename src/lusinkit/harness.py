@@ -231,15 +231,18 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
         side, theta, weight, stage = part[0, [n, n + 1 + k, n + 2 + k, n + 3 + k]]
         if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage):
             raise FunctionFileError("malformed cell term record")
-        g = g.with_block(
-            part[:, :n],
-            side,
-            theta,
-            weight,
-            int(stage),
-            part[:, n + 1 : n + 1 + k],
-            anchor=anchor,
-        )
+        try:
+            g = g.with_block(
+                part[:, :n],
+                side,
+                theta,
+                weight,
+                int(stage),
+                part[:, n + 1 : n + 1 + k],
+                anchor=anchor,
+            )
+        except ValueError as exc:
+            raise FunctionFileError(f"malformed cell block: {exc}")
     if len({int(s) for s in block[:, -1]}) != stages:
         raise FunctionFileError("stage count disagrees with the term records")
     return g, dom

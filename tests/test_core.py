@@ -1,8 +1,10 @@
+import gzip
 import importlib
 import itertools
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -21,9 +23,11 @@ from lusinkit.core import (
     modulus_from_dict,
     multiindices_upto,
 )
+from lusinkit.harness import load_function
 from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
 
 INV_E = math.exp(-1.0)
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 class TestMultiIndices:
@@ -191,6 +195,14 @@ class TestPiecewiseLinearModulus:
             PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.4), (0.5, 0.6)))
         with pytest.raises(ValueError):
             PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.4), (1.0, 0.3)))
+
+    def test_scale_cut_underflow_is_an_error(self):
+        mu = PiecewiseLinearModulus(((0.0, 0.0), (1.0, 1.0)))
+        tiny = sys.float_info.min
+        assert mu.scale_cut(tiny) == tiny
+        for bound in (tiny / 2, 1e-320, 0.0):
+            with pytest.raises(InfeasibleBudgetError):
+                mu.scale_cut(bound)
 
     def test_sup_ratio_dominates_samples(self):
         mu = PiecewiseLinearModulus(KNOTS)
@@ -506,6 +518,108 @@ class TestBumpPolySum:
             BumpPolySum(2, 1).with_block(
                 lows, 1.0, 0.5, 0.5, 1, np.zeros((2, len(idx))), anchor=(0.0, 0.0)
             )
+
+    def test_off_lattice_corner_rejected(self):
+        coeffs = [[1.0, 0.0, 0.0]]
+        # 0.3 lies 1.2 steps of 0.25 from the anchor
+        with pytest.raises(ValueError, match="lattice"):
+            BumpPolySum(2, 1).with_block(
+                [[0.3, 0.3]], 0.25, 0.5, 0.5, 1, coeffs, anchor=(0.0, 0.0)
+            )
+        # rounding noise far below the tolerance is accepted
+        g = BumpPolySum(2, 1).with_block(
+            [[0.25 + 1e-12, 0.5]], 0.25, 0.5, 0.5, 1, coeffs, anchor=(0.0, 0.0)
+        )
+        assert g.value(np.array([0.375, 0.625])) == 1.0
+
+
+def _fixture_sum(name, tmp_path):
+    path = tmp_path / (name + ".lkf")
+    path.write_bytes(gzip.decompress((FIXTURES / (name + ".lkf.gz")).read_bytes()))
+    return load_function(str(path))[0]
+
+
+def _sparse_sum(rng, far=True):
+    """A 2x2 block of order 2 at a negative anchor, plus one far cell when
+    far is set, which leaves the padded lattice 43 x 43 for 5 cells."""
+    idx = np.array([[0, 0], [1, 0], [0, 1], [1, 1]] + ([[40, 40]] if far else []))
+    anchor = np.array([-1.0, -0.5])
+    # the far cell's row comes last, so the 2x2 rows agree for one seed
+    coeffs = rng.normal(size=(len(idx), len(multiindices_upto(2, 2))))
+    return BumpPolySum(2, 2).with_block(
+        anchor + 0.125 * idx, 0.125, 0.5, 0.5, 1, coeffs, anchor=anchor
+    )
+
+
+def _scan_rows(blk, x):
+    """Row of the half-open cell [low, low + spacing) holding each point, or -1,
+    by comparing every point against every cell."""
+    rows = np.full(x.shape[0], -1)
+    for start in range(0, x.shape[0], 128):
+        chunk = x[start : start + 128, None, :]
+        inside = np.all(
+            (blk.lows <= chunk) & (chunk < blk.lows + blk.spacing), axis=2
+        )
+        pts, cells = np.nonzero(inside)
+        assert np.unique(pts).size == pts.size
+        rows[start + pts] = cells
+    return rows
+
+
+def _probe_points(g, rng):
+    """Cell corners and face points of every block, points outside the
+    bounding boxes and at negative coordinates, and non-finite points."""
+    probes = [rng.uniform(-1.5, 1.5, size=(500, 2))]
+    for blk in g.blocks:
+        lows = blk.lows[rng.choice(blk.lows.shape[0], 64)]
+        h = blk.spacing
+        for off in ([0, 0], [h, 0], [0, h], [h, h], [h / 2, 0], [0, h / 2],
+                    [h, h / 4], [h / 4, h]):
+            probes.append(lows + off)
+    big = [-math.inf, -1.7e308, -3.0, -1e-300, 0.0, 0.5, 1.0, 5.0, 1.7e308,
+           math.inf, math.nan]
+    probes.append(np.array(list(itertools.product(big, repeat=2))))
+    return np.concatenate(probes)
+
+
+class TestLocate:
+    """_Block.locate against a scan of every cell, on both lookup paths."""
+
+    def _check(self, g, rng):
+        x = _probe_points(g, rng)
+        finite = np.all(np.isfinite(x), axis=1)
+        for blk in g.blocks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pts, rows = blk.locate(x)
+            assert np.all(np.diff(pts) > 0)
+            assert np.all(finite[pts])
+            got = np.full(x.shape[0], -1)
+            got[pts] = rows
+            npt.assert_array_equal(got, _scan_rows(blk, x))
+            assert pts.size > 0
+
+    @pytest.mark.parametrize("name", ["demo", "xx2"])
+    def test_fixtures_match_scan(self, name, tmp_path):
+        g = _fixture_sum(name, tmp_path)
+        assert all(blk._table is not None for blk in g.blocks)
+        self._check(g, np.random.default_rng(31))
+
+    def test_sparse_block_matches_scan(self):
+        g = _sparse_sum(np.random.default_rng(32))
+        assert g.blocks[0]._table is None
+        self._check(g, np.random.default_rng(33))
+
+    def test_sparse_and_dense_jets_agree(self):
+        dense = _sparse_sum(np.random.default_rng(34), far=False)
+        sparse = _sparse_sum(np.random.default_rng(34))
+        assert dense.blocks[0]._table is not None
+        assert sparse.blocks[0]._table is None
+        # the 2x2 cells cover [-1, -0.75] x [-0.5, -0.25]
+        pts = np.random.default_rng(35).uniform(-1.1, -0.15, size=(5000, 2))
+        got = sparse.jet(pts, sparse.multiindices)
+        npt.assert_array_equal(got, dense.jet(pts, dense.multiindices))
+        assert np.any(got != 0.0)
 
 
 GROWTH_CFG = BuildConfig(

@@ -94,6 +94,28 @@ class TestFunctionFile:
         with pytest.raises(FunctionFileError, match="bytes"):
             load_function(bad)
 
+    def test_cells_off_the_domain_lattice(self, tmp_path):
+        # on the lattice of its own anchor, not on that of the domain corner
+        g = BumpPolySum(2, 1).with_block(
+            [[0.3, 0.3]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]], anchor=(0.05, 0.05)
+        )
+        path = str(tmp_path / "shifted.lkf")
+        save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), path)
+        with pytest.raises(FunctionFileError, match="lattice"):
+            load_function(path)
+
+    def test_overlapping_cells(self, tmp_path):
+        g = BumpPolySum(2, 1).with_block(
+            [[0.25, 0.5]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]], anchor=(0.0, 0.0)
+        )
+        path = str(tmp_path / "twice.lkf")
+        save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), path)
+        head, _, body = open(path, "rb").read().partition(b"end-header\n")
+        head = head.replace(b"terms 1\n", b"terms 2\n")
+        open(path, "wb").write(head + b"end-header\n" + body + body)
+        with pytest.raises(FunctionFileError, match="overlapping"):
+            load_function(path)
+
     def test_wrong_magic(self, tmp_path):
         bad = str(tmp_path / "junk.lkf")
         open(bad, "wb").write(b"something else\nend-header\n")
