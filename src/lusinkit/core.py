@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -559,17 +559,20 @@ _LATTICE_TOL = 1e-6
 class _Block:
     """Congruent cubic cells on one uniform lattice (one stage, one level).
 
-    Cells are located through a row table over the block's bounding lattice,
-    padded by one empty entry (-1) on every side: a point's floored lattice
-    index, clamped onto that border, reads its cell row in one gather.  Where
-    the padded lattice would hold more than _DENSE_FILL entries per cell (a
-    sparse refinement, or an arbitrary function file), the block keeps its
-    cells' lattice keys sorted and binary-searches them instead.
+    The lattice is the cells' own: its origin is the per-axis minimum of
+    their lower corners and its step their side, so every corner must lie on
+    it.  Cells are located through a row table over the block's bounding
+    lattice, padded by one empty entry (-1) on every side: a point's floored
+    lattice index, shifted by one onto that padding and clamped to it, reads
+    its cell row in one gather.  Where the padded lattice would hold more
+    than _DENSE_FILL entries per cell (a sparse refinement, or an arbitrary
+    function file), the block keeps its cells' lattice keys sorted and
+    binary-searches them instead.
     """
 
     __slots__ = (
         "n",
-        "anchor",
+        "origin",
         "spacing",
         "theta",
         "weight",
@@ -577,7 +580,6 @@ class _Block:
         "lows",
         "coeffs",
         "profile",
-        "_base",
         "_top",
         "_strides",
         "_table",
@@ -585,9 +587,8 @@ class _Block:
         "_rows",
     )
 
-    def __init__(self, n, m, anchor, spacing, theta, weight, stage, lows, coeffs):
+    def __init__(self, n, m, spacing, theta, weight, stage, lows, coeffs):
         self.n = n
-        self.anchor = np.asarray(anchor, float)
         self.spacing = float(spacing)
         self.theta = float(theta)
         self.weight = float(weight)
@@ -599,13 +600,13 @@ class _Block:
         if self.coeffs.shape[0] != self.lows.shape[0]:
             raise ValueError("one coefficient row per cell required")
         self.profile = CutoffProfile(m, self.theta)
-        rel = (self.lows - self.anchor) / self.spacing
+        self.origin = self.lows.min(axis=0)
+        rel = (self.lows - self.origin) / self.spacing
         idx = np.rint(rel)
         if not np.all(np.abs(rel - idx) <= _LATTICE_TOL):
             raise ValueError("cell corners off the block's lattice")
         # on the padded lattice, index 0 and _top are the empty border
-        self._base = idx.min(axis=0) - 1.0
-        idx -= self._base
+        idx += 1.0
         shape = [int(d) + 2 for d in idx.max(axis=0)]
         self._top = np.asarray(shape, float) - 1.0
         size = math.prod(shape)
@@ -637,9 +638,9 @@ class _Block:
         """Indices (into x) and cell rows for points inside some cell."""
         with np.errstate(over="ignore"):
             # far-out finite points may overflow to +-inf: the border holds them
-            rel = (x - self.anchor) / self.spacing
+            rel = (x - self.origin) / self.spacing
         np.floor(rel, out=rel)
-        rel -= self._base
+        rel += 1.0
         # NaN and +-inf land on the empty border too
         np.fmax(rel, 0.0, out=rel)
         np.fmin(rel, self._top, out=rel)
@@ -743,13 +744,9 @@ class BumpPolySum:
     def multiindices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(multiindices_upto(self._n, self._m))
 
-    def with_block(
-        self, lows, spacing, theta, weight, stage, coeffs, anchor
-    ) -> "BumpPolySum":
+    def with_block(self, lows, spacing, theta, weight, stage, coeffs) -> "BumpPolySum":
         """A new sum extended by one lattice block (self is unchanged)."""
-        blk = _Block(
-            self._n, self._m, anchor, spacing, theta, weight, stage, lows, coeffs
-        )
+        blk = _Block(self._n, self._m, spacing, theta, weight, stage, lows, coeffs)
         return BumpPolySum(self._n, self._m, self._blocks + (blk,))
 
     def jet(self, x, gammas, stages=None) -> np.ndarray:
@@ -805,6 +802,16 @@ def _jsonable(v):
     return v
 
 
+# how StageReport.from_dict reads each declared field type back from JSON;
+# float() also reads the "inf" spelling of non-finite values
+_FROM_JSON = {
+    "int": int,
+    "float": float,
+    "dict[str, int]": lambda v: {str(k): int(x) for k, x in v.items()},
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+}
+
+
 @dataclass(frozen=True)
 class StageReport:
     """Budget ledger of one construction stage."""
@@ -821,32 +828,19 @@ class StageReport:
     residual_measure: float
     cells_considered: int
     cells_accepted: int
-    reject_counts: dict
-    sup_bounds: tuple
+    reject_counts: dict[str, int]
+    sup_bounds: tuple[float, ...]
     lipschitz_bound: float
     modulus_coefficient: float
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "sup_budget": self.sup_budget,
-            "modulus_weight": self.modulus_weight,
-            "measure_target": self.measure_target,
-            "truncation_bound": self.truncation_bound,
-            "delta": _jsonable(self.delta),
-            "sup_ratio": _jsonable(self.sup_ratio),
-            "active_measure": self.active_measure,
-            "covered_measure": self.covered_measure,
-            "residual_measure": self.residual_measure,
-            "cells_considered": self.cells_considered,
-            "cells_accepted": self.cells_accepted,
-            "reject_counts": _jsonable(self.reject_counts),
-            "sup_bounds": _jsonable(self.sup_bounds),
-            "lipschitz_bound": self.lipschitz_bound,
-            "modulus_coefficient": self.modulus_coefficient,
-            "slack": self.slack,
-        }
+        return _jsonable(asdict(self))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "StageReport":
+        """Inverse of to_dict."""
+        return cls(**{f.name: _FROM_JSON[f.type](d[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -946,3 +940,47 @@ class BuildCertificate:
         else:
             out["covered_cells_counts"] = [int(c.shape[0]) for c in self.covered_cells]
         return out
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BuildCertificate":
+        """Rebuild a certificate from its to_dict(include_cells=True) form.
+
+        Raises ValueError for a missing field or a field of the wrong shape.
+        """
+        try:
+            n = int(d["dimension"])
+            if "covered_cells" not in d:
+                raise ValueError("certificate was saved without cell lists")
+            cfg = d["config"]
+            ledgers = d["ledgers"]
+            return cls(
+                dimension=n,
+                order=int(d["order"]),
+                domain_lower=tuple(float(v) for v in d["domain"]["lower"]),
+                domain_upper=tuple(float(v) for v in d["domain"]["upper"]),
+                field_name=str(d["field"]),
+                modulus=dict(d["modulus"]),
+                theta=float(cfg["theta"]),
+                sigma=float(cfg["sigma"]),
+                eps=float(cfg["eps"]),
+                tau=float(cfg["tau"]),
+                quantile=float(cfg["quantile"]),
+                stages_requested=int(cfg["stages_requested"]),
+                grid=tuple(int(v) for v in cfg["grid"]),
+                refine_max=int(cfg["refine_max"]),
+                seed=int(cfg["seed"]),
+                profile_constant=float(d["profile_constant"]),
+                stage_reports=tuple(StageReport.from_dict(r) for r in d["stages"]),
+                covered_cells=tuple(
+                    np.asarray(c, float).reshape(-1, 2 * n) for c in d["covered_cells"]
+                ),
+                sup_ledger=tuple(float(v) for v in ledgers["supnorm_per_order"]),
+                lipschitz_ledger=float(ledgers["lipschitz"]),
+                modulus_ledger=float(ledgers["modulus"]),
+                coverage_measure=float(d["coverage_measure"]),
+                residual_measure=float(d["residual_measure"]),
+                term_count=int(d["term_count"]),
+                partial_cover=bool(d["partial_cover"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed certificate: {exc!r}") from exc

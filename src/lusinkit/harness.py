@@ -1,9 +1,11 @@
 """Persistence, certification sampling and reproducible run plumbing.
 
 The construction library returns in-memory objects; this module owns the
-on-disk story: a versioned function-file format, JSON certificates and
+on-disk story: a versioned function-file format, atomic JSON files, run
 manifests, and a sampling certifier whose checks draw from independent
 labeled random streams so that adding a check never perturbs another.
+Certificates read and write themselves (BuildCertificate.to_dict and
+from_dict); this module only moves them to and from disk.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +25,6 @@ from .core import (
     BumpPolySum,
     BuildCertificate,
     CutoffProfile,
-    StageReport,
     _jsonable,
     modulus_from_dict,
     multiindices_upto,
@@ -42,7 +43,6 @@ __all__ = [
     "FORMAT_VERSION",
     "FunctionFileError",
     "RunManifest",
-    "certificate_from_dict",
     "certify_function",
     "default_output_dir",
     "execute_manifest",
@@ -104,60 +104,84 @@ def write_json(path: str, payload: dict) -> None:
     _atomic_write(path, (text + "\n").encode())
 
 
-def _num(v):
-    """Undo the string spelling of non-finite floats used in JSON files."""
-    if isinstance(v, str):
-        return float(v)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # function files
 #
 # Layout: an ASCII header (one key per line, domain corners as hex floats so
-# the lattice anchor survives exactly) terminated by "end-header\n", then one
-# raw little-endian float64 record per cell term:
+# they survive exactly) terminated by "end-header\n", then one raw
+# little-endian float64 record per cell term:
 #
 #     low[0..n)  side  coeffs[0..K)  theta  weight  stage
 #
 # Cells are closed cubes [low, low + side]; storing the side instead of the
 # upper corner keeps the lattice spacing bit-exact, which the round-trip
 # guarantee needs.  K runs over every multi-index of order <= m in the
-# enumeration order of multiindices_upto.
+# enumeration order of multiindices_upto.  Consecutive records with equal
+# side, theta, weight and stage form one block, whose lattice is that of its
+# own cells (see _Block), so save_function refuses a sum whose records would
+# merge into a block off one lattice.
 
 
 def _record_width(n: int, m: int) -> int:
     return n + 1 + len(multiindices_upto(n, m)) + 3
 
 
+def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
+    """The sum that a function file's term records describe.
+
+    Raises ValueError for records that no sum holds: non-finite values, a
+    bad side, theta or stage, or a block whose cells are off one lattice or
+    overlap.
+    """
+    g = BumpPolySum(n, m)
+    if not np.isfinite(block).all():
+        raise ValueError("numeric block contains non-finite values")
+    if not block.shape[0]:
+        return g
+    k = len(multiindices_upto(n, m))
+    meta_cols = [n, n + 1 + k, n + 2 + k, n + 3 + k]
+    splits = np.nonzero(np.any(np.diff(block[:, meta_cols], axis=0) != 0.0, axis=1))
+    for part in np.split(block, splits[0] + 1):
+        side, theta, weight, stage = part[0, meta_cols]
+        if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage):
+            raise ValueError("malformed cell term record")
+        g = g.with_block(
+            part[:, :n], side, theta, weight, int(stage), part[:, n + 1 : n + 1 + k]
+        )
+    return g
+
+
 def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
-    """Write the sum and its domain box; load_function inverts bit-exactly."""
+    """Write the sum and its domain box; load_function inverts bit-exactly.
+
+    Raises ValueError, writing nothing, when the records would not reload.
+    """
     if g.dimension != dom.dimension:
         raise ValueError("domain dimension does not match the function")
     n, m = g.dimension, g.order
     k = len(multiindices_upto(n, m))
-    rows = []
+    block = np.empty((g.term_count, _record_width(n, m)))
+    row = 0
     for blk in g.blocks:
-        count = blk.lows.shape[0]
-        rec = np.empty((count, _record_width(n, m)))
+        rec = block[row : row + blk.lows.shape[0]]
         rec[:, :n] = blk.lows
         rec[:, n] = blk.spacing
         rec[:, n + 1 : n + 1 + k] = blk.coeffs
         rec[:, n + 1 + k] = blk.theta
         rec[:, n + 2 + k] = blk.weight
         rec[:, n + 3 + k] = blk.stage
-        rows.append(rec)
-    block = (
-        np.concatenate(rows, axis=0) if rows else np.empty((0, _record_width(n, m)))
-    )
-    stages = len({int(s) for s in block[:, -1]}) if block.size else 0
+        row += rec.shape[0]
+    try:
+        _sum_from_records(n, m, block)
+    except ValueError as exc:
+        raise ValueError(f"function would not reload from its file: {exc}") from exc
     header = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",
         f"dimension {n}",
         f"order {m}",
         "domain-lower " + " ".join(float(v).hex() for v in dom.lower),
         "domain-upper " + " ".join(float(v).hex() for v in dom.upper),
-        f"stages {stages}",
+        f"stages {len(g.stage_ids)}",
         f"terms {block.shape[0]}",
         "end-header",
     ]
@@ -215,106 +239,18 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
             f"numeric block holds {len(body)} bytes, expected {terms * width * 8}"
         )
     block = np.frombuffer(body, dtype="<f8").reshape(terms, width).astype(float)
-    if block.size and not np.isfinite(block).all():
-        raise FunctionFileError("numeric block contains non-finite values")
-
-    g = BumpPolySum(n, m)
-    if terms == 0:
-        if stages != 0:
-            raise FunctionFileError("stage count disagrees with an empty term list")
-        return g, dom
-    k = len(multiindices_upto(n, m))
-    meta = block[:, [n, n + 1 + k, n + 2 + k, n + 3 + k]]
-    splits = np.nonzero(np.any(np.diff(meta, axis=0) != 0.0, axis=1))[0] + 1
-    anchor = np.asarray(lower, float)
-    for part in np.split(block, splits):
-        side, theta, weight, stage = part[0, [n, n + 1 + k, n + 2 + k, n + 3 + k]]
-        if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage):
-            raise FunctionFileError("malformed cell term record")
-        try:
-            g = g.with_block(
-                part[:, :n],
-                side,
-                theta,
-                weight,
-                int(stage),
-                part[:, n + 1 : n + 1 + k],
-                anchor=anchor,
-            )
-        except ValueError as exc:
-            raise FunctionFileError(f"malformed cell block: {exc}")
+    try:
+        g = _sum_from_records(n, m, block)
+    except ValueError as exc:
+        raise FunctionFileError(f"malformed cell terms: {exc}")
     if len({int(s) for s in block[:, -1]}) != stages:
         raise FunctionFileError("stage count disagrees with the term records")
     return g, dom
 
 
-# ---------------------------------------------------------------------------
-# certificates on disk
-
-
-def _stage_report_from_dict(d: dict) -> StageReport:
-    return StageReport(
-        stage=int(d["stage"]),
-        sup_budget=float(d["sup_budget"]),
-        modulus_weight=float(d["modulus_weight"]),
-        measure_target=float(d["measure_target"]),
-        truncation_bound=_num(d["truncation_bound"]),
-        delta=_num(d["delta"]),
-        sup_ratio=_num(d["sup_ratio"]),
-        active_measure=float(d["active_measure"]),
-        covered_measure=float(d["covered_measure"]),
-        residual_measure=float(d["residual_measure"]),
-        cells_considered=int(d["cells_considered"]),
-        cells_accepted=int(d["cells_accepted"]),
-        reject_counts={str(k): int(v) for k, v in d["reject_counts"].items()},
-        sup_bounds=tuple(float(v) for v in d["sup_bounds"]),
-        lipschitz_bound=float(d["lipschitz_bound"]),
-        modulus_coefficient=float(d["modulus_coefficient"]),
-        slack=float(d["slack"]),
-    )
-
-
-def certificate_from_dict(d: dict) -> BuildCertificate:
-    """Rebuild a BuildCertificate from its to_dict(include_cells=True) form."""
-    n = int(d["dimension"])
-    if "covered_cells" not in d:
-        raise ValueError("certificate was saved without cell lists")
-    cells = tuple(
-        np.asarray(c, float).reshape(-1, 2 * n) for c in d["covered_cells"]
-    )
-    cfg = d["config"]
-    return BuildCertificate(
-        dimension=n,
-        order=int(d["order"]),
-        domain_lower=tuple(float(v) for v in d["domain"]["lower"]),
-        domain_upper=tuple(float(v) for v in d["domain"]["upper"]),
-        field_name=str(d["field"]),
-        modulus=dict(d["modulus"]),
-        theta=float(cfg["theta"]),
-        sigma=float(cfg["sigma"]),
-        eps=float(cfg["eps"]),
-        tau=float(cfg["tau"]),
-        quantile=float(cfg["quantile"]),
-        stages_requested=int(cfg["stages_requested"]),
-        grid=tuple(int(v) for v in cfg["grid"]),
-        refine_max=int(cfg["refine_max"]),
-        seed=int(cfg["seed"]),
-        profile_constant=float(d["profile_constant"]),
-        stage_reports=tuple(_stage_report_from_dict(r) for r in d["stages"]),
-        covered_cells=cells,
-        sup_ledger=tuple(float(v) for v in d["ledgers"]["supnorm_per_order"]),
-        lipschitz_ledger=float(d["ledgers"]["lipschitz"]),
-        modulus_ledger=float(d["ledgers"]["modulus"]),
-        coverage_measure=float(d["coverage_measure"]),
-        residual_measure=float(d["residual_measure"]),
-        term_count=int(d["term_count"]),
-        partial_cover=bool(d["partial_cover"]),
-    )
-
-
 def load_certificate(path: str) -> BuildCertificate:
     with open(path) as fh:
-        return certificate_from_dict(json.load(fh))
+        return BuildCertificate.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +301,9 @@ class RunManifest:
 
 
 def _config_spec(cfg: BuildConfig) -> dict:
-    return {
-        "eps": cfg.eps,
-        "sigma": cfg.sigma,
-        "tau": cfg.tau,
-        "theta": cfg.theta,
-        "grid": cfg.grid,
-        "stages": cfg.stages,
-        "quantile": cfg.quantile,
-        "refine_max": cfg.refine_max,
-        "seed": cfg.seed,
-        "modulus": cfg.modulus.spec_dict(),
-    }
+    spec = {f.name: getattr(cfg, f.name) for f in fields(BuildConfig)}
+    spec["modulus"] = cfg.modulus.spec_dict()
+    return spec
 
 
 def run_construct(
@@ -475,6 +402,8 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
     pair sample (separations concentrated near the diameter) would barely
     probe them.
     """
+    # fewer pairs than bins would still draw one pair per bin
+    bins = min(bins, count)
     diam = dom.diameter()
     seps = np.geomspace(1e-8 * diam, 0.99 * diam, bins)
     per = max(1, count // bins)

@@ -153,10 +153,6 @@ class HorizontalPath:
         d = np.diff(self.waypoints, axis=0)
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
-    def endpoint(self) -> HPoint:
-        t = self.lift()
-        return HPoint(self.waypoints[-1, 0], self.waypoints[-1, 1], float(t[-1]))
-
 
 # ---------------------------------------------------------------------------
 # Carnot-Caratheodory bounds
@@ -384,6 +380,8 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int | None = None) ->
     if tau <= 0:
         raise ValueError("tau must be positive")
     R = grid if grid is not None else (G.grid or 255)
+    if R < 1:
+        raise ValueError("grid must be at least 1")
     lo = np.asarray(G.domain.lower)
     h = G.domain.side_lengths() / R
     ax = [lo[i] + h[i] * (np.arange(R) + 0.5) for i in range(2)]
@@ -480,9 +478,13 @@ def koranyi_graph_sampler(G: GraphMap):
     return sampler
 
 
-def holder_transfer_check(
-    G: GraphMap, seed: int = 0, scales=None, pairs_per_bin: int = 200
-) -> dict:
+# holder_transfer_check's separation bins, as fractions of the domain's
+# shorter side, and the pairs it draws per bin
+_HOLDER_SCALES = tuple(np.geomspace(1e-3, 0.2, 12))
+_HOLDER_PAIRS = 200
+
+
+def holder_transfer_check(G: GraphMap, seed: int = 0) -> dict:
     """Estimate alpha_u (Euclidean) and alpha_Phi (Koranyi) and compare.
 
     An alpha-Holder height transfers to an alpha/2-Holder graph map, so
@@ -490,9 +492,7 @@ def holder_transfer_check(
     height estimator (constant u) propagates its +inf sentinel and the
     comparison is reported as degenerate rather than passed.
     """
-    side = float(G.domain.side_lengths().min())
-    if scales is None:
-        scales = side * np.geomspace(1e-3, 0.2, 12)
+    scales = float(G.domain.side_lengths().min()) * np.asarray(_HOLDER_SCALES)
     # probe the height range so interpolation rounding on constant data
     # cannot masquerade as displacement
     lo = np.asarray(G.domain.lower)
@@ -504,11 +504,11 @@ def holder_transfer_check(
         euclidean_graph_sampler(G),
         scales,
         seed=seed,
-        pairs_per_bin=pairs_per_bin,
+        pairs_per_bin=_HOLDER_PAIRS,
         zero_tol=zero_tol,
     )
     alpha_graph, diag_graph = holder_exponent(
-        koranyi_graph_sampler(G), scales, seed=seed + 1, pairs_per_bin=pairs_per_bin
+        koranyi_graph_sampler(G), scales, seed=seed + 1, pairs_per_bin=_HOLDER_PAIRS
     )
     degenerate = diag_u["degenerate"] or diag_graph["degenerate"]
     gap = math.inf if degenerate else abs(alpha_graph - alpha_u / 2.0)

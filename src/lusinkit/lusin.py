@@ -276,19 +276,6 @@ def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
     return evaluate
 
 
-@dataclass
-class _StageOutcome:
-    accepted: list
-    covered_boxes: np.ndarray
-    covered_measure: float
-    considered: int
-    accepted_count: int
-    reject: Counter
-    sup_bounds: np.ndarray
-    lipschitz: float
-    modulus_coeff: float
-
-
 def _stencil_osc(evaluate, centers, center_vals, hw, theta):
     """Max deviation of the data from its center value over a 3^n stencil.
 
@@ -314,19 +301,21 @@ def _run_stage(
     dom: BoxDomain,
     cfg: BuildConfig,
     profile: CutoffProfile,
-    params: LemmaParams,
+    stage: int,
+    active: float,
     *,
     top_cols: np.ndarray,
     by_order: list,
     grad_rows: list,
-    b_sup: float,
-    w_mod: float,
     seeds: list,
     h0: float,
     sat: np.ndarray | None = None,
-) -> _StageOutcome:
+):
     """One certification pass over the free cells, with dyadic refinement.
 
+    Returns (accepted, boxes, report): accepted lists (level, idx, coeffs)
+    per lattice level, boxes holds the stage's certified closed boxes, and
+    report is its StageReport; active is the measure not yet certified.
     seeds lists (level, idx) pairs: idx holds cells of the level-r lattice,
     grid 2^r cells per axis.  Checks per cell, cheapest first: truncation
     of the center data, the per-order sup caps (pinched in later stages),
@@ -345,6 +334,13 @@ def _run_stage(
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
     K = sum(b.size for b in by_order)
+    b_sup = cfg.sigma * 2.0**-stage
+    w_mod = 2.0**-stage
+    target = cfg.eps * dom.volume() * 2.0**-stage
+    T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
+    params = choose_lemma_params(
+        cfg.modulus, target, dom, T, m, profile, volume=active, strict=False
+    )
     # a cell failing at refine_max is counted under the first reason it fails
     reasons = (
         "truncation",
@@ -496,17 +492,27 @@ def _run_stage(
     all_boxes = (
         np.concatenate(boxes, axis=0) if boxes else np.zeros((0, 2 * n))
     )
-    return _StageOutcome(
-        accepted=accepted,
-        covered_boxes=all_boxes,
+    residual = active - covered
+    report = StageReport(
+        stage=stage,
+        sup_budget=b_sup,
+        modulus_weight=w_mod,
+        measure_target=target,
+        truncation_bound=params.truncation,
+        delta=params.delta,
+        sup_ratio=params.sup_ratio,
+        active_measure=active,
         covered_measure=covered,
-        considered=considered,
-        accepted_count=accepted_count,
-        reject=reject,
-        sup_bounds=sup_acc,
-        lipschitz=lip_acc,
-        modulus_coeff=env_acc,
+        residual_measure=residual,
+        cells_considered=considered,
+        cells_accepted=accepted_count,
+        reject_counts=dict(reject),
+        sup_bounds=tuple(float(v) for v in sup_acc),
+        lipschitz_bound=float(lip_acc),
+        modulus_coefficient=float(env_acc),
+        slack=max(0.0, residual - target),
     )
+    return accepted, all_boxes, report
 
 
 def _paint_boxes(mask: np.ndarray, boxes: np.ndarray, lower, h_fine: float, f: int):
@@ -600,30 +606,6 @@ def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
         kids = (mixed[:, None, :] * 2 + shifts[None, :, :]).reshape(-1, n)
         cells = kids[np.lexsort(kids.T[::-1])]
     return out
-
-
-def _stage_report(
-    stage, b_sup, w_mod, target, params, outcome, active, residual
-) -> StageReport:
-    return StageReport(
-        stage=stage,
-        sup_budget=b_sup,
-        modulus_weight=w_mod,
-        measure_target=target,
-        truncation_bound=params.truncation,
-        delta=params.delta,
-        sup_ratio=params.sup_ratio,
-        active_measure=active,
-        covered_measure=outcome.covered_measure,
-        residual_measure=residual,
-        cells_considered=outcome.considered,
-        cells_accepted=outcome.accepted_count,
-        reject_counts=dict(outcome.reject),
-        sup_bounds=tuple(float(v) for v in outcome.sup_bounds),
-        lipschitz_bound=float(outcome.lipschitz),
-        modulus_coefficient=float(outcome.modulus_coeff),
-        slack=max(0.0, residual - target),
-    )
 
 
 def _assemble_certificate(field, dom, cfg, profile, reports, covered, g):
@@ -725,9 +707,6 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     covered_arrays = []
     covered_total = 0.0
     for stage in range(1, cfg.stages + 1):
-        b_sup = cfg.sigma * 2.0**-stage
-        w_mod = 2.0**-stage
-        target = cfg.eps * dom.volume() * 2.0**-stage
         if stage == 1:
             seeds = _grid_cells(cfg.grid, n)
             sat = None
@@ -736,49 +715,29 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             seeds = _free_cells(sat, cfg.grid, cfg.refine_max)
             if all(idx.shape[0] == 0 for _, idx in seeds):
                 break
-        active = dom.volume() - covered_total
-        evaluate = _residual_evaluator(field, g)
-        T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
-        params = choose_lemma_params(
-            cfg.modulus, target, dom, T, m, profile, volume=active, strict=False
-        )
-        outcome = _run_stage(
-            evaluate,
+        accepted, boxes, report = _run_stage(
+            _residual_evaluator(field, g),
             dom,
             cfg,
             profile,
-            params,
+            stage,
+            dom.volume() - covered_total,
             **tables,
-            b_sup=b_sup,
-            w_mod=w_mod,
             seeds=seeds,
             h0=h0,
             sat=sat,
         )
-        for level, idx, cf in outcome.accepted:
+        for level, idx, cf in accepted:
             h = h0 / 2**level
             g = g.with_block(
-                lower + idx * h, h, cfg.theta, w_mod, stage, cf, anchor=dom.lower
+                lower + idx * h, h, cfg.theta, report.modulus_weight, stage, cf
             )
         if covered is not None:
-            _paint_boxes(
-                covered, outcome.covered_boxes, lower, h_fine, fine_per_cell
-            )
-        covered_total += outcome.covered_measure
-        reports.append(
-            _stage_report(
-                stage,
-                b_sup,
-                w_mod,
-                target,
-                params,
-                outcome,
-                active,
-                active - outcome.covered_measure,
-            )
-        )
-        covered_arrays.append(outcome.covered_boxes)
-        if outcome.accepted_count == 0:
+            _paint_boxes(covered, boxes, lower, h_fine, fine_per_cell)
+        covered_total += report.covered_measure
+        reports.append(report)
+        covered_arrays.append(boxes)
+        if report.cells_accepted == 0:
             break
 
     cert = _assemble_certificate(field, dom, cfg, profile, reports, covered_arrays, g)

@@ -7,6 +7,7 @@ expected state of this suite is documented in the README.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ def test_criterion_8_determinism(tmp_path):
     )
     paths2, _, _ = execute_manifest(paths1["manifest"], str(tmp_path / "b"))
     for key in ("function", "certificate"):
-        assert open(paths1[key], "rb").read() == open(paths2[key], "rb").read()
+        assert Path(paths1[key]).read_bytes() == Path(paths2[key]).read_bytes()
     loaded, _ = load_function(paths1["function"])
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.0, 1.0, size=(1000, 2))

@@ -437,9 +437,7 @@ class TestCutoffEval:
         coeffs = np.zeros((1, len(idx)))
         coeffs[0, idx.index((0, 0))] = 1.0
         low = np.array([0.25, 0.5])
-        g = BumpPolySum(2, 2).with_block(
-            low[None, :], 0.5, 0.4, 0.5, 1, coeffs, anchor=(0.25, 0.5)
-        )
+        g = BumpPolySum(2, 2).with_block(low[None, :], 0.5, 0.4, 0.5, 1, coeffs)
         pts = np.random.default_rng(12).uniform(0.2, 1.05, size=(2000, 2))
         prof = CutoffProfile(2, 0.4)
         got = g.jet(pts, idx)
@@ -453,11 +451,9 @@ def _random_sum(rng, n=2, m=2):
     lows1 = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     lows2 = np.array([[0.5, 0.5], [1.5, 1.5]])
     g = BumpPolySum(n, m).with_block(
-        lows1, 1.0, 0.5, 0.5, 1, rng.normal(size=(3, len(idx))), anchor=(0.0, 0.0)
+        lows1, 1.0, 0.5, 0.5, 1, rng.normal(size=(3, len(idx)))
     )
-    return g.with_block(
-        lows2, 0.5, 0.4, 0.25, 2, rng.normal(size=(2, len(idx))), anchor=(0.5, 0.5)
-    )
+    return g.with_block(lows2, 0.5, 0.4, 0.25, 2, rng.normal(size=(2, len(idx))))
 
 
 class TestBumpPolySum:
@@ -516,19 +512,19 @@ class TestBumpPolySum:
         lows = np.array([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             BumpPolySum(2, 1).with_block(
-                lows, 1.0, 0.5, 0.5, 1, np.zeros((2, len(idx))), anchor=(0.0, 0.0)
+                lows, 1.0, 0.5, 0.5, 1, np.zeros((2, len(idx)))
             )
 
     def test_off_lattice_corner_rejected(self):
-        coeffs = [[1.0, 0.0, 0.0]]
-        # 0.3 lies 1.2 steps of 0.25 from the anchor
+        coeffs = [[1.0, 0.0, 0.0]] * 2
+        # 0.3 lies 1.2 steps of 0.25 from the other cell's corner
         with pytest.raises(ValueError, match="lattice"):
             BumpPolySum(2, 1).with_block(
-                [[0.3, 0.3]], 0.25, 0.5, 0.5, 1, coeffs, anchor=(0.0, 0.0)
+                [[0.0, 0.0], [0.3, 0.3]], 0.25, 0.5, 0.5, 1, coeffs
             )
         # rounding noise far below the tolerance is accepted
         g = BumpPolySum(2, 1).with_block(
-            [[0.25 + 1e-12, 0.5]], 0.25, 0.5, 0.5, 1, coeffs, anchor=(0.0, 0.0)
+            [[0.0, 0.0], [0.25 + 1e-12, 0.5]], 0.25, 0.5, 0.5, 1, coeffs
         )
         assert g.value(np.array([0.375, 0.625])) == 1.0
 
@@ -540,14 +536,14 @@ def _fixture_sum(name, tmp_path):
 
 
 def _sparse_sum(rng, far=True):
-    """A 2x2 block of order 2 at a negative anchor, plus one far cell when
+    """A 2x2 block of order 2 at a negative corner, plus one far cell when
     far is set, which leaves the padded lattice 43 x 43 for 5 cells."""
     idx = np.array([[0, 0], [1, 0], [0, 1], [1, 1]] + ([[40, 40]] if far else []))
-    anchor = np.array([-1.0, -0.5])
+    corner = np.array([-1.0, -0.5])
     # the far cell's row comes last, so the 2x2 rows agree for one seed
     coeffs = rng.normal(size=(len(idx), len(multiindices_upto(2, 2))))
     return BumpPolySum(2, 2).with_block(
-        anchor + 0.125 * idx, 0.125, 0.5, 0.5, 1, coeffs, anchor=anchor
+        corner + 0.125 * idx, 0.125, 0.5, 0.5, 1, coeffs
     )
 
 
@@ -716,7 +712,7 @@ class TestCellBounds:
         coeffs = rng.normal(size=(1, len(idx)))
         prof = CutoffProfile(m, 0.5)
         g = BumpPolySum(n, m).with_block(
-            np.array([[0.0, 0.0]]), 1.0, 0.5, 0.5, 1, coeffs, anchor=(0.0, 0.0)
+            np.array([[0.0, 0.0]]), 1.0, 0.5, 0.5, 1, coeffs
         )
         bounds = cell_derivative_bounds(prof, n, m, coeffs, 0.5)
         xs = np.linspace(0.0, 1.0, 141)

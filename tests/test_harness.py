@@ -4,6 +4,8 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,11 +13,16 @@ import pytest
 
 import lusinkit
 from lusinkit.cli import main
-from lusinkit.core import BoxDomain, BumpPolySum, PowerModulus
+from lusinkit.core import (
+    BoxDomain,
+    BuildCertificate,
+    BumpPolySum,
+    PowerModulus,
+    StageReport,
+)
 from lusinkit.harness import (
     FunctionFileError,
     RunManifest,
-    certificate_from_dict,
     certify_function,
     execute_manifest,
     load_certificate,
@@ -80,51 +87,67 @@ class TestFunctionFile:
 
     def test_version_mismatch(self, growth_run, tmp_path):
         paths, _, _ = growth_run
-        raw = open(paths["function"], "rb").read()
+        raw = Path(paths["function"]).read_bytes()
         bad = str(tmp_path / "v9.lkf")
-        open(bad, "wb").write(raw.replace(b"-function 1\n", b"-function 9\n", 1))
+        Path(bad).write_bytes(raw.replace(b"-function 1\n", b"-function 9\n", 1))
         with pytest.raises(FunctionFileError, match="expected 1, found 9"):
             load_function(bad)
 
     def test_truncated_block(self, growth_run, tmp_path):
         paths, _, _ = growth_run
-        raw = open(paths["function"], "rb").read()
+        raw = Path(paths["function"]).read_bytes()
         bad = str(tmp_path / "short.lkf")
-        open(bad, "wb").write(raw[:-16])
+        Path(bad).write_bytes(raw[:-16])
         with pytest.raises(FunctionFileError, match="bytes"):
             load_function(bad)
 
     def test_cells_off_the_domain_lattice(self, tmp_path):
-        # on the lattice of its own anchor, not on that of the domain corner
+        # a block's lattice is that of its own cells, not the domain corner's
         g = BumpPolySum(2, 1).with_block(
-            [[0.3, 0.3]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]], anchor=(0.05, 0.05)
+            [[0.3, 0.3]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]]
         )
         path = str(tmp_path / "shifted.lkf")
         save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), path)
-        with pytest.raises(FunctionFileError, match="lattice"):
-            load_function(path)
+        g2, _ = load_function(path)
+        pts = np.random.default_rng(4).uniform(0.2, 0.6, size=(2000, 2))
+        pts[:100, 0] = 0.3
+        pts[100:200, 1] = 0.55
+        npt.assert_array_equal(
+            g2.jet(pts, g.multiindices), g.jet(pts, g.multiindices)
+        )
+        assert g2.value(np.array([0.52, 0.425])) > 0.0
+
+    def test_blocks_that_would_merge_off_lattice_are_refused(self, tmp_path):
+        # equal side, theta, weight and stage: the two blocks' records would
+        # load as one block, and 0.3 lies 1.2 steps of 0.25 from 0
+        g = BumpPolySum(2, 1)
+        for low in ([0.0, 0.0], [0.3, 0.3]):
+            g = g.with_block([low], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="reload.*lattice"):
+            save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(tmp_path / "f.lkf"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_overlapping_cells(self, tmp_path):
         g = BumpPolySum(2, 1).with_block(
-            [[0.25, 0.5]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]], anchor=(0.0, 0.0)
+            [[0.25, 0.5]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]]
         )
         path = str(tmp_path / "twice.lkf")
         save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), path)
-        head, _, body = open(path, "rb").read().partition(b"end-header\n")
+        head, _, body = Path(path).read_bytes().partition(b"end-header\n")
         head = head.replace(b"terms 1\n", b"terms 2\n")
-        open(path, "wb").write(head + b"end-header\n" + body + body)
+        Path(path).write_bytes(head + b"end-header\n" + body + body)
         with pytest.raises(FunctionFileError, match="overlapping"):
             load_function(path)
 
     def test_wrong_magic(self, tmp_path):
         bad = str(tmp_path / "junk.lkf")
-        open(bad, "wb").write(b"something else\nend-header\n")
+        Path(bad).write_bytes(b"something else\nend-header\n")
         with pytest.raises(FunctionFileError, match="not a lusinkit"):
             load_function(bad)
 
     def test_missing_terminator(self, tmp_path):
         bad = str(tmp_path / "headless.lkf")
-        open(bad, "wb").write(b"lusinkit-function 1\ndimension 2\n")
+        Path(bad).write_bytes(b"lusinkit-function 1\ndimension 2\n")
         with pytest.raises(FunctionFileError, match="terminator"):
             load_function(bad)
 
@@ -138,7 +161,56 @@ class TestCertificateFile:
     def test_counts_only_form_rejected(self, growth_run):
         _, _, cert = growth_run
         with pytest.raises(ValueError, match="cell lists"):
-            certificate_from_dict(cert.to_dict(include_cells=False))
+            BuildCertificate.from_dict(cert.to_dict(include_cells=False))
+
+    def test_stage_report_round_trip(self):
+        report = StageReport(
+            stage=2,
+            sup_budget=0.125,
+            modulus_weight=0.25,
+            measure_target=0.0125,
+            truncation_bound=2.5,
+            delta=0.0,
+            sup_ratio=math.inf,
+            active_measure=0.5,
+            covered_measure=0.125,
+            residual_measure=0.375,
+            cells_considered=40,
+            cells_accepted=3,
+            reject_counts={"pinch": 30, "truncation": 7},
+            sup_bounds=(0.01, 0.002),
+            lipschitz_bound=0.0,
+            modulus_coefficient=0.1,
+            slack=0.3625,
+        )
+        text = json.dumps(report.to_dict(), allow_nan=False)
+        assert StageReport.from_dict(json.loads(text)) == report
+
+
+def _drop_stages(d):
+    del d["stages"]
+
+
+def _null_tau(d):
+    d["config"]["tau"] = None
+
+
+def _listed_rejects(d):
+    d["stages"][0]["reject_counts"] = [1, 2]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_stages, _null_tau, _listed_rejects])
+def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
+    paths, _, _ = growth_run
+    d = json.loads(Path(paths["certificate"]).read_text())
+    corrupt(d)
+    with pytest.raises(ValueError, match="malformed certificate"):
+        BuildCertificate.from_dict(d)
+    bad = tmp_path / "bad.certificate.json"
+    bad.write_text(json.dumps(d))
+    rc = main(["certify", paths["function"], "--certificate", str(bad)])
+    assert rc == 2
+    assert "malformed certificate" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -172,14 +244,14 @@ class TestCertify:
         # flip the sign of the largest top-order coefficient; the match
         # check must fail with a witness inside that very cell
         paths, _, _ = growth_run
-        raw = open(paths["function"], "rb").read()
+        raw = Path(paths["function"]).read_bytes()
         cut = raw.find(b"end-header\n") + len(b"end-header\n")
         width = 2 + 1 + 3 + 3
         rec = np.frombuffer(raw[cut:], dtype="<f8").copy().reshape(-1, width)
         row = int(np.abs(rec[:, 4]).argmax())
         rec[row, 4] = -rec[row, 4]
         bad = str(tmp_path / "flip.lkf")
-        open(bad, "wb").write(raw[:cut] + rec.tobytes())
+        Path(bad).write_bytes(raw[:cut] + rec.tobytes())
 
         g, dom = load_function(bad)
         cert = load_certificate(paths["certificate"])
@@ -208,6 +280,13 @@ class TestCertify:
             assert res["worst"] == 0.0
             assert math.isinf(res["margin"])
 
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_few_pairs_sample_exactly_that_many(self, growth_run, pairs):
+        paths, g, cert = growth_run
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        report = certify_function(g, dom, cert, checks=("modulus",), pairs=pairs)
+        assert report["checks"]["modulus"]["pairs"] == pairs
+
     def test_input_validation(self, growth_run):
         paths, g, cert = growth_run
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -222,22 +301,29 @@ class TestCertify:
 class TestManifest:
     def test_round_trip(self, growth_run):
         paths, _, _ = growth_run
-        manifest = RunManifest.from_dict(json.load(open(paths["manifest"])))
-        assert manifest.to_dict() == json.load(open(paths["manifest"]))
+        recorded = json.loads(Path(paths["manifest"]).read_text())
+        manifest = RunManifest.from_dict(recorded)
+        assert manifest.to_dict() == recorded
         assert manifest.build_config() == GROWTH_CFG
         assert manifest.domain().upper == (1.0, 1.0)
+
+    def test_config_records_every_build_field(self, growth_run):
+        paths, _, _ = growth_run
+        config = json.loads(Path(paths["manifest"]).read_text())["config"]
+        assert set(config) == {f.name for f in fields(BuildConfig)}
 
     def test_rerun_reproduces_bytes(self, growth_run, tmp_path):
         paths, _, _ = growth_run
         paths2, _, _ = execute_manifest(paths["manifest"], str(tmp_path / "again"))
         for key in ("function", "certificate"):
-            a = open(paths[key], "rb").read()
-            b = open(paths2[key], "rb").read()
+            a = Path(paths[key]).read_bytes()
+            b = Path(paths2[key]).read_bytes()
             assert a == b
 
     def test_only_construct_manifests_run(self, growth_run, tmp_path):
         paths, _, _ = growth_run
-        manifest = RunManifest.from_dict(json.load(open(paths["manifest"])))
+        recorded = json.loads(Path(paths["manifest"]).read_text())
+        manifest = RunManifest.from_dict(recorded)
         impostor = RunManifest.from_dict({**manifest.to_dict(), "command": "certify"})
         with pytest.raises(ValueError, match="certify"):
             execute_manifest(impostor, str(tmp_path))
@@ -367,9 +453,9 @@ class TestCli:
 
     def test_certify_version_mismatch(self, growth_run, tmp_path, capsys):
         paths, _, _ = growth_run
-        raw = open(paths["function"], "rb").read()
+        raw = Path(paths["function"]).read_bytes()
         bad = str(tmp_path / "v9.lkf")
-        open(bad, "wb").write(raw.replace(b"-function 1\n", b"-function 9\n", 1))
+        Path(bad).write_bytes(raw.replace(b"-function 1\n", b"-function 9\n", 1))
         rc = main(["certify", bad, "--certificate", paths["certificate"]])
         assert rc == 2
         assert "found 9" in capsys.readouterr().err
@@ -407,6 +493,13 @@ class TestCli:
         assert text.splitlines()[0] == "quantity,value"
         assert "characteristic_fraction," in text
         assert "alpha_u," in text
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_heis_graph_rejects_empty_grid(self, growth_run, capsys, grid):
+        paths, _, _ = growth_run
+        rc = main(["heis", "graph", "analyze", paths["function"], "--grid", grid])
+        assert rc == 2
+        assert "grid" in capsys.readouterr().err
 
     def test_heis_graph_rejects_higher_order(self, tmp_path, capsys):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))

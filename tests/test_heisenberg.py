@@ -153,7 +153,8 @@ class TestHorizontalPath:
         path = HorizontalPath(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
         npt.assert_allclose(path.lift(), [0.0, 0.0, -2.0], atol=1e-15)
         assert path.length() == pytest.approx(2.0)
-        assert path.endpoint() == HPoint(1.0, 1.0, -2.0)
+        assert path.lift()[-1] == -2.0
+        npt.assert_array_equal(path.waypoints[-1], [1.0, 1.0])
 
     def test_radial_segments_do_not_climb(self):
         # a straight segment leaving the origin sweeps no area
@@ -166,7 +167,7 @@ class TestHorizontalPath:
     def test_start_offset(self):
         path = HorizontalPath(np.array([[0.0, 0.0], [1.0, 0.0]]), t0=7.5)
         assert path.lift()[0] == 7.5
-        assert path.endpoint().t == 7.5
+        assert path.lift()[-1] == 7.5
 
     def test_waypoint_validation(self):
         with pytest.raises(ValueError, match="waypoints"):
@@ -228,7 +229,7 @@ def _arc_path_length(w: HPoint, count: int = 4096) -> float:
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     inner = _arc_points(math.hypot(w.x, w.y), w.t / 4.0, count) @ rot.T
     path = HorizontalPath(np.concatenate([[[0.0, 0.0]], inner, [[w.x, w.y]]]))
-    gap = w.t - path.endpoint().t
+    gap = w.t - path.lift()[-1]
     return path.length() + math.sqrt(math.pi * abs(gap))
 
 
@@ -398,6 +399,13 @@ class TestCharacteristicFraction:
         G = GraphMap.from_sum(dom, BumpPolySum(2, 1))
         with pytest.raises(ValueError, match="tau"):
             characteristic_fraction(G, 0.0)
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_validation(self, grid):
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        G = GraphMap.from_sum(dom, BumpPolySum(2, 1))
+        with pytest.raises(ValueError, match="grid"):
+            characteristic_fraction(G, 1e-3, grid=grid)
 
 
 class TestHolderExponent:
