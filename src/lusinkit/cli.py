@@ -1,7 +1,8 @@
 """Command line front end: construct, certify, heis.
 
 Exit codes: 0 success, 1 a requested certification check failed, 2 invalid
-input (flags, files, formats), 3 infeasible budget parameters.
+input (flags, files, formats), 3 stage 1 certifies no cell; the message names
+the failing check.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("action", choices=("analyze",))
     ga.add_argument("function", help="path to a saved function file")
     ga.add_argument("--tau", type=float, default=1e-3)
-    ga.add_argument("--grid", type=int, default=None)
+    ga.add_argument("--grid", type=int, default=255, help="cells per axis")
     ga.add_argument("--seed", type=int, default=0)
     ga.set_defaults(func=cli_heis)
 

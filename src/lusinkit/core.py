@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
 
@@ -33,11 +32,8 @@ INV_E = math.exp(-1.0)
 
 
 class InfeasibleBudgetError(ValueError):
-    """A scale or budget selection has no representable solution.
-
-    The message names the binding constraint; callers must not silently
-    substitute a different budget.
-    """
+    """An infeasible request: stage 1 certifies no cell; the message names
+    the failing check."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +175,6 @@ class Modulus:
         """
         raise NotImplementedError
 
-    def scale_cut(self, bound: float) -> float:
-        """Largest delta with mu(t) <= bound for all t in [0, delta].
-
-        Returns math.inf when mu never exceeds the bound.  Raises
-        InfeasibleBudgetError when no delta of normal float size exists.
-        """
-        raise NotImplementedError
-
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
@@ -222,20 +210,6 @@ class LogModulus(Modulus):
         out[small] = np.where(np.isinf(inv), math.inf, 1.0 / (t * np.log(inv)))
         return _match_shape(out, delta)
 
-    def scale_cut(self, bound: float) -> float:
-        if bound <= 0:
-            raise InfeasibleBudgetError(
-                "modulus scale cut needs a positive bound, got %g" % bound
-            )
-        if bound > 1.0:
-            return bound / math.e
-        delta = math.exp(-1.0 / bound)
-        if delta < sys.float_info.min:
-            raise InfeasibleBudgetError(
-                "log-modulus scale cut exp(-1/%.6g) is subnormal or zero" % bound
-            )
-        return delta
-
     def spec_dict(self) -> dict:
         return {"kind": "log"}
 
@@ -257,19 +231,6 @@ class PowerModulus(Modulus):
     def sup_ratio(self, delta):
         arr = _positive_array(delta)
         return _match_shape(arr ** (self.beta - 1.0), delta)
-
-    def scale_cut(self, bound: float) -> float:
-        if bound <= 0:
-            raise InfeasibleBudgetError(
-                "modulus scale cut needs a positive bound, got %g" % bound
-            )
-        delta = float(bound ** (1.0 / self.beta))
-        if delta < sys.float_info.min:
-            raise InfeasibleBudgetError(
-                "power-modulus scale cut %g**(1/%g) is subnormal or zero"
-                % (bound, self.beta)
-            )
-        return delta
 
     def spec_dict(self) -> dict:
         return {"kind": "power", "beta": self.beta}
@@ -336,26 +297,6 @@ class PiecewiseLinearModulus(Modulus):
         if vs[-1] - tail * ts[-1] < 0:
             out = np.maximum(out, tail)
         return _match_shape(out, delta)
-
-    def scale_cut(self, bound: float) -> float:
-        if bound < 0:
-            raise InfeasibleBudgetError(
-                "modulus scale cut needs a non-negative bound, got %g" % bound
-            )
-        ts, vs, tail = self._arrays
-        if bound >= vs[-1]:
-            if tail <= 0:
-                return math.inf
-            return float(ts[-1] + (bound - vs[-1]) / tail)
-        j = int(np.searchsorted(vs, bound, side="right"))
-        # vs[j] > bound >= vs[j-1], slope over that segment is positive
-        slope = (vs[j] - vs[j - 1]) / (ts[j] - ts[j - 1])
-        delta = float(ts[j - 1] + (bound - vs[j - 1]) / slope)
-        if delta < sys.float_info.min:
-            raise InfeasibleBudgetError(
-                "piecewise modulus exceeds %g at every normal-float scale" % bound
-            )
-        return delta
 
     def spec_dict(self) -> dict:
         return {"kind": "pwl", "knots": [[float(t), float(v)] for t, v in self.knots]}
@@ -802,14 +743,46 @@ def _jsonable(v):
     return v
 
 
-# how StageReport.from_dict reads each declared field type back from JSON;
-# float() also reads the "inf" spelling of non-finite values
+def _json_is(v, kind: type):
+    # exact types, so a bool is not an int
+    if type(v) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {v!r}")
+    return v
+
+
+def _json_float(v) -> float:
+    # a number, or one of the spellings _jsonable gives non-finite floats
+    if type(v) in (int, float) or v in ("inf", "-inf", "nan"):
+        return float(v)
+    raise ValueError(f"expected a number, got {v!r}")
+
+
+# how from_dict reads a field of each declared type back from JSON: a value
+# whose JSON type does not match the field's is refused, never coerced
 _FROM_JSON = {
-    "int": int,
-    "float": float,
-    "dict[str, int]": lambda v: {str(k): int(x) for k, x in v.items()},
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "int": lambda v: _json_is(v, int),
+    "float": _json_float,
+    "bool": lambda v: _json_is(v, bool),
+    "str": lambda v: _json_is(v, str),
+    "dict": lambda v: _json_is(v, dict),
+    "dict[str, int]": lambda v: {
+        k: _json_is(x, int) for k, x in _json_is(v, dict).items()
+    },
+    "tuple[int, ...]": lambda v: tuple(_json_is(x, int) for x in _json_is(v, list)),
+    "tuple[float, ...]": lambda v: tuple(map(_json_float, _json_is(v, list))),
 }
+
+
+def _read_fields(cls, d: dict) -> dict:
+    """d's value of each field of cls that _FROM_JSON reads, by field name."""
+    out = {}
+    for f in fields(cls):
+        if f.type in _FROM_JSON:
+            try:
+                out[f.name] = _FROM_JSON[f.type](d[f.name])
+            except ValueError as exc:
+                raise ValueError(f"{f.name}: {exc}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -821,8 +794,6 @@ class StageReport:
     modulus_weight: float
     measure_target: float
     truncation_bound: float
-    delta: float
-    sup_ratio: float
     active_measure: float
     covered_measure: float
     residual_measure: float
@@ -839,8 +810,12 @@ class StageReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageReport":
-        """Inverse of to_dict."""
-        return cls(**{f.name: _FROM_JSON[f.type](d[f.name]) for f in fields(cls)})
+        """Inverse of to_dict; ValueError for a value of the wrong JSON type.
+
+        Keys of no field are ignored, such as the delta and sup_ratio that
+        older certificates carry.
+        """
+        return cls(**_read_fields(cls, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -856,8 +831,8 @@ class BuildCertificate:
 
     dimension: int
     order: int
-    domain_lower: tuple
-    domain_upper: tuple
+    domain_lower: tuple[float, ...]
+    domain_upper: tuple[float, ...]
     field_name: str
     modulus: dict
     theta: float
@@ -866,13 +841,13 @@ class BuildCertificate:
     tau: float
     quantile: float
     stages_requested: int
-    grid: tuple
+    grid: tuple[int, ...]
     refine_max: int
     seed: int
     profile_constant: float
     stage_reports: tuple
     covered_cells: tuple
-    sup_ledger: tuple
+    sup_ledger: tuple[float, ...]
     lipschitz_ledger: float
     modulus_ledger: float
     coverage_measure: float
@@ -945,42 +920,35 @@ class BuildCertificate:
     def from_dict(cls, d: dict) -> "BuildCertificate":
         """Rebuild a certificate from its to_dict(include_cells=True) form.
 
-        Raises ValueError for a missing field or a field of the wrong shape.
+        Raises ValueError for a missing field, a field of the wrong shape, or
+        a value whose JSON type does not match its field's.
         """
         try:
-            n = int(d["dimension"])
             if "covered_cells" not in d:
                 raise ValueError("certificate was saved without cell lists")
-            cfg = d["config"]
             ledgers = d["ledgers"]
+            flat = {
+                **d,
+                **d["config"],
+                "domain_lower": d["domain"]["lower"],
+                "domain_upper": d["domain"]["upper"],
+                "field_name": d["field"],
+                "sup_ledger": ledgers["supnorm_per_order"],
+                "lipschitz_ledger": ledgers["lipschitz"],
+                "modulus_ledger": ledgers["modulus"],
+            }
+            read = _read_fields(cls, flat)
+            cells = [np.asarray(c) for c in d["covered_cells"]]
+            if any(c.size and c.dtype.kind not in "if" for c in cells):
+                raise ValueError("covered_cells: expected numbers")
             return cls(
-                dimension=n,
-                order=int(d["order"]),
-                domain_lower=tuple(float(v) for v in d["domain"]["lower"]),
-                domain_upper=tuple(float(v) for v in d["domain"]["upper"]),
-                field_name=str(d["field"]),
-                modulus=dict(d["modulus"]),
-                theta=float(cfg["theta"]),
-                sigma=float(cfg["sigma"]),
-                eps=float(cfg["eps"]),
-                tau=float(cfg["tau"]),
-                quantile=float(cfg["quantile"]),
-                stages_requested=int(cfg["stages_requested"]),
-                grid=tuple(int(v) for v in cfg["grid"]),
-                refine_max=int(cfg["refine_max"]),
-                seed=int(cfg["seed"]),
-                profile_constant=float(d["profile_constant"]),
                 stage_reports=tuple(StageReport.from_dict(r) for r in d["stages"]),
                 covered_cells=tuple(
-                    np.asarray(c, float).reshape(-1, 2 * n) for c in d["covered_cells"]
+                    c.astype(float).reshape(-1, 2 * read["dimension"]) for c in cells
                 ),
-                sup_ledger=tuple(float(v) for v in ledgers["supnorm_per_order"]),
-                lipschitz_ledger=float(ledgers["lipschitz"]),
-                modulus_ledger=float(ledgers["modulus"]),
-                coverage_measure=float(d["coverage_measure"]),
-                residual_measure=float(d["residual_measure"]),
-                term_count=int(d["term_count"]),
-                partial_cover=bool(d["partial_cover"]),
+                **read,
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
+            raise ValueError(f"malformed certificate: {exc}") from exc
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc!r}") from exc

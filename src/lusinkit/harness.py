@@ -24,7 +24,7 @@ from .core import (
     BoxDomain,
     BumpPolySum,
     BuildCertificate,
-    CutoffProfile,
+    InfeasibleBudgetError,
     _jsonable,
     modulus_from_dict,
     multiindices_upto,
@@ -32,9 +32,7 @@ from .core import (
 from .lusin import (
     BuildConfig,
     _sample_in_boxes,
-    choose_lemma_params,
     field_catalog,
-    lusin_truncate,
     multi_stage_build,
     tail_pinch_check,
 )
@@ -317,22 +315,20 @@ def run_construct(
 
     Returns (paths dict, function, certificate).  File contents depend only
     on the inputs, never on the clock; the manifest carries the only
-    timestamp.
+    timestamp.  Raises InfeasibleBudgetError, writing nothing, when stage 1
+    certifies no cell: it tests every level up to refine_max under every
+    parent that failed, so then no cell of the box passes.  The message
+    names the check that most refine_max cells failed first.
     """
-    field = field_catalog(field_name)
-    # the build itself degrades gracefully when the modulus cannot meet a
-    # stage budget; probe the stage-1 parameters strictly first so an
-    # infeasible request fails loudly instead of producing an empty cover
-    choose_lemma_params(
-        cfg.modulus,
-        cfg.eps * dom.volume() * 0.5,
-        dom,
-        lusin_truncate(field, dom, cfg.quantile, grid=cfg.grid),
-        field.order,
-        CutoffProfile(field.order, cfg.theta),
-        strict=True,
-    )
-    g, cert = multi_stage_build(field, dom, cfg)
+    g, cert = multi_stage_build(field_catalog(field_name), dom, cfg)
+    first = cert.stage_reports[0]
+    if not first.cells_accepted:
+        reason, count = max(first.reject_counts.items(), key=lambda kv: kv[1])
+        total = sum(first.reject_counts.values())
+        raise InfeasibleBudgetError(
+            f"stage 1 certifies no cell; {reason}: {count} of {total} cells "
+            f"at refine_max {cfg.refine_max} fail it first"
+        )
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "function": os.path.join(out_dir, basename + ".lkf"),

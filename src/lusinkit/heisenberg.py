@@ -263,86 +263,33 @@ def cc_dist_bounds(p, q) -> CcBounds:
 
 @dataclass(frozen=True)
 class GraphMap:
-    """A surface (x, y, u(x, y)) over a planar box.
+    """The surface (x, y, u(x, y)) over a planar box.
 
-    Backed either by an exact cutoff-polynomial sum (differentiable
-    everywhere) or by grid samples at cell centers (differentiable, via
-    central differences, away from the boundary ring).
+    The height u is an exact cutoff-polynomial sum, such as a planar
+    first-order build, so u and its gradient are evaluated in closed form
+    at every point of the box.
     """
 
     domain: BoxDomain
-    surface: BumpPolySum | None = None
-    samples: np.ndarray | None = None
+    surface: BumpPolySum
 
     def __post_init__(self):
         if self.domain.dimension != 2:
             raise ValueError("graphs live over a planar box")
-        if (self.surface is None) == (self.samples is None):
-            raise ValueError("provide exactly one of surface or samples")
-        if self.surface is not None and self.surface.dimension != 2:
+        if self.surface.dimension != 2:
             raise ValueError("surface must be a planar function sum")
-        if self.samples is not None:
-            s = np.asarray(self.samples, float)
-            if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 3:
-                raise ValueError("samples must be a square grid, at least 3 per axis")
-            object.__setattr__(self, "samples", s)
 
     @classmethod
     def from_sum(cls, domain: BoxDomain, surface: BumpPolySum) -> "GraphMap":
-        return cls(domain, surface=surface)
-
-    @classmethod
-    def from_samples(cls, domain: BoxDomain, values) -> "GraphMap":
-        return cls(domain, samples=np.asarray(values, float))
-
-    @property
-    def grid(self) -> int | None:
-        return None if self.samples is None else self.samples.shape[0]
-
-    def _cell_steps(self):
-        R = self.samples.shape[0]
-        return self.domain.side_lengths() / R
+        return cls(domain, surface)
 
     def height(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, float))
-        if self.surface is not None:
-            return self.surface.value(pts)
-        # bilinear interpolation between cell-center samples
-        R = self.samples.shape[0]
-        h = self._cell_steps()
-        u = (pts - np.asarray(self.domain.lower)) / h - 0.5
-        u = np.clip(u, 0.0, R - 1.0)
-        i0 = np.minimum(u.astype(int), R - 2)
-        f = u - i0
-        s = self.samples
-        return (
-            s[i0[:, 0], i0[:, 1]] * (1 - f[:, 0]) * (1 - f[:, 1])
-            + s[i0[:, 0] + 1, i0[:, 1]] * f[:, 0] * (1 - f[:, 1])
-            + s[i0[:, 0], i0[:, 1] + 1] * (1 - f[:, 0]) * f[:, 1]
-            + s[i0[:, 0] + 1, i0[:, 1] + 1] * f[:, 0] * f[:, 1]
-        )
+        return self.surface.value(np.atleast_2d(np.asarray(pts, float)))
 
-    def gradient(self, pts):
-        """(gradient (M, 2), valid mask (M,)); grid-backed graphs use the
-        central difference at the nearest cell center, undefined on the
-        boundary ring."""
+    def gradient(self, pts) -> np.ndarray:
+        """(du/dx, du/dy) at planar points, as an (M, 2) array."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        if self.surface is not None:
-            grad = self.surface.jet(pts, [(1, 0), (0, 1)])
-            return grad, np.ones(pts.shape[0], bool)
-        R = self.samples.shape[0]
-        h = self._cell_steps()
-        idx = ((pts - np.asarray(self.domain.lower)) / h - 0.5).round().astype(int)
-        idx = np.clip(idx, 0, R - 1)
-        valid = ((idx >= 1) & (idx <= R - 2)).all(axis=1)
-        i = np.clip(idx, 1, R - 2)
-        gx = (self.samples[i[:, 0] + 1, i[:, 1]] - self.samples[i[:, 0] - 1, i[:, 1]]) / (
-            2.0 * h[0]
-        )
-        gy = (self.samples[i[:, 0], i[:, 1] + 1] - self.samples[i[:, 0], i[:, 1] - 1]) / (
-            2.0 * h[1]
-        )
-        return np.stack([gx, gy], axis=1), valid
+        return self.surface.jet(pts, [(1, 0), (0, 1)])
 
     def lift(self, pts) -> np.ndarray:
         """Phi(x, y) = (x, y, u(x, y)) as an (M, 3) array."""
@@ -353,42 +300,34 @@ class GraphMap:
 def horizontality_residual(G: GraphMap, at):
     """r = (du/dx - 2y, du/dy + 2x) at planar points.
 
-    Zero exactly where the tangent plane is horizontal.  For grid-backed
-    graphs the boundary ring is non-differentiable and the result is a
-    masked array there; analytic graphs return a plain array.
+    Zero exactly where the tangent plane is horizontal.
     """
     at = np.asarray(at, float)
-    single = at.ndim == 1
     pts = np.atleast_2d(at)
-    grad, valid = G.gradient(pts)
+    grad = G.gradient(pts)
     r = np.stack([grad[:, 0] - 2.0 * pts[:, 1], grad[:, 1] + 2.0 * pts[:, 0]], axis=1)
-    if not valid.all():
-        r = np.ma.masked_array(r, mask=np.repeat(~valid[:, None], 2, axis=1))
-    return r[0] if single else r
+    return r[0] if at.ndim == 1 else r
 
 
-def characteristic_fraction(G: GraphMap, tau: float, grid: int | None = None) -> float:
+def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
     """Fraction of grid cells whose center residual stays within tau.
 
     The residual norm is the componentwise maximum, matching the
-    per-component tolerance certified by the constructor.  Masked
-    (non-differentiable) centers count as failing.  The default analytic
-    resolution is odd so the probe centers never align with the dyadic
-    plateau boundaries of constructed surfaces, where the residual is
+    per-component tolerance certified by the constructor.  The default
+    grid, 255 cells per axis, is odd, so no probe center lies on a dyadic
+    plateau boundary of a constructed surface, where the residual is
     atypically small.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    R = grid if grid is not None else (G.grid or 255)
-    if R < 1:
+    if grid < 1:
         raise ValueError("grid must be at least 1")
     lo = np.asarray(G.domain.lower)
-    h = G.domain.side_lengths() / R
-    ax = [lo[i] + h[i] * (np.arange(R) + 0.5) for i in range(2)]
+    h = G.domain.side_lengths() / grid
+    ax = [lo[i] + h[i] * (np.arange(grid) + 0.5) for i in range(2)]
     mesh = np.meshgrid(*ax, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
-    r = horizontality_residual(G, centers)
-    worst = np.abs(np.ma.filled(r, np.inf)).max(axis=1)
+    worst = np.abs(horizontality_residual(G, centers)).max(axis=1)
     return float((worst <= tau).mean())
 
 
@@ -406,8 +345,8 @@ def holder_exponent(
     regression bin represented by its maximum displacement (a Holder
     bound is a worst-case statement).  Returns (exponent, diagnostics);
     a sampler whose displacements never exceed zero_tol yields the +inf
-    sentinel (callers working through interpolation set zero_tol above
-    the rounding floor so constant data registers as constant).
+    sentinel (callers set zero_tol above the rounding floor of their
+    displacements so constant data registers as constant).
     """
     scales = np.asarray(scales, float)
     if scales.size < 8:
@@ -493,7 +432,7 @@ def holder_transfer_check(G: GraphMap, seed: int = 0) -> dict:
     comparison is reported as degenerate rather than passed.
     """
     scales = float(G.domain.side_lengths().min()) * np.asarray(_HOLDER_SCALES)
-    # probe the height range so interpolation rounding on constant data
+    # probe the height range so evaluation rounding on constant data
     # cannot masquerade as displacement
     lo = np.asarray(G.domain.lower)
     ax = [lo[i] + G.domain.side_lengths()[i] * (np.arange(64) + 0.5) / 64 for i in (0, 1)]

@@ -23,7 +23,6 @@ from .core import (
     BuildCertificate,
     BumpPolySum,
     CutoffProfile,
-    InfeasibleBudgetError,
     LogModulus,
     Modulus,
     StageReport,
@@ -36,10 +35,7 @@ from .core import (
 __all__ = [
     "BuildConfig",
     "FieldCollection",
-    "LemmaParams",
-    "choose_lemma_params",
     "field_catalog",
-    "lusin_truncate",
     "multi_stage_build",
     "tail_pinch_check",
 ]
@@ -144,69 +140,6 @@ class BuildConfig:
             raise ValueError("modulus must be a Modulus instance")
 
 
-@dataclass(frozen=True)
-class LemmaParams:
-    """Stage parameters: truncation level and modulus scale cut.
-
-    budget is the measure-driven quantity that sets the modulus scale cut
-    delta, and sup_ratio is M(delta).
-    """
-
-    truncation: float
-    budget: float
-    delta: float
-    sup_ratio: float
-
-
-def choose_lemma_params(
-    modulus: Modulus,
-    target_measure: float,
-    dom: BoxDomain,
-    truncation: float,
-    order: int,
-    profile: CutoffProfile,
-    volume: float | None = None,
-    strict: bool = True,
-) -> LemmaParams:
-    """Derive the truncation budget and modulus scale cut for one stage.
-
-    target_measure is the absolute uncovered-measure target of the stage.
-    With strict=True an unrepresentable scale cut raises
-    InfeasibleBudgetError naming the binding quantity; with strict=False
-    the cut degrades to 0 with an infinite ratio so a build can proceed
-    under the per-cell modulus envelope alone.
-    """
-    if target_measure <= 0.0:
-        raise ValueError("target_measure must be positive")
-    n = dom.dimension
-    vol = dom.volume() if volume is None else float(volume)
-    C = profile.bound_constant(n)
-    if truncation <= 0.0:
-        delta = dom.diameter()
-        return LemmaParams(
-            truncation=float(truncation),
-            budget=math.inf,
-            delta=delta,
-            sup_ratio=modulus.sup_ratio(delta),
-        )
-    budget = target_measure**order / (math.sqrt(n) * C * vol**order * truncation)
-    try:
-        delta = min(modulus.scale_cut(budget), dom.diameter())
-    except InfeasibleBudgetError as exc:
-        if strict:
-            raise InfeasibleBudgetError(
-                f"modulus scale cut is not representable at budget {budget:.3e} "
-                f"(truncation {truncation:.3e}, target measure {target_measure:.3e})"
-            ) from exc
-        delta = 0.0
-    return LemmaParams(
-        truncation=float(truncation),
-        budget=budget,
-        delta=delta,
-        sup_ratio=math.inf if delta == 0.0 else modulus.sup_ratio(delta),
-    )
-
-
 # Cells a stage tests in one vectorised pass, and stencil points one call of
 # the evaluator takes: no array of a stage grows with the cells of a level.
 _BATCH = 2**15
@@ -242,26 +175,6 @@ def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> flo
         return float(vals.max())
     k = min(vals.size - 1, max(0, math.ceil(quantile * vals.size) - 1))
     return float(np.partition(vals, k)[k])
-
-
-def lusin_truncate(
-    field: FieldCollection, dom: BoxDomain, quantile: float, grid: int = 64
-) -> float:
-    """The truncation level T that stage 1 of multi_stage_build uses.
-
-    T is the smallest sampled level with max|f_alpha| <= T on at least the
-    requested fraction of the grid^n cells of the cubic box (sampled at
-    cell centers); quantile 1 degenerates to the sampled maximum.
-    """
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError("quantile must lie in (0, 1]")
-    if field.dimension != dom.dimension:
-        raise ValueError("field and domain dimensions differ")
-    h0 = _square_side(dom) / grid
-    seeds = _grid_cells(grid, dom.dimension)
-    return _truncation_level(
-        field.evaluate, seeds, np.asarray(dom.lower), h0, quantile
-    )
 
 
 def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
@@ -338,9 +251,6 @@ def _run_stage(
     w_mod = 2.0**-stage
     target = cfg.eps * dom.volume() * 2.0**-stage
     T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
-    params = choose_lemma_params(
-        cfg.modulus, target, dom, T, m, profile, volume=active, strict=False
-    )
     # a cell failing at refine_max is counted under the first reason it fails
     reasons = (
         "truncation",
@@ -396,7 +306,7 @@ def _run_stage(
             amax = np.abs(vals).max(axis=1)
 
             zero = amax == 0.0
-            trunc_bad = ~zero & (amax > params.truncation)
+            trunc_bad = ~zero & (amax > T)
             test = ~zero & ~trunc_bad
 
             fail_cap = np.zeros(B, bool)
@@ -498,9 +408,7 @@ def _run_stage(
         sup_budget=b_sup,
         modulus_weight=w_mod,
         measure_target=target,
-        truncation_bound=params.truncation,
-        delta=params.delta,
-        sup_ratio=params.sup_ratio,
+        truncation_bound=T,
         active_measure=active,
         covered_measure=covered,
         residual_measure=residual,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lusinkit.core import BoxDomain, LogModulus, PowerModulus
+from lusinkit.core import BoxDomain, BumpPolySum, LogModulus, PowerModulus
 from lusinkit.harness import (
     certify_function,
     execute_manifest,
@@ -224,10 +224,13 @@ def test_criterion_6_cc_bounds():
 
 def test_criterion_7a_linear_height_transfer():
     t0 = time.perf_counter()
-    R = 256
     dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    xs = (np.arange(R) + 0.5) / R
-    G = GraphMap.from_samples(dom, np.repeat(xs[:, None], R, axis=1))
+    # u = x: one cell of side 4 whose plateau [-0.5, 1.5]^2 covers the box,
+    # with coefficients 0.5 and 1 about its center (0.5, 0.5)
+    u = BumpPolySum(2, 1).with_block(
+        [[-1.5, -1.5]], 4.0, 0.5, 1.0, 1, [[0.5, 0.0, 1.0]]
+    )
+    G = GraphMap.from_sum(dom, u)
     report = holder_transfer_check(G, seed=0)
     assert 0.95 <= report["alpha_u"] <= 1.05
     assert 0.45 <= report["alpha_graph"] <= 0.55

@@ -1,8 +1,8 @@
+import ast
 import gzip
 import importlib
 import itertools
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -14,7 +14,6 @@ from lusinkit.core import (
     BoxDomain,
     BumpPolySum,
     CutoffProfile,
-    InfeasibleBudgetError,
     LogModulus,
     PiecewiseLinearModulus,
     PowerModulus,
@@ -92,19 +91,6 @@ class TestLogModulus:
         with pytest.raises(ValueError):
             LogModulus()(-0.1)
 
-    def test_scale_cut_inverts(self):
-        mu = LogModulus()
-        assert mu.scale_cut(0.5) == pytest.approx(math.exp(-2.0), rel=1e-14)
-        assert mu.scale_cut(2.0) == pytest.approx(2.0 / math.e, rel=1e-14)
-
-    def test_scale_cut_underflow_is_an_error(self):
-        # exp(-1e4) is 0; exp(-740) = 4.2e-322 is subnormal
-        for bound in (1e-4, 1 / 740):
-            with pytest.raises(InfeasibleBudgetError):
-                LogModulus().scale_cut(bound)
-        # exp(-708) = 3.3e-308 is the last whole exponent above the normal floor
-        assert LogModulus().scale_cut(1 / 708) >= sys.float_info.min
-
     def test_sup_ratio_dominates_samples(self):
         mu = LogModulus()
         for delta in (1e-6, 1e-3, 0.1, 0.5, 2.0):
@@ -129,22 +115,12 @@ class TestLogModulus:
 
 
 class TestPowerModulus:
-    def test_values_and_cut(self):
+    def test_values_and_sup_ratio(self):
         mu = PowerModulus(0.5)
         assert mu(0.25) == pytest.approx(0.5)
-        assert mu.scale_cut(0.5) == pytest.approx(0.25)
         # beta = 1 is plain t
         lin = PowerModulus(1.0)
-        assert lin.scale_cut(0.125) == pytest.approx(0.125)
         assert lin.sup_ratio(1e-9) == pytest.approx(1.0)
-
-    def test_scale_cut_underflow_is_an_error(self):
-        tiny = sys.float_info.min
-        assert PowerModulus(1.0).scale_cut(tiny) == tiny
-        # 1e-160**2 = 1e-320 is subnormal, 1e-200**2 is 0
-        for beta, bound in ((1.0, tiny / 2), (0.5, 1e-160), (0.5, 1e-200)):
-            with pytest.raises(InfeasibleBudgetError):
-                PowerModulus(beta).scale_cut(bound)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
@@ -171,23 +147,6 @@ class TestPiecewiseLinearModulus:
         # beyond the last knot, continue with the final slope 1/3
         assert mu(2.0) == pytest.approx(0.5 + 1.0 / 3.0)
 
-    def test_scale_cut_against_bisection(self):
-        mu = PiecewiseLinearModulus(KNOTS)
-        for bound in (0.1, 0.3, 0.45, 0.7):
-            delta = mu.scale_cut(bound)
-            lo, hi = 0.0, 10.0
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                if mu(mid) <= bound:
-                    lo = mid
-                else:
-                    hi = mid
-            assert delta == pytest.approx(lo, abs=1e-12)
-
-    def test_flat_tail_gives_inf(self):
-        mu = PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.2), (1.0, 0.2)))
-        assert mu.scale_cut(0.25) == math.inf
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PiecewiseLinearModulus(((0.1, 0.0), (1.0, 0.5)))
@@ -195,14 +154,6 @@ class TestPiecewiseLinearModulus:
             PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.4), (0.5, 0.6)))
         with pytest.raises(ValueError):
             PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.4), (1.0, 0.3)))
-
-    def test_scale_cut_underflow_is_an_error(self):
-        mu = PiecewiseLinearModulus(((0.0, 0.0), (1.0, 1.0)))
-        tiny = sys.float_info.min
-        assert mu.scale_cut(tiny) == tiny
-        for bound in (tiny / 2, 1e-320, 0.0):
-            with pytest.raises(InfeasibleBudgetError):
-                mu.scale_cut(bound)
 
     def test_sup_ratio_dominates_samples(self):
         mu = PiecewiseLinearModulus(KNOTS)
@@ -762,3 +713,24 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lusinkit"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    # a name is used if the module loads it anywhere or lists it in __all__
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    assert [name for name in imported if name not in used] == []

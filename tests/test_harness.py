@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -33,6 +34,8 @@ from lusinkit.harness import (
     stream_seed,
 )
 from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 GROWTH_CFG = BuildConfig(
     eps=0.05,
@@ -170,8 +173,6 @@ class TestCertificateFile:
             modulus_weight=0.25,
             measure_target=0.0125,
             truncation_bound=2.5,
-            delta=0.0,
-            sup_ratio=math.inf,
             active_measure=0.5,
             covered_measure=0.125,
             residual_measure=0.375,
@@ -180,11 +181,33 @@ class TestCertificateFile:
             reject_counts={"pinch": 30, "truncation": 7},
             sup_bounds=(0.01, 0.002),
             lipschitz_bound=0.0,
-            modulus_coefficient=0.1,
+            modulus_coefficient=math.inf,
             slack=0.3625,
         )
         text = json.dumps(report.to_dict(), allow_nan=False)
         assert StageReport.from_dict(json.loads(text)) == report
+
+    def test_non_finite_spellings_load(self, growth_run):
+        paths, _, _ = growth_run
+        d = json.loads(Path(paths["certificate"]).read_text())
+        d["stages"][0]["slack"] = "nan"
+        d["ledgers"]["lipschitz"] = "inf"
+        d["profile_constant"] = "-inf"
+        cert = BuildCertificate.from_dict(d)
+        assert math.isnan(cert.stage_reports[0].slack)
+        assert cert.lipschitz_ledger == math.inf
+        assert cert.profile_constant == -math.inf
+
+    @pytest.mark.parametrize("name", ["demo", "xx2"])
+    def test_committed_fixtures_load(self, name):
+        # the fixtures predate the removal of each stage's delta and
+        # sup_ratio; every other key reads back unchanged
+        path = FIXTURES / f"{name}.certificate.json.gz"
+        d = json.loads(gzip.decompress(path.read_bytes()))
+        for stage in d["stages"]:
+            assert {"delta", "sup_ratio"} <= set(stage)
+            del stage["delta"], stage["sup_ratio"]
+        assert BuildCertificate.from_dict(d).to_dict(include_cells=True) == d
 
 
 def _drop_stages(d):
@@ -199,7 +222,39 @@ def _listed_rejects(d):
     d["stages"][0]["reject_counts"] = [1, 2]
 
 
-@pytest.mark.parametrize("corrupt", [_drop_stages, _null_tau, _listed_rejects])
+def _fractional_dimension(d):
+    d["dimension"] = 2.7
+
+
+def _string_flag(d):
+    d["partial_cover"] = "false"
+
+
+def _flag_for_count(d):
+    d["stages"][0]["cells_accepted"] = True
+
+
+def _string_number(d):
+    d["config"]["sigma"] = "50.0"
+
+
+def _string_cells(d):
+    d["covered_cells"][0] = [["0", "0", "1", "1"]]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_stages,
+        _null_tau,
+        _listed_rejects,
+        _fractional_dimension,
+        _string_flag,
+        _flag_for_count,
+        _string_number,
+        _string_cells,
+    ],
+)
 def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
     paths, _, _ = growth_run
     d = json.loads(Path(paths["certificate"]).read_text())
@@ -426,10 +481,12 @@ class TestCli:
             ]
         )
         assert rc == 3
-        assert "infeasible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "modulus" in err
 
-    def test_subnormal_scale_cut_exit_code(self, tmp_path, capsys):
-        # the log modulus's stage-1 cut here is 3.5e-323, a subnormal
+    def test_stage_one_covering_nothing_exit_code(self, tmp_path, capsys):
+        # at grid 8 and refine_max 1 the log modulus envelope rejects every
+        # cell that is not truncated
         rc = main(
             [
                 "construct",
@@ -448,8 +505,19 @@ class TestCli:
             ]
         )
         assert rc == 3
-        assert "infeasible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "modulus" in err
         assert not (tmp_path / "sub").exists()
+
+    def test_default_construct_builds_what_the_library_builds(self, tmp_path):
+        out = tmp_path / "defaults"
+        assert main(["construct", "--field", "heisenberg", "--out", str(out)]) == 0
+        cert = load_certificate(str(out / "function.certificate.json"))
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        _, lib = multi_stage_build(field_catalog("heisenberg"), dom, BuildConfig())
+        assert cert.coverage_fraction() == lib.coverage_fraction()
+        assert cert.term_count == lib.term_count == 6055
+        assert cert.coverage_fraction() == pytest.approx(0.0057745, abs=1e-7)
 
     def test_certify_version_mismatch(self, growth_run, tmp_path, capsys):
         paths, _, _ = growth_run

@@ -9,7 +9,7 @@ import pytest
 
 import lusinkit
 
-from lusinkit.core import BoxDomain, BumpPolySum, PowerModulus
+from lusinkit.core import BoxDomain, BumpPolySum, PowerModulus, multiindices_upto
 from lusinkit.heisenberg import (
     GraphMap,
     HorizontalPath,
@@ -302,35 +302,25 @@ class TestCcBounds:
             assert max(lower, lo2) <= min(upper, up2)
 
 
-class TestGraphMap:
-    def test_sample_validation(self):
-        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError, match="square"):
-            GraphMap.from_samples(dom, np.zeros((4, 5)))
-        with pytest.raises(ValueError, match="at least 3"):
-            GraphMap.from_samples(dom, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="planar"):
-            GraphMap.from_samples(BoxDomain((0.0,), (1.0,)), np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="exactly one"):
-            GraphMap(dom)
+def _one_cell(m, low, coeffs):
+    """A sum of one side-4 cell term at corner low, theta 1/2, whose plateau
+    (the middle half of the cell) covers the test's box.  coeffs maps
+    multi-indices to the polynomial's coefficients about the cell center."""
+    row = [coeffs.get(a, 0.0) for a in multiindices_upto(2, m)]
+    return BumpPolySum(2, m).with_block([low], 4.0, 0.5, 1.0, 1, [row])
 
+
+class TestGraphMap:
     def test_affine_height_and_gradient(self):
-        # bilinear interpolation and central differences are exact on
-        # affine data
-        R = 64
+        # u = 2x - 3y + 0.25 about the center (0.5, 0.5)
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
-        xs = (np.arange(R) + 0.5) / R
-        samples = 2.0 * xs[:, None] - 3.0 * xs[None, :] + 0.25
-        G = GraphMap.from_samples(dom, samples)
-        rng = np.random.default_rng(14)
-        pts = rng.uniform(1.0 / R, 1.0 - 1.0 / R, size=(500, 2))
+        u = _one_cell(1, [-1.5, -1.5], {(0, 0): -0.25, (0, 1): -3.0, (1, 0): 2.0})
+        G = GraphMap.from_sum(dom, u)
+        pts = np.random.default_rng(14).uniform(0.0, 1.0, size=(500, 2))
         npt.assert_allclose(
             G.height(pts), 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.25, atol=1e-12
         )
-        grad, valid = G.gradient(pts)
-        assert valid.all()
-        npt.assert_allclose(grad[:, 0], 2.0, atol=1e-9)
-        npt.assert_allclose(grad[:, 1], -3.0, atol=1e-9)
+        npt.assert_array_equal(G.gradient(pts), np.tile([2.0, -3.0], (500, 1)))
 
     def test_lift_shape(self):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -343,7 +333,7 @@ class TestGraphMap:
 class TestResidual:
     def test_plane_is_characteristic_at_origin(self):
         dom = BoxDomain((-0.5, -0.5), (0.5, 0.5))
-        G = GraphMap.from_samples(dom, np.zeros((32, 32)))
+        G = GraphMap.from_sum(dom, _one_cell(1, [-2.0, -2.0], {}))
         npt.assert_allclose(horizontality_residual(G, np.array([0.0, 0.0])), 0.0)
 
     def test_zero_surface_residual_is_minus_field(self):
@@ -358,41 +348,33 @@ class TestResidual:
         R = 128
         dom = BoxDomain((-0.5, -0.5), (0.5, 0.5))
         xs = (np.arange(R) + 0.5) / R - 0.5
-        G = GraphMap.from_samples(dom, 2.0 * xs[:, None] * xs[None, :])
+        G = GraphMap.from_sum(dom, _one_cell(2, [-2.0, -2.0], {(1, 1): 2.0}))
         centers = np.stack([xs[5:20], xs[60:75]], axis=1)
         r = horizontality_residual(G, centers)
         npt.assert_allclose(r[:, 0], 0.0, atol=1e-12)
         npt.assert_allclose(r[:, 1], 4.0 * xs[5:20], atol=1e-12)
 
-    def test_boundary_points_masked(self):
-        R = 64
-        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
-        xs = (np.arange(R) + 0.5) / R
-        G = GraphMap.from_samples(dom, 2.0 * xs[:, None] * xs[None, :])
-        r = horizontality_residual(G, np.array([[0.001, 0.5], [0.5, 0.5]]))
-        assert isinstance(r, np.ma.MaskedArray)
-        assert r.mask[0].all() and not r.mask[1].any()
-
 
 class TestCharacteristicFraction:
     def test_2xy_two_center_columns(self):
         # the residual is (0, 4x); at tau just above 2h only the two
-        # columns straddling x = 0 qualify, minus the masked boundary rows
+        # columns straddling x = 0 qualify
         R = 128
         dom = BoxDomain((-0.5, -0.5), (0.5, 0.5))
-        xs = (np.arange(R) + 0.5) / R - 0.5
-        G = GraphMap.from_samples(dom, 2.0 * xs[:, None] * xs[None, :])
-        frac = characteristic_fraction(G, 2.0001 / R)
-        assert frac == pytest.approx((2 * R - 4) / R**2, abs=1e-12)
-        assert characteristic_fraction(G, 1e-9) == 0.0
+        G = GraphMap.from_sum(dom, _one_cell(2, [-2.0, -2.0], {(1, 1): 2.0}))
+        frac = characteristic_fraction(G, 2.0001 / R, grid=R)
+        assert frac == pytest.approx(2 / R, abs=1e-12)
+        assert characteristic_fraction(G, 1e-9, grid=R) == 0.0
 
     def test_flat_plane_band_near_origin(self):
         # u = 0 leaves residual (-2y, 2x); the characteristic cells form
         # the square |x|, |y| <= tau/2 around the origin
         R = 100
         dom = BoxDomain((-0.5, -0.5), (0.5, 0.5))
-        G = GraphMap.from_samples(dom, np.zeros((R, R)))
-        assert characteristic_fraction(G, 0.1) == pytest.approx(100 / R**2, abs=1e-12)
+        G = GraphMap.from_sum(dom, _one_cell(1, [-2.0, -2.0], {}))
+        assert characteristic_fraction(G, 0.1, grid=R) == pytest.approx(
+            100 / R**2, abs=1e-12
+        )
 
     def test_tau_validation(self):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
@@ -484,10 +466,9 @@ class TestHolderExponent:
 
 class TestHolderTransfer:
     def test_linear_height(self):
-        R = 256
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
-        xs = (np.arange(R) + 0.5) / R
-        G = GraphMap.from_samples(dom, np.repeat(xs[:, None], R, axis=1))
+        u = _one_cell(1, [-1.5, -1.5], {(0, 0): 0.5, (1, 0): 1.0})
+        G = GraphMap.from_sum(dom, u)
         report = holder_transfer_check(G, seed=0)
         assert report["status"] == "ok"
         assert 0.95 <= report["alpha_u"] <= 1.05
@@ -496,7 +477,7 @@ class TestHolderTransfer:
 
     def test_constant_height_degenerates(self):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
-        G = GraphMap.from_samples(dom, np.full((64, 64), 3.25))
+        G = GraphMap.from_sum(dom, _one_cell(1, [-1.5, -1.5], {(0, 0): 3.25}))
         report = holder_transfer_check(G, seed=2)
         assert report["status"] == "degenerate"
         assert math.isinf(report["alpha_u"])

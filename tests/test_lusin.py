@@ -10,8 +10,6 @@ import pytest
 from lusinkit import harness, lusin
 from lusinkit.core import (
     BoxDomain,
-    CutoffProfile,
-    InfeasibleBudgetError,
     LogModulus,
     PiecewiseLinearModulus,
     PowerModulus,
@@ -20,9 +18,7 @@ from lusinkit.lusin import (
     BuildConfig,
     FieldCollection,
     _paint_boxes,
-    choose_lemma_params,
     field_catalog,
-    lusin_truncate,
     multi_stage_build,
     tail_pinch_check,
 )
@@ -162,79 +158,34 @@ class TestBuildConfig:
 
 
 class TestLusinTruncate:
+    """Stage 1's truncation level T, read off its report."""
+
+    @staticmethod
+    def _truncation(field, dom, quantile, grid):
+        cfg = BuildConfig(grid=grid, stages=1, quantile=quantile, refine_max=0)
+        _, cert = multi_stage_build(field_catalog(field), dom, cfg)
+        return cert.stage_reports[0].truncation_bound
+
     def test_invx_quantile_level(self):
         # centers sit at (i + 1/2)/100, so |1/x| = 200/(2i + 1); the 0.9
         # quantile lands on i = 10
-        f = field_catalog("invx")
-        dom = BoxDomain((0.0,), (1.0,))
-        T = lusin_truncate(f, dom, 0.9, grid=100)
+        T = self._truncation("invx", BoxDomain((0.0,), (1.0,)), 0.9, 100)
         assert T == pytest.approx(200.0 / 21.0, rel=1e-12)
 
     def test_quantile_one_keeps_everything(self):
-        f = field_catalog("invx")
-        dom = BoxDomain((0.0,), (1.0,))
-        T = lusin_truncate(f, dom, 1.0, grid=100)
+        T = self._truncation("invx", BoxDomain((0.0,), (1.0,)), 1.0, 100)
         assert T == pytest.approx(200.0, rel=1e-12)
 
     def test_bounded_field_keeps_everything(self):
-        T = lusin_truncate(field_catalog("heisenberg"), UNIT_SQUARE, 0.5, grid=16)
+        T = self._truncation("heisenberg", UNIT_SQUARE, 0.5, 16)
         assert 0.0 < T <= 2.0
 
     def test_equals_stage_one_truncation(self):
-        # on a non-dyadic box, centers lower + (i + 1/2) h and lower + i h + h/2
-        # differ in the last bits; both paths place them the builder's way
+        # on a non-dyadic box the centers lower + i h + h/2 differ in the last
+        # bits from lower + (i + 1/2) h; the pin is the builder's placement
         dom = BoxDomain((-0.3, 0.1), (0.4, 0.8))
-        T = lusin_truncate(field_catalog("heisenberg"), dom, 0.9, grid=24)
-        cfg = BuildConfig(grid=24, stages=1, quantile=0.9, refine_max=0)
-        _, cert = multi_stage_build(field_catalog("heisenberg"), dom, cfg)
-        assert T == cert.stage_reports[0].truncation_bound == 1.4541666666666664
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            lusin_truncate(field_catalog("invx"), UNIT_SQUARE, 0.9)
-
-    def test_bad_quantile(self):
-        with pytest.raises(ValueError, match="quantile"):
-            lusin_truncate(field_catalog("invx"), BoxDomain((0.0,), (1.0,)), 0.0)
-
-
-class TestChooseLemmaParams:
-    def test_power_modulus_closed_form(self):
-        # n=2, m=1, theta=1/2: the profile constant is 1 + 3/theta = 7 and
-        # budget = target / (sqrt(2) * 7 * T)
-        prof = CutoffProfile(1, 0.5)
-        p = choose_lemma_params(PowerModulus(1.0), 0.05, UNIT_SQUARE, 2.0, 1, prof)
-        budget = 0.05 / (math.sqrt(2.0) * 7.0 * 2.0)
-        assert p.truncation == 2.0
-        assert p.budget == pytest.approx(budget, rel=1e-12)
-        assert p.delta == pytest.approx(budget, rel=1e-12)
-        assert p.sup_ratio == 1.0
-
-    def test_zero_truncation_degenerates(self):
-        prof = CutoffProfile(1, 0.5)
-        p = choose_lemma_params(PowerModulus(1.0), 0.05, UNIT_SQUARE, 0.0, 1, prof)
-        assert p.budget == math.inf
-        assert p.delta == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_strict_raises_on_underflow(self):
-        prof = CutoffProfile(1, 0.5)
-        with pytest.raises(InfeasibleBudgetError, match="truncation"):
-            choose_lemma_params(LogModulus(), 1e-305, UNIT_SQUARE, 2.0, 1, prof)
-
-    def test_nonstrict_degrades_to_zero_cut(self):
-        prof = CutoffProfile(1, 0.5)
-        p = choose_lemma_params(
-            LogModulus(), 1e-305, UNIT_SQUARE, 2.0, 1, prof, strict=False
-        )
-        assert p.delta == 0.0
-        assert p.sup_ratio == math.inf
-        assert p.budget > 0.0
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError, match="target"):
-            choose_lemma_params(
-                PowerModulus(1.0), 0.0, UNIT_SQUARE, 2.0, 1, CutoffProfile(1, 0.5)
-            )
+        T = self._truncation("heisenberg", dom, 0.9, 24)
+        assert T == 1.4541666666666664
 
 
 class TestSingleStage:
