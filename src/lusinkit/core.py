@@ -9,6 +9,9 @@ computation rather than a scan over terms: one gather from a row table over
 the block's bounding lattice, padded by an empty border that catches every
 point outside it, non-finite ones included.  A block too sparse for such a
 table (more than 64 entries per cell) binary-searches its sorted cell keys.
+Points are (M, n) arrays, but hot paths work one column at a time: they
+reduce across columns, and the kernel touches only a block's live
+coefficient columns, those with a nonzero entry.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -95,6 +98,20 @@ def _index_table(n: int, m: int):
     return idx, pos
 
 
+def _fold_columns(ufunc, a: np.ndarray):
+    """ufunc folded left to right across the last axis of a.
+
+    One pass per column: numpy reduces a trailing axis only a few entries
+    wide one short row at a time, many times slower.  The result equals
+    ufunc.reduce(a, axis=-1) bit for bit for maximum and the logical ufuncs,
+    and for add over fewer than 8 columns, where numpy sums left to right.
+    """
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., k])
+    return out[()]
+
+
 # ---------------------------------------------------------------------------
 # domains
 
@@ -127,9 +144,10 @@ class BoxDomain:
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, float)
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return np.all((x >= lo) & (x <= hi), axis=-1)
+        inside = np.empty(x.shape, bool)
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            inside[..., i] = (x[..., i] >= lo) & (x[..., i] <= hi)
+        return _fold_columns(np.logical_and, inside)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +544,7 @@ class _Block:
         "_table",
         "_keys",
         "_rows",
+        "_live",
     )
 
     def __init__(self, n, m, spacing, theta, weight, stage, lows, coeffs):
@@ -541,6 +560,8 @@ class _Block:
         if self.coeffs.shape[0] != self.lows.shape[0]:
             raise ValueError("one coefficient row per cell required")
         self.profile = CutoffProfile(m, self.theta)
+        # the coefficient columns with a nonzero entry: the others add nothing
+        self._live = frozenset(np.flatnonzero(self.coeffs.any(axis=0)).tolist())
         self.origin = self.lows.min(axis=0)
         rel = (self.lows - self.origin) / self.spacing
         idx = np.rint(rel)
@@ -577,21 +598,23 @@ class _Block:
 
     def locate(self, x: np.ndarray):
         """Indices (into x) and cell rows for points inside some cell."""
+        # the lattice key, one axis at a time; int64 keeps it exact
+        key = 0
         with np.errstate(over="ignore"):
-            # far-out finite points may overflow to +-inf: the border holds them
-            rel = (x - self.origin) / self.spacing
-        np.floor(rel, out=rel)
-        rel += 1.0
-        # NaN and +-inf land on the empty border too
-        np.fmax(rel, 0.0, out=rel)
-        np.fmin(rel, self._top, out=rel)
+            for i in range(self.n):
+                # far-out finite points may overflow to +-inf: the border holds them
+                rel = (x[:, i] - self.origin[i]) / self.spacing
+                np.floor(rel, out=rel)
+                rel += 1.0
+                # NaN and +-inf land on the empty border too
+                np.fmax(rel, 0.0, out=rel)
+                np.fmin(rel, self._top[i], out=rel)
+                key = key + rel.astype(np.int64) * self._strides[i]
         if self._table is not None:
-            # the flat index is an integer below 2**53, so the float dot is exact
-            rows = self._table[(rel @ self._strides).astype(np.intp)]
+            rows = self._table[key]
             pts = np.flatnonzero(rows >= 0)
             return pts, rows[pts]
-        # border keys match no cell; int64 keeps keys above 2**53 exact
-        key = rel.astype(np.int64) @ self._strides
+        # border keys match no cell
         posn = np.searchsorted(self._keys, key)
         posn[posn == len(self._keys)] = 0
         pts = np.flatnonzero(self._keys[posn] == key)
@@ -604,40 +627,48 @@ class _Block:
             return
         _, _, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
         hw = self.half_width
-        centers = self.lows[rows] + hw
-        dx = x[pts] - centers
+        # offsets from the cell centers, one column per axis
+        dx = [x[pts, i] - (self.lows[:, i][rows] + hw) for i in range(self.n)]
         # per-axis tables of cutoff-factor derivatives in the x variable
         fac = []
         for i in range(self.n):
             k_i = max((gamma[i] for gamma in gammas), default=0)
-            s = np.abs(dx[:, i]) / hw
-            tab = self.profile.profile_derivatives(s, k_i)
+            tab = self.profile.profile_derivatives(np.abs(dx[i]) / hw, k_i)
             axis = [tab[0]]
             if k_i:
-                sgn = np.sign(dx[:, i])
+                sgn = np.sign(dx[i])
                 for k in range(1, k_i + 1):
                     axis.append(tab[k] * sgn**k / hw**k)
             fac.append(axis)
-        crows = self.coeffs[rows]
-        # D^gp of the cell polynomials, shared by every gamma that needs it
+        # D^gp of the cell polynomials over the live columns, shared by every
+        # gamma that needs it; None where no live column enters.  Every
+        # product and sum keeps its left-to-right order, so results stay
+        # bit for bit those of a gather of all columns
         poly = {}
         for j, gamma in enumerate(gammas):
-            total = np.zeros(pts.size)
+            total = None
             for beta, comb, gp in leibniz[gamma]:
-                cut = np.full(pts.size, comb)
-                for i, b in enumerate(beta):
-                    cut = cut * fac[i][b]
                 if gp not in poly:
-                    pv = np.zeros(pts.size)
+                    pv = None
                     for col, _deg, invfact, expo in poly_terms[gp]:
-                        mono = np.full(pts.size, invfact)
+                        if col not in self._live:
+                            continue
+                        mono = invfact
                         for i, e in enumerate(expo):
                             if e:
-                                mono = mono * dx[:, i] ** e
-                        pv += crows[:, col] * mono
+                                mono = mono * dx[i] ** e
+                        term = self.coeffs[:, col][rows] * mono
+                        pv = term if pv is None else pv + term
                     poly[gp] = pv
-                total += cut * poly[gp]
-            out[pts, j] += total
+                if poly[gp] is None:
+                    continue
+                cut = comb * fac[0][beta[0]]
+                for i in range(1, self.n):
+                    cut = cut * fac[i][beta[i]]
+                term = cut * poly[gp]
+                total = term if total is None else total + term
+            if total is not None:
+                out[pts, j] += total
 
 
 class BumpPolySum:

@@ -25,6 +25,7 @@ from .core import (
     BumpPolySum,
     BuildCertificate,
     InfeasibleBudgetError,
+    _fold_columns,
     _jsonable,
     modulus_from_dict,
     multiindices_upto,
@@ -138,7 +139,8 @@ def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
         return g
     k = len(multiindices_upto(n, m))
     meta_cols = [n, n + 1 + k, n + 2 + k, n + 3 + k]
-    splits = np.nonzero(np.any(np.diff(block[:, meta_cols], axis=0) != 0.0, axis=1))
+    steps = np.diff(block[:, meta_cols], axis=0) != 0.0
+    splits = np.nonzero(_fold_columns(np.logical_or, steps))
     for part in np.split(block, splits[0] + 1):
         side, theta, weight, stage = part[0, meta_cols]
         if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage):
@@ -414,12 +416,12 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
                 break
             x = rng.uniform(lo, hi, size=(need, dom.dimension))
             vec = rng.normal(size=(need, dom.dimension))
-            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+            vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
             y = x + d * vec
-            ok = dom.contains(y)
-            xs.append(x[ok])
-            ys.append(y[ok])
-            got += int(ok.sum())
+            ok = np.flatnonzero(dom.contains(y))
+            xs.append(x.take(ok, axis=0))
+            ys.append(y.take(ok, axis=0))
+            got += ok.size
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     short = count - x.shape[0]
@@ -430,10 +432,11 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
         d = np.exp(rng.uniform(np.log(1e-8 * diam), np.log(top), size=short))
         x2 = rng.uniform(lo + d[:, None], hi - d[:, None])
         vec = rng.normal(size=(short, dom.dimension))
-        vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+        vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
         x = np.concatenate([x, x2])
         y = np.concatenate([y, x2 + d[:, None] * vec])
-    return x, y, np.linalg.norm(x - y, axis=1)
+    step = x - y
+    return x, y, np.sqrt(_fold_columns(np.add, step * step))
 
 
 def _witness_pair(x, y, value) -> dict:
@@ -449,7 +452,7 @@ def _worst_entry(vals: np.ndarray) -> tuple[int, int]:
 
     Ties go to the lowest column, then the lowest row.
     """
-    j = int(vals.max(axis=0).argmax())
+    j = int(np.argmax([col.max() for col in vals.T]))
     return int(vals[:, j].argmax()), j
 
 
@@ -464,7 +467,8 @@ def _check_match(g, field, cert, count, rng) -> dict:
             "margin": math.inf,
         }
     pts = _sample_in_boxes(np.concatenate(boxes, axis=0), count, rng)
-    resid = np.abs(g.jet(pts, field.alphas) - field.evaluate(pts)).max(axis=1)
+    resid = np.abs(g.jet(pts, field.alphas) - field.evaluate(pts))
+    resid = _fold_columns(np.maximum, resid)
     i = int(resid.argmax())
     worst = float(resid[i])
     return {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, BumpPolySum
+from .core import BoxDomain, BumpPolySum, _fold_columns
 
 __all__ = [
     "HPoint",
@@ -314,9 +314,9 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
 
     The residual norm is the componentwise maximum, matching the
     per-component tolerance certified by the constructor.  The default
-    grid, 255 cells per axis, is odd, so no probe center lies on a dyadic
-    plateau boundary of a constructed surface, where the residual is
-    atypically small.
+    grid, 255 cells per axis, aliases against a constructed surface's
+    dyadic lattice: on the flagship surface, whose finest lattice has 1024
+    cells per axis, it gives 0.0019 where uniform sampling gives 0.0069.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -327,7 +327,7 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
     ax = [lo[i] + h[i] * (np.arange(grid) + 0.5) for i in range(2)]
     mesh = np.meshgrid(*ax, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
-    worst = np.abs(horizontality_residual(G, centers)).max(axis=1)
+    worst = _fold_columns(np.maximum, np.abs(horizontality_residual(G, centers)))
     return float((worst <= tau).mean())
 
 

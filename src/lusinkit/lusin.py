@@ -26,6 +26,7 @@ from .core import (
     LogModulus,
     Modulus,
     StageReport,
+    _fold_columns,
     _index_table,
     cell_derivative_bounds,
     enumerate_multiindices,
@@ -169,7 +170,7 @@ def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> flo
         h = h0 / 2**r
         for s in range(0, idx.shape[0], _BATCH):
             centers = lower + idx[s : s + _BATCH] * h + h / 2.0
-            samples.append(np.abs(evaluate(centers)).max(axis=1))
+            samples.append(_fold_columns(np.maximum, np.abs(evaluate(centers))))
     vals = np.concatenate(samples)
     if quantile >= 1.0:
         return float(vals.max())
@@ -203,9 +204,8 @@ def _stencil_osc(evaluate, centers, center_vals, hw, theta):
         block = centers[s : s + step]
         pts = (block[:, None, :] + offs[None, :, :]).reshape(-1, n)
         v = evaluate(pts).reshape(block.shape[0], offs.shape[0], -1)
-        out[s : s + step] = np.abs(v - center_vals[s : s + step, None, :]).max(
-            axis=(1, 2)
-        )
+        dev = np.abs(v - center_vals[s : s + step, None, :])
+        out[s : s + step] = _fold_columns(np.maximum, _fold_columns(np.maximum, dev))
     return out
 
 
@@ -303,7 +303,7 @@ def _run_stage(
             lows = lower + idx * h
             centers = lows + hw
             vals = evaluate(centers)
-            amax = np.abs(vals).max(axis=1)
+            amax = _fold_columns(np.maximum, np.abs(vals))
 
             zero = amax == 0.0
             trunc_bad = ~zero & (amax > T)
@@ -658,7 +658,9 @@ def _sample_in_boxes(boxes: np.ndarray, count: int, rng) -> np.ndarray:
     vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
     pick = rng.choice(boxes.shape[0], size=count, p=vols / vols.sum())
     u = rng.uniform(size=(count, n))
-    return boxes[pick, :n] + u * (boxes[pick, n:] - boxes[pick, :n])
+    # take gathers whole rows many times faster than fancy indexing
+    lows, highs = np.hsplit(boxes.take(pick, axis=0), 2)
+    return lows + u * (highs - lows)
 
 
 def tail_pinch_check(
@@ -696,10 +698,10 @@ def tail_pinch_check(
     for k, boxes in usable:
         x = _sample_in_boxes(boxes, each, rng)
         direction = rng.normal(size=(each, n))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction
-        tail = np.abs(g.jet(pts, gammas, stages=later[k])).max(axis=1)
+        tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later[k])))
         ratios = tail / (cert.sigma * radius**2)
         per_stage[k] = float(ratios.max())
         worst = max(worst, per_stage[k])

@@ -17,6 +17,8 @@ from lusinkit.core import (
     LogModulus,
     PiecewiseLinearModulus,
     PowerModulus,
+    _bound_plan,
+    _fold_columns,
     cell_derivative_bounds,
     enumerate_multiindices,
     modulus_from_dict,
@@ -655,6 +657,147 @@ class TestJet:
         assert g.jet(pts, []).shape == (pts.shape[0], 0)
 
 
+def _reference_add_jet(blk, x, gammas, out):
+    """The row-major kernel that the column kernel replaced, kept verbatim as
+    an oracle: it gathers every coefficient column and seeds each product
+    and sum with np.full and np.zeros."""
+    pts, rows = blk.locate(x)
+    if pts.size == 0:
+        return
+    _, _, poly_terms, leibniz = _bound_plan(blk.n, blk.profile.order)
+    hw = blk.half_width
+    centers = blk.lows[rows] + hw
+    dx = x[pts] - centers
+    fac = []
+    for i in range(blk.n):
+        k_i = max((gamma[i] for gamma in gammas), default=0)
+        s = np.abs(dx[:, i]) / hw
+        tab = blk.profile.profile_derivatives(s, k_i)
+        axis = [tab[0]]
+        if k_i:
+            sgn = np.sign(dx[:, i])
+            for k in range(1, k_i + 1):
+                axis.append(tab[k] * sgn**k / hw**k)
+        fac.append(axis)
+    crows = blk.coeffs[rows]
+    poly = {}
+    for j, gamma in enumerate(gammas):
+        total = np.zeros(pts.size)
+        for beta, comb, gp in leibniz[gamma]:
+            cut = np.full(pts.size, comb)
+            for i, b in enumerate(beta):
+                cut = cut * fac[i][b]
+            if gp not in poly:
+                pv = np.zeros(pts.size)
+                for col, _deg, invfact, expo in poly_terms[gp]:
+                    mono = np.full(pts.size, invfact)
+                    for i, e in enumerate(expo):
+                        if e:
+                            mono = mono * dx[:, i] ** e
+                    pv += crows[:, col] * mono
+                poly[gp] = pv
+            total += cut * poly[gp]
+        out[pts, j] += total
+
+
+class TestKernelOracle:
+    """The column kernel, which reads live coefficient columns only, must
+    equal the row-major reference bit for bit."""
+
+    @staticmethod
+    def _sum_and_points(n, m, rng):
+        idx = multiindices_upto(n, m)
+        low = [j for j, a in enumerate(idx) if sum(a) < m]
+        g = BumpPolySum(n, m)
+        probes = []
+        # every column live, then top-order columns only, on another lattice
+        for stage, (side, theta, only_top) in enumerate(
+            [(0.5, 0.5, False), (0.25, 0.3, True)], start=1
+        ):
+            keys = rng.choice(4**n, size=min(6, 4**n), replace=False)
+            lows = np.stack(np.unravel_index(keys, (4,) * n), axis=1) * side
+            coeffs = rng.normal(size=(len(keys), len(idx)))
+            if only_top:
+                coeffs[:, low] = 0.0
+            g = g.with_block(lows, side, theta, 1.0, stage, coeffs)
+            hw = side / 2.0
+            centers = np.repeat(lows + hw, 40, axis=0)
+            # on the plateau, then in the descent band along one axis
+            plateau = (1.0 - theta) * hw
+            on = centers + rng.uniform(-plateau, plateau, size=centers.shape)
+            band = on.copy()
+            axis = rng.integers(n, size=centers.shape[0])
+            depth = rng.uniform(plateau, hw, size=centers.shape[0])
+            sign = rng.choice([-1.0, 1.0], size=centers.shape[0])
+            band[np.arange(centers.shape[0]), axis] = (
+                centers[np.arange(centers.shape[0]), axis] + sign * depth
+            )
+            probes += [on, band]
+        outside = rng.uniform(3.0, 5.0, size=(50, n)) * rng.choice([-1.0, 1.0], n)
+        nonfinite = np.full((3, n), 0.3)
+        nonfinite[:, 0] = [np.nan, np.inf, -np.inf]
+        pts = np.concatenate(probes + [outside, nonfinite])
+        return g, pts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_reference_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        g, pts = self._sum_and_points(n, m, rng)
+        gammas = list(g.multiindices)
+        want = np.zeros((pts.shape[0], len(gammas)))
+        for blk in g.blocks:
+            _reference_add_jet(blk, pts, gammas, want)
+        got = g.jet(pts, gammas)
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the probes reached plateaus, bands and the empty outside
+        assert np.count_nonzero(got[:, 0]) > pts.shape[0] // 2
+        assert np.all(got[-53:] == 0.0)
+
+
+class TestFoldColumns:
+    """Column folds must equal numpy's own reductions over the last axis."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("shape", [(), (40,), (0,), (4, 5)], ids=str)
+    def test_equals_axis_reductions(self, n, shape):
+        rng = np.random.default_rng(n + len(shape))
+        a = rng.normal(size=shape + (n,))
+        if a.size:
+            flat = a.reshape(-1, n)
+            flat[0, 0] = np.nan
+            flat[-1, -1] = np.inf
+            flat[len(flat) // 2, 0] = -np.inf
+        npt.assert_array_equal(_fold_columns(np.maximum, a), a.max(axis=-1))
+        got = _fold_columns(np.add, a * a)
+        want = np.add.reduce(a * a, axis=-1)
+        assert np.array_equal(
+            np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)
+        )
+        lit = a > 0.0
+        npt.assert_array_equal(
+            _fold_columns(np.logical_and, lit), np.all(lit, axis=-1)
+        )
+        assert np.shape(_fold_columns(np.maximum, a)) == shape
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_box_contains(self, n):
+        rng = np.random.default_rng(n)
+        dom = BoxDomain((0.0,) * n, tuple(float(v) for v in range(1, n + 1)))
+        lo, hi = np.zeros(n), np.arange(1.0, n + 1.0)
+        for shape in [(n,), (200, n), (6, 7, n), (0, n)]:
+            x = rng.uniform(-0.5, n + 0.5, size=shape)
+            if x.ndim > 1 and x.shape[0]:
+                x[0, 0] = np.nan
+                x[1, -1] = np.inf
+                x[2, 0] = -np.inf
+            want = np.all((x >= lo) & (x <= hi), axis=-1)
+            got = dom.contains(x)
+            assert np.shape(got) == np.shape(want)
+            npt.assert_array_equal(got, want)
+        assert dom.contains(hi) and not dom.contains(hi + 1e-9)
+
+
 class TestCellBounds:
     def test_bounds_dominate_dense_sampling(self):
         rng = np.random.default_rng(12)
@@ -715,10 +858,13 @@ def test_every_export_resolves(module):
     assert missing == []
 
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lusinkit"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "lusinkit").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     # a name is used if the module loads it anywhere or lists it in __all__
     tree = ast.parse(path.read_text())

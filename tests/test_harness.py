@@ -30,7 +30,6 @@ from lusinkit.harness import (
     load_function,
     run_construct,
     save_function,
-    sibling_certificate_path,
     stream_seed,
 )
 from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build

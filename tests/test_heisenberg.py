@@ -18,7 +18,6 @@ from lusinkit.heisenberg import (
     characteristic_fraction,
     circulation_counterexample,
     dilate,
-    euclidean_graph_sampler,
     group_inv,
     group_mul,
     holder_exponent,
