@@ -10,8 +10,9 @@ the block's bounding lattice, padded by an empty border that catches every
 point outside it, non-finite ones included.  A block too sparse for such a
 table (more than 64 entries per cell) binary-searches its sorted cell keys.
 Points are (M, n) arrays, but hot paths work one column at a time: they
-reduce across columns, and the kernel touches only a block's live
-coefficient columns, those with a nonzero entry.
+reduce across columns, and the kernel and the cell bounds touch only live
+coefficient columns, those with a nonzero entry.  Evaluation outputs, one
+column per multi-index, are column-major (Fortran-ordered) arrays.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -482,25 +483,34 @@ def cell_derivative_bounds(
     idx, pos, poly_terms, leibniz = _bound_plan(n, m)
     if coeffs.ndim != 2 or coeffs.shape[1] != len(idx):
         raise ValueError("coeffs must have shape (N, %d)" % len(idx))
-    ac = np.abs(coeffs)
     A = profile.derivative_maxima
     theta = profile.theta
-    ub: dict[tuple[int, ...], np.ndarray] = {}
+    # For a positive half width every addend is +0 or more (or NaN).  A dead
+    # column, or a sum with no live term, adds +0 unless its factor is not
+    # finite, so sums start at their first live term, exactly as from zero.
+    nil = np.zeros(coeffs.shape[0])
+    ac = {c: np.abs(coeffs[:, c]) for c in range(len(idx)) if coeffs[:, c].any()}
+    ub: dict[tuple[int, ...], np.ndarray | None] = {}
     for gp in idx:
-        tot = np.zeros(coeffs.shape[0])
+        tot = None
         for col, deg, invfact, _ in poly_terms[gp]:
-            tot += ac[:, col] * (half_width**deg * invfact)
+            w = half_width**deg * invfact
+            if col in ac or not math.isfinite(w):
+                term = ac.get(col, nil) * w
+                tot = term if tot is None else tot + term
         ub[gp] = tot
-    out = np.zeros((len(idx), coeffs.shape[0]))
+    out = np.empty((len(idx), coeffs.shape[0]))
     for g, gamma in enumerate(idx):
-        tot = np.zeros(coeffs.shape[0])
+        tot = None
         for beta, comb, gp in leibniz[gamma]:
             afac = 1.0
             for b in beta:
                 afac *= A[b]
-            k = sum(beta)
-            tot += (comb * afac / (theta * half_width) ** k) * ub[gp]
-        out[g] = tot
+            w = comb * afac / (theta * half_width) ** sum(beta)
+            if ub[gp] is not None or not math.isfinite(w):
+                term = w * (nil if ub[gp] is None else ub[gp])
+                tot = term if tot is None else tot + term
+        out[g] = nil if tot is None else tot
     return out
 
 
@@ -736,7 +746,7 @@ class BumpPolySum:
                     "derivatives above order %d are not defined" % self._m
                 )
         pts = np.asarray(x, float)
-        out = np.zeros((pts.shape[0], len(gammas)))
+        out = np.zeros((pts.shape[0], len(gammas)), order="F")
         for b in self._blocks:
             if stages is None or b.stage in stages:
                 b.add_jet(pts, gammas, out)

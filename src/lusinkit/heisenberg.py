@@ -318,7 +318,7 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
     dyadic lattice: on the flagship surface, whose finest lattice has 1024
     cells per axis, it gives 0.0019 where uniform sampling gives 0.0069.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     if grid < 1:
         raise ValueError("grid must be at least 1")

@@ -74,7 +74,7 @@ class FieldCollection:
         pts = np.atleast_2d(np.asarray(x, float))
         if pts.shape[1] != self.dimension:
             raise ValueError("points do not match the field dimension")
-        out = np.zeros((pts.shape[0], len(self.sources)))
+        out = np.zeros((pts.shape[0], len(self.sources)), order="F")
         for j, (_, fn) in enumerate(self.sources):
             if fn is not None:
                 out[:, j] = np.asarray(fn(pts), float)
@@ -123,10 +123,9 @@ class BuildConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        for name in ("sigma", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if self.grid < 2:
@@ -158,6 +157,22 @@ def _grid_cells(grid: int, n: int) -> list:
     return [(0, np.indices((grid,) * n).reshape(n, -1).T)]
 
 
+def _cell_lows(idx, lower, h: float) -> np.ndarray:
+    """Corners lower + idx h of cells idx (B, n), Fortran-ordered, per column."""
+    lows = np.empty(idx.shape, order="F")
+    for i in range(idx.shape[1]):
+        lows[:, i] = lower[i] + idx[:, i] * h
+    return lows
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] per column: numpy gathers rows of a Fortran-ordered a slowly."""
+    out = np.empty((rows.size, a.shape[1]), a.dtype, order="F")
+    for i in range(a.shape[1]):
+        a[:, i].take(rows, out=out[:, i])
+    return out
+
+
 def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> float:
     """Smallest level T with max|data| <= T at the requested fraction of the
     seed cells' centers; quantile 1 gives the sampled maximum.
@@ -169,7 +184,7 @@ def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> flo
     for r, idx in seeds:
         h = h0 / 2**r
         for s in range(0, idx.shape[0], _BATCH):
-            centers = lower + idx[s : s + _BATCH] * h + h / 2.0
+            centers = _cell_lows(idx[s : s + _BATCH], lower, h) + h / 2.0
             samples.append(_fold_columns(np.maximum, np.abs(evaluate(centers))))
     vals = np.concatenate(samples)
     if quantile >= 1.0:
@@ -198,14 +213,18 @@ def _stencil_osc(evaluate, centers, center_vals, hw, theta):
     n = centers.shape[1]
     p = (1.0 - theta) * hw
     offs = np.array(list(itertools.product((-p, 0.0, p), repeat=n)))
+    S = offs.shape[0]
     out = np.empty(centers.shape[0])
-    step = max(1, _BATCH // offs.shape[0])
+    step = max(1, _BATCH // S)
     for s in range(0, centers.shape[0], step):
         block = centers[s : s + step]
-        pts = (block[:, None, :] + offs[None, :, :]).reshape(-1, n)
-        v = evaluate(pts).reshape(block.shape[0], offs.shape[0], -1)
-        dev = np.abs(v - center_vals[s : s + step, None, :])
-        out[s : s + step] = _fold_columns(np.maximum, _fold_columns(np.maximum, dev))
+        nb = block.shape[0]
+        pts = np.empty((nb * S, n), order="F")
+        for i in range(n):
+            pts[:, i] = np.repeat(block[:, i], S) + np.tile(offs[:, i], nb)
+        dev = np.abs(evaluate(pts) - np.repeat(center_vals[s : s + step], S, axis=0))
+        dev = _fold_columns(np.maximum, dev).reshape(nb, S)
+        out[s : s + step] = _fold_columns(np.maximum, dev)
     return out
 
 
@@ -238,11 +257,14 @@ def _run_stage(
     tested in batches of _BATCH cells; a refined entry holds the failing
     parents, and each batch expands only its own children.  Results are
     merged once per entry, so the outcome does not depend on _BATCH.
-    top_cols, by_order and grad_rows locate, in the coefficient columns,
-    the top-order indices, the indices of each order q, and the n
+    Batches are Fortran-ordered (B, n) arrays, and the bound checks run on
+    compact arrays of the cells past truncation, recording the first each
+    fails.  top_cols, by_order and grad_rows locate, in the coefficient
+    columns, the top-order indices, the indices of each order q, and the n
     first-order raises of each index of order q < m.  In later stages sat
     is the summed-area table of the coverage mask, and _pinch_fails reads
-    each tested cell's pinch off it.
+    a cell's pinch off it: below refine_max only for cells passing the
+    other bound checks, at refine_max for all, as the pinch counts first.
     """
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
@@ -294,91 +316,87 @@ def _run_stage(
 
         for s in range(0, N, _BATCH):
             if split:
-                r0, r1 = s // per_row, -(-(s + _BATCH) // per_row)
-                kids = (cells[r0:r1, None, :] * 2 + shifts[None, :, :]).reshape(-1, n)
-                idx = kids[s - r0 * per_row : s - r0 * per_row + _BATCH]
+                # children of the parent rows the batch reaches, axis by axis
+                r0 = s // per_row
+                par = cells[r0 : -(-(s + _BATCH) // per_row)]
+                idx = np.empty((par.shape[0] * per_row, n), np.int64, order="F")
+                for i in range(n):
+                    idx[:, i] = np.repeat(par[:, i] * 2, per_row)
+                    idx[:, i] += np.tile(shifts[:, i], par.shape[0])
+                idx = idx[s - r0 * per_row :][:_BATCH]
             else:
-                idx = cells[s : s + _BATCH]
-            B = idx.shape[0]
-            lows = lower + idx * h
+                idx = np.asfortranarray(cells[s : s + _BATCH])
+            lows = _cell_lows(idx, lower, h)
             centers = lows + hw
             vals = evaluate(centers)
             amax = _fold_columns(np.maximum, np.abs(vals))
-
             zero = amax == 0.0
             trunc_bad = ~zero & (amax > T)
-            test = ~zero & ~trunc_bad
+            ti = np.flatnonzero(~zero & ~trunc_bad)
 
-            fail_cap = np.zeros(B, bool)
-            fail_scap = np.zeros(B, bool)
-            fail_lip = np.zeros(B, bool)
-            fail_env = np.zeros(B, bool)
-            lip_low = np.zeros(B)
-            env = np.zeros(B)
-            border = np.zeros((B, m))
-
-            ti = np.flatnonzero(test)
+            # per tested cell, the first bound check it fails, by its place in
+            # reasons, or 0; later checks are written first
+            code = np.zeros(ti.size, np.int8)
             if ti.size:
-                coeffs = np.zeros((ti.size, K))
-                coeffs[:, top_cols] = vals[ti]
+                coeffs = np.zeros((ti.size, K), order="F")
+                for j, col in enumerate(top_cols):
+                    coeffs[:, col] = vals[:, j].take(ti)
                 bounds = cell_derivative_bounds(profile, n, m, coeffs, hw)
                 bmax = np.stack(
                     [bounds[by_order[q]].max(axis=0) for q in range(m + 1)]
                 )
-                lip = {
-                    q: np.sqrt((bounds[grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
+                lip = [
+                    np.sqrt((bounds[grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
                     for q in range(m)
-                }
-                S_t = bmax[m - 1]
-                L_t = lip[m - 1]
+                ]
+                S_t, L_t = bmax[m - 1], lip[m - 1]
                 env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
-
+                lip_low = np.stack(lip[: m - 1] or [np.zeros(ti.size)]).max(axis=0)
+                code[env_t > w_mod] = 4
+                code[lip_low > b_sup] = 3
+                code[S_t > b_sup / sqrt_n] = 2
                 if sat is None:
-                    fail_cap[ti] = (bmax[:m] > b_sup).any(axis=0)
+                    code[(bmax[:m] > b_sup).any(axis=0)] = 1
                 else:
+                    # a failing cell splits whatever its pinch below refine_max
+                    pc = np.flatnonzero((code == 0) | (level == cfg.refine_max))
                     f = 2 ** (cfg.refine_max - level)
-                    worst = bmax[:m].max(axis=0)
-                    fail_cap[ti] = _pinch_fails(sat, idx[ti], f, worst, b_sup, h_rm)
-                fail_scap[ti] = S_t > b_sup / sqrt_n
-                if m >= 2:
-                    lip_low[ti] = np.stack([lip[q] for q in range(m - 1)]).max(axis=0)
-                    fail_lip[ti] = lip_low[ti] > b_sup
-                fail_env[ti] = env_t > w_mod
-                env[ti] = env_t
-                border[ti] = bmax[:m].T
+                    worst = bmax[:m, pc].max(axis=0)
+                    near = _take_rows(idx, ti[pc])
+                    code[pc[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]] = 1
 
-            bounds_ok = test & ~(fail_cap | fail_scap | fail_lip | fail_env)
-            survivors = zero | bounds_ok
-            fail_osc = np.zeros(B, bool)
-            si = np.flatnonzero(survivors)
-            if si.size:
-                osc = _stencil_osc(evaluate, centers[si], vals[si], hw, cfg.theta)
-                fail_osc[si] = osc > cfg.tau
-
-            ok_zero = zero & ~fail_osc
-            ok_term = bounds_ok & ~fail_osc
-            if ok_zero.any():
-                zero_lows.append(lows[ok_zero])
+            # zero cells and cells passing every bound check, in cell order
+            cand = zero.copy()
+            cand[ti[code == 0]] = True
+            si = np.flatnonzero(cand)
+            osc = _stencil_osc(
+                evaluate, _take_rows(centers, si), _take_rows(vals, si), hw, cfg.theta
+            )
+            osc_bad = osc > cfg.tau
+            good = si[~osc_bad]
+            ok_zero = zero[good]
+            oz, oi = good[ok_zero], good[~ok_zero]
+            if oz.size:
+                zero_lows.append(_take_rows(lows, oz))
                 zero_count += ok_zero.sum()
-            if ok_term.any():
-                oi = np.flatnonzero(ok_term)
-                term_idx.append(idx[oi])
-                term_vals.append(vals[oi])
-                plateaus.append(
-                    np.concatenate([centers[oi] - p, centers[oi] + p], axis=1)
-                )
-                sup_acc = np.maximum(sup_acc, border[oi].max(axis=0))
-                lip_acc = max(lip_acc, lip_low[oi].max())
-                env_acc = max(env_acc, env[oi].max())
+            if oi.size:
+                term_idx.append(_take_rows(idx, oi))
+                term_vals.append(_take_rows(vals, oi))
+                c = _take_rows(centers, oi)
+                plateaus.append(np.concatenate([c - p, c + p], axis=1))
+                k = np.searchsorted(ti, oi)
+                sup_acc = np.maximum(sup_acc, bmax[:m, k].max(axis=1))
+                lip_acc = max(lip_acc, lip_low[k].max())
+                env_acc = max(env_acc, env_t[k].max())
 
-            failing = ~(ok_zero | ok_term)
             if level < cfg.refine_max:
-                failed.append(idx[failing])
+                failing = np.ones(idx.shape[0], bool)
+                failing[good] = False
+                failed.append(_take_rows(idx, np.flatnonzero(failing)))
                 continue
-            masks = (trunc_bad, fail_cap, fail_scap, fail_lip, fail_env, fail_osc)
-            for j, mask in enumerate(masks):
-                rejected[j] += (failing & mask).sum()
-                failing &= ~mask
+            rejected[0] += trunc_bad.sum()
+            rejected[1:5] += np.bincount(code, minlength=5)[1:]
+            rejected[5] += osc_bad.sum()
 
         terms = sum(part.shape[0] for part in term_idx)
         if zero_lows:
@@ -674,6 +692,8 @@ def tail_pinch_check(
     a dict with the worst ratio and a vacuous flag when no stage has any
     later terms to test.
     """
+    if samples < 1:
+        raise ValueError("sample count must be positive")
     n, m = cert.dimension, cert.order
     rng = np.random.default_rng(seed)
     gammas = multiindices_upto(n, m - 1)

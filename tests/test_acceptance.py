@@ -150,6 +150,24 @@ def test_criterion_3e_tail_pinch(flagship):
     assert pinch["vacuous"]
 
 
+def test_criterion_3f_flagship_stage_reports(flagship):
+    # a cell failing at refine_max counts under the first check it fails,
+    # so these pin the order of the stage's checks, the pinch first
+    _, cert, _, _ = flagship
+    got = [
+        (r.cells_considered, r.cells_accepted, r.reject_counts)
+        for r in cert.stage_reports
+    ]
+    assert got == [
+        (1_372_516, 10_120, {"truncation": 16_320, "modulus": 1_003_971}),
+        (
+            1_358_924,
+            0,
+            {"pinch": 27_559, "truncation": 16_320, "modulus": 976_412},
+        ),
+    ]
+
+
 def test_criterion_4_second_order_build():
     t0 = time.perf_counter()
     dom = BoxDomain((0.0, 0.0), (1.0, 1.0))

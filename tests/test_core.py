@@ -848,6 +848,75 @@ class TestCellBounds:
         assert top <= prof.bound_constant(n)
 
 
+def _reference_cell_derivative_bounds(profile, n, m, coeffs, half_width):
+    """The cell bound routine that the live-column one replaced, kept
+    verbatim as an oracle: it sums every coefficient column, each sum
+    seeded with np.zeros."""
+    idx, pos, poly_terms, leibniz = _bound_plan(n, m)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(idx):
+        raise ValueError("coeffs must have shape (N, %d)" % len(idx))
+    ac = np.abs(coeffs)
+    A = profile.derivative_maxima
+    theta = profile.theta
+    ub: dict[tuple[int, ...], np.ndarray] = {}
+    for gp in idx:
+        tot = np.zeros(coeffs.shape[0])
+        for col, deg, invfact, _ in poly_terms[gp]:
+            tot += ac[:, col] * (half_width**deg * invfact)
+        ub[gp] = tot
+    out = np.zeros((len(idx), coeffs.shape[0]))
+    for g, gamma in enumerate(idx):
+        tot = np.zeros(coeffs.shape[0])
+        for beta, comb, gp in leibniz[gamma]:
+            afac = 1.0
+            for b in beta:
+                afac *= A[b]
+            k = sum(beta)
+            tot += (comb * afac / (theta * half_width) ** k) * ub[gp]
+        out[g] = tot
+    return out
+
+
+class TestCellBoundsOracle:
+    """Bounds that skip all-zero coefficient columns must equal the
+    all-column reference bit for bit."""
+
+    @staticmethod
+    def _coeff_sets(n, m, rng):
+        idx = multiindices_upto(n, m)
+        top = [j for j, a in enumerate(idx) if sum(a) == m]
+        full = rng.normal(size=(40, len(idx)))
+        # rows of zeros, of negative zeros, and of non-finite entries
+        full[5] = 0.0
+        full[6] = -0.0
+        full[7, 0] = np.nan
+        full[8, -1] = np.inf
+        only_top = np.zeros_like(full)
+        only_top[:, top] = full[:, top]
+        one = np.zeros_like(full)
+        one[:, top[-1]] = full[:, top[-1]]
+        return {"top": only_top, "all": full, "one": one, "zero": np.zeros((9, len(idx)))}
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_reference_bit_for_bit(self, n, m, order):
+        rng = np.random.default_rng(10 * n + m)
+        prof = CutoffProfile(m, 0.5)
+        for name, coeffs in self._coeff_sets(n, m, rng).items():
+            coeffs = np.asarray(coeffs, order=order)
+            # the last three make some factors non-finite; as a numpy scalar,
+            # 1e-120 drives (theta h)^3 to zero instead of raising
+            for hw in (0.25, 3.0, np.inf, np.nan, np.float64(1e-120)):
+                with np.errstate(all="ignore"):
+                    want = _reference_cell_derivative_bounds(prof, n, m, coeffs, hw)
+                    got = cell_derivative_bounds(prof, n, m, coeffs, hw)
+                assert got.shape == want.shape, name
+                npt.assert_array_equal(
+                    got.view(np.uint64), want.view(np.uint64), err_msg=name
+                )
+
+
 @pytest.mark.parametrize(
     "module",
     ["lusinkit", "lusinkit.harness", "lusinkit.heisenberg", "lusinkit.lusin"],

@@ -508,6 +508,16 @@ class TestCli:
         assert "infeasible" in err and "modulus" in err
         assert not (tmp_path / "sub").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tau", "nan"), ("--tau", "inf"), ("--sigma", "nan")]
+    )
+    def test_non_finite_budget_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "none"
+        rc = main(["construct", "--field", "heisenberg", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_construct_builds_what_the_library_builds(self, tmp_path):
         out = tmp_path / "defaults"
         assert main(["construct", "--field", "heisenberg", "--out", str(out)]) == 0
@@ -560,6 +570,13 @@ class TestCli:
         assert text.splitlines()[0] == "quantity,value"
         assert "characteristic_fraction," in text
         assert "alpha_u," in text
+
+    def test_heis_graph_rejects_nan_tau(self, growth_run, capsys):
+        paths, _, _ = growth_run
+        rc = main(["heis", "graph", "analyze", paths["function"], "--tau", "nan"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tau" in captured.err
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_heis_graph_rejects_empty_grid(self, growth_run, capsys, grid):

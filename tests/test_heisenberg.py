@@ -381,6 +381,12 @@ class TestCharacteristicFraction:
         with pytest.raises(ValueError, match="tau"):
             characteristic_fraction(G, 0.0)
 
+    def test_nan_tau_rejected(self):
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        G = GraphMap.from_sum(dom, BumpPolySum(2, 1))
+        with pytest.raises(ValueError, match="tau"):
+            characteristic_fraction(G, math.nan)
+
     @pytest.mark.parametrize("grid", [0, -3])
     def test_grid_validation(self, grid):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))

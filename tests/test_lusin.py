@@ -139,7 +139,13 @@ class TestBuildConfig:
             {"eps": 0.0},
             {"eps": 1.0},
             {"sigma": 0.0},
+            {"sigma": math.nan},
+            {"sigma": math.inf},
+            {"sigma": -math.inf},
             {"tau": 0.0},
+            {"tau": math.nan},
+            {"tau": math.inf},
+            {"tau": -math.inf},
             {"theta": 0.0},
             {"theta": 1.0},
             {"grid": 1},
@@ -623,6 +629,12 @@ class TestCoverageTable:
 
 
 class TestTailPinch:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_no_samples(self, growth_build, samples):
+        _, _, g, cert = growth_build
+        with pytest.raises(ValueError, match="sample"):
+            tail_pinch_check(g, cert, samples=samples)
+
     def test_vacuous_without_later_stages(self, single_build):
         _, _, g, cert = single_build
         tp = tail_pinch_check(g, cert, samples=100, seed=0)
