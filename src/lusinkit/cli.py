@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .core import (
     BoxDomain,
@@ -44,6 +45,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
+
+# construct has one flag per BuildConfig field, parsed by the field's type; a
+# modulus stays text until cli_construct reads it with _modulus_spec
+_SETTING_FLAG_TYPES = {"int": int, "float": float, "Modulus": str}
+_SETTING_HELP = {
+    "grid": "stage-1 cells per axis",
+    "modulus": "log, power:BETA or pwl:t0,v0;t1,v1;...",
+}
 
 
 def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
@@ -95,18 +104,12 @@ def _print_csv(header, rows):
 
 
 def cli_construct(ns) -> int:
-    cfg = BuildConfig(
-        eps=ns.eps,
-        sigma=ns.sigma,
-        tau=ns.tau,
-        theta=ns.theta,
-        grid=ns.grid,
-        stages=ns.stages,
-        quantile=ns.quantile,
-        refine_max=ns.refine_max,
-        seed=ns.seed,
-        modulus=_modulus_spec(ns.modulus),
-    )
+    # only the settings flags given are in ns; BuildConfig supplies the rest
+    names = {f.name for f in fields(BuildConfig)}
+    settings = {k: v for k, v in vars(ns).items() if k in names}
+    if "modulus" in settings:
+        settings["modulus"] = _modulus_spec(settings["modulus"])
+    cfg = BuildConfig(**settings)
     dom = _domain(ns.domain)
     paths, _, cert = run_construct(ns.field, dom, cfg, ns.out, ns.name)
     print(f"function    {paths['function']}")
@@ -180,18 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="run a construction and persist it")
     c.add_argument("--field", required=True, help="catalog field name")
     c.add_argument("--domain", default="0,0,1,1", help="lows then highs, e.g. 0,0,1,1")
-    c.add_argument("--grid", type=int, default=64, help="stage-1 cells per axis")
-    c.add_argument("--eps", type=float, default=0.05)
-    c.add_argument("--sigma", type=float, default=0.5)
-    c.add_argument("--tau", type=float, default=1e-3)
-    c.add_argument("--theta", type=float, default=0.5)
-    c.add_argument(
-        "--modulus", default="log", help="log, power:BETA or pwl:t0,v0;t1,v1;..."
-    )
-    c.add_argument("--stages", type=int, default=4)
-    c.add_argument("--quantile", type=float, default=0.995)
-    c.add_argument("--refine-max", type=int, default=3)
-    c.add_argument("--seed", type=int, default=0)
+    for f in fields(BuildConfig):
+        c.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=_SETTING_FLAG_TYPES[f.type],
+            default=argparse.SUPPRESS,
+            help=_SETTING_HELP.get(f.name),
+        )
     c.add_argument("--out", default=None, help="output directory")
     c.add_argument("--name", default="function", help="basename for output files")
     c.set_defaults(func=cli_construct)

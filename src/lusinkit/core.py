@@ -322,17 +322,26 @@ class PiecewiseLinearModulus(Modulus):
 
 
 def modulus_from_dict(spec: dict) -> Modulus:
-    """Build a modulus from its spec_dict() form."""
-    kind = spec.get("kind")
-    if kind == "log":
-        return LogModulus()
-    if kind == "power":
-        return PowerModulus(float(spec["beta"]))
-    if kind == "pwl":
-        return PiecewiseLinearModulus(
-            tuple((float(t), float(v)) for t, v in spec["knots"])
-        )
-    raise ValueError("unknown modulus kind: %r" % (kind,))
+    """Build a modulus from its spec_dict() form.
+
+    Raises ValueError for a spec of the wrong JSON types, never coercing: a
+    beta must be a number, the knots a list of [t, v] number pairs.
+    """
+    kind = _json_is(spec, dict).get("kind")
+    try:
+        if kind == "log":
+            return LogModulus()
+        if kind == "power":
+            return PowerModulus(_json_is(spec.get("beta"), int, float))
+        if kind == "pwl":
+            pair = _FROM_JSON["tuple[float, ...]"]
+            knots = tuple(pair(k) for k in _json_is(spec.get("knots"), list))
+            if any(len(k) != 2 for k in knots):
+                raise ValueError("knots must be [t, v] pairs")
+            return PiecewiseLinearModulus(knots)
+    except ValueError as exc:
+        raise ValueError(f"modulus spec {spec}: {exc}") from None
+    raise ValueError(f"unknown modulus kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +793,11 @@ def _jsonable(v):
     return v
 
 
-def _json_is(v, kind: type):
+def _json_is(v, *kinds: type):
     # exact types, so a bool is not an int
-    if type(v) is not kind:
-        raise ValueError(f"expected {kind.__name__}, got {v!r}")
+    if type(v) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"expected {names}, got {v!r}")
     return v
 
 
@@ -875,7 +885,7 @@ class BuildCertificate:
     domain_lower: tuple[float, ...]
     domain_upper: tuple[float, ...]
     field_name: str
-    modulus: dict
+    modulus: Modulus
     theta: float
     sigma: float
     eps: float
@@ -924,7 +934,7 @@ class BuildCertificate:
                 "upper": _jsonable(self.domain_upper),
             },
             "field": self.field_name,
-            "modulus": _jsonable(self.modulus),
+            "modulus": self.modulus.spec_dict(),
             "config": {
                 "theta": self.theta,
                 "sigma": self.sigma,
@@ -983,6 +993,7 @@ class BuildCertificate:
             if any(c.size and c.dtype.kind not in "if" for c in cells):
                 raise ValueError("covered_cells: expected numbers")
             return cls(
+                modulus=modulus_from_dict(d["modulus"]),
                 stage_reports=tuple(StageReport.from_dict(r) for r in d["stages"]),
                 covered_cells=tuple(
                     c.astype(float).reshape(-1, 2 * read["dimension"]) for c in cells

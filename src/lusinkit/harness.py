@@ -4,8 +4,9 @@ The construction library returns in-memory objects; this module owns the
 on-disk story: a versioned function-file format, atomic JSON files, run
 manifests, and a sampling certifier whose checks draw from independent
 labeled random streams so that adding a check never perturbs another.
-Certificates read and write themselves (BuildCertificate.to_dict and
-from_dict); this module only moves them to and from disk.
+Certificates and build configs read and write themselves (to_dict and
+from_dict of BuildCertificate and BuildConfig); this module only moves them
+to and from disk.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,9 +25,9 @@ from .core import (
     BumpPolySum,
     BuildCertificate,
     InfeasibleBudgetError,
+    _FROM_JSON,
     _fold_columns,
     _jsonable,
-    modulus_from_dict,
     multiindices_upto,
 )
 from .lusin import (
@@ -41,7 +41,6 @@ from .lusin import (
 __all__ = [
     "FORMAT_VERSION",
     "FunctionFileError",
-    "RunManifest",
     "certify_function",
     "default_output_dir",
     "execute_manifest",
@@ -257,55 +256,6 @@ def load_certificate(path: str) -> BuildCertificate:
 # manifests and construction runs
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one construction run."""
-
-    command: str
-    field: str
-    domain_lower: tuple
-    domain_upper: tuple
-    config: dict
-    artifact_version: str
-    created: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "field": self.field,
-            "domain": {"lower": list(self.domain_lower), "upper": list(self.domain_upper)},
-            "config": dict(self.config),
-            "artifact_version": self.artifact_version,
-            "created": self.created,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            command=str(d["command"]),
-            field=str(d["field"]),
-            domain_lower=tuple(float(v) for v in d["domain"]["lower"]),
-            domain_upper=tuple(float(v) for v in d["domain"]["upper"]),
-            config=dict(d["config"]),
-            artifact_version=str(d["artifact_version"]),
-            created=str(d["created"]),
-        )
-
-    def build_config(self) -> BuildConfig:
-        cfg = dict(self.config)
-        cfg["modulus"] = modulus_from_dict(cfg["modulus"])
-        return BuildConfig(**cfg)
-
-    def domain(self) -> BoxDomain:
-        return BoxDomain(self.domain_lower, self.domain_upper)
-
-
-def _config_spec(cfg: BuildConfig) -> dict:
-    spec = {f.name: getattr(cfg, f.name) for f in fields(BuildConfig)}
-    spec["modulus"] = cfg.modulus.spec_dict()
-    return spec
-
-
 def run_construct(
     field_name: str,
     dom: BoxDomain,
@@ -339,29 +289,39 @@ def run_construct(
     }
     save_function(g, dom, paths["function"])
     write_json(paths["certificate"], cert.to_dict(include_cells=True))
-    manifest = RunManifest(
-        command="construct",
-        field=field_name,
-        domain_lower=tuple(float(v) for v in dom.lower),
-        domain_upper=tuple(float(v) for v in dom.upper),
-        config=_config_spec(cfg),
-        artifact_version=_artifact_version(),
-        created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-    write_json(paths["manifest"], manifest.to_dict())
+    manifest = {
+        "command": "construct",
+        "field": field_name,
+        "domain": {"lower": cert.domain_lower, "upper": cert.domain_upper},
+        "config": cfg.to_dict(),
+        "artifact_version": _artifact_version(),
+        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    write_json(paths["manifest"], manifest)
     return paths, g, cert
 
 
-def execute_manifest(manifest: "RunManifest | str", out_dir: str, basename="function"):
-    """Re-run a recorded construction; outputs must match the original."""
-    if isinstance(manifest, str):
-        with open(manifest) as fh:
-            manifest = RunManifest.from_dict(json.load(fh))
-    if manifest.command != "construct":
-        raise ValueError(f"cannot execute a {manifest.command!r} manifest")
-    return run_construct(
-        manifest.field, manifest.domain(), manifest.build_config(), out_dir, basename
-    )
+def execute_manifest(path: str, out_dir: str, basename: str = "function"):
+    """Re-run the construction a manifest file records; outputs must match
+    the original's.
+
+    Raises ValueError("malformed manifest: ..."), writing nothing, for a
+    manifest of another command or with a missing or mistyped field.
+    """
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        if d["command"] != "construct":
+            raise ValueError(f"cannot execute a {d['command']!r} manifest")
+        corner = _FROM_JSON["tuple[float, ...]"]
+        dom = BoxDomain(corner(d["domain"]["lower"]), corner(d["domain"]["upper"]))
+        cfg = BuildConfig.from_dict(d["config"])
+        field_name = _FROM_JSON["str"](d["field"])
+    except ValueError as exc:
+        raise ValueError(f"malformed manifest: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed manifest: {exc!r}") from exc
+    return run_construct(field_name, dom, cfg, out_dir, basename)
 
 
 def _artifact_version() -> str:
@@ -526,19 +486,16 @@ def _check_lipschitz(g, cert, count, rng, dom) -> dict:
             "bound": 1.0,
             "margin": math.inf,
         }
-    out = _increment_check(g, gammas, lambda d: cert.sigma * d, count, rng, dom)
-    del out["pairs"]
-    return out
+    return _increment_check(g, gammas, lambda d: cert.sigma * d, count, rng, dom)
 
 
 def _check_modulus(g, cert, count, rng, dom) -> dict:
-    mu = modulus_from_dict(cert.modulus)
     gammas = [
         gm
         for gm in multiindices_upto(cert.dimension, cert.order - 1)
         if sum(gm) == cert.order - 1
     ]
-    return _increment_check(g, gammas, lambda d: d / mu(d), count, rng, dom)
+    return _increment_check(g, gammas, lambda d: d / cert.modulus(d), count, rng, dom)
 
 
 def _check_pinch(g, cert, count, rng) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .core import (
     StageReport,
     _fold_columns,
     _index_table,
+    _json_is,
     cell_derivative_bounds,
     enumerate_multiindices,
+    modulus_from_dict,
     multiindices_upto,
 )
 
@@ -105,9 +107,17 @@ def field_catalog(name: str) -> FieldCollection:
     )
 
 
+# BuildConfig's accepted types per field type; a bool is not a stage count
+_SETTING_TYPES = {"int": int, "float": (int, float), "Modulus": Modulus}
+
+
 @dataclass(frozen=True)
 class BuildConfig:
-    """Tunable knobs of a construction run."""
+    """Settings of a construction run.
+
+    construct's flags and the run manifest's config derive from these
+    fields.  Each value's type and range is checked, and nothing is coerced.
+    """
 
     eps: float = 0.05
     sigma: float = 0.5
@@ -121,6 +131,10 @@ class BuildConfig:
     modulus: Modulus = dataclass_field(default_factory=LogModulus)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, _SETTING_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         for name in ("sigma", "tau"):
@@ -136,8 +150,20 @@ class BuildConfig:
             raise ValueError("quantile must lie in (0, 1]")
         if not 0 <= self.refine_max <= 6:
             raise ValueError("refine_max must lie in 0..6")
-        if not isinstance(self.modulus, Modulus):
-            raise ValueError("modulus must be a Modulus instance")
+
+    def to_dict(self) -> dict:
+        """The fields by name, with the modulus as its spec_dict()."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["modulus"] = self.modulus.spec_dict()
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BuildConfig":
+        """Inverse of to_dict; ValueError for a missing, unknown or mistyped key."""
+        keys, names = set(_json_is(d, dict)), {f.name for f in fields(cls)}
+        if keys != names:
+            raise ValueError(f"config keys missing or unknown: {sorted(keys ^ names)}")
+        return cls(**{**d, "modulus": modulus_from_dict(d["modulus"])})
 
 
 # Cells a stage tests in one vectorised pass, and stencil points one call of
@@ -378,7 +404,7 @@ def _run_stage(
             oz, oi = good[ok_zero], good[~ok_zero]
             if oz.size:
                 zero_lows.append(_take_rows(lows, oz))
-                zero_count += ok_zero.sum()
+                zero_count += oz.size
             if oi.size:
                 term_idx.append(_take_rows(idx, oi))
                 term_vals.append(_take_rows(vals, oi))
@@ -409,7 +435,7 @@ def _run_stage(
             accepted.append((level, np.concatenate(term_idx), cf))
             boxes.append(np.concatenate(plateaus))
             covered += terms * (2.0 * p) ** n
-        accepted_count += int(zero_count) + terms
+        accepted_count += zero_count + terms
         for name, count in zip(reasons, rejected):
             if count:
                 reject[name] += int(count)
@@ -547,7 +573,7 @@ def _assemble_certificate(field, dom, cfg, profile, reports, covered, g):
         domain_lower=tuple(float(v) for v in dom.lower),
         domain_upper=tuple(float(v) for v in dom.upper),
         field_name=field.name,
-        modulus=cfg.modulus.spec_dict(),
+        modulus=cfg.modulus,
         theta=cfg.theta,
         sigma=cfg.sigma,
         eps=cfg.eps,

@@ -2,6 +2,7 @@ import gzip
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -23,7 +24,6 @@ from lusinkit.core import (
 )
 from lusinkit.harness import (
     FunctionFileError,
-    RunManifest,
     certify_function,
     execute_manifest,
     load_certificate,
@@ -241,6 +241,22 @@ def _string_cells(d):
     d["covered_cells"][0] = [["0", "0", "1", "1"]]
 
 
+def _string_beta(d):
+    d["modulus"]["beta"] = "1"
+
+
+def _flag_beta(d):
+    d["modulus"]["beta"] = True
+
+
+def _numeric_kind(d):
+    d["modulus"]["kind"] = 1
+
+
+def _flat_knots(d):
+    d["modulus"] = {"kind": "pwl", "knots": [0.0, 0.0, 1.0, 1.0]}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -252,6 +268,10 @@ def _string_cells(d):
         _flag_for_count,
         _string_number,
         _string_cells,
+        _string_beta,
+        _flag_beta,
+        _numeric_kind,
+        _flat_knots,
     ],
 )
 def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
@@ -262,8 +282,10 @@ def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
         BuildCertificate.from_dict(d)
     bad = tmp_path / "bad.certificate.json"
     bad.write_text(json.dumps(d))
-    rc = main(["certify", paths["function"], "--certificate", str(bad)])
-    assert rc == 2
+    # loading refuses it, so even a check that never reads the bad field
+    # cannot run
+    certify = ["certify", paths["function"], "--certificate", str(bad)]
+    assert main([*certify, "--checks", "match"]) == 2
     assert "malformed certificate" in capsys.readouterr().err
 
 
@@ -281,6 +303,18 @@ class TestCertify:
         assert checks["lipschitz"]["vacuous"]
         assert checks["modulus"]["worst"] <= 1.0
         assert not checks["pinch"]["vacuous"]
+
+    def test_lipschitz_report_counts_pairs(self, tmp_path):
+        # the second-order fixture has a first-order Lipschitz ledger to check
+        lkf = tmp_path / "xx2.lkf"
+        lkf.write_bytes(gzip.decompress((FIXTURES / "xx2.lkf.gz").read_bytes()))
+        g, dom = load_function(str(lkf))
+        raw = gzip.decompress((FIXTURES / "xx2.certificate.json.gz").read_bytes())
+        cert = BuildCertificate.from_dict(json.loads(raw))
+        report = certify_function(g, dom, cert, checks=("lipschitz",), pairs=500)
+        res = report["checks"]["lipschitz"]
+        assert "vacuous" not in res
+        assert res["pairs"] == 500
 
     def test_deterministic_and_stream_isolated(self, growth_run):
         paths, _, _ = growth_run
@@ -356,10 +390,11 @@ class TestManifest:
     def test_round_trip(self, growth_run):
         paths, _, _ = growth_run
         recorded = json.loads(Path(paths["manifest"]).read_text())
-        manifest = RunManifest.from_dict(recorded)
-        assert manifest.to_dict() == recorded
-        assert manifest.build_config() == GROWTH_CFG
-        assert manifest.domain().upper == (1.0, 1.0)
+        assert recorded["command"] == "construct"
+        assert recorded["field"] == "heisenberg"
+        assert recorded["domain"] == {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        assert recorded["config"] == GROWTH_CFG.to_dict()
+        assert BuildConfig.from_dict(recorded["config"]) == GROWTH_CFG
 
     def test_config_records_every_build_field(self, growth_run):
         paths, _, _ = growth_run
@@ -374,13 +409,75 @@ class TestManifest:
             b = Path(paths2[key]).read_bytes()
             assert a == b
 
-    def test_only_construct_manifests_run(self, growth_run, tmp_path):
-        paths, _, _ = growth_run
-        recorded = json.loads(Path(paths["manifest"]).read_text())
-        manifest = RunManifest.from_dict(recorded)
-        impostor = RunManifest.from_dict({**manifest.to_dict(), "command": "certify"})
-        with pytest.raises(ValueError, match="certify"):
-            execute_manifest(impostor, str(tmp_path))
+    def test_rerun_keeps_an_int_budget(self, tmp_path):
+        # a float setting given as an int is recorded, and rerun, as that int
+        cfg = BuildConfig(
+            sigma=50, tau=0.08, grid=8, stages=1, modulus=PowerModulus(1.0)
+        )
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        paths, _, _ = run_construct("heisenberg", dom, cfg, str(tmp_path / "a"))
+        config = json.loads(Path(paths["manifest"]).read_text())["config"]
+        assert type(config["sigma"]) is int
+        paths2, _, _ = execute_manifest(paths["manifest"], str(tmp_path / "b"))
+        for key in ("function", "certificate"):
+            assert Path(paths[key]).read_bytes() == Path(paths2[key]).read_bytes()
+
+
+def _fractional_grid(d):
+    d["config"]["grid"] = 2.7
+
+
+def _flag_for_stages(d):
+    d["config"]["stages"] = True
+
+
+def _string_sigma(d):
+    d["config"]["sigma"] = "50"
+
+
+def _unknown_key(d):
+    d["config"]["delta"] = 0.1
+
+
+def _missing_key(d):
+    del d["config"]["tau"]
+
+
+def _certify_command(d):
+    d["command"] = "certify"
+
+
+def _missing_field(d):
+    del d["field"]
+
+
+def _string_modulus_beta(d):
+    d["config"]["modulus"]["beta"] = "1"
+
+
+@pytest.mark.parametrize(
+    "corrupt, culprit",
+    [
+        (_fractional_grid, "grid"),
+        (_flag_for_stages, "stages"),
+        (_string_sigma, "sigma"),
+        (_unknown_key, "delta"),
+        (_missing_key, "tau"),
+        (_certify_command, "certify"),
+        (_missing_field, "field"),
+        (_string_modulus_beta, "beta"),
+    ],
+)
+def test_malformed_manifest(growth_run, tmp_path, corrupt, culprit):
+    paths, _, _ = growth_run
+    d = json.loads(Path(paths["manifest"]).read_text())
+    corrupt(d)
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"malformed manifest: .*{culprit}"):
+        execute_manifest(str(bad), str(out))
+    assert not out.exists()
 
 
 class TestCli:
@@ -445,6 +542,13 @@ class TestCli:
         rc = main(["construct", "--field", "zero", "--grid", "4", "--stages", "1"])
         assert rc == 0
         assert (target / "function.lkf").exists()
+
+    def test_construct_settings_flags_are_the_build_fields(self, capsys):
+        assert main(["construct", "--help"]) == 0
+        flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        own = {"help", "field", "domain", "out", "name"}
+        assert own <= flags
+        assert flags - own == {f.name.replace("_", "-") for f in fields(BuildConfig)}
 
     def test_malformed_knots_leave_no_files(self, tmp_path, capsys):
         out = tmp_path / "nothing"

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from lusinkit.core import (
     LogModulus,
     PiecewiseLinearModulus,
     PowerModulus,
+    StageReport,
 )
 from lusinkit.lusin import (
     BuildConfig,
@@ -155,6 +157,9 @@ class TestBuildConfig:
             {"refine_max": -1},
             {"refine_max": 7},
             {"modulus": "log"},
+            {"grid": 2.7},
+            {"stages": True},
+            {"sigma": "1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -265,6 +270,20 @@ class TestMultiStage:
         assert not cert.partial_cover
         pts = np.random.default_rng(0).uniform(size=(100, 2))
         npt.assert_array_equal(g.derivative(pts, (0, 0)), 0.0)
+
+    def test_zero_field_reports_hold_python_floats(self):
+        # zero-data cells once counted as a numpy sum, so the measures were
+        # numpy scalars
+        cfg = BuildConfig(grid=8, stages=2)
+        _, cert = multi_stage_build(field_catalog("zero"), UNIT_SQUARE, cfg)
+        assert cert.stage_reports[0].cells_accepted == 64
+        for report in cert.stage_reports:
+            for f in fields(StageReport):
+                value = getattr(report, f.name)
+                if f.type == "float":
+                    assert type(value) is float, f.name
+                elif f.type == "tuple[float, ...]":
+                    assert all(type(v) is float for v in value), f.name
 
     def test_second_stage_extends_coverage(self, growth_build):
         _, _, _, cert = growth_build
