@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 a requested certification check failed, 2 invalid
 input (flags, files, formats), 3 stage 1 certifies no cell; the message names
 the failing check.
+
+Each command imports the modules it uses when it runs, so `heis dist` loads
+neither numpy nor the builder.
 """
 
 from __future__ import annotations
@@ -11,35 +14,6 @@ import argparse
 import os
 import sys
 from dataclasses import fields
-
-from .core import (
-    BoxDomain,
-    InfeasibleBudgetError,
-    LogModulus,
-    PiecewiseLinearModulus,
-    PowerModulus,
-)
-from .harness import (
-    CHECK_NAMES,
-    FunctionFileError,
-    certify_function,
-    default_output_dir,
-    load_certificate,
-    load_function,
-    run_construct,
-    sibling_certificate_path,
-    write_json,
-)
-from .heisenberg import (
-    GraphMap,
-    HPoint,
-    cc_dist_bounds,
-    characteristic_fraction,
-    circulation_counterexample,
-    holder_transfer_check,
-    koranyi_dist,
-)
-from .lusin import BuildConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,11 +39,15 @@ def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
     return vals
 
 
-def _point(text: str) -> HPoint:
+def _point(text: str):
+    from .group import HPoint
+
     return HPoint(*_floats(text, 3))
 
 
 def _modulus_spec(text: str):
+    from .core import LogModulus, PiecewiseLinearModulus, PowerModulus
+
     kind, _, rest = text.partition(":")
     if kind == "log":
         return LogModulus()
@@ -81,7 +59,9 @@ def _modulus_spec(text: str):
     raise ValueError(f"unknown modulus spec {text!r} (use log, power:B or pwl:...)")
 
 
-def _domain(text: str) -> BoxDomain:
+def _domain(text: str):
+    from .core import BoxDomain
+
     vals = _floats(text)
     if len(vals) % 2 or not vals:
         raise ValueError("domain needs an even number of coordinates: lows then highs")
@@ -90,6 +70,8 @@ def _domain(text: str) -> BoxDomain:
 
 
 def _checks(text: str) -> tuple[str, ...]:
+    from .harness import CHECK_NAMES
+
     names = tuple(v.strip() for v in text.split(",") if v.strip())
     unknown = set(names) - set(CHECK_NAMES)
     if unknown:
@@ -104,6 +86,10 @@ def _print_csv(header, rows):
 
 
 def cli_construct(ns) -> int:
+    from .core import InfeasibleBudgetError
+    from .harness import default_output_dir, run_construct
+    from .lusin import BuildConfig
+
     # only the settings flags given are in ns; BuildConfig supplies the rest
     names = {f.name for f in fields(BuildConfig)}
     settings = {k: v for k, v in vars(ns).items() if k in names}
@@ -111,7 +97,12 @@ def cli_construct(ns) -> int:
         settings["modulus"] = _modulus_spec(settings["modulus"])
     cfg = BuildConfig(**settings)
     dom = _domain(ns.domain)
-    paths, _, cert = run_construct(ns.field, dom, cfg, ns.out, ns.name)
+    out = default_output_dir() if ns.out is None else ns.out
+    try:
+        paths, _, cert = run_construct(ns.field, dom, cfg, out, ns.name)
+    except InfeasibleBudgetError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     print(f"function    {paths['function']}")
     print(f"certificate {paths['certificate']}")
     print(f"manifest    {paths['manifest']}")
@@ -123,6 +114,9 @@ def cli_construct(ns) -> int:
 
 
 def cli_certify(ns) -> int:
+    from .harness import certify_function, load_certificate, load_function
+    from .harness import sibling_certificate_path, write_json
+
     g, dom = load_function(ns.function)
     cert_path = ns.certificate or sibling_certificate_path(ns.function)
     cert = load_certificate(cert_path)
@@ -139,20 +133,31 @@ def cli_certify(ns) -> int:
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
-def cli_heis(ns) -> int:
-    if ns.heis_cmd == "dist":
-        dk = koranyi_dist(ns.p, ns.q)
-        bounds = cc_dist_bounds(ns.p, ns.q)
-        _print_csv(
-            ("koranyi", "cc_lower", "cc_upper", "loose"),
-            [(repr(dk), repr(bounds.lower), repr(bounds.upper), bounds.loose)],
-        )
-        return EXIT_OK
-    if ns.heis_cmd == "counterexample":
-        a, b = circulation_counterexample()
-        _print_csv(("path_a", "path_b", "difference"), [(a, b, b - a)])
-        return EXIT_OK
-    # graph analyze
+def cli_heis_dist(ns) -> int:
+    from .group import cc_dist_bounds, gauge, inverse, product
+
+    # heisenberg.koranyi_dist of two HPoints, which takes this float path
+    dk = gauge(product(inverse(ns.q), ns.p))
+    bounds = cc_dist_bounds(ns.p, ns.q)
+    _print_csv(
+        ("koranyi", "cc_lower", "cc_upper", "loose"),
+        [(repr(dk), repr(bounds.lower), repr(bounds.upper), bounds.loose)],
+    )
+    return EXIT_OK
+
+
+def cli_heis_counterexample(ns) -> int:
+    from .heisenberg import circulation_counterexample
+
+    a, b = circulation_counterexample()
+    _print_csv(("path_a", "path_b", "difference"), [(a, b, b - a)])
+    return EXIT_OK
+
+
+def cli_heis_graph(ns) -> int:
+    from .harness import load_function
+    from .heisenberg import GraphMap, characteristic_fraction, holder_transfer_check
+
     g, dom = load_function(ns.function)
     if g.dimension != 2 or g.order != 1:
         raise ValueError("graph analysis expects a first-order planar function")
@@ -172,15 +177,24 @@ def cli_heis(ns) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lusinkit",
-        description="Construct functions with prescribed a.e. derivatives and "
-        "analyze horizontal graphs in the first Heisenberg group.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """A parser that calls add_arguments(self) when it first parses, so a
+    command whose flags come from a module imports it only when it runs."""
 
-    c = sub.add_parser("construct", help="run a construction and persist it")
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _construct_arguments(c: argparse.ArgumentParser) -> None:
+    from .lusin import BuildConfig
+
     c.add_argument("--field", required=True, help="catalog field name")
     c.add_argument("--domain", default="0,0,1,1", help="lows then highs, e.g. 0,0,1,1")
     for f in fields(BuildConfig):
@@ -192,12 +206,28 @@ def build_parser() -> argparse.ArgumentParser:
         )
     c.add_argument("--out", default=None, help="output directory")
     c.add_argument("--name", default="function", help="basename for output files")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _CommandParser(
+        prog="lusinkit",
+        description="Construct functions with prescribed a.e. derivatives and "
+        "analyze horizontal graphs in the first Heisenberg group.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser(
+        "construct",
+        help="run a construction and persist it",
+        add_arguments=_construct_arguments,
+    )
     c.set_defaults(func=cli_construct)
 
     v = sub.add_parser("certify", help="re-verify a saved function by sampling")
     v.add_argument("function", help="path to a saved function file")
     v.add_argument("--certificate", default=None)
-    v.add_argument("--checks", default=",".join(CHECK_NAMES))
+    # empty means every check
+    v.add_argument("--checks", default="")
     v.add_argument("--pairs", type=int, default=20_000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--report", default=None, help="report path")
@@ -206,10 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("heis", help="Heisenberg group utilities")
     hs = h.add_subparsers(dest="heis_cmd", required=True)
 
-    d = hs.add_parser("dist", help="Koranyi distance and CC bounds")
+    d = hs.add_parser(
+        "dist",
+        help="Koranyi distance and CC bounds",
+        description="Koranyi distance and CC bounds. Put -- before the points "
+        "when one starts with a minus sign: heis dist -- -1,0,0 1,1,0",
+    )
     d.add_argument("p", type=_point, help="x,y,t")
     d.add_argument("q", type=_point, help="x,y,t")
-    d.set_defaults(func=cli_heis)
+    d.set_defaults(func=cli_heis_dist)
 
     ga = hs.add_parser("graph", help="analyze a saved graph height function")
     ga.add_argument("action", choices=("analyze",))
@@ -217,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("--tau", type=float, default=1e-3)
     ga.add_argument("--grid", type=int, default=255, help="cells per axis")
     ga.add_argument("--seed", type=int, default=0)
-    ga.set_defaults(func=cli_heis)
+    ga.set_defaults(func=cli_heis_graph)
 
     ce = hs.add_parser("counterexample", help="two lifts of one planar loop")
-    ce.set_defaults(func=cli_heis)
+    ce.set_defaults(func=cli_heis_counterexample)
 
     return parser
 
@@ -231,14 +266,9 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
-    if ns.command == "construct" and ns.out is None:
-        ns.out = default_output_dir()
     try:
         return ns.func(ns)
-    except InfeasibleBudgetError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (FunctionFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,9 +1,6 @@
 """The first Heisenberg group: algebra, gauges, horizontal paths, graphs.
 
-Points are (x, y, t) with z = x + iy.  The group law is
-
-    (z, t) * (z', t') = (z + z', t + t' + 2 Im(z conj(z'))),
-
+Points are (x, y, t) with z = x + iy, multiplied by the law in `group`;
 the left-invariant horizontal frame is X = d/dx + 2y d/dt and
 Y = d/dy - 2x d/dt, and the metric making X, Y orthonormal gives
 horizontal curves planar speed.  A planar polyline lifts to a horizontal
@@ -14,12 +11,12 @@ affine along each segment.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BoxDomain, BumpPolySum, _fold_columns
+from .group import CcBounds, HPoint, cc_dist_bounds, dilation, gauge, inverse, product
 
 __all__ = [
     "HPoint",
@@ -43,62 +40,39 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# points and the group operations
+# the group operations
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """A point (x, y, t); the identity element is (0, 0, 0)."""
-
-    x: float
-    y: float
-    t: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "t"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
-            object.__setattr__(self, name, v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.t])
-
-
-def _xyz(p) -> np.ndarray:
-    if isinstance(p, HPoint):
-        return p.as_array()
-    a = np.asarray(p, float)
+def _columns(p) -> tuple:
+    a = np.array(tuple(p)) if isinstance(p, HPoint) else np.asarray(p, float)
     if a.shape[-1] != 3:
         raise ValueError("a point needs 3 coordinates (x, y, t)")
     if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite")
-    return a
+    return a[..., 0], a[..., 1], a[..., 2]
+
+
+def _apply(op, *points):
+    """op on HPoints, as floats; otherwise on the points' coordinate columns,
+    stacked back into an array shaped (..., 3)."""
+    if all(isinstance(p, HPoint) for p in points):
+        return HPoint(*op(*points))
+    return np.stack(op(*map(_columns, points)), axis=-1)
 
 
 def group_mul(p, q):
     """Group product; accepts HPoint or arrays shaped (..., 3)."""
-    a, b = _xyz(p), _xyz(q)
-    t = a[..., 2] + b[..., 2] + 2.0 * (b[..., 0] * a[..., 1] - a[..., 0] * b[..., 1])
-    out = np.stack([a[..., 0] + b[..., 0], a[..., 1] + b[..., 1], t], axis=-1)
-    if isinstance(p, HPoint) and isinstance(q, HPoint):
-        return HPoint(*out)
-    return out
+    return _apply(product, p, q)
 
 
 def group_inv(p):
     """Group inverse (-z, -t)."""
-    a = _xyz(p)
-    if isinstance(p, HPoint):
-        return HPoint(-p.x, -p.y, -p.t)
-    return -a
+    return _apply(inverse, p)
 
 
 def koranyi_norm(p):
-    a = _xyz(p)
-    z2 = a[..., 0] ** 2 + a[..., 1] ** 2
-    out = (z2**2 + a[..., 2] ** 2) ** 0.25
-    return float(out) if out.ndim == 0 else out
+    out = gauge(p if isinstance(p, HPoint) else _columns(p))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def koranyi_dist(p, q):
@@ -110,11 +84,7 @@ def dilate(p, lam: float):
     """The automorphism (z, t) -> (lam z, lam^2 t)."""
     if lam <= 0 or not math.isfinite(lam):
         raise ValueError("dilation factor must be positive and finite")
-    a = _xyz(p)
-    out = np.stack([lam * a[..., 0], lam * a[..., 1], lam**2 * a[..., 2]], axis=-1)
-    if isinstance(p, HPoint):
-        return HPoint(*out)
-    return out
+    return _apply(lambda w: dilation(w, lam), p)
 
 
 # ---------------------------------------------------------------------------
@@ -152,109 +122,6 @@ class HorizontalPath:
     def length(self) -> float:
         d = np.diff(self.waypoints, axis=0)
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
-
-
-# ---------------------------------------------------------------------------
-# Carnot-Caratheodory bounds
-
-
-@dataclass(frozen=True)
-class CcBounds:
-    """Certified sandwich for the CC distance; unpacks as (lower, upper).
-
-    loose is always False; `heis dist` prints it to keep its four columns.
-    """
-
-    lower: float
-    upper: float
-    loose: bool = False
-
-    def __iter__(self):
-        return iter((self.lower, self.upper))
-
-
-# outward rounding of both bracket ends, relative; covers the evaluation
-# error of the bisection and of the length at its ends
-_PAD = 16.0 * sys.float_info.epsilon
-# for |t| / c^2 outside [1 / _TIGHT, _TIGHT] the analytic sandwich is
-# narrower than _PAD, and the bisection would under- or overflow
-_TIGHT = 1e32
-
-
-def _phi_minus_sin(phi: float) -> float:
-    """phi - sin(phi), by its Taylor series up to phi = 1 to avoid cancellation."""
-    if phi > 1.0:
-        return phi - math.sin(phi)
-    x2 = phi * phi
-    term = total = phi * x2 / 6.0
-    for k in range(4, 20, 2):
-        term *= -x2 / (k * (k + 1))
-        total += term
-    return total
-
-
-def cc_dist_bounds(p, q) -> CcBounds:
-    """The CC distance as a bracket (lower, upper) a few ulps wide.
-
-    Geodesics of H^1 project to circular arcs (Dido's problem).  With
-    (z, t) = p^-1 * q and chord c = |z|, the arc encloses area |t| / 4
-    with the chord, so its opening angle phi in (0, 2 pi) is the root of
-
-        (phi - sin phi) / (2 sin^2(phi / 2)) = |t| / c^2,
-
-    whose left side increases in phi, and the distance is the arc length
-    d = c phi / (2 sin(phi / 2)), which increases in phi too.  Bisection
-    narrows phi until the bracket stops shrinking in floating point; past
-    phi = pi it runs on 2 pi - phi, so angles near a full turn keep their
-    relative precision.  d at the bracket ends, rounded outwards by
-    16 ulps, gives the bounds, clipped to the analytic sandwich
-    max(c, sqrt(pi |t|) - c) <= d <= c + sqrt(pi |t|); where |t| / c^2
-    is below 1e-32 or above 1e32 that sandwich is the narrower bracket
-    and is returned as is.  t = 0 is exact at (c, c), the straight
-    segment, and c = 0 at sqrt(pi |t|), a full circle.  The analytic
-    bounds are evaluated in floating point, so where one is tight it can
-    differ from d by an ulp of rounding.
-    """
-    w = _xyz(group_mul(group_inv(p), q))
-    c = math.hypot(float(w[0]), float(w[1]))
-    T = abs(float(w[2]))
-    if T == 0.0:
-        return CcBounds(c, c)
-    # the length of a circle enclosing area |t| / 4
-    circle = math.sqrt(math.pi) * math.sqrt(T)
-    if c == 0.0:
-        return CcBounds(circle, circle)
-    # a path to (z, t) is no shorter than the chord, nor than that circle
-    # less the chord; the chord followed by the circle is a path
-    floor = max(c, circle - c)
-    ceiling = c + circle
-    ratio = T / c / c
-    if not 1.0 / _TIGHT <= ratio <= _TIGHT:
-        return CcBounds(floor, ceiling)
-    # x is phi up to pi, where the left side equals pi / 2, and 2 pi - phi beyond
-    wide = ratio > 0.5 * math.pi
-
-    def area_ratio(x):
-        s = math.sin(0.5 * x)
-        excess = 2.0 * math.pi - x + math.sin(x) if wide else _phi_minus_sin(x)
-        return excess / (2.0 * s * s)
-
-    def length(x):
-        phi = 2.0 * math.pi - x if wide else x
-        return c * phi / (2.0 * math.sin(0.5 * x))
-
-    lo, hi = 0.0, math.pi
-    mid = 0.5 * math.pi
-    while lo < mid < hi:
-        # the area ratio grows with phi, so it falls with x = 2 pi - phi
-        if (area_ratio(mid) < ratio) != wide:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    lower, upper = sorted((length(lo), length(hi)))
-    lower = max(floor, lower * (1.0 - _PAD))
-    return CcBounds(lower, min(ceiling, upper * (1.0 + _PAD)))
 
 
 # ---------------------------------------------------------------------------

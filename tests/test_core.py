@@ -919,7 +919,13 @@ class TestCellBoundsOracle:
 
 @pytest.mark.parametrize(
     "module",
-    ["lusinkit", "lusinkit.harness", "lusinkit.heisenberg", "lusinkit.lusin"],
+    [
+        "lusinkit",
+        "lusinkit.group",
+        "lusinkit.harness",
+        "lusinkit.heisenberg",
+        "lusinkit.lusin",
+    ],
 )
 def test_every_export_resolves(module):
     mod = importlib.import_module(module)

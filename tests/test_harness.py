@@ -32,6 +32,7 @@ from lusinkit.harness import (
     save_function,
     stream_seed,
 )
+from lusinkit.heisenberg import HPoint, cc_dist_bounds, koranyi_dist
 from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
 
 FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
@@ -480,20 +481,67 @@ def test_malformed_manifest(growth_run, tmp_path, corrupt, culprit):
     assert not out.exists()
 
 
+CONSTRUCT_HELP = """\
+usage: lusinkit construct [-h] --field FIELD [--domain DOMAIN] [--eps EPS]
+                          [--sigma SIGMA] [--tau TAU] [--theta THETA]
+                          [--grid GRID] [--stages STAGES]
+                          [--quantile QUANTILE] [--refine-max REFINE_MAX]
+                          [--seed SEED] [--modulus MODULUS] [--out OUT]
+                          [--name NAME]
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD         catalog field name
+  --domain DOMAIN       lows then highs, e.g. 0,0,1,1
+  --eps EPS
+  --sigma SIGMA
+  --tau TAU
+  --theta THETA
+  --grid GRID           stage-1 cells per axis
+  --stages STAGES
+  --quantile QUANTILE
+  --refine-max REFINE_MAX
+  --seed SEED
+  --modulus MODULUS     log, power:BETA or pwl:t0,v0;t1,v1;...
+  --out OUT             output directory
+  --name NAME           basename for output files
+"""
+
+
+def _fresh_interpreter(*args) -> str:
+    """stdout of python ARGS run with this checkout's lusinkit, 80 columns wide."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lusinkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    out = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 class TestCli:
     def test_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lusinkit.__file__)))
         probe = (
             "import sys, lusinkit.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))"
+            "if m.split('.')[0] in ('numpy', 'scipy')))"
         )
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        assert _fresh_interpreter("-c", probe).strip() == "[]"
+
+    def test_heis_dist_loads_no_numpy(self):
+        heavy = [f"lusinkit.{m}" for m in ("core", "lusin", "harness", "heisenberg")]
+        probe = (
+            "import sys, lusinkit.cli; "
+            "rc = lusinkit.cli.main(['heis', 'dist', '0,0,0', '1,1,0']); "
+            "print(rc, sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == 'numpy' or m in {heavy!r}))"
         )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert _fresh_interpreter("-c", probe).splitlines()[-1] == "0 []"
+
+    def test_construct_help_text(self):
+        assert _fresh_interpreter("-m", "lusinkit.cli", "construct", "--help") == (
+            CONSTRUCT_HELP
+        )
 
     def test_construct_and_certify(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -665,6 +713,28 @@ class TestCli:
 
     def test_heis_dist_rejects_text(self, capsys):
         assert main(["heis", "dist", "0,0,abc", "1,0,0"]) == 2
+
+    def test_heis_dist_negative_points_after_double_dash(self, capsys):
+        # argparse reads -1,0,0 as an option; -- ends the options
+        assert main(["heis", "dist", "-1,0,0", "1,1,0"]) == 2
+        capsys.readouterr()
+        assert main(["heis", "dist", "--", "-1,0,0", "1,1,0"]) == 0
+        p, q = HPoint(-1.0, 0.0, 0.0), HPoint(1.0, 1.0, 0.0)
+        bounds = cc_dist_bounds(p, q)
+        row = f"{koranyi_dist(p, q)!r},{bounds.lower!r},{bounds.upper!r},False"
+        assert capsys.readouterr().out.splitlines()[1] == row
+
+    def test_heis_dist_overflow(self, capsys):
+        # the gauge overflows to inf and the CC bounds stay finite, silently
+        assert main(["heis", "dist", "0,0,0", "1e308,1e308,0"]) == 0
+        out = capsys.readouterr()
+        row = "inf,1.4142135623730951e+308,1.4142135623730951e+308,False"
+        assert out.out.splitlines()[1] == row
+        assert out.err == ""
+        # a product that overflows is not a point
+        assert main(["heis", "dist", "1e200,0,0", "0,1e200,0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "coordinates must be finite" in out.err
 
     def test_heis_graph_analyze(self, growth_run, capsys):
         paths, _, _ = growth_run

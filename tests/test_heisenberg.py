@@ -301,6 +301,65 @@ class TestCcBounds:
             assert max(lower, lo2) <= min(upper, up2)
 
 
+def _law_pairs():
+    """About 2,000 seeded pairs: uniform points, sweeps of |t| / c^2 from
+    1e-40 to 1e40 at chords from 1e-10 to 1e10 (from the identity, so the
+    ratio is exact), and points where the CC sandwich is tight."""
+    rng = np.random.default_rng(31)
+    p, q = list(_random_points(rng, 1000)), list(_random_points(rng, 1000))
+    for ratio in np.geomspace(1e-40, 1e40, 41):
+        for c in np.geomspace(1e-10, 1e10, 21):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            sign = rng.choice([-1.0, 1.0])
+            p.append(np.zeros(3))
+            q.append([c * math.cos(ang), c * math.sin(ang), sign * ratio * c * c])
+    for w in ((1.0, 0.3, 1e-12), (1e-40, 0.0, 1.0), (1.0, 0.3, 1e36)):
+        p += [np.zeros(3), np.array(w)]
+        q += [np.array(w), np.zeros(3)]
+    return np.array(p), np.array(q)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, float).view(np.uint64)
+
+
+class TestOneLaw:
+    """HPoints take the float path and arrays the numpy path through the
+    same expressions, so both give the same bits."""
+
+    P, Q = _law_pairs()
+    HP = [HPoint(*a) for a in P]
+    HQ = [HPoint(*b) for b in Q]
+
+    def test_group_law(self):
+        npt.assert_array_equal(
+            _bits([tuple(group_mul(a, b)) for a, b in zip(self.HP, self.HQ)]),
+            _bits(group_mul(self.P, self.Q)),
+        )
+        npt.assert_array_equal(
+            _bits([tuple(group_inv(a)) for a in self.HP]), _bits(group_inv(self.P))
+        )
+        for lam in (1e-3, 0.7, 3.0, 1e5):
+            npt.assert_array_equal(
+                _bits([tuple(dilate(a, lam)) for a in self.HP]),
+                _bits(dilate(self.P, lam)),
+            )
+
+    def test_gauge(self):
+        # the radicand is the same expression on both paths, but numpy's
+        # vectorised pow (SIMD builds) may round the fourth root an ulp away
+        # from the C library's pow, which floats and numpy scalars use
+        points = [koranyi_dist(a, b) for a, b in zip(self.HP, self.HQ)]
+        npt.assert_array_max_ulp(np.array(points), koranyi_dist(self.P, self.Q), 1)
+
+    def test_cc_bounds_of_triples(self):
+        for a, b, pa, qb in zip(self.HP, self.HQ, self.P, self.Q):
+            want = _bits(tuple(cc_dist_bounds(a, b)))
+            npt.assert_array_equal(_bits(tuple(cc_dist_bounds(pa, qb))), want)
+            triples = cc_dist_bounds(tuple(pa.tolist()), tuple(qb.tolist()))
+            npt.assert_array_equal(_bits(tuple(triples)), want)
+
+
 def _one_cell(m, low, coeffs):
     """A sum of one side-4 cell term at corner low, theta 1/2, whose plateau
     (the middle half of the cell) covers the test's box.  coeffs maps
