@@ -19,6 +19,9 @@ closed forms of the cutoff and the polynomial.  Tests check the closed forms
 against finite differences, never the other way around, and the certification
 harness relies on that exactness.
 
+The build settings (:class:`BuildConfig`) live here too, beside the
+certificate of a finished build, which holds its build's config and domain.
+
 Everything in this module is immutable after construction and safe to read
 concurrently.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field as dataclass_field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -149,6 +152,16 @@ class BoxDomain:
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             inside[..., i] = (x[..., i] >= lo) & (x[..., i] <= hi)
         return _fold_columns(np.logical_and, inside)
+
+    def to_dict(self) -> dict:
+        """The corners as float lists: the certificate's and manifest's form."""
+        return {k: [float(v) for v in getattr(self, k)] for k in ("lower", "upper")}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BoxDomain":
+        """Inverse of to_dict; ValueError for a corner that is no number list."""
+        corner = _FROM_JSON["tuple[float, ...]"]
+        return cls(corner(_json_is(d, dict)["lower"]), corner(d["upper"]))
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +849,66 @@ def _read_fields(cls, d: dict) -> dict:
     return out
 
 
+# BuildConfig's accepted types per field type; a bool is not a stage count
+_SETTING_TYPES = {"int": int, "float": (int, float), "Modulus": Modulus}
+
+
+@dataclass(frozen=True)
+class BuildConfig:
+    """Settings of a construction run.
+
+    construct's flags, the run manifest's config and the certificate's
+    config all derive from these fields.  Each value's type and range is
+    checked, and nothing is coerced.
+    """
+
+    eps: float = 0.05
+    sigma: float = 0.5
+    tau: float = 1e-3
+    theta: float = 0.5
+    grid: int = 64
+    stages: int = 4
+    quantile: float = 0.995
+    refine_max: int = 3
+    seed: int = 0
+    modulus: Modulus = dataclass_field(default_factory=LogModulus)
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, _SETTING_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("eps must lie in (0, 1)")
+        for name in ("sigma", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
+        if self.grid < 2:
+            raise ValueError("grid must be at least 2")
+        if self.stages < 1:
+            raise ValueError("stages must be at least 1")
+        if not 0.0 < self.quantile <= 1.0:
+            raise ValueError("quantile must lie in (0, 1]")
+        if not 0 <= self.refine_max <= 6:
+            raise ValueError("refine_max must lie in 0..6")
+
+    def to_dict(self) -> dict:
+        """The fields by name, with the modulus as its spec_dict()."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["modulus"] = self.modulus.spec_dict()
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BuildConfig":
+        """Inverse of to_dict; ValueError for a missing, unknown or mistyped key."""
+        keys, names = set(_json_is(d, dict)), {f.name for f in fields(cls)}
+        if keys != names:
+            raise ValueError(f"config keys missing or unknown: {sorted(keys ^ names)}")
+        return cls(**{**d, "modulus": modulus_from_dict(d["modulus"])})
+
+
 @dataclass(frozen=True)
 class StageReport:
     """Budget ledger of one construction stage."""
@@ -871,30 +944,21 @@ class StageReport:
 
 @dataclass(frozen=True, eq=False)
 class BuildCertificate:
-    """Coverage, tolerances, and budget ledgers of a finished construction.
+    """Coverage, settings and budget ledgers of a finished construction.
 
-    covered_cells[k] is an (N_k, 2n) array of certified closed boxes
-    (low then high per axis) for stage k+1; boxes of distinct stages are
-    pairwise disjoint.  The ledgers accumulate the per-stage sup, Lipschitz
-    and modulus budgets whose sums realize the global budgets sigma (orders
-    <= m-1), sigma (orders <= m-2) and 1 (order m-1).
+    domain and config are the build's own; the JSON form writes the config's
+    modulus at the top level, its stages as stages_requested and its grid
+    once per axis.  covered_cells[k] is an (N_k, 2n) array of certified
+    closed boxes (low then high per axis) for stage k+1; boxes of distinct
+    stages are pairwise disjoint.  The ledgers accumulate the per-stage sup,
+    Lipschitz and modulus budgets whose sums realize the global budgets
+    sigma (orders <= m-1), sigma (orders <= m-2) and 1 (order m-1).
     """
 
-    dimension: int
     order: int
-    domain_lower: tuple[float, ...]
-    domain_upper: tuple[float, ...]
+    domain: BoxDomain
     field_name: str
-    modulus: Modulus
-    theta: float
-    sigma: float
-    eps: float
-    tau: float
-    quantile: float
-    stages_requested: int
-    grid: tuple[int, ...]
-    refine_max: int
-    seed: int
+    config: BuildConfig
     profile_constant: float
     stage_reports: tuple
     covered_cells: tuple
@@ -906,46 +970,35 @@ class BuildCertificate:
     term_count: int
     partial_cover: bool
 
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
+
     def coverage_fraction(self) -> float:
-        dom = float(
-            np.prod(np.asarray(self.domain_upper) - np.asarray(self.domain_lower))
-        )
-        return self.coverage_measure / dom
+        return self.coverage_measure / self.domain.volume()
 
     def residual_fraction(self) -> float:
-        dom = float(
-            np.prod(np.asarray(self.domain_upper) - np.asarray(self.domain_lower))
-        )
-        return self.residual_measure / dom
+        return self.residual_measure / self.domain.volume()
 
     def budgets_ok(self) -> bool:
         return (
-            all(s < self.sigma for s in self.sup_ledger)
-            and self.lipschitz_ledger <= self.sigma
+            all(s < self.config.sigma for s in self.sup_ledger)
+            and self.lipschitz_ledger <= self.config.sigma
             and self.modulus_ledger <= 1.0
         )
 
     def to_dict(self, include_cells: bool = True) -> dict:
+        config = self.config.to_dict()
+        modulus = config.pop("modulus")
+        config["stages_requested"] = config.pop("stages")
+        config["grid"] = [config["grid"]] * self.dimension
         out = {
             "dimension": self.dimension,
             "order": self.order,
-            "domain": {
-                "lower": _jsonable(self.domain_lower),
-                "upper": _jsonable(self.domain_upper),
-            },
+            "domain": self.domain.to_dict(),
             "field": self.field_name,
-            "modulus": self.modulus.spec_dict(),
-            "config": {
-                "theta": self.theta,
-                "sigma": self.sigma,
-                "eps": self.eps,
-                "tau": self.tau,
-                "quantile": self.quantile,
-                "stages_requested": self.stages_requested,
-                "grid": _jsonable(self.grid),
-                "refine_max": self.refine_max,
-                "seed": self.seed,
-            },
+            "modulus": modulus,
+            "config": config,
             "profile_constant": self.profile_constant,
             "stages": [r.to_dict() for r in self.stage_reports],
             "ledgers": {
@@ -971,18 +1024,28 @@ class BuildCertificate:
     def from_dict(cls, d: dict) -> "BuildCertificate":
         """Rebuild a certificate from its to_dict(include_cells=True) form.
 
-        Raises ValueError for a missing field, a field of the wrong shape, or
-        a value whose JSON type does not match its field's.
+        Raises ValueError for a missing field, a field of the wrong shape, a
+        value whose JSON type does not match its field's, or a config that
+        BuildConfig refuses.  Config keys of no BuildConfig field are
+        ignored, as are other keys of no field.
         """
         try:
             if "covered_cells" not in d:
                 raise ValueError("certificate was saved without cell lists")
+            domain = BoxDomain.from_dict(d["domain"])
+            n = domain.dimension
+            if _json_is(d["dimension"], int) != n:
+                raise ValueError("dimension does not match the domain")
+            config = _json_is(d["config"], dict)
+            grid = _FROM_JSON["tuple[int, ...]"](config["grid"])
+            if len(grid) != n or len(set(grid)) != 1:
+                raise ValueError(f"grid: expected one count for all {n} axes")
+            config = {**config, "stages": config["stages_requested"], "grid": grid[0]}
+            config["modulus"] = d["modulus"]
+            settings = {f.name: config[f.name] for f in fields(BuildConfig)}
             ledgers = d["ledgers"]
             flat = {
                 **d,
-                **d["config"],
-                "domain_lower": d["domain"]["lower"],
-                "domain_upper": d["domain"]["upper"],
                 "field_name": d["field"],
                 "sup_ledger": ledgers["supnorm_per_order"],
                 "lipschitz_ledger": ledgers["lipschitz"],
@@ -993,11 +1056,10 @@ class BuildCertificate:
             if any(c.size and c.dtype.kind not in "if" for c in cells):
                 raise ValueError("covered_cells: expected numbers")
             return cls(
-                modulus=modulus_from_dict(d["modulus"]),
+                domain=domain,
+                config=BuildConfig.from_dict(settings),
                 stage_reports=tuple(StageReport.from_dict(r) for r in d["stages"]),
-                covered_cells=tuple(
-                    c.astype(float).reshape(-1, 2 * read["dimension"]) for c in cells
-                ),
+                covered_cells=tuple(c.astype(float).reshape(-1, 2 * n) for c in cells),
                 **read,
             )
         except ValueError as exc:

@@ -4,9 +4,9 @@ The construction library returns in-memory objects; this module owns the
 on-disk story: a versioned function-file format, atomic JSON files, run
 manifests, and a sampling certifier whose checks draw from independent
 labeled random streams so that adding a check never perturbs another.
-Certificates and build configs read and write themselves (to_dict and
-from_dict of BuildCertificate and BuildConfig); this module only moves them
-to and from disk.
+Certificates, with the BuildConfig and BoxDomain they hold, read and write
+themselves (their to_dict and from_dict); this module only moves them to and
+from disk.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .core import (
     BoxDomain,
     BumpPolySum,
     BuildCertificate,
+    BuildConfig,
     InfeasibleBudgetError,
     _FROM_JSON,
     _fold_columns,
@@ -31,7 +32,6 @@ from .core import (
     multiindices_upto,
 )
 from .lusin import (
-    BuildConfig,
     _sample_in_boxes,
     field_catalog,
     multi_stage_build,
@@ -292,7 +292,7 @@ def run_construct(
     manifest = {
         "command": "construct",
         "field": field_name,
-        "domain": {"lower": cert.domain_lower, "upper": cert.domain_upper},
+        "domain": dom.to_dict(),
         "config": cfg.to_dict(),
         "artifact_version": _artifact_version(),
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -313,8 +313,7 @@ def execute_manifest(path: str, out_dir: str, basename: str = "function"):
             d = json.load(fh)
         if d["command"] != "construct":
             raise ValueError(f"cannot execute a {d['command']!r} manifest")
-        corner = _FROM_JSON["tuple[float, ...]"]
-        dom = BoxDomain(corner(d["domain"]["lower"]), corner(d["domain"]["upper"]))
+        dom = BoxDomain.from_dict(d["domain"])
         cfg = BuildConfig.from_dict(d["config"])
         field_name = _FROM_JSON["str"](d["field"])
     except ValueError as exc:
@@ -423,7 +422,7 @@ def _check_match(g, field, cert, count, rng) -> dict:
             "passed": True,
             "vacuous": True,
             "worst": 0.0,
-            "bound": cert.tau,
+            "bound": cert.config.tau,
             "margin": math.inf,
         }
     pts = _sample_in_boxes(np.concatenate(boxes, axis=0), count, rng)
@@ -432,10 +431,10 @@ def _check_match(g, field, cert, count, rng) -> dict:
     i = int(resid.argmax())
     worst = float(resid[i])
     return {
-        "passed": worst <= cert.tau + 1e-12,
+        "passed": worst <= cert.config.tau + 1e-12,
         "worst": worst,
-        "bound": cert.tau,
-        "margin": _ratio_margin(cert.tau, worst),
+        "bound": cert.config.tau,
+        "margin": _ratio_margin(cert.config.tau, worst),
         "witness": _witness_pair(pts[i], pts[i], worst),
     }
 
@@ -447,10 +446,10 @@ def _check_supnorm(g, cert, count, rng, dom) -> dict:
     i, j = _worst_entry(vals)
     worst = float(vals[i, j])
     return {
-        "passed": worst < cert.sigma,
+        "passed": worst < cert.config.sigma,
         "worst": worst,
-        "bound": cert.sigma,
-        "margin": _ratio_margin(cert.sigma, worst),
+        "bound": cert.config.sigma,
+        "margin": _ratio_margin(cert.config.sigma, worst),
         "order": list(gammas[j]),
         "witness": _witness_pair(pts[i], pts[i], worst),
     }
@@ -486,7 +485,7 @@ def _check_lipschitz(g, cert, count, rng, dom) -> dict:
             "bound": 1.0,
             "margin": math.inf,
         }
-    return _increment_check(g, gammas, lambda d: cert.sigma * d, count, rng, dom)
+    return _increment_check(g, gammas, lambda d: cert.config.sigma * d, count, rng, dom)
 
 
 def _check_modulus(g, cert, count, rng, dom) -> dict:
@@ -495,7 +494,8 @@ def _check_modulus(g, cert, count, rng, dom) -> dict:
         for gm in multiindices_upto(cert.dimension, cert.order - 1)
         if sum(gm) == cert.order - 1
     ]
-    return _increment_check(g, gammas, lambda d: d / cert.modulus(d), count, rng, dom)
+    mu = cert.config.modulus
+    return _increment_check(g, gammas, lambda d: d / mu(d), count, rng, dom)
 
 
 def _check_pinch(g, cert, count, rng) -> dict:
@@ -520,6 +520,7 @@ def certify_function(
 
     Every check draws from its own labeled stream of the master seed, so
     the report is deterministic and stable under changes to the check set.
+    Raises ValueError for a certificate of another dimension, order or box.
     """
     checks = tuple(checks)
     unknown = set(checks) - set(CHECK_NAMES)
@@ -529,6 +530,8 @@ def certify_function(
         raise ValueError("pair count must be positive")
     if g.dimension != cert.dimension or g.order != cert.order:
         raise ValueError("certificate does not describe this function")
+    if cert.domain.to_dict() != dom.to_dict():
+        raise ValueError("certificate describes another domain")
     field = field_catalog(cert.field_name)
     results = {}
     for name in checks:

@@ -14,24 +14,21 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     BoxDomain,
     BuildCertificate,
+    BuildConfig,
     BumpPolySum,
     CutoffProfile,
-    LogModulus,
-    Modulus,
     StageReport,
     _fold_columns,
     _index_table,
-    _json_is,
     cell_derivative_bounds,
     enumerate_multiindices,
-    modulus_from_dict,
     multiindices_upto,
 )
 
@@ -107,65 +104,6 @@ def field_catalog(name: str) -> FieldCollection:
     )
 
 
-# BuildConfig's accepted types per field type; a bool is not a stage count
-_SETTING_TYPES = {"int": int, "float": (int, float), "Modulus": Modulus}
-
-
-@dataclass(frozen=True)
-class BuildConfig:
-    """Settings of a construction run.
-
-    construct's flags and the run manifest's config derive from these
-    fields.  Each value's type and range is checked, and nothing is coerced.
-    """
-
-    eps: float = 0.05
-    sigma: float = 0.5
-    tau: float = 1e-3
-    theta: float = 0.5
-    grid: int = 64
-    stages: int = 4
-    quantile: float = 0.995
-    refine_max: int = 3
-    seed: int = 0
-    modulus: Modulus = dataclass_field(default_factory=LogModulus)
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, _SETTING_TYPES[f.type]):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        for name in ("sigma", "tau"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.grid < 2:
-            raise ValueError("grid must be at least 2")
-        if self.stages < 1:
-            raise ValueError("stages must be at least 1")
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError("quantile must lie in (0, 1]")
-        if not 0 <= self.refine_max <= 6:
-            raise ValueError("refine_max must lie in 0..6")
-
-    def to_dict(self) -> dict:
-        """The fields by name, with the modulus as its spec_dict()."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["modulus"] = self.modulus.spec_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BuildConfig":
-        """Inverse of to_dict; ValueError for a missing, unknown or mistyped key."""
-        keys, names = set(_json_is(d, dict)), {f.name for f in fields(cls)}
-        if keys != names:
-            raise ValueError(f"config keys missing or unknown: {sorted(keys ^ names)}")
-        return cls(**{**d, "modulus": modulus_from_dict(d["modulus"])})
-
-
 # Cells a stage tests in one vectorised pass, and stencil points one call of
 # the evaluator takes: no array of a stage grows with the cells of a level.
 _BATCH = 2**15
@@ -231,23 +169,24 @@ def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
     return evaluate
 
 
-def _stencil_osc(evaluate, centers, center_vals, hw, theta):
-    """Max deviation of the data from its center value over a 3^n stencil.
+def _stencil_osc(evaluate, centers, center_vals, reach):
+    """Max deviation of the data from its center value over a 3^n stencil:
+    each center c and its reach r give the points c + {-r, 0, r}^n.
 
     Evaluates at most _BATCH points per call, or one center's 3^n if more.
     """
     n = centers.shape[1]
-    p = (1.0 - theta) * hw
-    offs = np.array(list(itertools.product((-p, 0.0, p), repeat=n)))
-    S = offs.shape[0]
+    unit = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    S = unit.shape[0]
     out = np.empty(centers.shape[0])
     step = max(1, _BATCH // S)
     for s in range(0, centers.shape[0], step):
         block = centers[s : s + step]
         nb = block.shape[0]
+        r = np.repeat(reach[s : s + step], S)
         pts = np.empty((nb * S, n), order="F")
         for i in range(n):
-            pts[:, i] = np.repeat(block[:, i], S) + np.tile(offs[:, i], nb)
+            pts[:, i] = np.repeat(block[:, i], S) + np.tile(unit[:, i], nb) * r
         dev = np.abs(evaluate(pts) - np.repeat(center_vals[s : s + step], S, axis=0))
         dev = _fold_columns(np.maximum, dev).reshape(nb, S)
         out[s : s + step] = _fold_columns(np.maximum, dev)
@@ -278,9 +217,11 @@ def _run_stage(
     grid 2^r cells per axis.  Checks per cell, cheapest first: truncation
     of the center data, the per-order sup caps (pinched in later stages),
     the Lipschitz caps, the modulus envelope 2 S M(S/L) <= w_mod, and last
-    the sampled oscillation against tau.  Failing cells split into 2^n
-    children until refine_max.  Each queue entry, one level's cells, is
-    tested in batches of _BATCH cells; a refined entry holds the failing
+    the sampled oscillation against tau: over the plateau c +- (1 - theta) hw
+    of a term, and over the whole cell of a zero-data cell, which is
+    certified whole.  Failing cells split into 2^n children until
+    refine_max.  Each queue entry, one level's cells, is tested in batches
+    of _BATCH cells; a refined entry holds the failing
     parents, and each batch expands only its own children.  Results are
     merged once per entry, so the outcome does not depend on _BATCH.
     Batches are Fortran-ordered (B, n) arrays, and the bound checks run on
@@ -395,8 +336,9 @@ def _run_stage(
             cand = zero.copy()
             cand[ti[code == 0]] = True
             si = np.flatnonzero(cand)
+            reach = np.where(zero.take(si), hw, p)
             osc = _stencil_osc(
-                evaluate, _take_rows(centers, si), _take_rows(vals, si), hw, cfg.theta
+                evaluate, _take_rows(centers, si), _take_rows(vals, si), reach
             )
             osc_bad = osc > cfg.tau
             good = si[~osc_bad]
@@ -568,21 +510,10 @@ def _assemble_certificate(field, dom, cfg, profile, reports, covered, g):
     covered_measure = sum(r.covered_measure for r in reports)
     residual = dom.volume() - covered_measure
     return BuildCertificate(
-        dimension=field.dimension,
         order=m,
-        domain_lower=tuple(float(v) for v in dom.lower),
-        domain_upper=tuple(float(v) for v in dom.upper),
+        domain=dom,
         field_name=field.name,
-        modulus=cfg.modulus,
-        theta=cfg.theta,
-        sigma=cfg.sigma,
-        eps=cfg.eps,
-        tau=cfg.tau,
-        quantile=cfg.quantile,
-        stages_requested=cfg.stages,
-        grid=(cfg.grid,) * field.dimension,
-        refine_max=cfg.refine_max,
-        seed=cfg.seed,
+        config=cfg,
         profile_constant=profile.bound_constant(field.dimension),
         stage_reports=tuple(reports),
         covered_cells=tuple(covered),
@@ -748,7 +679,7 @@ def tail_pinch_check(
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction
         tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later[k])))
-        ratios = tail / (cert.sigma * radius**2)
+        ratios = tail / (cert.config.sigma * radius**2)
         per_stage[k] = float(ratios.max())
         worst = max(worst, per_stage[k])
         checked += each

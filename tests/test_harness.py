@@ -258,6 +258,18 @@ def _flat_knots(d):
     d["modulus"] = {"kind": "pwl", "knots": [0.0, 0.0, 1.0, 1.0]}
 
 
+def _negative_tau(d):
+    d["config"]["tau"] = -1
+
+
+def _theta_past_one(d):
+    d["config"]["theta"] = 1.5
+
+
+def _uneven_grid(d):
+    d["config"]["grid"] = [16, 8]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -273,6 +285,9 @@ def _flat_knots(d):
         _flag_beta,
         _numeric_kind,
         _flat_knots,
+        _negative_tau,
+        _theta_past_one,
+        _uneven_grid,
     ],
 )
 def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
@@ -290,6 +305,37 @@ def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+def test_certificate_config_ignores_unknown_keys(growth_run):
+    # keys of no BuildConfig field, such as a retired setting, still load
+    paths, _, cert = growth_run
+    d = json.loads(Path(paths["certificate"]).read_text())
+    d["config"]["delta"] = 0.1
+    back = BuildCertificate.from_dict(d)
+    assert back.config == GROWTH_CFG
+    assert back.to_dict(include_cells=True) == cert.to_dict(include_cells=True)
+
+
+def test_certificate_records_every_setting():
+    cfg = BuildConfig(
+        eps=0.1,
+        sigma=2.0,
+        tau=0.05,
+        theta=0.25,
+        grid=4,
+        stages=2,
+        quantile=0.9,
+        refine_max=1,
+        seed=7,
+        modulus=PowerModulus(0.5),
+    )
+    default = BuildConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+    _, cert = multi_stage_build(field_catalog("heisenberg"), dom, cfg)
+    d = json.loads(json.dumps(cert.to_dict(include_cells=True)))
+    assert BuildCertificate.from_dict(d).config == cfg
+
+
 class TestCertify:
     def test_all_checks_pass(self, growth_run):
         paths, _, _ = growth_run
@@ -299,8 +345,8 @@ class TestCertify:
         assert report["passed"]
         checks = report["checks"]
         assert set(checks) == {"match", "supnorm", "lipschitz", "modulus", "pinch"}
-        assert checks["match"]["worst"] <= cert.tau
-        assert checks["supnorm"]["worst"] < cert.sigma
+        assert checks["match"]["worst"] <= cert.config.tau
+        assert checks["supnorm"]["worst"] < cert.config.sigma
         assert checks["lipschitz"]["vacuous"]
         assert checks["modulus"]["worst"] <= 1.0
         assert not checks["pinch"]["vacuous"]
@@ -348,7 +394,7 @@ class TestCertify:
             "checks"
         ]["match"]
         assert not res["passed"]
-        assert res["worst"] > cert.tau
+        assert res["worst"] > cert.config.tau
         witness = np.array(res["witness"]["x"])
         low, side = rec[row, :2], rec[row, 2]
         assert np.all(witness >= low) and np.all(witness <= low + side)
@@ -688,6 +734,16 @@ class TestCli:
         rc = main(["certify", bad, "--certificate", paths["certificate"]])
         assert rc == 2
         assert "found 9" in capsys.readouterr().err
+
+    def test_certify_refuses_another_domain(self, growth_run, tmp_path, capsys):
+        paths, _, _ = growth_run
+        d = json.loads(Path(paths["certificate"]).read_text())
+        d["domain"]["upper"] = [2.0, 2.0]
+        other = tmp_path / "other.certificate.json"
+        other.write_text(json.dumps(d))
+        rc = main(["certify", paths["function"], "--certificate", str(other)])
+        assert rc == 2
+        assert "another domain" in capsys.readouterr().err
 
     def test_certify_unknown_check(self, growth_run, capsys):
         paths, _, _ = growth_run

@@ -285,6 +285,21 @@ class TestMultiStage:
                 elif f.type == "tuple[float, ...]":
                     assert all(type(v) is float for v in value), f.name
 
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_zero_cells_are_checked_whole(self, stages):
+        # the data vanish at every level-0 cell's center and plateau but not
+        # on its collar, so no cell may be certified whole as a zero cell
+        def collar(p):
+            u = p * 8.0 % 1.0
+            return (np.abs(u - 0.5) > 0.25).any(axis=1).astype(float)
+
+        field = FieldCollection.from_map("collar", 2, 1, {(1, 0): collar})
+        cfg = BuildConfig(theta=0.5, grid=8, stages=stages, refine_max=0)
+        g, cert = multi_stage_build(field, UNIT_SQUARE, cfg)
+        assert cert.coverage_measure == 0.0
+        assert g.term_count == 0
+        assert cert.stage_reports[0].reject_counts == {"oscillation": 64}
+
     def test_second_stage_extends_coverage(self, growth_build):
         _, _, _, cert = growth_build
         r1, r2 = cert.stage_reports[0], cert.stage_reports[1]
