@@ -164,6 +164,18 @@ class BoxDomain:
         return cls(corner(_json_is(d, dict)["lower"]), corner(d["upper"]))
 
 
+def _uniform_in_box(rng, lower, upper, count: int) -> np.ndarray:
+    """rng.uniform(lower, upper, size=(count, n)) bit for bit, without its
+    per-element broadcast: numpy draws lo + (hi - lo) * random row by row.
+    A column's bounds may be scalars or (count,) arrays."""
+    r = rng.random((count, len(lower)))
+    for i, (lo, hi) in enumerate(zip(lower, upper)):
+        col = r[:, i]
+        col *= hi - lo
+        col += lo
+    return r
+
+
 # ---------------------------------------------------------------------------
 # moduli of continuity
 
@@ -419,19 +431,24 @@ class CutoffProfile:
 
     def profile_derivatives(self, s, kmax: int) -> np.ndarray:
         """d^k/ds^k of the profile for k = 0..kmax, shape (kmax+1,) + s.shape."""
-        from numpy.polynomial import polynomial as npoly
-
         if kmax > self.order:
             raise ValueError("profile is only C^%d" % self.order)
         s = np.asarray(s, float)
         out = np.zeros((kmax + 1,) + s.shape)
-        out[0][s <= 1.0 - self.theta] = 1.0
-        band = (s > 1.0 - self.theta) & (s < 1.0)
-        if np.any(band):
-            u = (s[band] - (1.0 - self.theta)) / self.theta
-            out[0][band] = 1.0 - npoly.polyval(u, self._step_coeffs)
-            for k in range(1, kmax + 1):
-                out[k][band] = -npoly.polyval(u, self._step_derivs[k]) / self.theta**k
+        np.less_equal(s, 1.0 - self.theta, out=out[0, ...])
+        flat = s.reshape(-1)
+        band = np.flatnonzero((flat > 1.0 - self.theta) & (flat < 1.0))
+        if band.size:
+            rows = out.reshape(kmax + 1, -1)
+            u = (flat[band] - (1.0 - self.theta)) / self.theta
+            for k in range(kmax + 1):
+                # numpy's polyval recurrence, zero terms included: its bits
+                coeffs = self._step_derivs[k]
+                acc = np.full_like(u, coeffs[-1])
+                for c in coeffs[-2::-1]:
+                    acc *= u
+                    acc += c
+                rows[k, band] = 1.0 - acc if k == 0 else -acc / self.theta**k
         return out
 
     def bound_constant(self, n: int) -> float:
@@ -660,7 +677,7 @@ class _Block:
         _, _, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
         hw = self.half_width
         # offsets from the cell centers, one column per axis
-        dx = [x[pts, i] - (self.lows[:, i][rows] + hw) for i in range(self.n)]
+        dx = [x[:, i][pts] - (self.lows[:, i].take(rows) + hw) for i in range(self.n)]
         # per-axis tables of cutoff-factor derivatives in the x variable
         fac = []
         for i in range(self.n):
@@ -689,7 +706,7 @@ class _Block:
                         for i, e in enumerate(expo):
                             if e:
                                 mono = mono * dx[i] ** e
-                        term = self.coeffs[:, col][rows] * mono
+                        term = self.coeffs[:, col].take(rows) * mono
                         pv = term if pv is None else pv + term
                     poly[gp] = pv
                 if poly[gp] is None:
@@ -700,7 +717,8 @@ class _Block:
                 term = cut * poly[gp]
                 total = term if total is None else total + term
             if total is not None:
-                out[pts, j] += total
+                # out is column-major: index its contiguous column
+                out[:, j][pts] += total
 
 
 class BumpPolySum:

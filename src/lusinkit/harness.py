@@ -29,6 +29,7 @@ from .core import (
     _FROM_JSON,
     _fold_columns,
     _jsonable,
+    _uniform_in_box,
     multiindices_upto,
 )
 from .lusin import (
@@ -346,12 +347,6 @@ def _ratio_margin(bound: float, worst: float) -> float:
     return bound / worst
 
 
-def _sample_domain(dom: BoxDomain, count: int, rng) -> np.ndarray:
-    lo = np.asarray(dom.lower)
-    hi = np.asarray(dom.upper)
-    return rng.uniform(lo, hi, size=(count, dom.dimension))
-
-
 def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
     """Point pairs stratified over log-spaced separation bins.
 
@@ -364,8 +359,6 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
     diam = dom.diameter()
     seps = np.geomspace(1e-8 * diam, 0.99 * diam, bins)
     per = max(1, count // bins)
-    lo = np.asarray(dom.lower)
-    hi = np.asarray(dom.upper)
     xs, ys = [], []
     for d in seps:
         got = 0
@@ -373,8 +366,8 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
             need = per - got
             if need <= 0:
                 break
-            x = rng.uniform(lo, hi, size=(need, dom.dimension))
-            vec = rng.normal(size=(need, dom.dimension))
+            x = _uniform_in_box(rng, dom.lower, dom.upper, need)
+            vec = rng.standard_normal((need, dom.dimension))
             vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
             y = x + d * vec
             ok = np.flatnonzero(dom.contains(y))
@@ -389,8 +382,9 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
         # remainder at small separations, where the increment bounds bind
         top = min(np.asarray(dom.side_lengths()).min() / 3.0, diam)
         d = np.exp(rng.uniform(np.log(1e-8 * diam), np.log(top), size=short))
-        x2 = rng.uniform(lo + d[:, None], hi - d[:, None])
-        vec = rng.normal(size=(short, dom.dimension))
+        lo, hi = [a + d for a in dom.lower], [b - d for b in dom.upper]
+        x2 = _uniform_in_box(rng, lo, hi, short)
+        vec = rng.standard_normal((short, dom.dimension))
         vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
         x = np.concatenate([x, x2])
         y = np.concatenate([y, x2 + d[:, None] * vec])
@@ -441,7 +435,7 @@ def _check_match(g, field, cert, count, rng) -> dict:
 
 def _check_supnorm(g, cert, count, rng, dom) -> dict:
     gammas = multiindices_upto(cert.dimension, cert.order - 1)
-    pts = _sample_domain(dom, count, rng)
+    pts = _uniform_in_box(rng, dom.lower, dom.upper, count)
     vals = np.abs(g.jet(pts, gammas))
     i, j = _worst_entry(vals)
     worst = float(vals[i, j])
@@ -520,7 +514,8 @@ def certify_function(
 
     Every check draws from its own labeled stream of the master seed, so
     the report is deterministic and stable under changes to the check set.
-    Raises ValueError for a certificate of another dimension, order or box.
+    Raises ValueError for a certificate of another dimension, order or box,
+    or one naming a catalog field of another dimension or order.
     """
     checks = tuple(checks)
     unknown = set(checks) - set(CHECK_NAMES)
@@ -533,6 +528,12 @@ def certify_function(
     if cert.domain.to_dict() != dom.to_dict():
         raise ValueError("certificate describes another domain")
     field = field_catalog(cert.field_name)
+    if (field.dimension, field.order) != (cert.dimension, cert.order):
+        raise ValueError(
+            f"certificate names field {cert.field_name!r} of dimension "
+            f"{field.dimension} and order {field.order}, but describes a "
+            f"function of dimension {cert.dimension} and order {cert.order}"
+        )
     results = {}
     for name in checks:
         rng = stream_rng(seed, name)

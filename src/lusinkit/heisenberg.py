@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxDomain, BumpPolySum, _fold_columns
+from .core import BoxDomain, BumpPolySum, _fold_columns, _uniform_in_box
 from .group import CcBounds, HPoint, cc_dist_bounds, dilation, gauge, inverse, product
 
 __all__ = [
@@ -207,13 +207,14 @@ def holder_exponent(
 ):
     """Worst-case log-log slope of displacement against separation.
 
-    sampler(scale, count, rng) returns (separations, displacements) for
-    count pairs at the requested separation scale.  Each scale is one
-    regression bin represented by its maximum displacement (a Holder
-    bound is a worst-case statement).  Returns (exponent, diagnostics);
-    a sampler whose displacements never exceed zero_tol yields the +inf
-    sentinel (callers set zero_tol above the rounding floor of their
-    displacements so constant data registers as constant).
+    sampler(scales, count, rng) receives every scale at once, sorted
+    ascending, and returns (separations, displacements), two arrays with
+    one row of at least count pairs per scale, in the order given.  Each
+    scale is one regression bin represented by its maximum displacement (a
+    Holder bound is a worst-case statement).  Returns (exponent,
+    diagnostics); a sampler whose displacements never exceed zero_tol
+    yields the +inf sentinel (callers set zero_tol above the rounding floor
+    of their displacements so constant data registers as constant).
     """
     scales = np.asarray(scales, float)
     if scales.size < 8:
@@ -223,16 +224,15 @@ def holder_exponent(
     if (scales <= 0).any():
         raise ValueError("scales must be positive")
     rng = np.random.default_rng(seed)
-    reps = np.empty(scales.size)
-    maxima = np.empty(scales.size)
-    for j, s in enumerate(np.sort(scales)):
-        dist, disp = sampler(float(s), pairs_per_bin, rng)
-        dist = np.asarray(dist, float)
-        disp = np.abs(np.asarray(disp, float))
-        if dist.size < pairs_per_bin:
-            raise ValueError("sampler returned fewer pairs than requested")
-        reps[j] = np.exp(np.log(dist).mean())
-        maxima[j] = disp.max()
+    dist, disp = sampler(np.sort(scales), pairs_per_bin, rng)
+    dist = np.asarray(dist, float)
+    disp = np.abs(np.asarray(disp, float))
+    if dist.ndim != 2 or dist.shape[0] != scales.size:
+        raise ValueError("sampler must return one row per scale")
+    if dist.shape[1] < pairs_per_bin:
+        raise ValueError("sampler returned fewer pairs than requested")
+    reps = np.exp(np.log(dist).mean(axis=1))
+    maxima = disp.max(axis=1)
     keep = maxima > zero_tol
     diagnostics = {
         "scales": reps.tolist(),
@@ -253,23 +253,30 @@ def holder_exponent(
     return float(slope), diagnostics
 
 
-def _pair_points(dom: BoxDomain, scale: float, count: int, rng) -> tuple:
+def _pair_points(dom: BoxDomain, scales, count: int, rng) -> tuple:
+    """count pairs per scale, drawn scale by scale: every x, then every y,
+    and the separations with one row per scale."""
     lo = np.asarray(dom.lower, float)
     hi = np.asarray(dom.upper, float)
-    if 2.0 * scale >= (hi - lo).min():
+    if 2.0 * max(scales) >= (hi - lo).min():
         raise ValueError("pair separation exceeds the domain")
-    x = rng.uniform(lo + scale, hi - scale, size=(count, 2))
-    ang = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    y = x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return x, y
+    xs, ys = [], []
+    for scale in scales:
+        x = _uniform_in_box(rng, lo + scale, hi - scale, count)
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        xs.append(x)
+        ys.append(x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    dist = np.repeat(np.asarray(scales, float), count).reshape(-1, count)
+    return np.concatenate(xs + ys), dist
 
 
 def euclidean_graph_sampler(G: GraphMap):
     """Pairs measured as |u(x) - u(y)| against Euclidean separation."""
 
-    def sampler(scale, count, rng):
-        x, y = _pair_points(G.domain, scale, count, rng)
-        return np.full(count, scale), G.height(x) - G.height(y)
+    def sampler(scales, count, rng):
+        pts, dist = _pair_points(G.domain, scales, count, rng)
+        u = G.height(pts)
+        return dist, (u[: dist.size] - u[dist.size :]).reshape(dist.shape)
 
     return sampler
 
@@ -277,9 +284,11 @@ def euclidean_graph_sampler(G: GraphMap):
 def koranyi_graph_sampler(G: GraphMap):
     """Pairs measured as d_K(Phi(x), Phi(y)) against Euclidean separation."""
 
-    def sampler(scale, count, rng):
-        x, y = _pair_points(G.domain, scale, count, rng)
-        return np.full(count, scale), koranyi_dist(G.lift(x), G.lift(y))
+    def sampler(scales, count, rng):
+        pts, dist = _pair_points(G.domain, scales, count, rng)
+        lifted = G.lift(pts)
+        disp = koranyi_dist(lifted[: dist.size], lifted[dist.size :])
+        return dist, disp.reshape(dist.shape)
 
     return sampler
 

@@ -27,6 +27,7 @@ from .core import (
     StageReport,
     _fold_columns,
     _index_table,
+    _uniform_in_box,
     cell_derivative_bounds,
     enumerate_multiindices,
     multiindices_upto,
@@ -628,14 +629,28 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
 
 
 def _sample_in_boxes(boxes: np.ndarray, count: int, rng) -> np.ndarray:
-    """Uniform points in a union of disjoint boxes (rows low then high)."""
+    """Uniform points in a union of disjoint boxes (rows low then high).
+
+    The bits of rng.choice(len(boxes), count, p=volume shares), then
+    rng.uniform(size=(count, n)), but searching the sorted draws per box.
+    """
     n = boxes.shape[1] // 2
     vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
-    pick = rng.choice(boxes.shape[0], size=count, p=vols / vols.sum())
-    u = rng.uniform(size=(count, n))
+    p = vols / vols.sum()
+    if not (p >= 0.0).all():
+        # choice refuses NaN and negative probabilities alike
+        raise ValueError("box volumes must be finite and non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    order = np.argsort(u)
+    # box k takes the draws in [cdf[k-1], cdf[k]), as choice's right search does
+    per_box = np.diff(np.searchsorted(u[order], cdf), prepend=0)
+    pick = np.empty(count, np.intp)
+    pick[order] = np.repeat(np.arange(cdf.size), per_box)
     # take gathers whole rows many times faster than fancy indexing
-    lows, highs = np.hsplit(boxes.take(pick, axis=0), 2)
-    return lows + u * (highs - lows)
+    picked = boxes.take(pick, axis=0)
+    return _uniform_in_box(rng, picked[:, :n].T, picked[:, n:].T, count)
 
 
 def tail_pinch_check(
@@ -674,7 +689,7 @@ def tail_pinch_check(
     each = max(1, samples // len(usable))
     for k, boxes in usable:
         x = _sample_in_boxes(boxes, each, rng)
-        direction = rng.normal(size=(each, n))
+        direction = rng.standard_normal((each, n))
         direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction

@@ -19,6 +19,7 @@ from lusinkit.core import (
     PowerModulus,
     _bound_plan,
     _fold_columns,
+    _uniform_in_box,
     cell_derivative_bounds,
     enumerate_multiindices,
     modulus_from_dict,
@@ -294,6 +295,57 @@ class TestCutoffProfile:
                 prof = CutoffProfile(m, theta)
                 want = bound_constant_oracle(prof, n)
                 assert prof.bound_constant(n) == pytest.approx(want, rel=1e-15)
+
+
+def _reference_profile_derivatives(profile, s, kmax):
+    """The mask-writing body that profile_derivatives replaced, kept verbatim
+    as an oracle: numpy.polynomial.polyval over the band points."""
+    from numpy.polynomial import polynomial as npoly
+
+    s = np.asarray(s, float)
+    out = np.zeros((kmax + 1,) + s.shape)
+    out[0][s <= 1.0 - profile.theta] = 1.0
+    band = (s > 1.0 - profile.theta) & (s < 1.0)
+    if np.any(band):
+        u = (s[band] - (1.0 - profile.theta)) / profile.theta
+        out[0][band] = 1.0 - npoly.polyval(u, profile._step_coeffs)
+        for k in range(1, kmax + 1):
+            out[k][band] = -npoly.polyval(u, profile._step_derivs[k]) / profile.theta**k
+    return out
+
+
+class TestProfileOracle:
+    """profile_derivatives must equal the polyval reference bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [0.125, 0.3, 0.5])
+    def test_equals_reference_bit_for_bit(self, m, theta):
+        prof = CutoffProfile(m, theta)
+        rng = np.random.default_rng(m)
+        # both joins, exactly and one ulp either side
+        joins = np.array([1.0 - theta, 1.0])
+        s = np.concatenate(
+            [
+                rng.uniform(0.0, 1.0 - theta, 100),
+                rng.uniform(1.0 - theta, 1.0, 1000),
+                joins,
+                np.nextafter(joins, -np.inf),
+                np.nextafter(joins, np.inf),
+                rng.uniform(1.0, 3.0, 100),
+                [0.0, np.nan, np.inf, -np.inf],
+            ]
+        )
+        for k in range(m + 1):
+            want = _reference_profile_derivatives(prof, s, k)
+            got = prof.profile_derivatives(s, k)
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        grid = s[:1100].reshape(20, 55)
+        want = _reference_profile_derivatives(prof, grid, m)
+        npt.assert_array_equal(prof.profile_derivatives(grid, m), want)
+        # a scalar gives the (m + 1,) column of a one-point array
+        for x in (0.0, 1.0 - theta / 2.0, 2.0):
+            want = prof.profile_derivatives(np.array([x]), m)[:, 0]
+            npt.assert_array_equal(prof.profile_derivatives(x, m), want)
 
 
 def bound_constant_oracle(profile: CutoffProfile, n: int) -> float:
@@ -753,6 +805,44 @@ class TestKernelOracle:
         # the probes reached plateaus, bands and the empty outside
         assert np.count_nonzero(got[:, 0]) > pts.shape[0] // 2
         assert np.all(got[-53:] == 0.0)
+
+
+class TestDraws:
+    """The fast draws must give numpy's own bits and leave the generator
+    where numpy's leaves it, so every later draw lines up too."""
+
+    LOWER = (-2.5, 0.0, 1e3)
+    UPPER = (-1.25, 1.0, 1e3 + 0.7)
+
+    @staticmethod
+    def _same(got, want, a, b):
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 3, 100_000])
+    def test_uniform_in_box_is_rng_uniform(self, n, count):
+        lo, hi = np.array(self.LOWER[:n]), np.array(self.UPPER[:n])
+        a, b = np.random.default_rng(count + n), np.random.default_rng(count + n)
+        got = _uniform_in_box(a, lo, hi, count)
+        self._same(got, b.uniform(lo, hi, size=(count, n)), a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 3, 100_000])
+    def test_per_row_bounds(self, n, count):
+        # the shrunken box of the stratified pair sampler's leftover fill
+        lo, hi = np.array(self.LOWER[:n]), np.array(self.UPPER[:n])
+        d = np.random.default_rng(7).uniform(0.0, 0.2, count)
+        a, b = np.random.default_rng(count + n), np.random.default_rng(count + n)
+        got = _uniform_in_box(a, [x + d for x in lo], [x - d for x in hi], count)
+        self._same(got, b.uniform(lo + d[:, None], hi - d[:, None]), a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 3, 100_000])
+    def test_standard_normal_is_normal(self, n, count):
+        a, b = np.random.default_rng(count + n), np.random.default_rng(count + n)
+        got = a.standard_normal((count, n))
+        self._same(got, b.normal(size=(count, n)), a, b)
 
 
 class TestFoldColumns:

@@ -50,6 +50,56 @@ GROWTH_CFG = BuildConfig(
 )
 
 
+# Each certify check's worst value and witness pair on the committed
+# fixtures at 20,000 pairs, seed 1, as the samplers drew them before they
+# moved to numpy's fast paths.  The benchmark only compares the CLI with the
+# library, which would drift together, so these catch a moved random stream.
+SAMPLED_PINS = {
+    "demo": {
+        "match": (
+            0.027343568094042536,
+            [0.7681745424566, 0.18554678404702127],
+            [0.7681745424566, 0.18554678404702127],
+        ),
+        "supnorm": (
+            0.051213129442302656,
+            [0.9664120535307766, 0.9395461495610441],
+            [0.9664120535307766, 0.9395461495610441],
+        ),
+        "lipschitz": (0.0, None, None),
+        "modulus": (
+            0.06454627274188958,
+            [0.925180657872366, 0.9432811024379785],
+            [0.9441895144867031, 0.965223049591078],
+        ),
+        "pinch": (0.06736847692936906, None, None),
+    },
+    "xx2": {
+        "match": (
+            0.0,
+            [0.5527107634507354, 0.6909833112900224],
+            [0.5527107634507354, 0.6909833112900224],
+        ),
+        "supnorm": (
+            0.006760769564607833,
+            [0.9772757997425072, 0.7622837860470166],
+            [0.9772757997425072, 0.7622837860470166],
+        ),
+        "lipschitz": (
+            0.013495229308491577,
+            [0.4992595245270003, 0.17741371455912025],
+            [0.4992720011883114, 0.17741335832874144],
+        ),
+        "modulus": (
+            0.06753936900131621,
+            [0.8430128321168897, 0.3924244425928832],
+            [0.8444590322271326, 0.3930762903243648],
+        ),
+        "pinch": (0.0, None, None),
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def growth_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("growth")
@@ -305,6 +355,24 @@ def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, shape",
+    [("xx2", "dimension 2 and order 2"), ("invx", "dimension 1 and order 1")],
+)
+def test_certificate_naming_another_field(growth_run, tmp_path, capsys, field, shape):
+    # a first-order planar build whose certificate names a field of another shape
+    paths, _, _ = growth_run
+    d = json.loads(Path(paths["certificate"]).read_text())
+    d["field"] = field
+    bad = tmp_path / "bad.certificate.json"
+    bad.write_text(json.dumps(d))
+    certify = ["certify", paths["function"], "--certificate", str(bad)]
+    assert main([*certify, "--pairs", "10"]) == 2
+    err = capsys.readouterr().err
+    assert f"names field {field!r} of {shape}" in err
+    assert "function of dimension 2 and order 1" in err
+
+
 def test_certificate_config_ignores_unknown_keys(growth_run):
     # keys of no BuildConfig field, such as a retired setting, still load
     paths, _, cert = growth_run
@@ -362,6 +430,23 @@ class TestCertify:
         res = report["checks"]["lipschitz"]
         assert "vacuous" not in res
         assert res["pairs"] == 500
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_PINS))
+    def test_sampled_outputs_pinned(self, name, tmp_path):
+        lkf = tmp_path / f"{name}.lkf"
+        lkf.write_bytes(gzip.decompress((FIXTURES / f"{name}.lkf.gz").read_bytes()))
+        g, dom = load_function(str(lkf))
+        raw = gzip.decompress((FIXTURES / f"{name}.certificate.json.gz").read_bytes())
+        cert = BuildCertificate.from_dict(json.loads(raw))
+        report = certify_function(g, dom, cert, pairs=20_000, seed=1)
+        assert set(report["checks"]) == set(SAMPLED_PINS[name])
+        for check, (worst, x, y) in SAMPLED_PINS[name].items():
+            res = report["checks"][check]
+            assert res["worst"] == pytest.approx(worst, rel=1e-12), check
+            if x is None:
+                assert "witness" not in res, check
+            else:
+                assert (res["witness"]["x"], res["witness"]["y"]) == (x, y), check
 
     def test_deterministic_and_stream_isolated(self, growth_run):
         paths, _, _ = growth_run

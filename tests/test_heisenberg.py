@@ -1,7 +1,9 @@
+import gzip
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -27,9 +29,11 @@ from lusinkit.heisenberg import (
     koranyi_graph_sampler,
     koranyi_norm,
 )
+from lusinkit.harness import load_function
 from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
 
 IDENTITY = HPoint(0.0, 0.0, 0.0)
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 def _random_points(rng, count, span=2.0):
@@ -454,6 +458,16 @@ class TestCharacteristicFraction:
             characteristic_fraction(G, 1e-3, grid=grid)
 
 
+def _sweep(per_scale):
+    """holder_exponent's sampler from one that draws a single scale."""
+
+    def sampler(scales, count, rng):
+        bins = [per_scale(float(s), count, rng) for s in scales]
+        return np.array([b[0] for b in bins]), np.array([b[1] for b in bins])
+
+    return sampler
+
+
 class TestHolderExponent:
     @staticmethod
     def _planar_sampler(fn, lo=-0.4, hi=0.4):
@@ -463,7 +477,7 @@ class TestHolderExponent:
             y = x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1)
             return np.full(count, scale), fn(x) - fn(y)
 
-        return sampler
+        return _sweep(sampler)
 
     def test_linear_is_lipschitz(self):
         sampler = self._planar_sampler(lambda p: p[:, 0])
@@ -487,7 +501,7 @@ class TestHolderExponent:
             )
 
         alpha, diag = holder_exponent(
-            sampler, np.geomspace(1e-3, 0.2, 12), seed=1, pairs_per_bin=400
+            _sweep(sampler), np.geomspace(1e-3, 0.2, 12), seed=1, pairs_per_bin=400
         )
         assert 0.45 <= alpha <= 0.55
         assert diag["r_squared"] >= 0.99
@@ -520,12 +534,21 @@ class TestHolderExponent:
         with pytest.raises(ValueError, match="positive"):
             holder_exponent(sampler, np.concatenate([[0.0], scales[1:]]))
 
+    def test_sampler_rows_must_match_scales(self):
+        def sampler(scales, count, rng):
+            return np.ones((len(scales) - 1, count)), np.zeros((len(scales) - 1, count))
+
+        with pytest.raises(ValueError, match="one row per scale"):
+            holder_exponent(sampler, np.geomspace(1e-3, 0.2, 8), pairs_per_bin=100)
+
     def test_short_sampler_rejected(self):
         def sampler(scale, count, rng):
             return np.full(count - 1, scale), np.zeros(count - 1)
 
         with pytest.raises(ValueError, match="fewer pairs"):
-            holder_exponent(sampler, np.geomspace(1e-3, 0.2, 8), pairs_per_bin=100)
+            holder_exponent(
+                _sweep(sampler), np.geomspace(1e-3, 0.2, 8), pairs_per_bin=100
+            )
 
 
 class TestHolderTransfer:
@@ -546,6 +569,19 @@ class TestHolderTransfer:
         assert report["status"] == "degenerate"
         assert math.isinf(report["alpha_u"])
         assert not report["passed"]
+
+
+def test_demo_graph_outputs_pinned(tmp_path):
+    # the README session's graph analysis, as the samplers drew it before
+    # they moved to numpy's fast paths: a moved random stream changes these
+    lkf = tmp_path / "demo.lkf"
+    lkf.write_bytes(gzip.decompress((FIXTURES / "demo.lkf.gz").read_bytes()))
+    g, dom = load_function(str(lkf))
+    G = GraphMap.from_sum(dom, g)
+    report = holder_transfer_check(G, seed=1)
+    assert report["alpha_u"] == pytest.approx(0.17536198579701273, rel=1e-12)
+    assert report["alpha_graph"] == pytest.approx(0.2567342219794236, rel=1e-12)
+    assert characteristic_fraction(G, 1e-3) == 0.0020761245674740486
 
 
 class TestCirculation:

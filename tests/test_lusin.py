@@ -90,6 +90,58 @@ def _sample_in_boxes(boxes, count, rng):
     return boxes[pick, :n] + u * (boxes[pick, n:] - boxes[pick, :n])
 
 
+def _reference_sample_in_boxes(boxes, count, rng):
+    """The rng.choice sampler that lusin._sample_in_boxes replaced, kept
+    verbatim as an oracle."""
+    n = boxes.shape[1] // 2
+    vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
+    pick = rng.choice(boxes.shape[0], size=count, p=vols / vols.sum())
+    u = rng.uniform(size=(count, n))
+    # take gathers whole rows many times faster than fancy indexing
+    lows, highs = np.hsplit(boxes.take(pick, axis=0), 2)
+    return lows + u * (highs - lows)
+
+
+class TestSampleInBoxes:
+    """Points, bits and generator state must be those of the rng.choice
+    sampler, so every later draw of a check lines up too."""
+
+    # box sides; zero-volume boxes first, in the middle and last
+    SIDES = {
+        "one": [0.75],
+        "unequal": [1e-6, 1.0, 1e-3, 2.5, 0.5],
+        "zero_volume": [0.0, 1.0, 0.0, 0.5, 0.0],
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 3, 100_000])
+    @pytest.mark.parametrize("case", sorted(SIDES))
+    def test_equals_choice_bit_for_bit(self, n, count, case):
+        sides = np.array(self.SIDES[case])
+        lows = np.random.default_rng(n).uniform(-3.0, 5.0, size=(sides.size, n))
+        boxes = np.concatenate([lows, lows + sides[:, None]], axis=1)
+        a, b = np.random.default_rng(count), np.random.default_rng(count)
+        got = lusin._sample_in_boxes(boxes, count, a)
+        want = _reference_sample_in_boxes(boxes, count, b)
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert a.bit_generator.state == b.bit_generator.state
+        for k in np.flatnonzero(sides == 0.0):
+            assert not (got == lows[k]).all(axis=1).any()
+
+    @pytest.mark.parametrize(
+        "highs",
+        [
+            [[1.0, 0.0], [2.0, 1.0]],  # every volume zero
+            [[1.0, 1.0], [0.5, 2.0]],  # one volume negative
+        ],
+    )
+    def test_refuses_what_choice_refuses(self, highs):
+        boxes = np.concatenate([[[0.0, 0.0], [1.0, 1.0]], highs], axis=1)
+        for sampler in (lusin._sample_in_boxes, _reference_sample_in_boxes):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                sampler(boxes, 10, np.random.default_rng(0))
+
+
 class TestFieldCatalog:
     def test_heisenberg_components(self):
         f = field_catalog("heisenberg")
