@@ -60,6 +60,11 @@ OUTPUT_DIR_ENV = "LUSINKIT_OUT"
 
 CHECK_NAMES = ("match", "supnorm", "lipschitz", "modulus", "pinch")
 
+# separation bins of the increment checks' pair sample, and the most
+# rounds of rejection draws one bin may take
+PAIR_BINS = 20
+PAIR_ROUNDS = 64
+
 
 class FunctionFileError(ValueError):
     """A function file is unreadable, truncated or of the wrong version."""
@@ -347,22 +352,29 @@ def _ratio_margin(bound: float, worst: float) -> float:
     return bound / worst
 
 
-def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
+def _stratified_pairs(dom: BoxDomain, count: int, rng):
     """Point pairs stratified over log-spaced separation bins.
 
     Small separations are where the increment bounds bind, so a uniform
     pair sample (separations concentrated near the diameter) would barely
-    probe them.
+    probe them.  The PAIR_BINS separations run from 1e-8 to 0.99 of the box
+    diameter, and each bin draws rounds of candidates until it holds its
+    share of the pairs or has drawn PAIR_ROUNDS rounds.  A bin whose first
+    round lands no pair gives up: near the diameter of a box of two or more
+    dimensions pairs land so rarely that further rounds are nearly all
+    waste.  Whatever the bins leave short is drawn at small separations.
+    With fewer than two pairs per bin a round is a single candidate, so a
+    bin whose one draw misses gives its pair to small separations too.
     """
     # fewer pairs than bins would still draw one pair per bin
-    bins = min(bins, count)
+    bins = min(PAIR_BINS, count)
     diam = dom.diameter()
     seps = np.geomspace(1e-8 * diam, 0.99 * diam, bins)
     per = max(1, count // bins)
     xs, ys = [], []
     for d in seps:
         got = 0
-        for _ in range(64):
+        for _ in range(PAIR_ROUNDS):
             need = per - got
             if need <= 0:
                 break
@@ -374,6 +386,8 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng, bins: int = 20):
             xs.append(x.take(ok, axis=0))
             ys.append(y.take(ok, axis=0))
             got += ok.size
+            if not got:
+                break
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     short = count - x.shape[0]
@@ -489,7 +503,13 @@ def _check_modulus(g, cert, count, rng, dom) -> dict:
         if sum(gm) == cert.order - 1
     ]
     mu = cert.config.modulus
-    return _increment_check(g, gammas, lambda d: d / mu(d), count, rng, dom)
+
+    def cap(d):
+        # where mu(d) = 0 the cap is +inf: the bound is vacuous, the ratio 0
+        with np.errstate(divide="ignore"):
+            return d / mu(d)
+
+    return _increment_check(g, gammas, cap, count, rng, dom)
 
 
 def _check_pinch(g, cert, count, rng) -> dict:

@@ -14,16 +14,21 @@ import numpy.testing as npt
 import pytest
 
 import lusinkit
+from lusinkit import harness
 from lusinkit.cli import main
 from lusinkit.core import (
     BoxDomain,
     BuildCertificate,
     BumpPolySum,
+    PiecewiseLinearModulus,
     PowerModulus,
     StageReport,
+    _fold_columns,
+    _uniform_in_box,
 )
 from lusinkit.harness import (
     FunctionFileError,
+    _stratified_pairs,
     certify_function,
     execute_manifest,
     load_certificate,
@@ -98,6 +103,135 @@ SAMPLED_PINS = {
         "pinch": (0.0, None, None),
     },
 }
+
+
+# A modulus that vanishes near 0, so that d / mu(d) is +inf at small d.
+FLAT_START_CFG = BuildConfig(
+    sigma=50.0,
+    tau=10.0,
+    grid=8,
+    stages=1,
+    modulus=PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.0), (1.0, 1.0))),
+)
+
+
+def _reference_stratified_pairs(dom, count, rng, bins=20):
+    """The pair sampler as it was before a fruitless bin gave up."""
+    bins = min(bins, count)
+    diam = dom.diameter()
+    seps = np.geomspace(1e-8 * diam, 0.99 * diam, bins)
+    per = max(1, count // bins)
+    xs, ys = [], []
+    for d in seps:
+        got = 0
+        for _ in range(64):
+            need = per - got
+            if need <= 0:
+                break
+            x = _uniform_in_box(rng, dom.lower, dom.upper, need)
+            vec = rng.standard_normal((need, dom.dimension))
+            vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
+            y = x + d * vec
+            ok = np.flatnonzero(dom.contains(y))
+            xs.append(x.take(ok, axis=0))
+            ys.append(y.take(ok, axis=0))
+            got += ok.size
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    short = count - x.shape[0]
+    if short > 0:
+        top = min(np.asarray(dom.side_lengths()).min() / 3.0, diam)
+        d = np.exp(rng.uniform(np.log(1e-8 * diam), np.log(top), size=short))
+        lo, hi = [a + d for a in dom.lower], [b - d for b in dom.upper]
+        x2 = _uniform_in_box(rng, lo, hi, short)
+        vec = rng.standard_normal((short, dom.dimension))
+        vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
+        x = np.concatenate([x, x2])
+        y = np.concatenate([y, x2 + d[:, None] * vec])
+    step = x - y
+    return x, y, np.sqrt(_fold_columns(np.add, step * step))
+
+
+INTERVAL = BoxDomain((1.0,), (2.0,))
+UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
+BOXES = {
+    "square": UNIT_SQUARE,
+    "2x4": BoxDomain((0.0, 0.0), (2.0, 4.0)),
+    "cube": BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+}
+
+
+def _bits(*arrays):
+    return [a.view(np.uint64) for a in arrays]
+
+
+def _bin_work(monkeypatch, module, sampler, dom, count, seed):
+    """Rounds and candidate rows the separation bins draw (remainder excluded)."""
+    rows = []
+    draw = module._uniform_in_box
+
+    def counting(rng, lower, upper, n):
+        if lower is dom.lower:
+            rows.append(n)
+        return draw(rng, lower, upper, n)
+
+    monkeypatch.setattr(module, "_uniform_in_box", counting)
+    sampler(dom, count, np.random.default_rng(seed))
+    return len(rows), sum(rows)
+
+
+class TestStratifiedPairs:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("count", [100_000, 20_000, 4000])
+    def test_interval_equals_reference(self, count, seed):
+        # on [1, 2] the top bin lands about 1% of its candidates, so no bin
+        # gives up and the whole stream is the reference's
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _stratified_pairs(INTERVAL, count, rng)
+        ref = _reference_stratified_pairs(INTERVAL, count, ref_rng)
+        for a, b in zip(_bits(*got), _bits(*ref)):
+            npt.assert_array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("count", [100_000, 20_000, 4000, 500])
+    @pytest.mark.parametrize("box", sorted(BOXES))
+    def test_bins_below_the_top_equal_reference(self, box, count, seed):
+        dom = BOXES[box]
+        x, y, d = _stratified_pairs(dom, count, np.random.default_rng(seed))
+        ref = _reference_stratified_pairs(dom, count, np.random.default_rng(seed))
+        assert x.shape == y.shape == (count, dom.dimension)
+        assert d.shape == (count,)
+        head = 19 * (count // 20)
+        for a, b in zip(_bits(x, y, d), _bits(*ref)):
+            npt.assert_array_equal(a[:head], b[:head])
+        # the top bin's first round lands nothing on these boxes, so every
+        # pair past the lower 19 bins is drawn at small separation
+        top = dom.side_lengths().min() / 3.0
+        assert np.all(d[head:] <= top * (1 + 1e-12))
+
+    def test_unreachable_top_bin_draws_one_round(self, monkeypatch):
+        work = _bin_work(
+            monkeypatch, harness, _stratified_pairs, UNIT_SQUARE, 100_000, 1
+        )
+        ref = _bin_work(
+            monkeypatch,
+            sys.modules[__name__],
+            _reference_stratified_pairs,
+            UNIT_SQUARE,
+            100_000,
+            1,
+        )
+        assert work == (56, 109_655)
+        assert ref == (119, 424_655)
+
+    def test_one_candidate_per_bin(self):
+        x, y, d = _stratified_pairs(UNIT_SQUARE, 21, np.random.default_rng(1))
+        assert x.shape == y.shape == (21, 2)
+        for pts in (x, y):
+            assert np.all(np.isfinite(pts))
+            assert np.all(UNIT_SQUARE.contains(pts))
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +565,17 @@ class TestCertify:
         assert "vacuous" not in res
         assert res["pairs"] == 500
 
+    def test_modulus_vanishing_near_zero(self, tmp_path):
+        # runs under the suite's error::RuntimeWarning filter: where mu(d) is
+        # 0 the cap d / mu(d) is +inf and the ratio 0, with no division warning
+        _, g, cert = run_construct(
+            "heisenberg", UNIT_SQUARE, FLAT_START_CFG, str(tmp_path)
+        )
+        report = certify_function(g, UNIT_SQUARE, cert, checks=("modulus",), pairs=2000)
+        res = report["checks"]["modulus"]
+        assert res["passed"]
+        assert 0.0 < res["worst"] < 1.0
+
     @pytest.mark.parametrize("name", sorted(SAMPLED_PINS))
     def test_sampled_outputs_pinned(self, name, tmp_path):
         lkf = tmp_path / f"{name}.lkf"
@@ -639,13 +784,18 @@ options:
 """
 
 
-def _fresh_interpreter(*args) -> str:
-    """stdout of python ARGS run with this checkout's lusinkit, 80 columns wide."""
+def _fresh_run(*args) -> subprocess.CompletedProcess:
+    """python ARGS run with this checkout's lusinkit, 80 columns wide."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lusinkit.__file__)))
     env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True
     )
+
+
+def _fresh_interpreter(*args) -> str:
+    """stdout of python ARGS run with this checkout's lusinkit, 80 columns wide."""
+    out = _fresh_run(*args)
     assert out.returncode == 0, out.stderr
     return out.stdout
 
@@ -701,6 +851,19 @@ class TestCli:
         text = capsys.readouterr().out
         assert "match: pass" in text
         assert os.path.exists(os.path.join(out, "z.report.json"))
+
+    def test_certify_modulus_vanishing_near_zero_is_silent(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        construct = ["construct", "--field", "heisenberg", "--domain", "0,0,1,1"]
+        flags = ["--grid", "8", "--stages", "1", "--sigma", "50", "--tau", "10"]
+        modulus = ["--modulus", "pwl:0,0;0.5,0;1,1"]
+        assert main([*construct, *flags, *modulus, "--out", str(out)]) == 0
+        lkf = str(out / "function.lkf")
+        cert = ["--checks", "modulus", "--pairs", "2000"]
+        run = _fresh_run("-m", "lusinkit.cli", "certify", lkf, *cert)
+        assert run.returncode == 0
+        assert "modulus: pass" in run.stdout
+        assert run.stderr == ""
 
     @pytest.mark.parametrize("umask", [0o022, 0o027])
     def test_artifacts_honour_umask(self, tmp_path, capsys, umask):
