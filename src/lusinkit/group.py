@@ -66,7 +66,13 @@ def gauge(p):
     # squares are x * x here and in dilation: numpy squares by multiplying,
     # and a float's x ** 2 can differ in the last bit or raise OverflowError
     z2 = x * x + y * y
-    return (z2 * z2 + t * t) ** 0.25
+    return _sqrt(_sqrt(z2 * z2 + t * t))
+
+
+def _sqrt(v):
+    # correctly rounded on both paths, which pow(v, 0.25) is not: math.sqrt
+    # for floats, and numpy's power by 0.5, which is its sqrt, for arrays
+    return math.sqrt(v) if isinstance(v, float) else v ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,10 @@ from .core import (
     _fold_columns,
     _jsonable,
     _uniform_in_box,
+    enumerate_multiindices,
     multiindices_upto,
 )
-from .lusin import (
-    _sample_in_boxes,
-    field_catalog,
-    multi_stage_build,
-    tail_pinch_check,
-)
+from .lusin import field_catalog, multi_stage_build
 
 __all__ = [
     "FORMAT_VERSION",
@@ -50,6 +46,7 @@ __all__ = [
     "run_construct",
     "save_function",
     "stream_rng",
+    "tail_pinch_check",
     "write_json",
 ]
 
@@ -57,8 +54,6 @@ FORMAT_MAGIC = "lusinkit-function"
 FORMAT_VERSION = 1
 
 OUTPUT_DIR_ENV = "LUSINKIT_OUT"
-
-CHECK_NAMES = ("match", "supnorm", "lipschitz", "modulus", "pinch")
 
 # separation bins of the increment checks' pair sample, and the most
 # rounds of rejection draws one bin may take
@@ -346,10 +341,10 @@ def sibling_certificate_path(function_path: str) -> str:
 # certification sampling
 
 
-def _ratio_margin(bound: float, worst: float) -> float:
-    if worst <= 0.0:
-        return math.inf
-    return bound / worst
+def _report(passed, worst: float, bound: float, **extra) -> dict:
+    """A check's report: its verdict, worst value, bound and bound / worst."""
+    margin = math.inf if worst <= 0.0 else bound / worst
+    return {"passed": passed, "worst": worst, "bound": bound, "margin": margin, **extra}
 
 
 def _stratified_pairs(dom: BoxDomain, count: int, rng):
@@ -406,6 +401,31 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng):
     return x, y, np.sqrt(_fold_columns(np.add, step * step))
 
 
+def _sample_in_boxes(boxes: np.ndarray, count: int, rng) -> np.ndarray:
+    """Uniform points in a union of disjoint boxes (rows low then high).
+
+    The bits of rng.choice(len(boxes), count, p=volume shares), then
+    rng.uniform(size=(count, n)), but searching the sorted draws per box.
+    """
+    n = boxes.shape[1] // 2
+    vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
+    p = vols / vols.sum()
+    if not (p >= 0.0).all():
+        # choice refuses NaN and negative probabilities alike
+        raise ValueError("box volumes must be finite and non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    order = np.argsort(u)
+    # box k takes the draws in [cdf[k-1], cdf[k]), as choice's right search does
+    per_box = np.diff(np.searchsorted(u[order], cdf), prepend=0)
+    pick = np.empty(count, np.intp)
+    pick[order] = np.repeat(np.arange(cdf.size), per_box)
+    # take gathers whole rows many times faster than fancy indexing
+    picked = boxes.take(pick, axis=0)
+    return _uniform_in_box(rng, picked[:, :n].T, picked[:, n:].T, count)
+
+
 def _witness_pair(x, y, value) -> dict:
     return {
         "x": [float(v) for v in np.atleast_1d(x)],
@@ -423,85 +443,63 @@ def _worst_entry(vals: np.ndarray) -> tuple[int, int]:
     return int(vals[:, j].argmax()), j
 
 
-def _check_match(g, field, cert, count, rng) -> dict:
+def _check_match(g, cert, field, dom, count, rng) -> dict:
     boxes = [c for c in cert.covered_cells if c.shape[0]]
     if not boxes:
-        return {
-            "passed": True,
-            "vacuous": True,
-            "worst": 0.0,
-            "bound": cert.config.tau,
-            "margin": math.inf,
-        }
+        return _report(True, 0.0, cert.config.tau, vacuous=True)
     pts = _sample_in_boxes(np.concatenate(boxes, axis=0), count, rng)
     resid = np.abs(g.jet(pts, field.alphas) - field.evaluate(pts))
     resid = _fold_columns(np.maximum, resid)
     i = int(resid.argmax())
     worst = float(resid[i])
-    return {
-        "passed": worst <= cert.config.tau + 1e-12,
-        "worst": worst,
-        "bound": cert.config.tau,
-        "margin": _ratio_margin(cert.config.tau, worst),
-        "witness": _witness_pair(pts[i], pts[i], worst),
-    }
+    return _report(
+        worst <= cert.config.tau + 1e-12,
+        worst,
+        cert.config.tau,
+        witness=_witness_pair(pts[i], pts[i], worst),
+    )
 
 
-def _check_supnorm(g, cert, count, rng, dom) -> dict:
+def _check_supnorm(g, cert, field, dom, count, rng) -> dict:
     gammas = multiindices_upto(cert.dimension, cert.order - 1)
     pts = _uniform_in_box(rng, dom.lower, dom.upper, count)
     vals = np.abs(g.jet(pts, gammas))
     i, j = _worst_entry(vals)
     worst = float(vals[i, j])
-    return {
-        "passed": worst < cert.config.sigma,
-        "worst": worst,
-        "bound": cert.config.sigma,
-        "margin": _ratio_margin(cert.config.sigma, worst),
-        "order": list(gammas[j]),
-        "witness": _witness_pair(pts[i], pts[i], worst),
-    }
+    return _report(
+        worst < cert.config.sigma,
+        worst,
+        cert.config.sigma,
+        order=list(gammas[j]),
+        witness=_witness_pair(pts[i], pts[i], worst),
+    )
 
 
-def _increment_check(g, gammas, cap, count, rng, dom) -> dict:
-    """Worst |D^gamma g(x) - D^gamma g(y)| / cap(|x - y|) over stratified pairs."""
+def _increment_check(g, gammas, cap, dom, count, rng) -> dict:
+    """Worst |D^gamma g(x) - D^gamma g(y)| / cap(|x - y|) over stratified
+    pairs; vacuous, drawing nothing, when gammas is empty."""
+    if not gammas:
+        return _report(True, 0.0, 1.0, vacuous=True)
     x, y, d = _stratified_pairs(dom, count, rng)
     ratio = np.abs(g.jet(x, gammas) - g.jet(y, gammas)) / cap(d)[:, None]
     i, j = _worst_entry(ratio)
     worst = float(ratio[i, j])
-    return {
-        "passed": worst <= 1.0 + 1e-9,
-        "worst": worst,
-        "bound": 1.0,
-        "margin": _ratio_margin(1.0, worst),
-        "pairs": int(d.size),
-        "witness": _witness_pair(x[i], y[i], worst),
-    }
+    return _report(
+        worst <= 1.0 + 1e-9,
+        worst,
+        1.0,
+        pairs=int(d.size),
+        witness=_witness_pair(x[i], y[i], worst),
+    )
 
 
-def _check_lipschitz(g, cert, count, rng, dom) -> dict:
-    gammas = [
-        gm
-        for gm in multiindices_upto(cert.dimension, cert.order - 1)
-        if sum(gm) <= cert.order - 2
-    ]
-    if not gammas:
-        return {
-            "passed": True,
-            "vacuous": True,
-            "worst": 0.0,
-            "bound": 1.0,
-            "margin": math.inf,
-        }
-    return _increment_check(g, gammas, lambda d: cert.config.sigma * d, count, rng, dom)
+def _check_lipschitz(g, cert, field, dom, count, rng) -> dict:
+    gammas = multiindices_upto(cert.dimension, cert.order - 2)
+    return _increment_check(g, gammas, lambda d: cert.config.sigma * d, dom, count, rng)
 
 
-def _check_modulus(g, cert, count, rng, dom) -> dict:
-    gammas = [
-        gm
-        for gm in multiindices_upto(cert.dimension, cert.order - 1)
-        if sum(gm) == cert.order - 1
-    ]
+def _check_modulus(g, cert, field, dom, count, rng) -> dict:
+    gammas = enumerate_multiindices(cert.dimension, cert.order - 1)
     mu = cert.config.modulus
 
     def cap(d):
@@ -509,17 +507,72 @@ def _check_modulus(g, cert, count, rng, dom) -> dict:
         with np.errstate(divide="ignore"):
             return d / mu(d)
 
-    return _increment_check(g, gammas, cap, count, rng, dom)
+    return _increment_check(g, gammas, cap, dom, count, rng)
 
 
-def _check_pinch(g, cert, count, rng) -> dict:
-    out = tail_pinch_check(
+def tail_pinch_check(
+    g: BumpPolySum, cert: BuildCertificate, samples: int = 2000, seed: int = 0
+) -> dict:
+    """Sample the quadratic decay of later-stage terms near certified boxes.
+
+    Draws points x inside stage-k certified boxes and offsets h with
+    |h| in [1e-4, 1e-1], then checks every derivative of order below the
+    smoothness order of the later-stage tail against sigma |h|^2.  Returns
+    a check report whose worst is the largest ratio to that bound, with the
+    number of points checked; it is vacuous when no stage has any later
+    terms to test.
+    """
+    if samples < 1:
+        raise ValueError("sample count must be positive")
+    n, m = cert.dimension, cert.order
+    rng = np.random.default_rng(seed)
+    gammas = multiindices_upto(n, m - 1)
+    stage_ids = [r.stage for r in cert.stage_reports]
+    later = {k: {s for s in g.stage_ids if s > k} for k in stage_ids}
+    usable = [
+        (k, cert.covered_cells[i])
+        for i, k in enumerate(stage_ids)
+        if later[k] and cert.covered_cells[i].shape[0] > 0
+    ]
+    if not usable:
+        return _report(True, 0.0, 1.0, checked=0, vacuous=True)
+    per_stage = {}
+    each = max(1, samples // len(usable))
+    for k, boxes in usable:
+        x = _sample_in_boxes(boxes, each, rng)
+        direction = rng.standard_normal((each, n))
+        direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
+        radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
+        pts = x + radius[:, None] * direction
+        tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later[k])))
+        ratios = tail / (cert.config.sigma * radius**2)
+        per_stage[k] = float(ratios.max())
+    worst = max(per_stage.values())
+    return _report(
+        worst <= 1.0 + 1e-9,
+        worst,
+        1.0,
+        checked=each * len(usable),
+        vacuous=False,
+        per_stage=per_stage,
+    )
+
+
+def _check_pinch(g, cert, field, dom, count, rng) -> dict:
+    return tail_pinch_check(
         g, cert, samples=max(200, count // 10), seed=int(rng.integers(2**32))
     )
-    out["bound"] = 1.0
-    out["worst"] = out.pop("worst_ratio")
-    out["margin"] = _ratio_margin(1.0, out["worst"])
-    return out
+
+
+# each check takes (g, cert, field, dom, count, rng) and returns a _report
+_CHECKS = {
+    "match": _check_match,
+    "supnorm": _check_supnorm,
+    "lipschitz": _check_lipschitz,
+    "modulus": _check_modulus,
+    "pinch": _check_pinch,
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def certify_function(
@@ -538,7 +591,7 @@ def certify_function(
     or one naming a catalog field of another dimension or order.
     """
     checks = tuple(checks)
-    unknown = set(checks) - set(CHECK_NAMES)
+    unknown = set(checks) - set(_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if pairs < 1:
@@ -554,19 +607,10 @@ def certify_function(
             f"{field.dimension} and order {field.order}, but describes a "
             f"function of dimension {cert.dimension} and order {cert.order}"
         )
-    results = {}
-    for name in checks:
-        rng = stream_rng(seed, name)
-        if name == "match":
-            results[name] = _check_match(g, field, cert, pairs, rng)
-        elif name == "supnorm":
-            results[name] = _check_supnorm(g, cert, pairs, rng, dom)
-        elif name == "lipschitz":
-            results[name] = _check_lipschitz(g, cert, pairs, rng, dom)
-        elif name == "modulus":
-            results[name] = _check_modulus(g, cert, pairs, rng, dom)
-        elif name == "pinch":
-            results[name] = _check_pinch(g, cert, pairs, rng)
+    results = {
+        name: _CHECKS[name](g, cert, field, dom, pairs, stream_rng(seed, name))
+        for name in checks
+    }
     return {
         "field": cert.field_name,
         "checks": results,

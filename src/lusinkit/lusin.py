@@ -27,10 +27,8 @@ from .core import (
     StageReport,
     _fold_columns,
     _index_table,
-    _uniform_in_box,
     cell_derivative_bounds,
     enumerate_multiindices,
-    multiindices_upto,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "FieldCollection",
     "field_catalog",
     "multi_stage_build",
-    "tail_pinch_check",
 ]
 
 
@@ -626,82 +623,3 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
 
     cert = _assemble_certificate(field, dom, cfg, profile, reports, covered_arrays, g)
     return g, cert
-
-
-def _sample_in_boxes(boxes: np.ndarray, count: int, rng) -> np.ndarray:
-    """Uniform points in a union of disjoint boxes (rows low then high).
-
-    The bits of rng.choice(len(boxes), count, p=volume shares), then
-    rng.uniform(size=(count, n)), but searching the sorted draws per box.
-    """
-    n = boxes.shape[1] // 2
-    vols = np.prod(boxes[:, n:] - boxes[:, :n], axis=1)
-    p = vols / vols.sum()
-    if not (p >= 0.0).all():
-        # choice refuses NaN and negative probabilities alike
-        raise ValueError("box volumes must be finite and non-negative")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(count)
-    order = np.argsort(u)
-    # box k takes the draws in [cdf[k-1], cdf[k]), as choice's right search does
-    per_box = np.diff(np.searchsorted(u[order], cdf), prepend=0)
-    pick = np.empty(count, np.intp)
-    pick[order] = np.repeat(np.arange(cdf.size), per_box)
-    # take gathers whole rows many times faster than fancy indexing
-    picked = boxes.take(pick, axis=0)
-    return _uniform_in_box(rng, picked[:, :n].T, picked[:, n:].T, count)
-
-
-def tail_pinch_check(
-    g: BumpPolySum, cert: BuildCertificate, samples: int = 2000, seed: int = 0
-):
-    """Sample the quadratic decay of later-stage terms near certified boxes.
-
-    Draws points x inside stage-k certified boxes and offsets h with
-    |h| in [1e-4, 1e-1], then checks every derivative of order below the
-    smoothness order of the later-stage tail against sigma |h|^2.  Returns
-    a dict with the worst ratio and a vacuous flag when no stage has any
-    later terms to test.
-    """
-    if samples < 1:
-        raise ValueError("sample count must be positive")
-    n, m = cert.dimension, cert.order
-    rng = np.random.default_rng(seed)
-    gammas = multiindices_upto(n, m - 1)
-    stage_ids = [r.stage for r in cert.stage_reports]
-    later = {k: {s for s in g.stage_ids if s > k} for k in stage_ids}
-    usable = [
-        (k, cert.covered_cells[i])
-        for i, k in enumerate(stage_ids)
-        if later[k] and cert.covered_cells[i].shape[0] > 0
-    ]
-    if not usable:
-        return {
-            "checked": 0,
-            "worst_ratio": 0.0,
-            "passed": True,
-            "vacuous": True,
-        }
-    worst = 0.0
-    checked = 0
-    per_stage = {}
-    each = max(1, samples // len(usable))
-    for k, boxes in usable:
-        x = _sample_in_boxes(boxes, each, rng)
-        direction = rng.standard_normal((each, n))
-        direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
-        radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
-        pts = x + radius[:, None] * direction
-        tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later[k])))
-        ratios = tail / (cert.config.sigma * radius**2)
-        per_stage[k] = float(ratios.max())
-        worst = max(worst, per_stage[k])
-        checked += each
-    return {
-        "checked": checked,
-        "worst_ratio": worst,
-        "passed": worst <= 1.0 + 1e-9,
-        "vacuous": False,
-        "per_stage": per_stage,
-    }

@@ -1045,3 +1045,19 @@ def test_no_unused_top_level_import(path):
         for alias in node.names
     ]
     assert [name for name in imported if name not in used] == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "lusinkit").glob("*.py")), ids=lambda p: p.name
+)
+def test_private_names_come_only_from_core(path):
+    # core's private helpers are shared; any other module's stay its own
+    tree = ast.parse(path.read_text())
+    leaks = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "core"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert leaks == []

@@ -6,7 +6,7 @@ import re
 import stat
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +102,17 @@ SAMPLED_PINS = {
         ),
         "pinch": (0.0, None, None),
     },
+}
+
+
+# Each check's worst value on the demo fixture at 4,000 pairs, seed 5: the
+# README session's certify command.
+DEMO_CERTIFY_WORST = {
+    "match": 0.027341203269699133,
+    "supnorm": 0.045544702981806365,
+    "lipschitz": 0.0,
+    "modulus": 0.061350099214869155,
+    "pinch": 0.007030871570393668,
 }
 
 
@@ -538,8 +549,17 @@ def test_certificate_records_every_setting():
     assert BuildCertificate.from_dict(d).config == cfg
 
 
+def _fixture(name, tmp_path):
+    """The committed fixture build name: its function, domain and certificate."""
+    lkf = tmp_path / f"{name}.lkf"
+    lkf.write_bytes(gzip.decompress((FIXTURES / f"{name}.lkf.gz").read_bytes()))
+    g, dom = load_function(str(lkf))
+    raw = gzip.decompress((FIXTURES / f"{name}.certificate.json.gz").read_bytes())
+    return g, dom, BuildCertificate.from_dict(json.loads(raw))
+
+
 class TestCertify:
-    def test_all_checks_pass(self, growth_run):
+    def test_all_checks_pass(self, growth_run, tmp_path):
         paths, _, _ = growth_run
         g, dom = load_function(paths["function"])
         cert = load_certificate(paths["certificate"])
@@ -553,13 +573,28 @@ class TestCertify:
         assert checks["modulus"]["worst"] <= 1.0
         assert not checks["pinch"]["vacuous"]
 
+        # every report has one shape, vacuous or not: the second-order
+        # fixture checks a Lipschitz ledger, and a one-stage build has no
+        # tail to pinch
+        one_stage = replace(GROWTH_CFG, stages=1)
+        g1, cert1 = multi_stage_build(field_catalog("heisenberg"), dom, one_stage)
+        reports = [
+            checks,
+            certify_function(*_fixture("xx2", tmp_path), pairs=500)["checks"],
+            certify_function(g1, dom, cert1, pairs=500)["checks"],
+        ]
+        assert "vacuous" not in reports[1]["lipschitz"]
+        assert reports[2]["pinch"]["vacuous"]
+        for res in (res for rep in reports for res in rep.values()):
+            assert {"passed", "worst", "bound", "margin"} <= set(res)
+            if res["worst"] == 0.0:
+                assert math.isinf(res["margin"])
+            else:
+                assert res["margin"] == res["bound"] / res["worst"]
+
     def test_lipschitz_report_counts_pairs(self, tmp_path):
         # the second-order fixture has a first-order Lipschitz ledger to check
-        lkf = tmp_path / "xx2.lkf"
-        lkf.write_bytes(gzip.decompress((FIXTURES / "xx2.lkf.gz").read_bytes()))
-        g, dom = load_function(str(lkf))
-        raw = gzip.decompress((FIXTURES / "xx2.certificate.json.gz").read_bytes())
-        cert = BuildCertificate.from_dict(json.loads(raw))
+        g, dom, cert = _fixture("xx2", tmp_path)
         report = certify_function(g, dom, cert, checks=("lipschitz",), pairs=500)
         res = report["checks"]["lipschitz"]
         assert "vacuous" not in res
@@ -578,11 +613,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("name", sorted(SAMPLED_PINS))
     def test_sampled_outputs_pinned(self, name, tmp_path):
-        lkf = tmp_path / f"{name}.lkf"
-        lkf.write_bytes(gzip.decompress((FIXTURES / f"{name}.lkf.gz").read_bytes()))
-        g, dom = load_function(str(lkf))
-        raw = gzip.decompress((FIXTURES / f"{name}.certificate.json.gz").read_bytes())
-        cert = BuildCertificate.from_dict(json.loads(raw))
+        g, dom, cert = _fixture(name, tmp_path)
         report = certify_function(g, dom, cert, pairs=20_000, seed=1)
         assert set(report["checks"]) == set(SAMPLED_PINS[name])
         for check, (worst, x, y) in SAMPLED_PINS[name].items():
@@ -592,6 +623,17 @@ class TestCertify:
                 assert "witness" not in res, check
             else:
                 assert (res["witness"]["x"], res["witness"]["y"]) == (x, y), check
+
+    def test_demo_certify_pinned(self, tmp_path):
+        # the README session's certify run: a moved random stream changes these
+        report = certify_function(*_fixture("demo", tmp_path), pairs=4000, seed=5)
+        checks = report["checks"]
+        assert report["passed"]
+        for check, worst in DEMO_CERTIFY_WORST.items():
+            assert checks[check]["worst"] == pytest.approx(worst, rel=1e-12), check
+        assert checks["lipschitz"]["vacuous"]
+        assert checks["modulus"]["pairs"] == 4000
+        assert checks["pinch"]["checked"] == 400
 
     def test_deterministic_and_stream_isolated(self, growth_run):
         paths, _, _ = growth_run
