@@ -29,6 +29,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field, fields
 from functools import cached_property, lru_cache
@@ -130,6 +131,8 @@ class BoxDomain:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("lower and upper must have the same length")
+        if not all(map(math.isfinite, (*self.lower, *self.upper))):
+            raise ValueError("domain corners must be finite")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower must be strictly below upper componentwise")
 
@@ -295,6 +298,8 @@ class PiecewiseLinearModulus(Modulus):
         k = self.knots
         if len(k) < 2:
             raise ValueError("need the origin knot plus at least one more")
+        if not all(map(math.isfinite, itertools.chain(*k))):
+            raise ValueError("knots must be finite")
         if k[0] != (0.0, 0.0):
             raise ValueError("first knot must be (0, 0)")
         ts = [p[0] for p in k]
@@ -458,8 +463,7 @@ class CutoffProfile:
         m = order and coefficients |c_alpha| <= F (in the c_alpha/alpha!
         normalization used by BumpPolySum), every order-m derivative of the
         term is bounded by C(n, m) * F on the cell, independently of the cell
-        size.  Used by the scale-selection formula and reported in
-        certificates.  It is the largest top-order row of
+        size.  Certificates report it.  It is the largest top-order row of
         cell_derivative_bounds for unit top-order coefficients: there the
         cell size cancels, so half-width 1 gives it.
         """
@@ -844,9 +848,7 @@ def _json_float(v) -> float:
 _FROM_JSON = {
     "int": lambda v: _json_is(v, int),
     "float": _json_float,
-    "bool": lambda v: _json_is(v, bool),
     "str": lambda v: _json_is(v, str),
-    "dict": lambda v: _json_is(v, dict),
     "dict[str, int]": lambda v: {
         k: _json_is(x, int) for k, x in _json_is(v, dict).items()
     },
@@ -970,27 +972,55 @@ class BuildCertificate:
     closed boxes (low then high per axis) for stage k+1; boxes of distinct
     stages are pairwise disjoint.  The ledgers accumulate the per-stage sup,
     Lipschitz and modulus budgets whose sums realize the global budgets
-    sigma (orders <= m-1), sigma (orders <= m-2) and 1 (order m-1).
+    sigma (orders <= m-1), sigma (orders <= m-2) and 1 (order m-1).  They,
+    the measures, partial_cover and profile_constant are computed from the
+    stage reports, config and domain, never stored.
     """
 
     order: int
     domain: BoxDomain
     field_name: str
     config: BuildConfig
-    profile_constant: float
     stage_reports: tuple
     covered_cells: tuple
-    sup_ledger: tuple[float, ...]
-    lipschitz_ledger: float
-    modulus_ledger: float
-    coverage_measure: float
-    residual_measure: float
     term_count: int
-    partial_cover: bool
 
     @property
     def dimension(self) -> int:
         return self.domain.dimension
+
+    @property
+    def profile_constant(self) -> float:
+        profile = CutoffProfile(self.order, self.config.theta)
+        return profile.bound_constant(self.dimension)
+
+    @property
+    def sup_ledger(self) -> tuple[float, ...]:
+        reports = self.stage_reports
+        return tuple(
+            float(sum(r.sup_bounds[q] for r in reports)) for q in range(self.order)
+        )
+
+    @property
+    def lipschitz_ledger(self) -> float:
+        return float(sum(r.lipschitz_bound for r in self.stage_reports))
+
+    @property
+    def modulus_ledger(self) -> float:
+        return float(sum(r.modulus_coefficient for r in self.stage_reports))
+
+    @property
+    def coverage_measure(self) -> float:
+        return float(sum(r.covered_measure for r in self.stage_reports))
+
+    @property
+    def residual_measure(self) -> float:
+        return self.domain.volume() - self.coverage_measure
+
+    @property
+    def partial_cover(self) -> bool:
+        cap = self.config.eps * self.domain.volume() * (1 + 1e-12)
+        return self.residual_measure > cap
 
     def coverage_fraction(self) -> float:
         return self.coverage_measure / self.domain.volume()
@@ -1005,6 +1035,23 @@ class BuildCertificate:
             and self.modulus_ledger <= 1.0
         )
 
+    def _derived(self) -> dict:
+        """The JSON form's entries that the stage reports, config and domain give."""
+        return {
+            "profile_constant": self.profile_constant,
+            "ledgers": {
+                "supnorm_per_order": _jsonable(self.sup_ledger),
+                "lipschitz": self.lipschitz_ledger,
+                "modulus": self.modulus_ledger,
+            },
+            "coverage_measure": self.coverage_measure,
+            "residual_measure": self.residual_measure,
+            "coverage_fraction": self.coverage_fraction(),
+            "residual_fraction": self.residual_fraction(),
+            "partial_cover": self.partial_cover,
+            "budgets_ok": self.budgets_ok(),
+        }
+
     def to_dict(self, include_cells: bool = True) -> dict:
         config = self.config.to_dict()
         modulus = config.pop("modulus")
@@ -1017,20 +1064,9 @@ class BuildCertificate:
             "field": self.field_name,
             "modulus": modulus,
             "config": config,
-            "profile_constant": self.profile_constant,
             "stages": [r.to_dict() for r in self.stage_reports],
-            "ledgers": {
-                "supnorm_per_order": _jsonable(self.sup_ledger),
-                "lipschitz": self.lipschitz_ledger,
-                "modulus": self.modulus_ledger,
-            },
-            "coverage_measure": self.coverage_measure,
-            "residual_measure": self.residual_measure,
-            "coverage_fraction": self.coverage_fraction(),
-            "residual_fraction": self.residual_fraction(),
             "term_count": self.term_count,
-            "partial_cover": self.partial_cover,
-            "budgets_ok": self.budgets_ok(),
+            **self._derived(),
         }
         if include_cells:
             out["covered_cells"] = [_jsonable(c) for c in self.covered_cells]
@@ -1043,13 +1079,13 @@ class BuildCertificate:
         """Rebuild a certificate from its to_dict(include_cells=True) form.
 
         Raises ValueError for a missing field, a field of the wrong shape, a
-        value whose JSON type does not match its field's, or a config that
-        BuildConfig refuses.  Config keys of no BuildConfig field are
-        ignored, as are other keys of no field.
+        value whose JSON type does not match its field's, a config that
+        BuildConfig refuses, or a written ledger, measure, fraction, flag or
+        profile constant other than the one the stage reports, config and
+        domain give.  Config keys of no BuildConfig field are ignored, as
+        are other keys of no field.
         """
         try:
-            if "covered_cells" not in d:
-                raise ValueError("certificate was saved without cell lists")
             domain = BoxDomain.from_dict(d["domain"])
             n = domain.dimension
             if _json_is(d["dimension"], int) != n:
@@ -1061,26 +1097,27 @@ class BuildCertificate:
             config = {**config, "stages": config["stages_requested"], "grid": grid[0]}
             config["modulus"] = d["modulus"]
             settings = {f.name: config[f.name] for f in fields(BuildConfig)}
-            ledgers = d["ledgers"]
-            flat = {
-                **d,
-                "field_name": d["field"],
-                "sup_ledger": ledgers["supnorm_per_order"],
-                "lipschitz_ledger": ledgers["lipschitz"],
-                "modulus_ledger": ledgers["modulus"],
-            }
-            read = _read_fields(cls, flat)
+            read = _read_fields(cls, {**d, "field_name": d["field"]})
             cells = [np.asarray(c) for c in d["covered_cells"]]
             if any(c.size and c.dtype.kind not in "if" for c in cells):
                 raise ValueError("covered_cells: expected numbers")
-            return cls(
+            cert = cls(
                 domain=domain,
                 config=BuildConfig.from_dict(settings),
                 stage_reports=tuple(StageReport.from_dict(r) for r in d["stages"]),
                 covered_cells=tuple(c.astype(float).reshape(-1, 2 * n) for c in cells),
                 **read,
             )
+            # compared as JSON text, so 1 never matches true
+            for key, value in cert._derived().items():
+                if _json_text(d[key]) != _json_text(value):
+                    raise ValueError(f"{key} {d[key]!r} is not the derived {value!r}")
+            return cert
         except ValueError as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc!r}") from exc
+
+
+def _json_text(v) -> str:
+    return json.dumps(_jsonable(v), sort_keys=True)

@@ -32,8 +32,6 @@ __all__ = [
     "horizontality_residual",
     "characteristic_fraction",
     "holder_exponent",
-    "euclidean_graph_sampler",
-    "koranyi_graph_sampler",
     "holder_transfer_check",
     "circulation_counterexample",
 ]
@@ -202,35 +200,27 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
 # Holder exponent estimation
 
 
-def holder_exponent(
-    sampler, scales, seed: int = 0, pairs_per_bin: int = 128, zero_tol: float = 0.0
-):
+def holder_exponent(dist, disp, zero_tol: float = 0.0):
     """Worst-case log-log slope of displacement against separation.
 
-    sampler(scales, count, rng) receives every scale at once, sorted
-    ascending, and returns (separations, displacements), two arrays with
-    one row of at least count pairs per scale, in the order given.  Each
-    scale is one regression bin represented by its maximum displacement (a
-    Holder bound is a worst-case statement).  Returns (exponent,
-    diagnostics); a sampler whose displacements never exceed zero_tol
-    yields the +inf sentinel (callers set zero_tol above the rounding floor
-    of their displacements so constant data registers as constant).
+    dist and disp are arrays of one shape, one row per scale bin: the
+    separations of the bin's pairs and the displacements across them.  Each
+    bin is represented by its maximum displacement (a Holder bound is a
+    worst-case statement).  Returns (exponent, diagnostics); displacements
+    that never exceed zero_tol yield the +inf sentinel (callers set
+    zero_tol above the rounding floor of their displacements so constant
+    data registers as constant).
     """
-    scales = np.asarray(scales, float)
-    if scales.size < 8:
-        raise ValueError("need at least 8 scale bins")
-    if pairs_per_bin < 100:
-        raise ValueError("need at least 100 pairs per bin")
-    if (scales <= 0).any():
-        raise ValueError("scales must be positive")
-    rng = np.random.default_rng(seed)
-    dist, disp = sampler(np.sort(scales), pairs_per_bin, rng)
     dist = np.asarray(dist, float)
     disp = np.abs(np.asarray(disp, float))
-    if dist.ndim != 2 or dist.shape[0] != scales.size:
-        raise ValueError("sampler must return one row per scale")
-    if dist.shape[1] < pairs_per_bin:
-        raise ValueError("sampler returned fewer pairs than requested")
+    if dist.ndim != 2 or dist.shape != disp.shape:
+        raise ValueError("dist and disp must be 2-D arrays of one shape")
+    if dist.shape[0] < 8:
+        raise ValueError("need at least 8 scale bins")
+    if dist.shape[1] < 100:
+        raise ValueError("need at least 100 pairs per bin")
+    if not (dist > 0).all():
+        raise ValueError("separations must be positive")
     reps = np.exp(np.log(dist).mean(axis=1))
     maxima = disp.max(axis=1)
     keep = maxima > zero_tol
@@ -253,9 +243,10 @@ def holder_exponent(
     return float(slope), diagnostics
 
 
-def _pair_points(dom: BoxDomain, scales, count: int, rng) -> tuple:
-    """count pairs per scale, drawn scale by scale: every x, then every y,
-    and the separations with one row per scale."""
+def _pair_points(dom: BoxDomain, scales, count: int, seed: int) -> tuple:
+    """count pairs per scale, drawn scale by scale from default_rng(seed):
+    every x, then every y, and the separations with one row per scale."""
+    rng = np.random.default_rng(seed)
     lo = np.asarray(dom.lower, float)
     hi = np.asarray(dom.upper, float)
     if 2.0 * max(scales) >= (hi - lo).min():
@@ -268,29 +259,6 @@ def _pair_points(dom: BoxDomain, scales, count: int, rng) -> tuple:
         ys.append(x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1))
     dist = np.repeat(np.asarray(scales, float), count).reshape(-1, count)
     return np.concatenate(xs + ys), dist
-
-
-def euclidean_graph_sampler(G: GraphMap):
-    """Pairs measured as |u(x) - u(y)| against Euclidean separation."""
-
-    def sampler(scales, count, rng):
-        pts, dist = _pair_points(G.domain, scales, count, rng)
-        u = G.height(pts)
-        return dist, (u[: dist.size] - u[dist.size :]).reshape(dist.shape)
-
-    return sampler
-
-
-def koranyi_graph_sampler(G: GraphMap):
-    """Pairs measured as d_K(Phi(x), Phi(y)) against Euclidean separation."""
-
-    def sampler(scales, count, rng):
-        pts, dist = _pair_points(G.domain, scales, count, rng)
-        lifted = G.lift(pts)
-        disp = koranyi_dist(lifted[: dist.size], lifted[dist.size :])
-        return dist, disp.reshape(dist.shape)
-
-    return sampler
 
 
 # holder_transfer_check's separation bins, as fractions of the domain's
@@ -315,16 +283,15 @@ def holder_transfer_check(G: GraphMap, seed: int = 0) -> dict:
     mesh = np.meshgrid(*ax, indexing="ij")
     probe = np.abs(G.height(np.stack([m.ravel() for m in mesh], axis=1))).max()
     zero_tol = 1e-10 * max(1.0, float(probe))
-    alpha_u, diag_u = holder_exponent(
-        euclidean_graph_sampler(G),
-        scales,
-        seed=seed,
-        pairs_per_bin=_HOLDER_PAIRS,
-        zero_tol=zero_tol,
-    )
-    alpha_graph, diag_graph = holder_exponent(
-        koranyi_graph_sampler(G), scales, seed=seed + 1, pairs_per_bin=_HOLDER_PAIRS
-    )
+    # |u(x) - u(y)| and d_K(Phi(x), Phi(y)), each against |x - y|
+    pts, dist = _pair_points(G.domain, scales, _HOLDER_PAIRS, seed)
+    u = G.height(pts)
+    disp = (u[: dist.size] - u[dist.size :]).reshape(dist.shape)
+    alpha_u, diag_u = holder_exponent(dist, disp, zero_tol)
+    pts, dist = _pair_points(G.domain, scales, _HOLDER_PAIRS, seed + 1)
+    lifted = G.lift(pts)
+    disp = koranyi_dist(lifted[: dist.size], lifted[dist.size :]).reshape(dist.shape)
+    alpha_graph, diag_graph = holder_exponent(dist, disp)
     degenerate = diag_u["degenerate"] or diag_graph["degenerate"]
     gap = math.inf if degenerate else abs(alpha_graph - alpha_u / 2.0)
     return {

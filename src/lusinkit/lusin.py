@@ -500,31 +500,6 @@ def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
     return out
 
 
-def _assemble_certificate(field, dom, cfg, profile, reports, covered, g):
-    m = field.order
-    sup_ledger = tuple(
-        float(sum(r.sup_bounds[q] for r in reports)) for q in range(m)
-    )
-    covered_measure = sum(r.covered_measure for r in reports)
-    residual = dom.volume() - covered_measure
-    return BuildCertificate(
-        order=m,
-        domain=dom,
-        field_name=field.name,
-        config=cfg,
-        profile_constant=profile.bound_constant(field.dimension),
-        stage_reports=tuple(reports),
-        covered_cells=tuple(covered),
-        sup_ledger=sup_ledger,
-        lipschitz_ledger=float(sum(r.lipschitz_bound for r in reports)),
-        modulus_ledger=float(sum(r.modulus_coefficient for r in reports)),
-        coverage_measure=float(covered_measure),
-        residual_measure=float(residual),
-        term_count=g.term_count,
-        partial_cover=bool(residual > cfg.eps * dom.volume() * (1 + 1e-12)),
-    )
-
-
 def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     """Iterated covering passes with geometrically split budgets.
 
@@ -621,5 +596,12 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         if report.cells_accepted == 0:
             break
 
-    cert = _assemble_certificate(field, dom, cfg, profile, reports, covered_arrays, g)
-    return g, cert
+    return g, BuildCertificate(
+        order=m,
+        domain=dom,
+        field_name=field.name,
+        config=cfg,
+        stage_reports=tuple(reports),
+        covered_cells=tuple(covered_arrays),
+        term_count=g.term_count,
+    )

@@ -73,6 +73,13 @@ class TestBoxDomain:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             BoxDomain((0.0, 0.0), (1.0, 0.0))
+        for corners in (
+            ((0.0, 0.0), (math.inf, math.inf)),
+            ((-math.inf, 0.0), (1.0, 1.0)),
+            ((0.0, math.nan), (1.0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                BoxDomain(*corners)
 
 
 class TestLogModulus:
@@ -157,6 +164,13 @@ class TestPiecewiseLinearModulus:
             PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.4), (0.5, 0.6)))
         with pytest.raises(ValueError):
             PiecewiseLinearModulus(((0.0, 0.0), (0.5, 0.4), (1.0, 0.3)))
+        for knots in (
+            ((0.0, 0.0), (1.0, math.nan)),
+            ((0.0, 0.0), (math.inf, 1.0)),
+            ((0.0, 0.0), (1.0, 0.5), (2.0, math.inf)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                PiecewiseLinearModulus(knots)
 
     def test_sup_ratio_dominates_samples(self):
         mu = PiecewiseLinearModulus(KNOTS)

@@ -354,12 +354,7 @@ class TestCertificateFile:
     def test_round_trip(self, growth_run):
         paths, _, cert = growth_run
         back = load_certificate(paths["certificate"])
-        assert back.to_dict(include_cells=True) == cert.to_dict(include_cells=True)
-
-    def test_counts_only_form_rejected(self, growth_run):
-        _, _, cert = growth_run
-        with pytest.raises(ValueError, match="cell lists"):
-            BuildCertificate.from_dict(cert.to_dict(include_cells=False))
+        assert back.to_dict() == cert.to_dict()
 
     def test_stage_report_round_trip(self):
         report = StageReport(
@@ -385,13 +380,14 @@ class TestCertificateFile:
     def test_non_finite_spellings_load(self, growth_run):
         paths, _, _ = growth_run
         d = json.loads(Path(paths["certificate"]).read_text())
+        # in stage fields that feed no ledger or measure
         d["stages"][0]["slack"] = "nan"
-        d["ledgers"]["lipschitz"] = "inf"
-        d["profile_constant"] = "-inf"
-        cert = BuildCertificate.from_dict(d)
-        assert math.isnan(cert.stage_reports[0].slack)
-        assert cert.lipschitz_ledger == math.inf
-        assert cert.profile_constant == -math.inf
+        d["stages"][0]["truncation_bound"] = "inf"
+        d["stages"][0]["measure_target"] = "-inf"
+        report = BuildCertificate.from_dict(d).stage_reports[0]
+        assert math.isnan(report.slack)
+        assert report.truncation_bound == math.inf
+        assert report.measure_target == -math.inf
 
     @pytest.mark.parametrize("name", ["demo", "xx2"])
     def test_committed_fixtures_load(self, name):
@@ -402,11 +398,16 @@ class TestCertificateFile:
         for stage in d["stages"]:
             assert {"delta", "sup_ratio"} <= set(stage)
             del stage["delta"], stage["sup_ratio"]
-        assert BuildCertificate.from_dict(d).to_dict(include_cells=True) == d
+        assert BuildCertificate.from_dict(d).to_dict() == d
 
 
 def _drop_stages(d):
     del d["stages"]
+
+
+def _drop_cells(d):
+    # as in the counts-only form, which lists no cells
+    del d["covered_cells"]
 
 
 def _null_tau(d):
@@ -465,10 +466,44 @@ def _uneven_grid(d):
     d["config"]["grid"] = [16, 8]
 
 
+# a derived number that differs from what the stage reports, config and
+# domain give
+
+
+def _modulus_ledger_ulp(d):
+    d["ledgers"]["modulus"] = math.nextafter(d["ledgers"]["modulus"], math.inf)
+
+
+def _flipped_budgets_ok(d):
+    d["budgets_ok"] = not d["budgets_ok"]
+
+
+def _numeric_budgets_ok(d):
+    d["budgets_ok"] = int(d["budgets_ok"])
+
+
+def _coverage_fraction(d):
+    d["coverage_fraction"] = 0.9
+
+
+def _profile_constant(d):
+    d["profile_constant"] = 1.0
+
+
+def _coverage_measure(d):
+    d["coverage_measure"] = 0.5
+
+
+def _stage_modulus_coefficient(d):
+    # the ledger is left as written, so it no longer sums the stages
+    d["stages"][0]["modulus_coefficient"] = 5.0
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _drop_stages,
+        _drop_cells,
         _null_tau,
         _listed_rejects,
         _fractional_dimension,
@@ -483,6 +518,13 @@ def _uneven_grid(d):
         _negative_tau,
         _theta_past_one,
         _uneven_grid,
+        _modulus_ledger_ulp,
+        _flipped_budgets_ok,
+        _numeric_budgets_ok,
+        _coverage_fraction,
+        _profile_constant,
+        _coverage_measure,
+        _stage_modulus_coefficient,
     ],
 )
 def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
@@ -525,7 +567,7 @@ def test_certificate_config_ignores_unknown_keys(growth_run):
     d["config"]["delta"] = 0.1
     back = BuildCertificate.from_dict(d)
     assert back.config == GROWTH_CFG
-    assert back.to_dict(include_cells=True) == cert.to_dict(include_cells=True)
+    assert back.to_dict() == cert.to_dict()
 
 
 def test_certificate_records_every_setting():
@@ -545,7 +587,7 @@ def test_certificate_records_every_setting():
     assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
     dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
     _, cert = multi_stage_build(field_catalog("heisenberg"), dom, cfg)
-    d = json.loads(json.dumps(cert.to_dict(include_cells=True)))
+    d = json.loads(json.dumps(cert.to_dict()))
     assert BuildCertificate.from_dict(d).config == cfg
 
 
@@ -951,6 +993,24 @@ class TestCli:
         assert not out.exists()
         assert "knot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--domain", "0,0,inf,inf"),
+            ("--modulus", "pwl:0,0;1,nan"),
+            ("--modulus", "pwl:0,0;inf,1"),
+        ],
+    )
+    def test_non_finite_input_refused(self, tmp_path, flag, value):
+        # refused before any arithmetic, so numpy warns of nothing
+        out = tmp_path / "nothing"
+        construct = ["-m", "lusinkit.cli", "construct", "--field", "heisenberg"]
+        run = _fresh_run(*construct, f"{flag}={value}", "--out", str(out))
+        assert run.returncode == 2
+        assert "finite" in run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert not out.exists()
+
     def test_infeasible_budget_exit_code(self, tmp_path, capsys):
         rc = main(
             [
@@ -1028,7 +1088,8 @@ class TestCli:
     def test_certify_refuses_another_domain(self, growth_run, tmp_path, capsys):
         paths, _, _ = growth_run
         d = json.loads(Path(paths["certificate"]).read_text())
-        d["domain"]["upper"] = [2.0, 2.0]
+        # translated, so the measures it implies stay the same
+        d["domain"] = {"lower": [1.0, 1.0], "upper": [2.0, 2.0]}
         other = tmp_path / "other.certificate.json"
         other.write_text(json.dumps(d))
         rc = main(["certify", paths["function"], "--certificate", str(other)])

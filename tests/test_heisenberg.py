@@ -26,8 +26,8 @@ from lusinkit.heisenberg import (
     holder_transfer_check,
     horizontality_residual,
     koranyi_dist,
-    koranyi_graph_sampler,
     koranyi_norm,
+    _pair_points,
 )
 from lusinkit.harness import load_function
 from lusinkit.lusin import BuildConfig, field_catalog, multi_stage_build
@@ -457,51 +457,46 @@ class TestCharacteristicFraction:
             characteristic_fraction(G, 1e-3, grid=grid)
 
 
-def _sweep(per_scale):
-    """holder_exponent's sampler from one that draws a single scale."""
+def _first_coordinate(p):
+    return p[:, 0]
 
-    def sampler(scales, count, rng):
-        bins = [per_scale(float(s), count, rng) for s in scales]
-        return np.array([b[0] for b in bins]), np.array([b[1] for b in bins])
 
-    return sampler
+def _planar_pairs(fn, scales, count, seed, lo=-0.4, hi=0.4):
+    """holder_exponent's arrays for the planar function fn: count pairs per
+    scale, drawn scale by scale from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    dist, disp = [], []
+    for scale in scales:
+        x = rng.uniform(lo + scale, hi - scale, size=(count, 2))
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        y = x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        dist.append(np.full(count, scale))
+        disp.append(fn(x) - fn(y))
+    return np.array(dist), np.array(disp)
 
 
 class TestHolderExponent:
-    @staticmethod
-    def _planar_sampler(fn, lo=-0.4, hi=0.4):
-        def sampler(scale, count, rng):
-            x = rng.uniform(lo + scale, hi - scale, size=(count, 2))
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=count)
-            y = x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            return np.full(count, scale), fn(x) - fn(y)
-
-        return _sweep(sampler)
-
     def test_linear_is_lipschitz(self):
-        sampler = self._planar_sampler(lambda p: p[:, 0])
-        alpha, diag = holder_exponent(
-            sampler, np.geomspace(1e-3, 0.2, 10), seed=3, pairs_per_bin=200
-        )
+        scales = np.geomspace(1e-3, 0.2, 10)
+        dist, disp = _planar_pairs(_first_coordinate, scales, 200, 3)
+        alpha, diag = holder_exponent(dist, disp)
         assert 0.95 <= alpha <= 1.05
         assert diag["r_squared"] >= 0.999
 
     def test_square_root_exponent(self):
         # pairs concentrated near the |x|^(1/2) kink keep the worst-case
         # statistic scale-free
-        def sampler(scale, count, rng):
-            x0 = rng.uniform(-scale, scale, size=count)
-            x1 = rng.uniform(-0.4, 0.4, size=count)
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        rng = np.random.default_rng(1)
+        dist, disp = [], []
+        for scale in np.geomspace(1e-3, 0.2, 12):
+            x0 = rng.uniform(-scale, scale, size=400)
+            x1 = rng.uniform(-0.4, 0.4, size=400)
+            ang = rng.uniform(0.0, 2.0 * math.pi, size=400)
             x = np.stack([x0, x1], axis=1)
             y = x + scale * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            return np.full(count, scale), np.sqrt(np.abs(x[:, 0])) - np.sqrt(
-                np.abs(y[:, 0])
-            )
-
-        alpha, diag = holder_exponent(
-            _sweep(sampler), np.geomspace(1e-3, 0.2, 12), seed=1, pairs_per_bin=400
-        )
+            dist.append(np.full(400, scale))
+            disp.append(np.sqrt(np.abs(x[:, 0])) - np.sqrt(np.abs(y[:, 0])))
+        alpha, diag = holder_exponent(dist, disp)
         assert 0.45 <= alpha <= 0.55
         assert diag["r_squared"] >= 0.99
 
@@ -509,45 +504,49 @@ class TestHolderExponent:
         # u = 0: the Koranyi cross term alone scales as sqrt(separation)
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
         G = GraphMap.from_sum(dom, BumpPolySum(2, 1))
-        alpha, _ = holder_exponent(
-            koranyi_graph_sampler(G), np.geomspace(1e-3, 0.2, 12), seed=5,
-            pairs_per_bin=200,
-        )
+        scales = np.geomspace(1e-3, 0.2, 12)
+        pts, dist = _pair_points(dom, scales, 200, 5)
+        lifted = G.lift(pts)
+        disp = koranyi_dist(lifted[: dist.size], lifted[dist.size :])
+        alpha, _ = holder_exponent(dist, disp.reshape(dist.shape))
         assert 0.45 <= alpha <= 0.55
 
     def test_degenerate_sampler_sentinel(self):
-        sampler = self._planar_sampler(lambda p: np.zeros(p.shape[0]))
+        # displacements that are all zero
+        zero = lambda p: np.zeros(p.shape[0])
         alpha, diag = holder_exponent(
-            sampler, np.geomspace(1e-3, 0.2, 8), seed=0, pairs_per_bin=100
+            *_planar_pairs(zero, np.geomspace(1e-3, 0.2, 8), 100, 0)
         )
         assert math.isinf(alpha)
         assert diag["degenerate"]
 
     def test_preconditions(self):
-        sampler = self._planar_sampler(lambda p: p[:, 0])
         scales = np.geomspace(1e-3, 0.2, 8)
+        dist, disp = _planar_pairs(_first_coordinate, scales, 100, 0)
         with pytest.raises(ValueError, match="8 scale bins"):
-            holder_exponent(sampler, scales[:7], pairs_per_bin=100)
+            holder_exponent(dist[:7], disp[:7])
         with pytest.raises(ValueError, match="100 pairs"):
-            holder_exponent(sampler, scales, pairs_per_bin=99)
+            holder_exponent(dist[:, :99], disp[:, :99])
+        zero_first = dist.copy()
+        zero_first[0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            holder_exponent(sampler, np.concatenate([[0.0], scales[1:]]))
+            holder_exponent(zero_first, disp)
 
     def test_sampler_rows_must_match_scales(self):
-        def sampler(scales, count, rng):
-            return np.ones((len(scales) - 1, count)), np.zeros((len(scales) - 1, count))
-
-        with pytest.raises(ValueError, match="one row per scale"):
-            holder_exponent(sampler, np.geomspace(1e-3, 0.2, 8), pairs_per_bin=100)
+        # one row of displacements per row of separations, in two dimensions
+        scales = np.geomspace(1e-3, 0.2, 9)
+        dist, disp = _planar_pairs(_first_coordinate, scales, 100, 0)
+        with pytest.raises(ValueError, match="one shape"):
+            holder_exponent(dist, disp[:-1])
+        with pytest.raises(ValueError, match="one shape"):
+            holder_exponent(dist.ravel(), disp.ravel())
 
     def test_short_sampler_rejected(self):
-        def sampler(scale, count, rng):
-            return np.full(count - 1, scale), np.zeros(count - 1)
-
-        with pytest.raises(ValueError, match="fewer pairs"):
-            holder_exponent(
-                _sweep(sampler), np.geomspace(1e-3, 0.2, 8), pairs_per_bin=100
-            )
+        # a displacement for every separation
+        scales = np.geomspace(1e-3, 0.2, 8)
+        dist, disp = _planar_pairs(_first_coordinate, scales, 101, 0)
+        with pytest.raises(ValueError, match="one shape"):
+            holder_exponent(dist, disp[:, :-1])
 
 
 class TestHolderTransfer:
@@ -571,12 +570,15 @@ class TestHolderTransfer:
 
 
 def test_demo_graph_outputs_pinned(tmp_path):
-    # the README session's graph analysis, as the samplers drew it before
+    # the README session's graph analysis, as the pair draws were before
     # they moved to numpy's fast paths: a moved random stream changes these
     lkf = tmp_path / "demo.lkf"
     lkf.write_bytes(gzip.decompress((FIXTURES / "demo.lkf.gz").read_bytes()))
     g, dom = load_function(str(lkf))
     G = GraphMap.from_sum(dom, g)
+    report = holder_transfer_check(G, seed=0)
+    assert report["alpha_u"] == pytest.approx(0.15182467938973043, rel=1e-12)
+    assert report["alpha_graph"] == pytest.approx(0.2753476651238058, rel=1e-12)
     report = holder_transfer_check(G, seed=1)
     assert report["alpha_u"] == pytest.approx(0.17536198579701273, rel=1e-12)
     assert report["alpha_graph"] == pytest.approx(0.2567342219794236, rel=1e-12)

@@ -469,7 +469,7 @@ class TestMultiStage:
         field = field_catalog("heisenberg")
         _, cert_a = multi_stage_build(field, UNIT_SQUARE, cfg)
         _, cert_b = multi_stage_build(field, UNIT_SQUARE, cfg)
-        dump = lambda c: json.dumps(c.to_dict(include_cells=True), sort_keys=True)
+        dump = lambda c: json.dumps(c.to_dict(), sort_keys=True)
         assert dump(cert_a) == dump(cert_b)
 
 
@@ -514,7 +514,7 @@ class TestBatching:
         out_dir.mkdir()
         lkf, cert_json = out_dir / "g.lkf", out_dir / "g.certificate.json"
         harness.save_function(g, UNIT_SQUARE, str(lkf))
-        harness.write_json(str(cert_json), cert.to_dict(include_cells=True))
+        harness.write_json(str(cert_json), cert.to_dict())
         # one block per level of a stage, which the flat .lkf records hide
         blocks = [(b.stage, b.spacing, b.lows.shape[0]) for b in g.blocks]
         return lkf.read_bytes(), cert_json.read_bytes(), cert.stage_reports, blocks
