@@ -587,7 +587,6 @@ class _Block:
         "origin",
         "spacing",
         "theta",
-        "weight",
         "stage",
         "lows",
         "coeffs",
@@ -600,12 +599,13 @@ class _Block:
         "_live",
     )
 
-    def __init__(self, n, m, spacing, theta, weight, stage, lows, coeffs):
+    def __init__(self, n, m, spacing, theta, stage, lows, coeffs):
         self.n = n
         self.spacing = float(spacing)
         self.theta = float(theta)
-        self.weight = float(weight)
         self.stage = int(stage)
+        if self.stage < 1:
+            raise ValueError("stages are numbered from 1")
         self.lows = np.asarray(lows, float)
         self.coeffs = np.asarray(coeffs, float)
         if self.lows.ndim != 2 or self.lows.shape[1] != n:
@@ -770,9 +770,9 @@ class BumpPolySum:
     def multiindices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(multiindices_upto(self._n, self._m))
 
-    def with_block(self, lows, spacing, theta, weight, stage, coeffs) -> "BumpPolySum":
-        """A new sum extended by one lattice block (self is unchanged)."""
-        blk = _Block(self._n, self._m, spacing, theta, weight, stage, lows, coeffs)
+    def with_block(self, lows, spacing, theta, stage, coeffs) -> "BumpPolySum":
+        """A new sum extended by one lattice block of stage >= 1 (self is unchanged)."""
+        blk = _Block(self._n, self._m, spacing, theta, stage, lows, coeffs)
         return BumpPolySum(self._n, self._m, self._blocks + (blk,))
 
     def jet(self, x, gammas, stages=None) -> np.ndarray:
@@ -929,25 +929,24 @@ class BuildConfig:
         return cls(**{**d, "modulus": modulus_from_dict(d["modulus"])})
 
 
+def stage_weight(k: int) -> float:
+    """Stage k's share 2^-k of every global budget; the shares sum below 1."""
+    return 2.0**-k
+
+
 @dataclass(frozen=True)
 class StageReport:
-    """Budget ledger of one construction stage."""
+    """What one construction stage measured; the certificate derives the rest."""
 
     stage: int
-    sup_budget: float
-    modulus_weight: float
-    measure_target: float
     truncation_bound: float
-    active_measure: float
     covered_measure: float
-    residual_measure: float
     cells_considered: int
     cells_accepted: int
     reject_counts: dict[str, int]
     sup_bounds: tuple[float, ...]
     lipschitz_bound: float
     modulus_coefficient: float
-    slack: float
 
     def to_dict(self) -> dict:
         return _jsonable(asdict(self))
@@ -955,10 +954,8 @@ class StageReport:
     @classmethod
     def from_dict(cls, d: dict) -> "StageReport":
         """Inverse of to_dict; ValueError for a value of the wrong JSON type.
-
-        Keys of no field are ignored, such as the delta and sup_ratio that
-        older certificates carry.
-        """
+        Keys of no field, such as the entries the certificate derives and the
+        delta and sup_ratio of older certificates, are ignored."""
         return cls(**_read_fields(cls, d))
 
 
@@ -973,8 +970,8 @@ class BuildCertificate:
     stages are pairwise disjoint.  The ledgers accumulate the per-stage sup,
     Lipschitz and modulus budgets whose sums realize the global budgets
     sigma (orders <= m-1), sigma (orders <= m-2) and 1 (order m-1).  They,
-    the measures, partial_cover and profile_constant are computed from the
-    stage reports, config and domain, never stored.
+    the measures, partial_cover, profile_constant and each stage's budgets
+    and measures are computed from the stage reports, config and domain.
     """
 
     order: int
@@ -1035,6 +1032,23 @@ class BuildCertificate:
             and self.modulus_ledger <= 1.0
         )
 
+    def _stage_derived(self):
+        """Per stage, the JSON entries its number, config and earlier stages give."""
+        cfg, volume, earlier = self.config, self.domain.volume(), 0.0
+        for r in self.stage_reports:
+            w = stage_weight(r.stage)
+            target = cfg.eps * volume * w
+            residual = volume - earlier - r.covered_measure
+            yield {
+                "sup_budget": cfg.sigma * w,
+                "modulus_weight": w,
+                "measure_target": target,
+                "active_measure": volume - earlier,
+                "residual_measure": residual,
+                "slack": max(0.0, residual - target),
+            }
+            earlier += r.covered_measure
+
     def _derived(self) -> dict:
         """The JSON form's entries that the stage reports, config and domain give."""
         return {
@@ -1057,6 +1071,7 @@ class BuildCertificate:
         modulus = config.pop("modulus")
         config["stages_requested"] = config.pop("stages")
         config["grid"] = [config["grid"]] * self.dimension
+        stages = zip(self.stage_reports, self._stage_derived())
         out = {
             "dimension": self.dimension,
             "order": self.order,
@@ -1064,7 +1079,7 @@ class BuildCertificate:
             "field": self.field_name,
             "modulus": modulus,
             "config": config,
-            "stages": [r.to_dict() for r in self.stage_reports],
+            "stages": [{**r.to_dict(), **s} for r, s in stages],
             "term_count": self.term_count,
             **self._derived(),
         }
@@ -1080,10 +1095,10 @@ class BuildCertificate:
 
         Raises ValueError for a missing field, a field of the wrong shape, a
         value whose JSON type does not match its field's, a config that
-        BuildConfig refuses, or a written ledger, measure, fraction, flag or
-        profile constant other than the one the stage reports, config and
-        domain give.  Config keys of no BuildConfig field are ignored, as
-        are other keys of no field.
+        BuildConfig refuses, stages not numbered 1, 2, ..., or a written
+        ledger, measure, fraction, flag, profile constant or stage budget or
+        measure other than the one the stage reports, config and domain give.
+        Config keys of no BuildConfig field are ignored, as are other keys.
         """
         try:
             domain = BoxDomain.from_dict(d["domain"])
@@ -1101,17 +1116,22 @@ class BuildCertificate:
             cells = [np.asarray(c) for c in d["covered_cells"]]
             if any(c.size and c.dtype.kind not in "if" for c in cells):
                 raise ValueError("covered_cells: expected numbers")
+            reports = tuple(StageReport.from_dict(r) for r in d["stages"])
+            if [r.stage for r in reports] != list(range(1, len(reports) + 1)):
+                raise ValueError("stages are not numbered 1, 2, ... in order")
             cert = cls(
                 domain=domain,
                 config=BuildConfig.from_dict(settings),
-                stage_reports=tuple(StageReport.from_dict(r) for r in d["stages"]),
+                stage_reports=reports,
                 covered_cells=tuple(c.astype(float).reshape(-1, 2 * n) for c in cells),
                 **read,
             )
+            pairs = zip([d, *d["stages"]], [cert._derived(), *cert._stage_derived()])
             # compared as JSON text, so 1 never matches true
-            for key, value in cert._derived().items():
-                if _json_text(d[key]) != _json_text(value):
-                    raise ValueError(f"{key} {d[key]!r} is not the derived {value!r}")
+            for written, derived in pairs:
+                for key, value in derived.items():
+                    if _json_text(written[key]) != _json_text(value):
+                        raise ValueError(f"{key} {written[key]!r} != derived {value!r}")
             return cert
         except ValueError as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc

@@ -32,6 +32,7 @@ from .core import (
     _uniform_in_box,
     enumerate_multiindices,
     multiindices_upto,
+    stage_weight,
 )
 from .lusin import field_catalog, multi_stage_build
 
@@ -115,10 +116,10 @@ def write_json(path: str, payload: dict) -> None:
 # Cells are closed cubes [low, low + side]; storing the side instead of the
 # upper corner keeps the lattice spacing bit-exact, which the round-trip
 # guarantee needs.  K runs over every multi-index of order <= m in the
-# enumeration order of multiindices_upto.  Consecutive records with equal
-# side, theta, weight and stage form one block, whose lattice is that of its
-# own cells (see _Block), so save_function refuses a sum whose records would
-# merge into a block off one lattice.
+# enumeration order of multiindices_upto.  weight is 2^-stage, stage >= 1.
+# Consecutive records with equal side, theta and stage form one block, whose
+# lattice is that of its own cells (see _Block), so save_function refuses a
+# sum whose records would merge into a block off one lattice.
 
 
 def _record_width(n: int, m: int) -> int:
@@ -129,8 +130,8 @@ def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
     """The sum that a function file's term records describe.
 
     Raises ValueError for records that no sum holds: non-finite values, a
-    bad side, theta or stage, or a block whose cells are off one lattice or
-    overlap.
+    bad side, theta or stage, a weight other than the stage's, or a block
+    whose cells are off one lattice or overlap.
     """
     g = BumpPolySum(n, m)
     if not np.isfinite(block).all():
@@ -138,16 +139,16 @@ def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
     if not block.shape[0]:
         return g
     k = len(multiindices_upto(n, m))
-    meta_cols = [n, n + 1 + k, n + 2 + k, n + 3 + k]
+    meta_cols = [n, n + 1 + k, n + 3 + k]
     steps = np.diff(block[:, meta_cols], axis=0) != 0.0
     splits = np.nonzero(_fold_columns(np.logical_or, steps))
     for part in np.split(block, splits[0] + 1):
-        side, theta, weight, stage = part[0, meta_cols]
-        if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage):
+        side, theta, stage = part[0, meta_cols]
+        if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage) or stage < 1:
             raise ValueError("malformed cell term record")
-        g = g.with_block(
-            part[:, :n], side, theta, weight, int(stage), part[:, n + 1 : n + 1 + k]
-        )
+        if (part[:, n + 2 + k] != stage_weight(stage)).any():
+            raise ValueError("a weight is not its stage's 2^-stage")
+        g = g.with_block(part[:, :n], side, theta, stage, part[:, n + 1 : n + 1 + k])
     return g
 
 
@@ -168,7 +169,7 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
         rec[:, n] = blk.spacing
         rec[:, n + 1 : n + 1 + k] = blk.coeffs
         rec[:, n + 1 + k] = blk.theta
-        rec[:, n + 2 + k] = blk.weight
+        rec[:, n + 2 + k] = stage_weight(blk.stage)
         rec[:, n + 3 + k] = blk.stage
         row += rec.shape[0]
     try:
@@ -527,24 +528,23 @@ def tail_pinch_check(
     n, m = cert.dimension, cert.order
     rng = np.random.default_rng(seed)
     gammas = multiindices_upto(n, m - 1)
-    stage_ids = [r.stage for r in cert.stage_reports]
-    later = {k: {s for s in g.stage_ids if s > k} for k in stage_ids}
+    # stages are numbered 1, 2, ..., so stage k's boxes are covered_cells[k - 1]
     usable = [
-        (k, cert.covered_cells[i])
-        for i, k in enumerate(stage_ids)
-        if later[k] and cert.covered_cells[i].shape[0] > 0
+        (k, boxes, {s for s in g.stage_ids if s > k})
+        for k, boxes in enumerate(cert.covered_cells, start=1)
+        if boxes.shape[0] and any(s > k for s in g.stage_ids)
     ]
     if not usable:
         return _report(True, 0.0, 1.0, checked=0, vacuous=True)
     per_stage = {}
     each = max(1, samples // len(usable))
-    for k, boxes in usable:
+    for k, boxes, later in usable:
         x = _sample_in_boxes(boxes, each, rng)
         direction = rng.standard_normal((each, n))
         direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction
-        tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later[k])))
+        tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later)))
         ratios = tail / (cert.config.sigma * radius**2)
         per_stage[k] = float(ratios.max())
     worst = max(per_stage.values())

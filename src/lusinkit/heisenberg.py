@@ -206,10 +206,10 @@ def holder_exponent(dist, disp, zero_tol: float = 0.0):
     dist and disp are arrays of one shape, one row per scale bin: the
     separations of the bin's pairs and the displacements across them.  Each
     bin is represented by its maximum displacement (a Holder bound is a
-    worst-case statement).  Returns (exponent, diagnostics); displacements
-    that never exceed zero_tol yield the +inf sentinel (callers set
-    zero_tol above the rounding floor of their displacements so constant
-    data registers as constant).
+    worst-case statement).  Returns (exponent, {"degenerate", "r_squared"});
+    fewer than two bins whose maxima exceed zero_tol yield the +inf sentinel
+    (callers set zero_tol above the rounding floor of their displacements so
+    constant data registers as constant).
     """
     dist = np.asarray(dist, float)
     disp = np.abs(np.asarray(disp, float))
@@ -224,23 +224,15 @@ def holder_exponent(dist, disp, zero_tol: float = 0.0):
     reps = np.exp(np.log(dist).mean(axis=1))
     maxima = disp.max(axis=1)
     keep = maxima > zero_tol
-    diagnostics = {
-        "scales": reps.tolist(),
-        "max_displacement": maxima.tolist(),
-        "bins_used": int(keep.sum()),
-        "degenerate": False,
-        "r_squared": float("nan"),
-    }
     if keep.sum() < 2:
-        diagnostics["degenerate"] = True
-        return math.inf, diagnostics
+        return math.inf, {"degenerate": True, "r_squared": math.nan}
     lx, ly = np.log(reps[keep]), np.log(maxima[keep])
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     ss_res = float(((ly - fitted) ** 2).sum())
-    diagnostics["r_squared"] = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), diagnostics
+    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return float(slope), {"degenerate": False, "r_squared": r_squared}
 
 
 def _pair_points(dom: BoxDomain, scales, count: int, seed: int) -> tuple:

@@ -29,6 +29,7 @@ from .core import (
     _index_table,
     cell_derivative_bounds,
     enumerate_multiindices,
+    stage_weight,
 )
 
 __all__ = [
@@ -197,7 +198,6 @@ def _run_stage(
     cfg: BuildConfig,
     profile: CutoffProfile,
     stage: int,
-    active: float,
     *,
     top_cols: np.ndarray,
     by_order: list,
@@ -210,7 +210,7 @@ def _run_stage(
 
     Returns (accepted, boxes, report): accepted lists (level, idx, coeffs)
     per lattice level, boxes holds the stage's certified closed boxes, and
-    report is its StageReport; active is the measure not yet certified.
+    report is its StageReport; w_mod = stage_weight(stage), b_sup = sigma w_mod.
     seeds lists (level, idx) pairs: idx holds cells of the level-r lattice,
     grid 2^r cells per axis.  Checks per cell, cheapest first: truncation
     of the center data, the per-order sup caps (pinched in later stages),
@@ -234,9 +234,8 @@ def _run_stage(
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
     K = sum(b.size for b in by_order)
-    b_sup = cfg.sigma * 2.0**-stage
-    w_mod = 2.0**-stage
-    target = cfg.eps * dom.volume() * 2.0**-stage
+    w_mod = stage_weight(stage)
+    b_sup = cfg.sigma * w_mod
     T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
     # a cell failing at refine_max is counted under the first reason it fails
     reasons = (
@@ -386,23 +385,16 @@ def _run_stage(
     all_boxes = (
         np.concatenate(boxes, axis=0) if boxes else np.zeros((0, 2 * n))
     )
-    residual = active - covered
     report = StageReport(
         stage=stage,
-        sup_budget=b_sup,
-        modulus_weight=w_mod,
-        measure_target=target,
         truncation_bound=T,
-        active_measure=active,
         covered_measure=covered,
-        residual_measure=residual,
         cells_considered=considered,
         cells_accepted=accepted_count,
         reject_counts=dict(reject),
         sup_bounds=tuple(float(v) for v in sup_acc),
         lipschitz_bound=float(lip_acc),
         modulus_coefficient=float(env_acc),
-        slack=max(0.0, residual - target),
     )
     return accepted, all_boxes, report
 
@@ -506,8 +498,8 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     Returns (g, certificate): g carries one cutoff-polynomial term per
     accepted cell, and the certificate records coverage and the budget
     ledgers of every stage run.  Stage k works on the region not yet
-    certified, targets all but eps |box| 2^-k of it, and spends sup budget
-    sigma 2^-k and modulus weight 2^-k, so the per-order ledgers sum
+    certified, targets all but eps |box| w_k of it, and spends sup budget
+    sigma w_k and modulus weight w_k = stage_weight(k), so the ledgers sum
     strictly below the global budgets.  Certified plateau boxes of earlier
     stages repel later cells through a quadratic pinch on their sup bounds.
     Each later stage reads its free cells and every tested cell's pinch as
@@ -561,7 +553,6 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     g = BumpPolySum(n, m)
     reports = []
     covered_arrays = []
-    covered_total = 0.0
     for stage in range(1, cfg.stages + 1):
         if stage == 1:
             seeds = _grid_cells(cfg.grid, n)
@@ -577,7 +568,6 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             cfg,
             profile,
             stage,
-            dom.volume() - covered_total,
             **tables,
             seeds=seeds,
             h0=h0,
@@ -585,12 +575,9 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         )
         for level, idx, cf in accepted:
             h = h0 / 2**level
-            g = g.with_block(
-                lower + idx * h, h, cfg.theta, report.modulus_weight, stage, cf
-            )
+            g = g.with_block(lower + idx * h, h, cfg.theta, stage, cf)
         if covered is not None:
             _paint_boxes(covered, boxes, lower, h_fine, fine_per_cell)
-        covered_total += report.covered_measure
         reports.append(report)
         covered_arrays.append(boxes)
         if report.cells_accepted == 0:

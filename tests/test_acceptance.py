@@ -247,7 +247,7 @@ def test_criterion_7a_linear_height_transfer():
     # u = x: one cell of side 4 whose plateau [-0.5, 1.5]^2 covers the box,
     # with coefficients 0.5 and 1 about its center (0.5, 0.5)
     u = BumpPolySum(2, 1).with_block(
-        [[-1.5, -1.5]], 4.0, 0.5, 1.0, 1, [[0.5, 0.0, 1.0]]
+        [[-1.5, -1.5]], 4.0, 0.5, 1, [[0.5, 0.0, 1.0]]
     )
     G = GraphMap.from_sum(dom, u)
     report = holder_transfer_check(G, seed=0)

@@ -456,7 +456,7 @@ class TestCutoffEval:
         coeffs = np.zeros((1, len(idx)))
         coeffs[0, idx.index((0, 0))] = 1.0
         low = np.array([0.25, 0.5])
-        g = BumpPolySum(2, 2).with_block(low[None, :], 0.5, 0.4, 0.5, 1, coeffs)
+        g = BumpPolySum(2, 2).with_block(low[None, :], 0.5, 0.4, 1, coeffs)
         pts = np.random.default_rng(12).uniform(0.2, 1.05, size=(2000, 2))
         prof = CutoffProfile(2, 0.4)
         got = g.jet(pts, idx)
@@ -470,9 +470,9 @@ def _random_sum(rng, n=2, m=2):
     lows1 = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     lows2 = np.array([[0.5, 0.5], [1.5, 1.5]])
     g = BumpPolySum(n, m).with_block(
-        lows1, 1.0, 0.5, 0.5, 1, rng.normal(size=(3, len(idx)))
+        lows1, 1.0, 0.5, 1, rng.normal(size=(3, len(idx)))
     )
-    return g.with_block(lows2, 0.5, 0.4, 0.25, 2, rng.normal(size=(2, len(idx))))
+    return g.with_block(lows2, 0.5, 0.4, 2, rng.normal(size=(2, len(idx))))
 
 
 class TestBumpPolySum:
@@ -531,19 +531,23 @@ class TestBumpPolySum:
         lows = np.array([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             BumpPolySum(2, 1).with_block(
-                lows, 1.0, 0.5, 0.5, 1, np.zeros((2, len(idx)))
+                lows, 1.0, 0.5, 1, np.zeros((2, len(idx)))
             )
+
+    def test_stage_below_one_rejected(self):
+        with pytest.raises(ValueError, match="numbered from 1"):
+            BumpPolySum(2, 1).with_block([[0.0, 0.0]], 1.0, 0.5, 0, [[1.0, 0.0, 0.0]])
 
     def test_off_lattice_corner_rejected(self):
         coeffs = [[1.0, 0.0, 0.0]] * 2
         # 0.3 lies 1.2 steps of 0.25 from the other cell's corner
         with pytest.raises(ValueError, match="lattice"):
             BumpPolySum(2, 1).with_block(
-                [[0.0, 0.0], [0.3, 0.3]], 0.25, 0.5, 0.5, 1, coeffs
+                [[0.0, 0.0], [0.3, 0.3]], 0.25, 0.5, 1, coeffs
             )
         # rounding noise far below the tolerance is accepted
         g = BumpPolySum(2, 1).with_block(
-            [[0.0, 0.0], [0.25 + 1e-12, 0.5]], 0.25, 0.5, 0.5, 1, coeffs
+            [[0.0, 0.0], [0.25 + 1e-12, 0.5]], 0.25, 0.5, 1, coeffs
         )
         assert g.value(np.array([0.375, 0.625])) == 1.0
 
@@ -562,7 +566,7 @@ def _sparse_sum(rng, far=True):
     # the far cell's row comes last, so the 2x2 rows agree for one seed
     coeffs = rng.normal(size=(len(idx), len(multiindices_upto(2, 2))))
     return BumpPolySum(2, 2).with_block(
-        corner + 0.125 * idx, 0.125, 0.5, 0.5, 1, coeffs
+        corner + 0.125 * idx, 0.125, 0.5, 1, coeffs
     )
 
 
@@ -785,7 +789,7 @@ class TestKernelOracle:
             coeffs = rng.normal(size=(len(keys), len(idx)))
             if only_top:
                 coeffs[:, low] = 0.0
-            g = g.with_block(lows, side, theta, 1.0, stage, coeffs)
+            g = g.with_block(lows, side, theta, stage, coeffs)
             hw = side / 2.0
             centers = np.repeat(lows + hw, 40, axis=0)
             # on the plateau, then in the descent band along one axis
@@ -910,7 +914,7 @@ class TestCellBounds:
         coeffs = rng.normal(size=(1, len(idx)))
         prof = CutoffProfile(m, 0.5)
         g = BumpPolySum(n, m).with_block(
-            np.array([[0.0, 0.0]]), 1.0, 0.5, 0.5, 1, coeffs
+            np.array([[0.0, 0.0]]), 1.0, 0.5, 1, coeffs
         )
         bounds = cell_derivative_bounds(prof, n, m, coeffs, 0.5)
         xs = np.linspace(0.0, 1.0, 141)

@@ -302,7 +302,7 @@ class TestFunctionFile:
     def test_cells_off_the_domain_lattice(self, tmp_path):
         # a block's lattice is that of its own cells, not the domain corner's
         g = BumpPolySum(2, 1).with_block(
-            [[0.3, 0.3]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]]
+            [[0.3, 0.3]], 0.25, 0.5, 1, [[1.0, 0.0, 0.0]]
         )
         path = str(tmp_path / "shifted.lkf")
         save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), path)
@@ -316,18 +316,18 @@ class TestFunctionFile:
         assert g2.value(np.array([0.52, 0.425])) > 0.0
 
     def test_blocks_that_would_merge_off_lattice_are_refused(self, tmp_path):
-        # equal side, theta, weight and stage: the two blocks' records would
+        # equal side, theta and stage: the two blocks' records would
         # load as one block, and 0.3 lies 1.2 steps of 0.25 from 0
         g = BumpPolySum(2, 1)
         for low in ([0.0, 0.0], [0.3, 0.3]):
-            g = g.with_block([low], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]])
+            g = g.with_block([low], 0.25, 0.5, 1, [[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="reload.*lattice"):
             save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(tmp_path / "f.lkf"))
         assert list(tmp_path.iterdir()) == []
 
     def test_overlapping_cells(self, tmp_path):
         g = BumpPolySum(2, 1).with_block(
-            [[0.25, 0.5]], 0.25, 0.5, 0.5, 1, [[1.0, 0.0, 0.0]]
+            [[0.25, 0.5]], 0.25, 0.5, 1, [[1.0, 0.0, 0.0]]
         )
         path = str(tmp_path / "twice.lkf")
         save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), path)
@@ -335,6 +335,32 @@ class TestFunctionFile:
         head = head.replace(b"terms 1\n", b"terms 2\n")
         Path(path).write_bytes(head + b"end-header\n" + body + body)
         with pytest.raises(FunctionFileError, match="overlapping"):
+            load_function(path)
+
+    @staticmethod
+    def _edit_first_record(growth_run, tmp_path, column, value) -> str:
+        """A copy of the growth function file whose first record holds value
+        in column."""
+        paths, _, _ = growth_run
+        head, marker, body = Path(paths["function"]).read_bytes().partition(
+            b"end-header\n"
+        )
+        terms = int(re.search(rb"\nterms (\d+)\n", head).group(1))
+        block = np.frombuffer(body, "<f8").reshape(terms, -1).copy()
+        block[0, column] = value
+        path = tmp_path / "edited.lkf"
+        path.write_bytes(head + marker + block.astype("<f8").tobytes())
+        return str(path)
+
+    def test_weight_other_than_the_stages(self, growth_run, tmp_path):
+        # the first record is of stage 1, whose weight is 2^-1
+        path = self._edit_first_record(growth_run, tmp_path, -2, 0.25)
+        with pytest.raises(FunctionFileError, match="weight is not"):
+            load_function(path)
+
+    def test_stage_zero_record(self, growth_run, tmp_path):
+        path = self._edit_first_record(growth_run, tmp_path, -1, 0.0)
+        with pytest.raises(FunctionFileError, match="malformed cell term record"):
             load_function(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -359,20 +385,14 @@ class TestCertificateFile:
     def test_stage_report_round_trip(self):
         report = StageReport(
             stage=2,
-            sup_budget=0.125,
-            modulus_weight=0.25,
-            measure_target=0.0125,
             truncation_bound=2.5,
-            active_measure=0.5,
             covered_measure=0.125,
-            residual_measure=0.375,
             cells_considered=40,
             cells_accepted=3,
             reject_counts={"pinch": 30, "truncation": 7},
             sup_bounds=(0.01, 0.002),
             lipschitz_bound=0.0,
             modulus_coefficient=math.inf,
-            slack=0.3625,
         )
         text = json.dumps(report.to_dict(), allow_nan=False)
         assert StageReport.from_dict(json.loads(text)) == report
@@ -380,14 +400,11 @@ class TestCertificateFile:
     def test_non_finite_spellings_load(self, growth_run):
         paths, _, _ = growth_run
         d = json.loads(Path(paths["certificate"]).read_text())
-        # in stage fields that feed no ledger or measure
-        d["stages"][0]["slack"] = "nan"
-        d["stages"][0]["truncation_bound"] = "inf"
-        d["stages"][0]["measure_target"] = "-inf"
-        report = BuildCertificate.from_dict(d).stage_reports[0]
-        assert math.isnan(report.slack)
-        assert report.truncation_bound == math.inf
-        assert report.measure_target == -math.inf
+        # in the one stage float that feeds no ledger, measure or derived entry
+        for spelling in ("inf", "-inf", "nan"):
+            d["stages"][0]["truncation_bound"] = spelling
+            report = BuildCertificate.from_dict(d).stage_reports[0]
+            assert repr(report.truncation_bound) == spelling
 
     @pytest.mark.parametrize("name", ["demo", "xx2"])
     def test_committed_fixtures_load(self, name):
@@ -499,6 +516,31 @@ def _stage_modulus_coefficient(d):
     d["stages"][0]["modulus_coefficient"] = 5.0
 
 
+# a stage entry that its number, the config and the earlier stages give
+
+
+def _stage_slack(d):
+    d["stages"][0]["slack"] += 0.125
+
+
+def _stage_measure_target(d):
+    d["stages"][1]["measure_target"] *= 2.0
+
+
+def _stage_active_measure(d):
+    d["stages"][1]["active_measure"] = 1.0
+
+
+def _stage_renumbered(d):
+    # stages 2, 3, ... with the entries their numbers give, so only the
+    # numbering is off
+    for stage in d["stages"]:
+        stage["stage"] += 1
+        for key in ("sup_budget", "modulus_weight", "measure_target"):
+            stage[key] /= 2.0
+        stage["slack"] = max(0.0, stage["residual_measure"] - stage["measure_target"])
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -525,6 +567,10 @@ def _stage_modulus_coefficient(d):
         _profile_constant,
         _coverage_measure,
         _stage_modulus_coefficient,
+        _stage_slack,
+        _stage_measure_target,
+        _stage_active_measure,
+        _stage_renumbered,
     ],
 )
 def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):

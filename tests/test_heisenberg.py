@@ -368,7 +368,7 @@ def _one_cell(m, low, coeffs):
     (the middle half of the cell) covers the test's box.  coeffs maps
     multi-indices to the polynomial's coefficients about the cell center."""
     row = [coeffs.get(a, 0.0) for a in multiindices_upto(2, m)]
-    return BumpPolySum(2, m).with_block([low], 4.0, 0.5, 1.0, 1, [row])
+    return BumpPolySum(2, m).with_block([low], 4.0, 0.5, 1, [row])
 
 
 class TestGraphMap:
