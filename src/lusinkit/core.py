@@ -972,6 +972,8 @@ class BuildCertificate:
     sigma (orders <= m-1), sigma (orders <= m-2) and 1 (order m-1).  They,
     the measures, partial_cover, profile_constant and each stage's budgets
     and measures are computed from the stage reports, config and domain.
+    Construction raises ValueError unless the stage reports are numbered
+    1, 2, ..., K and covered_cells holds one array per stage.
     """
 
     order: int
@@ -981,6 +983,13 @@ class BuildCertificate:
     stage_reports: tuple
     covered_cells: tuple
     term_count: int
+
+    def __post_init__(self):
+        lists, k = len(self.covered_cells), len(self.stage_reports)
+        if [r.stage for r in self.stage_reports] != list(range(1, k + 1)):
+            raise ValueError("stages are not numbered 1, 2, ... in order")
+        if lists != k:
+            raise ValueError(f"covered_cells holds {lists} lists for {k} stages")
 
     @property
     def dimension(self) -> int:
@@ -1095,7 +1104,8 @@ class BuildCertificate:
 
         Raises ValueError for a missing field, a field of the wrong shape, a
         value whose JSON type does not match its field's, a config that
-        BuildConfig refuses, stages not numbered 1, 2, ..., or a written
+        BuildConfig refuses, stages not numbered 1, 2, ..., covered_cells
+        with a list count other than the stage count, or a written
         ledger, measure, fraction, flag, profile constant or stage budget or
         measure other than the one the stage reports, config and domain give.
         Config keys of no BuildConfig field are ignored, as are other keys.
@@ -1117,8 +1127,6 @@ class BuildCertificate:
             if any(c.size and c.dtype.kind not in "if" for c in cells):
                 raise ValueError("covered_cells: expected numbers")
             reports = tuple(StageReport.from_dict(r) for r in d["stages"])
-            if [r.stage for r in reports] != list(range(1, len(reports) + 1)):
-                raise ValueError("stages are not numbered 1, 2, ... in order")
             cert = cls(
                 domain=domain,
                 config=BuildConfig.from_dict(settings),

@@ -588,7 +588,8 @@ def certify_function(
     Every check draws from its own labeled stream of the master seed, so
     the report is deterministic and stable under changes to the check set.
     Raises ValueError for a certificate of another dimension, order or box,
-    or one naming a catalog field of another dimension or order.
+    of another term count or fewer stages than the function's, or one naming
+    a catalog field of another dimension or order.
     """
     checks = tuple(checks)
     unknown = set(checks) - set(_CHECKS)
@@ -600,6 +601,12 @@ def certify_function(
         raise ValueError("certificate does not describe this function")
     if cert.domain.to_dict() != dom.to_dict():
         raise ValueError("certificate describes another domain")
+    top, stages = max(g.stage_ids, default=0), len(cert.stage_reports)
+    if g.term_count != cert.term_count or top > stages:
+        raise ValueError(
+            f"function has {g.term_count} terms up to stage {top}, its "
+            f"certificate {cert.term_count} in {stages} stages"
+        )
     field = field_catalog(cert.field_name)
     if (field.dimension, field.order) != (cert.dimension, cert.order):
         raise ValueError(

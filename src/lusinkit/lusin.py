@@ -208,26 +208,26 @@ def _run_stage(
 ):
     """One certification pass over the free cells, with dyadic refinement.
 
-    Returns (accepted, boxes, report): accepted lists (level, idx, coeffs)
-    per lattice level, boxes holds the stage's certified closed boxes, and
-    report is its StageReport; w_mod = stage_weight(stage), b_sup = sigma w_mod.
-    seeds lists (level, idx) pairs: idx holds cells of the level-r lattice,
-    grid 2^r cells per axis.  Checks per cell, cheapest first: truncation
-    of the center data, the per-order sup caps (pinched in later stages),
-    the Lipschitz caps, the modulus envelope 2 S M(S/L) <= w_mod, and last
-    the sampled oscillation against tau: over the plateau c +- (1 - theta) hw
-    of a term, and over the whole cell of a zero-data cell, which is
-    certified whole.  Failing cells split into 2^n children until
+    Returns (accepted, report): accepted lists (level, idx, coeffs) per
+    queue entry, idx the cells of the level-r lattice, grid 2^r cells per
+    axis, and coeffs None for zero-data cells, which are certified whole;
+    report is the StageReport; w_mod = stage_weight(stage), b_sup = sigma
+    w_mod.  seeds lists (level, idx) pairs.  Checks per cell, cheapest
+    first: truncation of the center data, the per-order sup caps (pinched
+    in later stages), the Lipschitz caps, the modulus envelope
+    2 S M(S/L) <= w_mod, and last the sampled oscillation against tau: over
+    the plateau c +- (1 - theta) hw of a term, and over the whole cell of a
+    zero-data cell.  Failing cells split into 2^n children until
     refine_max.  Each queue entry, one level's cells, is tested in batches
-    of _BATCH cells; a refined entry holds the failing
-    parents, and each batch expands only its own children.  Results are
-    merged once per entry, so the outcome does not depend on _BATCH.
+    of _BATCH cells; a refined entry holds the failing parents, and each
+    batch expands only its own children.  Results are merged once per
+    entry, so the outcome does not depend on _BATCH.
     Batches are Fortran-ordered (B, n) arrays, and the bound checks run on
     compact arrays of the cells past truncation, recording the first each
     fails.  top_cols, by_order and grad_rows locate, in the coefficient
     columns, the top-order indices, the indices of each order q, and the n
     first-order raises of each index of order q < m.  In later stages sat
-    is the summed-area table of the coverage mask, and _pinch_fails reads
+    is the build's coverage table (see _paint), and _pinch_fails reads
     a cell's pinch off it: below refine_max only for cells passing the
     other bound checks, at refine_max for all, as the pinch counts first.
     """
@@ -249,7 +249,6 @@ def _run_stage(
     shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
     reject = Counter()
     accepted = []
-    boxes = []
     covered = 0.0
     considered = 0
     accepted_count = 0
@@ -274,8 +273,7 @@ def _run_stage(
         h = h0 / 2**level
         hw = h / 2.0
         p = (1.0 - cfg.theta) * hw
-        zero_lows, term_idx, term_vals, plateaus, failed = [], [], [], [], []
-        zero_count = 0
+        zero_idx, term_idx, term_vals, failed = [], [], [], []
         rejected = np.zeros(len(reasons), np.int64)
 
         for s in range(0, N, _BATCH):
@@ -290,8 +288,7 @@ def _run_stage(
                 idx = idx[s - r0 * per_row :][:_BATCH]
             else:
                 idx = np.asfortranarray(cells[s : s + _BATCH])
-            lows = _cell_lows(idx, lower, h)
-            centers = lows + hw
+            centers = _cell_lows(idx, lower, h) + hw
             vals = evaluate(centers)
             amax = _fold_columns(np.maximum, np.abs(vals))
             zero = amax == 0.0
@@ -342,13 +339,10 @@ def _run_stage(
             ok_zero = zero[good]
             oz, oi = good[ok_zero], good[~ok_zero]
             if oz.size:
-                zero_lows.append(_take_rows(lows, oz))
-                zero_count += oz.size
+                zero_idx.append(_take_rows(idx, oz))
             if oi.size:
                 term_idx.append(_take_rows(idx, oi))
                 term_vals.append(_take_rows(vals, oi))
-                c = _take_rows(centers, oi)
-                plateaus.append(np.concatenate([c - p, c + p], axis=1))
                 k = np.searchsorted(ti, oi)
                 sup_acc = np.maximum(sup_acc, bmax[:m, k].max(axis=1))
                 lip_acc = max(lip_acc, lip_low[k].max())
@@ -363,18 +357,17 @@ def _run_stage(
             rejected[1:5] += np.bincount(code, minlength=5)[1:]
             rejected[5] += osc_bad.sum()
 
+        zeros = sum(part.shape[0] for part in zero_idx)
         terms = sum(part.shape[0] for part in term_idx)
-        if zero_lows:
-            zl = np.concatenate(zero_lows)
-            boxes.append(np.concatenate([zl, zl + h], axis=1))
-            covered += zero_count * h**n
+        if zeros:
+            accepted.append((level, np.concatenate(zero_idx), None))
+            covered += zeros * h**n
         if terms:
             cf = np.zeros((terms, K))
             cf[:, top_cols] = np.concatenate(term_vals)
             accepted.append((level, np.concatenate(term_idx), cf))
-            boxes.append(np.concatenate(plateaus))
             covered += terms * (2.0 * p) ** n
-        accepted_count += zero_count + terms
+        accepted_count += zeros + terms
         for name, count in zip(reasons, rejected):
             if count:
                 reject[name] += int(count)
@@ -382,9 +375,6 @@ def _run_stage(
         if parents.shape[0]:
             queue.append((level + 1, parents, True))
 
-    all_boxes = (
-        np.concatenate(boxes, axis=0) if boxes else np.zeros((0, 2 * n))
-    )
     report = StageReport(
         stage=stage,
         truncation_bound=T,
@@ -396,42 +386,34 @@ def _run_stage(
         lipschitz_bound=float(lip_acc),
         modulus_coefficient=float(env_acc),
     )
-    return accepted, all_boxes, report
+    return accepted, report
 
 
-def _paint_boxes(mask: np.ndarray, boxes: np.ndarray, lower, h_fine: float, f: int):
-    """Mark every cell of the coverage mask that a box meets.
+def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
+    """Add a stage's certified mask cells to the coverage table sat, in place.
 
-    mask is on the refine_max lattice; box corners are rounded to the finer
-    lattice of spacing h_fine, f of its cells per mask cell, and widened out
-    to whole mask cells.  A +-1 at each of the 2^n corners of every box in a
-    difference array, summed along each axis, counts the boxes over a cell.
+    sat is the summed-area table (Crow, SIGGRAPH 1984) of the coverage mask
+    on the refine_max lattice: entry i counts the covered mask cells below
+    i on every axis, so a box's coverage is a signed sum over its corners.
+    A level-r cell spans f = 2^(refine_max - r) mask cells per axis; a term
+    paints them less a rim floor(theta f / 2) wide, which holds its plateau
+    c +- (1 - theta) hw, and a zero-data cell paints them all.  Painted
+    ranges meet neither each other nor earlier coverage, so +-1 at the 2^n
+    corners of each in a difference table, summed twice along each axis,
+    adds their own table and keeps every mask cell counted 0 or 1.
     """
-    n = mask.ndim
-    lo = np.rint((boxes[:, :n] - lower) / h_fine).astype(np.int64) // f
-    hi = -(-np.rint((boxes[:, n:] - lower) / h_fine).astype(np.int64) // f)
-    diff = np.zeros(tuple(s + 1 for s in mask.shape), np.int32)
-    for corner in itertools.product((0, 1), repeat=n):
-        at = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
-        np.add.at(diff, at, (-1) ** sum(corner))
-    for axis in range(n):
+    n = sat.ndim
+    diff = np.zeros(sat.shape, np.int32)
+    for level, idx, cf in accepted:
+        f = 2 ** (refine_max - level)
+        rim = 0 if cf is None else math.floor(theta * f / 2)
+        lo, hi = idx * f + rim, idx * f + (f - rim)
+        for corner in itertools.product((0, 1), repeat=n):
+            at = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
+            np.add.at(diff, at, (-1) ** sum(corner))
+    for axis in 2 * list(range(n)):
         np.cumsum(diff, axis=axis, out=diff)
-    mask |= diff[(slice(-1),) * n] > 0
-
-
-def _coverage_table(covered: np.ndarray) -> np.ndarray:
-    """Summed-area table of the coverage mask (Crow, SIGGRAPH 1984).
-
-    Entry i counts the covered mask cells below i on every axis, so the
-    coverage of any box is a signed sum over its 2^n corners.  int32 holds
-    every count: the mask admission rule keeps (4 x mask side)^n <= 3e8, so
-    the mask has fewer than 2^31 cells.
-    """
-    sat = np.zeros(tuple(s + 1 for s in covered.shape), np.int32)
-    sat[(slice(1, None),) * covered.ndim] = covered
-    for axis in range(covered.ndim):
-        np.cumsum(sat, axis=axis, out=sat)
-    return sat
+    sat[(slice(1, None),) * n] += diff[(slice(-1),) * n]
 
 
 def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarray:
@@ -473,8 +455,8 @@ def _pinch_fails(sat, cells, f, worst, b_sup: float, h_rm: float) -> np.ndarray:
 def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
     """Maximal free dyadic cells per level, each listed once, in C order.
 
-    sat is the summed-area table of the coverage mask on the refine_max
-    lattice.  The walk starts from the level-0 grid: a cell holding no
+    sat is the build's coverage table on the refine_max lattice (see
+    _paint).  The walk starts from the level-0 grid: a cell holding no
     coverage is free, and only cells holding both covered and free mask
     cells split into their 2^n children.
     """
@@ -502,13 +484,10 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     sigma w_k and modulus weight w_k = stage_weight(k), so the ledgers sum
     strictly below the global budgets.  Certified plateau boxes of earlier
     stages repel later cells through a quadratic pinch on their sup bounds.
-    Each later stage reads its free cells and every tested cell's pinch as
-    box counts off one summed-area table of the coverage mask, which lives
-    on the refine_max lattice; its counts fit int32, as the 3e8 admission
-    rule keeps the mask under 2^31 cells.  With more than one stage the
-    transition fraction theta must be a power of 1/2 so plateau boxes stay
-    exact unions of dyadic cells and the free region can be re-tiled; a
-    one-stage build takes any theta.
+    Later stages read their free cells and each tested cell's pinch off one
+    coverage table, into which each stage's cells are painted before the
+    next stage reads it (see _paint); as painting widens plateaus to whole
+    mask cells, any theta keeps the stages' boxes disjoint.
     """
     if field.dimension != dom.dimension:
         raise ValueError("field and domain dimensions differ")
@@ -517,19 +496,13 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     h0 = side / cfg.grid
     profile = CutoffProfile(m, cfg.theta)
     lower = np.asarray(dom.lower)
-    covered = None
+    sat = None
     if cfg.stages > 1:
-        j0 = -math.log2(cfg.theta)
-        if abs(j0 - round(j0)) > 1e-9 or round(j0) < 1:
-            raise ValueError("multi-stage tiling needs theta equal to a power of 1/2")
-        # the mask does not depend on theta, so neither does its cap
+        # 4^n times the table's (grid 2^refine_max)^n mask cells stay under
+        # 3e8: its int32 counts cannot overflow and its memory stays small
         if (cfg.grid * 2 ** (cfg.refine_max + 2)) ** n > 3e8:
             raise ValueError("grid * 2**(refine_max + 2) exceeds the mask budget")
-        # plateau corners of refine_max cells lie on the level_cap lattice
-        level_cap = cfg.refine_max + int(round(j0)) + 1
-        covered = np.zeros((cfg.grid * 2**cfg.refine_max,) * n, bool)
-        h_fine = h0 / 2**level_cap
-        fine_per_cell = 2 ** (level_cap - cfg.refine_max)
+        sat = np.zeros((cfg.grid * 2**cfg.refine_max + 1,) * n, np.int32)
 
     indices, pos = _index_table(n, m)
     tables = dict(
@@ -556,13 +529,11 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     for stage in range(1, cfg.stages + 1):
         if stage == 1:
             seeds = _grid_cells(cfg.grid, n)
-            sat = None
         else:
-            sat = _coverage_table(covered)
             seeds = _free_cells(sat, cfg.grid, cfg.refine_max)
             if all(idx.shape[0] == 0 for _, idx in seeds):
                 break
-        accepted, boxes, report = _run_stage(
+        accepted, report = _run_stage(
             _residual_evaluator(field, g),
             dom,
             cfg,
@@ -571,17 +542,26 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             **tables,
             seeds=seeds,
             h0=h0,
-            sat=sat,
+            sat=sat if stage > 1 else None,
         )
+        # certified boxes: the plateau c +- (1 - theta) hw of a term, the
+        # whole cell of a zero-data cell
+        boxes = [np.zeros((0, 2 * n))]
         for level, idx, cf in accepted:
             h = h0 / 2**level
-            g = g.with_block(lower + idx * h, h, cfg.theta, stage, cf)
-        if covered is not None:
-            _paint_boxes(covered, boxes, lower, h_fine, fine_per_cell)
+            lows = lower + idx * h
+            if cf is None:
+                boxes.append(np.concatenate([lows, lows + h], axis=1))
+                continue
+            g = g.with_block(lows, h, cfg.theta, stage, cf)
+            c, p = lows + h / 2.0, (1.0 - cfg.theta) * (h / 2.0)
+            boxes.append(np.concatenate([c - p, c + p], axis=1))
         reports.append(report)
-        covered_arrays.append(boxes)
+        covered_arrays.append(np.concatenate(boxes))
         if report.cells_accepted == 0:
             break
+        if stage < cfg.stages:
+            _paint(sat, accepted, cfg.refine_max, cfg.theta)
 
     return g, BuildCertificate(
         order=m,

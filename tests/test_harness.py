@@ -363,6 +363,33 @@ class TestFunctionFile:
         with pytest.raises(FunctionFileError, match="malformed cell term record"):
             load_function(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dimension", "2.5", "header field 'dimension'"),
+            ("terms", "many", "header field 'terms'"),
+            ("domain-lower", "0x0p+0 zero", "malformed domain corners"),
+            ("domain-upper", "0x1p+0", "do not match the dimension"),
+            ("stages", "3", "stage count disagrees"),
+        ],
+    )
+    def test_malformed_header(self, growth_run, tmp_path, key, value, message):
+        paths, _, _ = growth_run
+        head, marker, body = Path(paths["function"]).read_bytes().partition(
+            b"end-header\n"
+        )
+        line = re.compile(rb"^" + key.encode() + rb" .*$", re.M)
+        assert len(line.findall(head)) == 1
+        path = tmp_path / "edited.lkf"
+        path.write_bytes(line.sub(f"{key} {value}".encode(), head) + marker + body)
+        with pytest.raises(FunctionFileError, match=message):
+            load_function(str(path))
+
+    @pytest.mark.parametrize("name", ["missing.lkf", "."])
+    def test_unreadable_path(self, tmp_path, name):
+        with pytest.raises(FunctionFileError, match="cannot read"):
+            load_function(str(tmp_path / name))
+
     def test_wrong_magic(self, tmp_path):
         bad = str(tmp_path / "junk.lkf")
         Path(bad).write_bytes(b"something else\nend-header\n")
@@ -374,6 +401,27 @@ class TestFunctionFile:
         Path(bad).write_bytes(b"lusinkit-function 1\ndimension 2\n")
         with pytest.raises(FunctionFileError, match="terminator"):
             load_function(bad)
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def _failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    @pytest.mark.parametrize("fails, error", [("write", TypeError), ("rename", OSError)])
+    def test_failure_keeps_the_old_file(self, tmp_path, monkeypatch, fails, error):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old\n")
+        payload = b"new\n"
+        if fails == "write":
+            # a binary file refuses text
+            payload = "new\n"
+        else:
+            monkeypatch.setattr(harness.os, "replace", self._failing_replace)
+        with pytest.raises(error):
+            harness._atomic_write(str(target), payload)
+        assert target.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestCertificateFile:
@@ -406,6 +454,18 @@ class TestCertificateFile:
             report = BuildCertificate.from_dict(d).stage_reports[0]
             assert repr(report.truncation_bound) == spelling
 
+    def test_construction_checks_stage_structure(self, growth_run):
+        _, _, cert = growth_run
+        first, *rest = cert.stage_reports
+        renumbered = (replace(first, stage=5), *rest)
+        with pytest.raises(ValueError, match="numbered 1, 2"):
+            replace(cert, stage_reports=renumbered)
+        with pytest.raises(ValueError, match="1 lists for 3 stages"):
+            replace(cert, covered_cells=cert.covered_cells[:1])
+        extra = (*cert.covered_cells, np.array([[0.0, 0.0, 1.0, 1.0]]))
+        with pytest.raises(ValueError, match="4 lists for 3 stages"):
+            replace(cert, covered_cells=extra)
+
     @pytest.mark.parametrize("name", ["demo", "xx2"])
     def test_committed_fixtures_load(self, name):
         # the fixtures predate the removal of each stage's delta and
@@ -425,6 +485,14 @@ def _drop_stages(d):
 def _drop_cells(d):
     # as in the counts-only form, which lists no cells
     del d["covered_cells"]
+
+
+def _cells_of_one_stage(d):
+    d["covered_cells"] = d["covered_cells"][:1]
+
+
+def _cells_of_an_extra_stage(d):
+    d["covered_cells"].append([[0, 0, 1, 1]])
 
 
 def _null_tau(d):
@@ -546,6 +614,8 @@ def _stage_renumbered(d):
     [
         _drop_stages,
         _drop_cells,
+        _cells_of_one_stage,
+        _cells_of_an_extra_stage,
         _null_tau,
         _listed_rejects,
         _fractional_dimension,
@@ -758,6 +828,16 @@ class TestCertify:
         witness = np.array(res["witness"]["x"])
         low, side = rec[row, :2], rec[row, 2]
         assert np.all(witness >= low) and np.all(witness <= low + side)
+
+    def test_match_vacuous_without_coverage(self):
+        # stage 1 certifies no cell, so no box holds a point to check
+        cfg = BuildConfig(grid=8, stages=2, refine_max=1)
+        g, cert = multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+        assert cert.coverage_measure == 0.0 and g.term_count == 0
+        report = certify_function(g, UNIT_SQUARE, cert, checks=("match",), pairs=50)
+        res = report["checks"]["match"]
+        assert res["vacuous"] and res["passed"]
+        assert res["worst"] == 0.0 and res["bound"] == cfg.tau
 
     def test_zero_function_margins(self, tmp_path):
         paths, g, cert = run_construct(
@@ -1141,6 +1221,25 @@ class TestCli:
         rc = main(["certify", paths["function"], "--certificate", str(other)])
         assert rc == 2
         assert "another domain" in capsys.readouterr().err
+
+    def test_certify_refuses_another_build(self, growth_run, tmp_path, capsys):
+        paths, g, _ = growth_run
+        one_stage = replace(GROWTH_CFG, stages=1)
+        other, _, cert = run_construct(
+            "heisenberg", UNIT_SQUARE, one_stage, str(tmp_path), "one"
+        )
+        assert cert.term_count != g.term_count
+        certify = ["certify", paths["function"], "--certificate", other["certificate"]]
+        assert main(certify) == 2
+        err = capsys.readouterr().err
+        assert f"function has {g.term_count} terms up to stage 2" in err
+        assert f"its certificate {cert.term_count} in 1 stages" in err
+        # with the function's term count written in, its stages still differ
+        d = json.loads(Path(other["certificate"]).read_text())
+        d["term_count"] = g.term_count
+        Path(other["certificate"]).write_text(json.dumps(d))
+        assert main(certify) == 2
+        assert f"certificate {g.term_count} in 1 stages" in capsys.readouterr().err
 
     def test_certify_unknown_check(self, growth_run, capsys):
         paths, _, _ = growth_run

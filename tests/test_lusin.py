@@ -1,7 +1,8 @@
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +20,6 @@ from lusinkit.harness import tail_pinch_check
 from lusinkit.lusin import (
     BuildConfig,
     FieldCollection,
-    _paint_boxes,
     field_catalog,
     multi_stage_build,
 )
@@ -81,6 +81,20 @@ def xx2_build():
     )
     g, cert = multi_stage_build(field, UNIT_SQUARE, cfg)
     return field, cfg, g, cert
+
+
+def _overlaps(cert):
+    """Pairs of a certificate's boxes, of any stages, that share volume."""
+    boxes = np.concatenate(cert.covered_cells)
+    n = boxes.shape[1] // 2
+    lo, hi = boxes[:, :n], boxes[:, n:]
+    overlaps = 0
+    for i in range(boxes.shape[0]):
+        inter = np.minimum(hi[i], hi) - np.maximum(lo[i], lo)
+        hit = (inter > 1e-12).all(axis=1)
+        hit[i] = False
+        overlaps += int(hit.sum())
+    return overlaps
 
 
 def _sample_in_boxes(boxes, count, rng):
@@ -361,15 +375,7 @@ class TestMultiStage:
 
     def test_stage_boxes_are_disjoint(self, growth_build):
         _, _, _, cert = growth_build
-        boxes = np.concatenate([b for b in cert.covered_cells if b.shape[0]], axis=0)
-        lo, hi = boxes[:, :2], boxes[:, 2:]
-        overlaps = 0
-        for i in range(boxes.shape[0]):
-            inter = np.minimum(hi[i], hi) - np.maximum(lo[i], lo)
-            hit = (inter > 1e-12).all(axis=1)
-            hit[i] = False
-            overlaps += int(hit.sum())
-        assert overlaps == 0
+        assert _overlaps(cert) == 0
 
     def test_match_within_tau_on_each_stage(self, growth_build):
         field, cfg, g, cert = growth_build
@@ -438,10 +444,17 @@ class TestMultiStage:
         )
         assert grad.max() <= cert.sup_ledger[1] * (1 + 1e-9)
 
-    def test_theta_must_be_dyadic(self):
-        cfg = BuildConfig(theta=0.3, grid=8, stages=2)
-        with pytest.raises(ValueError, match="power of 1/2"):
-            multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+    def test_non_dyadic_theta_builds(self):
+        # plateau corners off every dyadic lattice: painting widens them to
+        # whole mask cells, so later stages keep clear of them
+        for theta in (0.3, 0.6):
+            cfg = replace(GROWTH_CFG, theta=theta)
+            g, cert = multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+            assert cert.stage_reports[1].cells_accepted > 0
+            assert _overlaps(cert) == 0
+            report = harness.certify_function(g, UNIT_SQUARE, cert, pairs=2000)
+            assert report["passed"]
+            assert not report["checks"]["pinch"]["vacuous"]
 
     def test_mask_budget_refuses_deep_lattices(self):
         # (128 * 2^(6 + 2))^2 = 1.07e9 cells exceed 3e8 at any theta
@@ -568,6 +581,16 @@ class TestBatching:
         assert peak < 64 * 2**20
 
 
+def _coverage_table(covered):
+    """Summed-area table of a bool mask: entry i counts the True cells below
+    i on every axis."""
+    sat = np.zeros(tuple(s + 1 for s in covered.shape), np.int32)
+    sat[(slice(1, None),) * covered.ndim] = covered
+    for axis in range(covered.ndim):
+        np.cumsum(sat, axis=axis, out=sat)
+    return sat
+
+
 def _fine_painted_mask(boxes, lower, h_fine, fine_R, f):
     """Oracle: paint each box on the fine lattice of spacing h_fine, fine_R
     cells per axis, one slice per box, then pool f x ... x f blocks."""
@@ -582,50 +605,92 @@ def _fine_painted_mask(boxes, lower, h_fine, fine_R, f):
 
 
 class TestPaintBoxes:
+    """A stage's accepted cells, painted into the coverage table as integer
+    ranges, against the boxes the builder certifies for them."""
+
     GRID = {1: 40, 2: 6, 3: 3}
+    REFINE_MAX = 2
+
+    @classmethod
+    def _stages(cls, rng, n, grid, count):
+        """Two stages of disjoint accepted cells, (level, idx, coeffs) with
+        coeffs None for a zero-data cell: a random dyadic partition of the
+        level-0 grid whose leaves are given to stage 1, stage 2 or neither."""
+        stages = ([], [])
+        queue = [(0, idx) for idx in np.ndindex(*(grid,) * n)]
+        while queue:
+            level, idx = queue.pop()
+            if level < cls.REFINE_MAX and rng.random() < 0.4:
+                queue += [
+                    (level + 1, tuple(2 * i + s for i, s in zip(idx, shift)))
+                    for shift in np.ndindex(*(2,) * n)
+                ]
+            elif rng.random() < count:
+                term = None if rng.random() < 0.3 else np.ones((1, 1))
+                stages[int(rng.random() < 0.5)].append(
+                    (level, np.array([idx], np.int64), term)
+                )
+        return stages
 
     @staticmethod
-    def _dyadic_boxes(rng, lower, h0, grid, refine_max, theta, count):
-        """Whole cells and theta-plateaus at random levels up to refine_max,
-        with corners computed the way the builder computes them."""
-        n = lower.shape[0]
+    def _boxes(accepted, lower, h0, theta):
+        """Certified boxes as multi_stage_build computes them."""
         rows = []
-        for _ in range(count):
-            level = int(rng.integers(refine_max + 1))
+        for level, idx, cf in accepted:
             h = h0 / 2**level
-            idx = rng.integers(grid * 2**level, size=n)
             lows = lower + idx * h
-            if rng.random() < 0.5:
-                rows.append(np.concatenate([lows, lows + h]))
+            if cf is None:
+                rows.append(np.concatenate([lows, lows + h], axis=1))
             else:
-                center, p = lows + h / 2.0, (1.0 - theta) * (h / 2.0)
-                rows.append(np.concatenate([center - p, center + p]))
-        return np.array(rows)
+                c, p = lows + h / 2.0, (1.0 - theta) * (h / 2.0)
+                rows.append(np.concatenate([c - p, c + p], axis=1))
+        return np.concatenate(rows)
 
     @pytest.mark.parametrize("theta", [0.5, 0.125])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_pooled_fine_painter(self, n, theta):
         rng = np.random.default_rng(10 * n + int(1 / theta))
-        grid, refine_max = self.GRID[n], 2
-        j0 = round(-math.log2(theta))
-        level_cap = refine_max + j0 + 1
-        f = 2 ** (j0 + 1)
+        grid, refine_max = self.GRID[n], self.REFINE_MAX
+        # plateau corners of refine_max cells lie on the fine lattice
+        fine = 2 * round(1 / theta)
+        R = grid * 2**refine_max
         for _ in range(4):
             lower = rng.uniform(-1.0, 1.0, size=n)
             h0 = 1.7 / grid
-            h_fine = h0 / 2**level_cap
-            R = grid * 2**refine_max
-            mask = np.zeros((R,) * n, bool)
+            sat = np.zeros((R + 1,) * n, np.int32)
             want = np.zeros((R,) * n, bool)
-            # two stages painted into one mask
-            for _ in range(2):
-                count = max(2, R**n // 40)
-                boxes = self._dyadic_boxes(
-                    rng, lower, h0, grid, refine_max, theta, count
-                )
-                _paint_boxes(mask, boxes, lower, h_fine, f)
-                want |= _fine_painted_mask(boxes, lower, h_fine, R * f, f)
-                npt.assert_array_equal(mask, want)
+            for accepted in self._stages(rng, n, grid, 0.6):
+                lusin._paint(sat, accepted, refine_max, theta)
+                if accepted:
+                    boxes = self._boxes(accepted, lower, h0, theta)
+                    h_fine = h0 / 2**refine_max / fine
+                    want |= _fine_painted_mask(boxes, lower, h_fine, R * fine, fine)
+                npt.assert_array_equal(sat, _coverage_table(want))
+
+    @pytest.mark.parametrize("theta", [0.3, 0.6, 0.75])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_paints_the_mask_hull_of_each_exact_plateau(self, n, theta):
+        # a term's plateau, in mask cells, is exactly f i + theta f / 2 to
+        # f (i + 1) - theta f / 2 per axis, theta the float's exact value;
+        # painted are the mask cells meeting its interior
+        rng = np.random.default_rng(100 * n + round(100 * theta))
+        grid, refine_max = self.GRID[n], self.REFINE_MAX
+        R = grid * 2**refine_max
+        exact = Fraction(theta)
+        sat = np.zeros((R + 1,) * n, np.int32)
+        want = np.zeros((R,) * n, bool)
+        for accepted in self._stages(rng, n, grid, 0.6):
+            lusin._paint(sat, accepted, refine_max, theta)
+            for level, idx, cf in accepted:
+                f = 2 ** (refine_max - level)
+                rim = 0 if cf is None else exact * f / 2
+                ranges = [
+                    slice(math.floor(f * i + rim), math.ceil(f * (i + 1) - rim))
+                    for i in idx[0].tolist()
+                ]
+                assert not want[tuple(ranges)].any()
+                want[tuple(ranges)] = True
+            npt.assert_array_equal(sat, _coverage_table(want))
 
 
 def _chessboard_oracle(free):
@@ -663,7 +728,7 @@ class TestCoverageTable:
         grid, refine_max = self.SHAPES[n]
         rng = np.random.default_rng(n)
         for covered in self._masks(rng, n, grid * 2**refine_max):
-            got = lusin._free_cells(lusin._coverage_table(covered), grid, refine_max)
+            got = lusin._free_cells(_coverage_table(covered), grid, refine_max)
             assert [r for r, _ in got] == list(range(refine_max + 1))
             for r, cells in got:
                 # maximal free cells in C order: free, with a covered parent
@@ -684,7 +749,7 @@ class TestCoverageTable:
         b_sup = 0.37
         for k, covered in enumerate(self._masks(rng, n, side)):
             covered[(0,) * n] = True
-            sat = lusin._coverage_table(covered)
+            sat = _coverage_table(covered)
             dist = _chessboard_oracle(~covered)
             # caps saturate inside the mask, or never reach b_sup
             h_rm = (1.7 if k % 2 else 0.3) / side
