@@ -46,24 +46,27 @@ def _point(text: str):
 
 
 def _modulus_spec(text: str):
-    from .core import LogModulus, PiecewiseLinearModulus, PowerModulus
+    """The modulus that --modulus text names, read as its spec_dict() form."""
+    from .core import modulus_from_dict
 
-    kind, _, rest = text.partition(":")
-    if kind == "log":
-        return LogModulus()
-    if kind == "power":
-        return PowerModulus(float(rest))
-    if kind == "pwl":
-        knots = tuple(tuple(float(v) for v in k.split(",")) for k in rest.split(";"))
-        return PiecewiseLinearModulus(knots)
-    raise ValueError(f"unknown modulus spec {text!r} (use log, power:B or pwl:...)")
+    kind, colon, rest = text.partition(":")
+    spec = {"kind": kind}
+    try:
+        if kind == "power" and colon:
+            spec["beta"] = float(rest)
+        elif kind == "pwl" and colon:
+            spec["knots"] = [[float(v) for v in k.split(",")] for k in rest.split(";")]
+        elif text != "log":
+            raise ValueError("use log, power:BETA or pwl:t0,v0;t1,v1;...")
+    except ValueError as exc:
+        raise ValueError(f"modulus {text!r}: {exc}") from None
+    return modulus_from_dict(spec)
 
 
-def _domain(text: str):
+def _domain(vals: tuple[float, ...]):
     from .core import BoxDomain
 
-    vals = _floats(text)
-    if len(vals) % 2 or not vals:
+    if len(vals) % 2:
         raise ValueError("domain needs an even number of coordinates: lows then highs")
     n = len(vals) // 2
     return BoxDomain(vals[:n], vals[n:])
@@ -187,7 +190,12 @@ def _construct_arguments(c: argparse.ArgumentParser) -> None:
     from .lusin import BuildConfig
 
     c.add_argument("--field", required=True, help="catalog field name")
-    c.add_argument("--domain", default="0,0,1,1", help="lows then highs, e.g. 0,0,1,1")
+    c.add_argument(
+        "--domain",
+        type=_floats,
+        default="0,0,1,1",
+        help="lows then highs, e.g. 0,0,1,1",
+    )
     for f in fields(BuildConfig):
         c.add_argument(
             "--" + f.name.replace("_", "-"),

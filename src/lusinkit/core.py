@@ -103,6 +103,20 @@ def _index_table(n: int, m: int):
     return idx, pos
 
 
+@lru_cache(maxsize=None)
+def _order_rows(n: int, m: int):
+    """Coefficient rows, in _index_table order, of each order q <= m, and
+    for each index of order q < m the rows of its n first-order raises."""
+    idx, pos = _index_table(n, m)
+    orders = np.array([sum(a) for a in idx])
+    by_order = tuple(np.flatnonzero(orders == q) for q in range(m + 1))
+    # the row of a + e_i for each index a and axis i, -1 past order m
+    up = np.array(
+        [[pos.get(a[:i] + (a[i] + 1,) + a[i + 1 :], -1) for i in range(n)] for a in idx]
+    )
+    return by_order, tuple(up[rows] for rows in by_order[:m])
+
+
 def _fold_columns(ufunc, a: np.ndarray):
     """ufunc folded left to right across the last axis of a.
 
@@ -296,6 +310,8 @@ class PiecewiseLinearModulus(Modulus):
 
     def __post_init__(self):
         k = self.knots
+        if any(len(p) != 2 for p in k):
+            raise ValueError("knots must be (t, v) pairs")
         if len(k) < 2:
             raise ValueError("need the origin knot plus at least one more")
         if not all(map(math.isfinite, itertools.chain(*k))):
@@ -366,8 +382,6 @@ def modulus_from_dict(spec: dict) -> Modulus:
         if kind == "pwl":
             pair = _FROM_JSON["tuple[float, ...]"]
             knots = tuple(pair(k) for k in _json_is(spec.get("knots"), list))
-            if any(len(k) != 2 for k in knots):
-                raise ValueError("knots must be [t, v] pairs")
             return PiecewiseLinearModulus(knots)
     except ValueError as exc:
         raise ValueError(f"modulus spec {spec}: {exc}") from None
@@ -468,9 +482,8 @@ class CutoffProfile:
         cell size cancels, so half-width 1 gives it.
         """
         m = self.order
-        _, pos = _index_table(n, m)
-        top = [pos[a] for a in enumerate_multiindices(n, m)]
-        coeffs = np.zeros((1, len(pos)))
+        top = _order_rows(n, m)[0][m]
+        coeffs = np.zeros((1, len(_index_table(n, m)[0])))
         coeffs[0, top] = 1.0
         return float(cell_derivative_bounds(self, n, m, coeffs, 1.0)[top].max())
 
@@ -973,7 +986,8 @@ class BuildCertificate:
     the measures, partial_cover, profile_constant and each stage's budgets
     and measures are computed from the stage reports, config and domain.
     Construction raises ValueError unless the stage reports are numbered
-    1, 2, ..., K and covered_cells holds one array per stage.
+    1, 2, ..., K, each holds order sup bounds, and covered_cells holds one
+    array per stage.
     """
 
     order: int
@@ -990,6 +1004,8 @@ class BuildCertificate:
             raise ValueError("stages are not numbered 1, 2, ... in order")
         if lists != k:
             raise ValueError(f"covered_cells holds {lists} lists for {k} stages")
+        if any(len(r.sup_bounds) != self.order for r in self.stage_reports):
+            raise ValueError(f"a stage does not hold {self.order} sup bounds")
 
     @property
     def dimension(self) -> int:
@@ -1104,10 +1120,11 @@ class BuildCertificate:
 
         Raises ValueError for a missing field, a field of the wrong shape, a
         value whose JSON type does not match its field's, a config that
-        BuildConfig refuses, stages not numbered 1, 2, ..., covered_cells
-        with a list count other than the stage count, or a written
-        ledger, measure, fraction, flag, profile constant or stage budget or
-        measure other than the one the stage reports, config and domain give.
+        BuildConfig refuses, stages not numbered 1, 2, ..., a stage not
+        holding order sup bounds, covered_cells with a list count other than
+        the stage count, or a written ledger, measure, fraction, flag,
+        profile constant or stage budget or measure other than the one the
+        stage reports, config and domain give.
         Config keys of no BuildConfig field are ignored, as are other keys.
         """
         try:

@@ -115,15 +115,16 @@ def write_json(path: str, payload: dict) -> None:
 #
 # Cells are closed cubes [low, low + side]; storing the side instead of the
 # upper corner keeps the lattice spacing bit-exact, which the round-trip
-# guarantee needs.  K runs over every multi-index of order <= m in the
-# enumeration order of multiindices_upto.  weight is 2^-stage, stage >= 1.
+# guarantee needs.  K = C(n + m, m) runs over every multi-index of order
+# <= m in the enumeration order of multiindices_upto.  weight is 2^-stage,
+# stage >= 1.
 # Consecutive records with equal side, theta and stage form one block, whose
 # lattice is that of its own cells (see _Block), so save_function refuses a
 # sum whose records would merge into a block off one lattice.
 
 
 def _record_width(n: int, m: int) -> int:
-    return n + 1 + len(multiindices_upto(n, m)) + 3
+    return n + 1 + math.comb(n + m, m) + 3
 
 
 def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
@@ -138,7 +139,7 @@ def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
         raise ValueError("numeric block contains non-finite values")
     if not block.shape[0]:
         return g
-    k = len(multiindices_upto(n, m))
+    k = math.comb(n + m, m)
     meta_cols = [n, n + 1 + k, n + 3 + k]
     steps = np.diff(block[:, meta_cols], axis=0) != 0.0
     splits = np.nonzero(_fold_columns(np.logical_or, steps))
@@ -160,7 +161,7 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
     if g.dimension != dom.dimension:
         raise ValueError("domain dimension does not match the function")
     n, m = g.dimension, g.order
-    k = len(multiindices_upto(n, m))
+    k = math.comb(n + m, m)
     block = np.empty((g.term_count, _record_width(n, m)))
     row = 0
     for blk in g.blocks:
@@ -224,6 +225,8 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
     m = _header_int(fields, "order")
     stages = _header_int(fields, "stages")
     terms = _header_int(fields, "terms")
+    if n < 1 or m < 1:
+        raise FunctionFileError(f"dimension {n} and order {m} must be at least 1")
     try:
         lower = tuple(float.fromhex(v) for v in fields["domain-lower"].split())
         upper = tuple(float.fromhex(v) for v in fields["domain-upper"].split())

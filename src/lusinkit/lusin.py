@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .core import (
     CutoffProfile,
     StageReport,
     _fold_columns,
-    _index_table,
+    _order_rows,
     cell_derivative_bounds,
     enumerate_multiindices,
     stage_weight,
@@ -199,9 +198,6 @@ def _run_stage(
     profile: CutoffProfile,
     stage: int,
     *,
-    top_cols: np.ndarray,
-    by_order: list,
-    grad_rows: list,
     seeds: list,
     h0: float,
     sat: np.ndarray | None = None,
@@ -222,22 +218,24 @@ def _run_stage(
     of _BATCH cells; a refined entry holds the failing parents, and each
     batch expands only its own children.  Results are merged once per
     entry, so the outcome does not depend on _BATCH.
-    Batches are Fortran-ordered (B, n) arrays, and the bound checks run on
-    compact arrays of the cells past truncation, recording the first each
-    fails.  top_cols, by_order and grad_rows locate, in the coefficient
-    columns, the top-order indices, the indices of each order q, and the n
-    first-order raises of each index of order q < m.  In later stages sat
-    is the build's coverage table (see _paint), and _pinch_fails reads
-    a cell's pinch off it: below refine_max only for cells passing the
-    other bound checks, at refine_max for all, as the pinch counts first.
+    Batches are Fortran-ordered (B, n) arrays.  Each batch cell keeps one
+    code: 0 while it passes, k + 1 once the first check it fails is
+    reasons[k]; the bound checks run on compact arrays of the cells past
+    truncation, later checks written first.  Cells of code 0 go on to the
+    oscillation check, the others split, and at refine_max the codes are
+    tallied.  In later stages sat is the build's coverage table (see
+    _paint), and _pinch_fails reads a cell's pinch off it: below refine_max
+    only for cells passing the other bound checks, at refine_max for all,
+    as the pinch counts first.
     """
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
+    by_order, raises = _order_rows(n, m)
     K = sum(b.size for b in by_order)
     w_mod = stage_weight(stage)
     b_sup = cfg.sigma * w_mod
     T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
-    # a cell failing at refine_max is counted under the first reason it fails
+    # stage 1 counts both sup checks as supnorm
     reasons = (
         "truncation",
         "pinch" if sat is not None else "supnorm",
@@ -247,7 +245,8 @@ def _run_stage(
         "oscillation",
     )
     shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
-    reject = Counter()
+    # refine_max cells per code
+    tally = np.zeros(len(reasons) + 1, np.int64)
     accepted = []
     covered = 0.0
     considered = 0
@@ -274,7 +273,6 @@ def _run_stage(
         hw = h / 2.0
         p = (1.0 - cfg.theta) * hw
         zero_idx, term_idx, term_vals, failed = [], [], [], []
-        rejected = np.zeros(len(reasons), np.int64)
 
         for s in range(0, N, _BATCH):
             if split:
@@ -292,70 +290,58 @@ def _run_stage(
             vals = evaluate(centers)
             amax = _fold_columns(np.maximum, np.abs(vals))
             zero = amax == 0.0
-            trunc_bad = ~zero & (amax > T)
-            ti = np.flatnonzero(~zero & ~trunc_bad)
+            code = (amax > T).astype(np.int8)
+            ti = np.flatnonzero(~zero & (code == 0))
 
-            # per tested cell, the first bound check it fails, by its place in
-            # reasons, or 0; later checks are written first
-            code = np.zeros(ti.size, np.int8)
             if ti.size:
                 coeffs = np.zeros((ti.size, K), order="F")
-                for j, col in enumerate(top_cols):
+                for j, col in enumerate(by_order[m]):
                     coeffs[:, col] = vals[:, j].take(ti)
                 bounds = cell_derivative_bounds(profile, n, m, coeffs, hw)
-                bmax = np.stack(
-                    [bounds[by_order[q]].max(axis=0) for q in range(m + 1)]
-                )
+                bmax = np.stack([bounds[by_order[q]].max(axis=0) for q in range(m)])
                 lip = [
-                    np.sqrt((bounds[grad_rows[q]] ** 2).sum(axis=1)).max(axis=0)
+                    np.sqrt((bounds[raises[q]] ** 2).sum(axis=1)).max(axis=0)
                     for q in range(m)
                 ]
                 S_t, L_t = bmax[m - 1], lip[m - 1]
                 env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
                 lip_low = np.stack(lip[: m - 1] or [np.zeros(ti.size)]).max(axis=0)
-                code[env_t > w_mod] = 4
-                code[lip_low > b_sup] = 3
-                code[S_t > b_sup / sqrt_n] = 2
+                code[ti[env_t > w_mod]] = 5
+                code[ti[lip_low > b_sup]] = 4
+                code[ti[S_t > b_sup / sqrt_n]] = 3
                 if sat is None:
-                    code[(bmax[:m] > b_sup).any(axis=0)] = 1
+                    code[ti[(bmax > b_sup).any(axis=0)]] = 2
                 else:
                     # a failing cell splits whatever its pinch below refine_max
-                    pc = np.flatnonzero((code == 0) | (level == cfg.refine_max))
+                    pc = np.flatnonzero((code[ti] == 0) | (level == cfg.refine_max))
                     f = 2 ** (cfg.refine_max - level)
-                    worst = bmax[:m, pc].max(axis=0)
+                    worst = bmax[:, pc].max(axis=0)
                     near = _take_rows(idx, ti[pc])
-                    code[pc[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]] = 1
+                    code[ti[pc[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]]] = 2
 
             # zero cells and cells passing every bound check, in cell order
-            cand = zero.copy()
-            cand[ti[code == 0]] = True
-            si = np.flatnonzero(cand)
+            si = np.flatnonzero(code == 0)
             reach = np.where(zero.take(si), hw, p)
             osc = _stencil_osc(
                 evaluate, _take_rows(centers, si), _take_rows(vals, si), reach
             )
-            osc_bad = osc > cfg.tau
-            good = si[~osc_bad]
-            ok_zero = zero[good]
-            oz, oi = good[ok_zero], good[~ok_zero]
+            code[si[osc > cfg.tau]] = 6
+            ok = code == 0
+            oz, oi = np.flatnonzero(ok & zero), np.flatnonzero(ok & ~zero)
             if oz.size:
                 zero_idx.append(_take_rows(idx, oz))
             if oi.size:
                 term_idx.append(_take_rows(idx, oi))
                 term_vals.append(_take_rows(vals, oi))
                 k = np.searchsorted(ti, oi)
-                sup_acc = np.maximum(sup_acc, bmax[:m, k].max(axis=1))
+                sup_acc = np.maximum(sup_acc, bmax[:, k].max(axis=1))
                 lip_acc = max(lip_acc, lip_low[k].max())
                 env_acc = max(env_acc, env_t[k].max())
 
             if level < cfg.refine_max:
-                failing = np.ones(idx.shape[0], bool)
-                failing[good] = False
-                failed.append(_take_rows(idx, np.flatnonzero(failing)))
-                continue
-            rejected[0] += trunc_bad.sum()
-            rejected[1:5] += np.bincount(code, minlength=5)[1:]
-            rejected[5] += osc_bad.sum()
+                failed.append(_take_rows(idx, np.flatnonzero(code)))
+            else:
+                tally += np.bincount(code, minlength=tally.size)
 
         zeros = sum(part.shape[0] for part in zero_idx)
         terms = sum(part.shape[0] for part in term_idx)
@@ -364,24 +350,25 @@ def _run_stage(
             covered += zeros * h**n
         if terms:
             cf = np.zeros((terms, K))
-            cf[:, top_cols] = np.concatenate(term_vals)
+            cf[:, by_order[m]] = np.concatenate(term_vals)
             accepted.append((level, np.concatenate(term_idx), cf))
             covered += terms * (2.0 * p) ** n
         accepted_count += zeros + terms
-        for name, count in zip(reasons, rejected):
-            if count:
-                reject[name] += int(count)
         parents = np.concatenate(failed) if failed else cells[:0]
         if parents.shape[0]:
             queue.append((level + 1, parents, True))
 
+    reject = {}
+    for name, count in zip(reasons, tally[1:].tolist()):
+        if count:
+            reject[name] = reject.get(name, 0) + count
     report = StageReport(
         stage=stage,
         truncation_bound=T,
         covered_measure=covered,
         cells_considered=considered,
         cells_accepted=accepted_count,
-        reject_counts=dict(reject),
+        reject_counts=reject,
         sup_bounds=tuple(float(v) for v in sup_acc),
         lipschitz_bound=float(lip_acc),
         modulus_coefficient=float(env_acc),
@@ -504,25 +491,6 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             raise ValueError("grid * 2**(refine_max + 2) exceeds the mask budget")
         sat = np.zeros((cfg.grid * 2**cfg.refine_max + 1,) * n, np.int32)
 
-    indices, pos = _index_table(n, m)
-    tables = dict(
-        top_cols=np.array([pos[a] for a in enumerate_multiindices(n, m)]),
-        by_order=[
-            np.array([i for i, a in enumerate(indices) if sum(a) == q])
-            for q in range(m + 1)
-        ],
-        grad_rows=[
-            np.array(
-                [
-                    [pos[a[:i] + (a[i] + 1,) + a[i + 1 :]] for i in range(n)]
-                    for a in indices
-                    if sum(a) == q
-                ]
-            )
-            for q in range(m)
-        ],
-    )
-
     g = BumpPolySum(n, m)
     reports = []
     covered_arrays = []
@@ -539,7 +507,6 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             cfg,
             profile,
             stage,
-            **tables,
             seeds=seeds,
             h0=h0,
             sat=sat if stage > 1 else None,

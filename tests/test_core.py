@@ -171,6 +171,9 @@ class TestPiecewiseLinearModulus:
         ):
             with pytest.raises(ValueError, match="finite"):
                 PiecewiseLinearModulus(knots)
+        for knots in (((0.0, 0.0), (1.0,)), ((0.0, 0.0, 1.0),)):
+            with pytest.raises(ValueError, match="pairs"):
+                PiecewiseLinearModulus(knots)
 
     def test_sup_ratio_dominates_samples(self):
         mu = PiecewiseLinearModulus(KNOTS)

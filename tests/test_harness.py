@@ -371,6 +371,8 @@ class TestFunctionFile:
             ("domain-lower", "0x0p+0 zero", "malformed domain corners"),
             ("domain-upper", "0x1p+0", "do not match the dimension"),
             ("stages", "3", "stage count disagrees"),
+            ("dimension", "0", "must be at least 1"),
+            ("order", "0", "must be at least 1"),
         ],
     )
     def test_malformed_header(self, growth_run, tmp_path, key, value, message):
@@ -401,6 +403,27 @@ class TestFunctionFile:
         Path(bad).write_bytes(b"lusinkit-function 1\ndimension 2\n")
         with pytest.raises(FunctionFileError, match="terminator"):
             load_function(bad)
+
+    def test_byte_count_checked_before_enumerating(self, tmp_path, monkeypatch):
+        # C(80, 40) multi-indices: listing them would never finish
+        def refuse(n, m):
+            raise AssertionError("multi-indices enumerated")
+
+        monkeypatch.setattr(harness, "multiindices_upto", refuse)
+        bad = tmp_path / "huge.lkf"
+        header = [
+            "lusinkit-function 1",
+            "dimension 40",
+            "order 40",
+            "domain-lower " + " ".join(["0x0p+0"] * 40),
+            "domain-upper " + " ".join(["0x1p+0"] * 40),
+            "stages 1",
+            "terms 1",
+            "end-header",
+        ]
+        bad.write_bytes("\n".join(header).encode() + b"\n")
+        with pytest.raises(FunctionFileError, match="numeric block holds 0 bytes"):
+            load_function(str(bad))
 
 
 class TestAtomicWrite:
@@ -493,6 +516,10 @@ def _cells_of_one_stage(d):
 
 def _cells_of_an_extra_stage(d):
     d["covered_cells"].append([[0, 0, 1, 1]])
+
+
+def _order_past_sup_bounds(d):
+    d["order"] = 2
 
 
 def _null_tau(d):
@@ -616,6 +643,7 @@ def _stage_renumbered(d):
         _drop_cells,
         _cells_of_one_stage,
         _cells_of_an_extra_stage,
+        _order_past_sup_bounds,
         _null_tau,
         _listed_rejects,
         _fractional_dimension,
@@ -1182,8 +1210,18 @@ class TestCli:
         assert "infeasible" in err and "modulus" in err
         assert not (tmp_path / "sub").exists()
 
+    # a non-finite or malformed setting exits 2 without a traceback
     @pytest.mark.parametrize(
-        "flag, value", [("--tau", "nan"), ("--tau", "inf"), ("--sigma", "nan")]
+        "flag, value",
+        [
+            ("--tau", "nan"),
+            ("--tau", "inf"),
+            ("--sigma", "nan"),
+            ("--domain", "0,0,1,x"),
+            ("--modulus", "pwl:0,0;1"),
+            ("--modulus", "log:junk"),
+            ("--modulus", "pwl:0,0,1"),
+        ],
     )
     def test_non_finite_budget_exit_code(self, tmp_path, capsys, flag, value):
         out = tmp_path / "none"

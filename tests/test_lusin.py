@@ -444,6 +444,23 @@ class TestMultiStage:
         )
         assert grad.max() <= cert.sup_ledger[1] * (1 + 1e-9)
 
+    def test_reject_tally_adds_both_sup_checks(self):
+        # stage 1 counts the per-order sup caps and the cap on order m - 1,
+        # S <= b_sup / sqrt(n), both as supnorm; each fails cells here
+        cfg = BuildConfig(
+            sigma=0.02,
+            tau=0.5,
+            grid=8,
+            stages=2,
+            refine_max=3,
+            modulus=PowerModulus(1.0),
+        )
+        _, cert = multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+        assert [r.reject_counts for r in cert.stage_reports] == [
+            {"truncation": 496, "supnorm": 3194},
+            {"pinch": 3205, "truncation": 496},
+        ]
+
     def test_non_dyadic_theta_builds(self):
         # plateau corners off every dyadic lattice: painting widens them to
         # whole mask cells, so later stages keep clear of them

@@ -1,0 +1,159 @@
+"""Print the sha256 of the function file and certificate of ten fixed builds.
+
+    python3 tools/artifact_hashes.py
+
+Takes no options.  Builds each case below from src/ into a temporary
+directory, writes its .lkf with save_function and its certificate with
+write_json, and prints one line per build: the name, the .lkf sha256 and the
+certificate sha256.  Run it before and after a change that should keep every
+output, and compare the two outputs with diff.
+"""
+
+import hashlib
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from lusinkit import harness  # noqa: E402
+from lusinkit.core import (  # noqa: E402
+    BoxDomain,
+    LogModulus,
+    PiecewiseLinearModulus,
+    PowerModulus,
+)
+from lusinkit.lusin import (  # noqa: E402
+    BuildConfig,
+    FieldCollection,
+    field_catalog,
+    multi_stage_build,
+)
+
+UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
+# the README demo's construct flags
+DEMO = BuildConfig(
+    eps=0.05,
+    sigma=50.0,
+    tau=0.08,
+    theta=0.125,
+    grid=32,
+    stages=3,
+    quantile=0.7,
+    refine_max=3,
+    modulus=PowerModulus(1.0),
+)
+
+
+def _planar_cubic() -> FieldCollection:
+    return FieldCollection.from_map(
+        "planar_cubic",
+        2,
+        3,
+        {
+            (3, 0): lambda p: 0.5 + 0.1 * p[:, 1],
+            (1, 2): lambda p: 0.2 * p[:, 0] * p[:, 1],
+        },
+    )
+
+
+def _spatial_quadratic() -> FieldCollection:
+    return FieldCollection.from_map(
+        "spatial_quadratic",
+        3,
+        2,
+        {
+            (2, 0, 0): lambda p: np.full(p.shape[0], 0.5),
+            (0, 1, 1): lambda p: 0.3 * p[:, 2],
+        },
+    )
+
+
+# name: (field, domain, config)
+BUILDS = {
+    "flagship": (
+        field_catalog("heisenberg"),
+        UNIT_SQUARE,
+        BuildConfig(
+            eps=0.05, sigma=0.5, tau=1e-3, theta=0.5, grid=64, stages=6,
+            refine_max=4, modulus=LogModulus(),
+        ),
+    ),
+    "pwl_permissive": (
+        field_catalog("heisenberg"),
+        UNIT_SQUARE,
+        BuildConfig(
+            eps=0.05, sigma=1e6, tau=10.0, theta=0.5, grid=32, stages=6,
+            refine_max=4, modulus=PiecewiseLinearModulus(((0.0, 0.0), (1.0, 1e-12))),
+        ),
+    ),
+    "demo": (field_catalog("heisenberg"), UNIT_SQUARE, DEMO),
+    "demo_shifted": (
+        field_catalog("heisenberg"), BoxDomain((-0.3, 0.1), (0.7, 1.1)), DEMO
+    ),
+    "xx2_second_order": (
+        field_catalog("xx2"),
+        UNIT_SQUARE,
+        BuildConfig(
+            tau=1e-3, theta=0.5, grid=32, stages=2, refine_max=2,
+            modulus=PowerModulus(0.75),
+        ),
+    ),
+    "sigma_0.02": (
+        field_catalog("heisenberg"),
+        UNIT_SQUARE,
+        BuildConfig(
+            sigma=0.02, tau=0.5, grid=8, stages=2, refine_max=3,
+            modulus=PowerModulus(1.0),
+        ),
+    ),
+    "theta_0.3": (field_catalog("heisenberg"), UNIT_SQUARE, replace(DEMO, theta=0.3)),
+    "invx": (
+        field_catalog("invx"),
+        BoxDomain((0.5,), (2.5,)),
+        BuildConfig(
+            sigma=50.0, tau=0.05, theta=0.25, grid=16, stages=3, refine_max=3,
+            modulus=PowerModulus(1.0),
+        ),
+    ),
+    "planar_cubic": (
+        _planar_cubic(),
+        UNIT_SQUARE,
+        BuildConfig(
+            sigma=50.0, tau=0.05, theta=0.25, grid=8, stages=2, refine_max=2,
+            modulus=PowerModulus(1.0),
+        ),
+    ),
+    "spatial_quadratic": (
+        _spatial_quadratic(),
+        BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        BuildConfig(
+            sigma=50.0, tau=0.05, theta=0.5, grid=4, stages=2, refine_max=2,
+            modulus=PowerModulus(1.0),
+        ),
+    ),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (field, dom, cfg) in BUILDS.items():
+            g, cert = multi_stage_build(field, dom, cfg)
+            lkf = Path(tmp) / f"{name}.lkf"
+            cert_json = Path(tmp) / f"{name}.certificate.json"
+            harness.save_function(g, dom, str(lkf))
+            harness.write_json(str(cert_json), cert.to_dict())
+            print(name, _sha256(lkf), _sha256(cert_json))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
