@@ -12,7 +12,10 @@ table (more than 64 entries per cell) binary-searches its sorted cell keys.
 Points are (M, n) arrays, but hot paths work one column at a time: they
 reduce across columns, and the kernel and the cell bounds touch only live
 coefficient columns, those with a nonzero entry.  Evaluation outputs, one
-column per multi-index, are column-major (Fortran-ordered) arrays.
+column per multi-index, are column-major (Fortran-ordered) arrays.  The
+kernel also evaluates product grids, such as the builder's 3^n stencils, as
+one row of coordinates per axis (:meth:`BumpPolySum.grid_jet`), bit for bit
+as at single points.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -593,6 +596,12 @@ class _Block:
     than _DENSE_FILL entries per cell (a sparse refinement, or an arbitrary
     function file), the block keeps its cells' lattice keys sorted and
     binary-searches them instead.
+
+    add_jet, the one evaluation kernel, takes product grids: rows of k
+    coordinates per axis, each row located once, by its middle point, with
+    the cutoff profile evaluated per axis and combined by broadcasting.  A
+    single point is a row with k = 1; a row whose coordinates do not all
+    floor to its middle point's lattice cell is split into single points.
     """
 
     __slots__ = (
@@ -662,20 +671,22 @@ class _Block:
     def half_width(self) -> float:
         return self.spacing / 2.0
 
-    def locate(self, x: np.ndarray):
-        """Indices (into x) and cell rows for points inside some cell."""
-        # the lattice key, one axis at a time; int64 keeps it exact
-        key = 0
+    def _axis_keys(self, xi: np.ndarray, i: int) -> np.ndarray:
+        """Axis i's share of the lattice key of the coordinates xi (any shape):
+        the floored lattice index, shifted by one onto the padded lattice and
+        clamped to it, times the axis stride; int64 keeps it exact."""
         with np.errstate(over="ignore"):
-            for i in range(self.n):
-                # far-out finite points may overflow to +-inf: the border holds them
-                rel = (x[:, i] - self.origin[i]) / self.spacing
-                np.floor(rel, out=rel)
-                rel += 1.0
-                # NaN and +-inf land on the empty border too
-                np.fmax(rel, 0.0, out=rel)
-                np.fmin(rel, self._top[i], out=rel)
-                key = key + rel.astype(np.int64) * self._strides[i]
+            # far-out finite points may overflow to +-inf: the border holds them
+            rel = (xi - self.origin[i]) / self.spacing
+            np.floor(rel, out=rel)
+            rel += 1.0
+            # NaN and +-inf land on the empty border too
+            np.fmax(rel, 0.0, out=rel)
+            np.fmin(rel, self._top[i], out=rel)
+        return rel.astype(np.int64) * self._strides[i]
+
+    def _rows_at(self, key: np.ndarray):
+        """Indices (into key) and cell rows of the keys naming some cell."""
         if self._table is not None:
             rows = self._table[key]
             pts = np.flatnonzero(rows >= 0)
@@ -686,15 +697,93 @@ class _Block:
         pts = np.flatnonzero(self._keys[posn] == key)
         return pts, self._rows[posn[pts]]
 
-    def add_jet(self, x: np.ndarray, gammas, out: np.ndarray):
-        """Add this block's D^gammas[j] at the points x to out[:, j]."""
+    def locate(self, x):
+        """Indices and cell rows of the points inside some cell; x holds one
+        1-D coordinate array per axis, such as the columns of an (M, n) array
+        (its transpose)."""
+        key = 0
+        for i in range(self.n):
+            key = key + self._axis_keys(x[i], i)
+        return self._rows_at(key)
+
+    def add_jet(self, x, gammas, out: np.ndarray):
+        """Add this block's D^gammas[j] on product grids to out[j].
+
+        x holds one (k, P) array per axis: row p's grid is the product over
+        the axes i of its k coordinates x[i][:, p], and out is a C-ordered
+        (J, k, ..., k, P) array, the cell axis last.  Each row is located
+        once, by its middle coordinates x[i][k // 2, p].  It is evaluated on
+        its grid only if each of its coordinates floors, axis by axis, to the
+        lattice index of that middle coordinate, as every 1-point row (k = 1)
+        does: then every grid point lies in the middle point's cell, or all
+        in none.  Any other row straddles cells and goes through as k^n
+        1-point rows.  Either way each grid point gets the bits a 1-point row
+        gives it.
+        """
+        k, P = x[0].shape
+        n = self.n
+        # out[j] flat, grid-major: grid point s of row p at s P + p
+        flat = out.reshape(len(gammas), k**n * P)
+        if k == 1:
+            self._add_points([xi[0] for xi in x], None, gammas, flat)
+            return
+        mid = k // 2
+        key = 0
+        exact = True
+        for i, xi in enumerate(x):
+            ax = self._axis_keys(xi, i)
+            exact = exact & (ax == ax[mid]).all(axis=0)
+            key = key + ax[mid]
+        pts, rows = self._rows_at(key)
+        on = exact[pts]
+        pts, rows = pts[on], rows[on]
+        if pts.size:
+            whole = pts.size == P
+            # axis i's coordinates along grid axis i, the cell axis last
+            grid = [
+                (xi if whole else xi.take(pts, axis=1)).reshape(
+                    (1,) * i + (k,) + (1,) * (n - 1 - i) + (-1,)
+                )
+                for i, xi in enumerate(x)
+            ]
+            # with every row on its grid in a cell, out takes the totals
+            # whole: a fancy-indexed add costs about ten times more
+            at = np.s_[:] if whole else (np.arange(k**n)[:, None] * P + pts).ravel()
+            self._add_terms(grid, None, rows, gammas, flat, at)
+        cut = np.flatnonzero(~exact)
+        if cut.size:
+            # the straddling rows' grid points, grid-major as in out
+            ref = np.indices((k,) * n).reshape(n, -1)
+            pt = [xi[:, cut][ref[i]].reshape(-1) for i, xi in enumerate(x)]
+            pos = (np.arange(k**n)[:, None] * P + cut).reshape(-1)
+            self._add_points(pt, pos, gammas, flat)
+
+    def _add_points(self, x, pos, gammas, flat):
+        """Add this block's D^gammas[j] at single points to flat[j]: x holds
+        one 1-D coordinate array per axis, and point q goes to position
+        pos[q], or q where pos is None."""
         pts, rows = self.locate(x)
         if pts.size == 0:
             return
+        at = pts if pos is None else pos[pts]
+        self._add_terms(x, pts, rows, gammas, flat, at)
+
+    def _add_terms(self, x, pts, rows, gammas, flat, at):
+        """Add this block's D^gammas[j] at the coordinates x to flat[j][at].
+
+        x holds one array per axis, broadcasting with the others, whose last
+        axis runs over the cell rows; pts, unless None, picks the entries of
+        1-D coordinates that lie in them.  Each axis is gathered only as its
+        offsets are taken, and each total is added before the next is
+        computed, so few point-sized arrays are alive at once.
+        """
         _, _, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
         hw = self.half_width
-        # offsets from the cell centers, one column per axis
-        dx = [x[:, i][pts] - (self.lows[:, i].take(rows) + hw) for i in range(self.n)]
+        # offsets from the cell centers, one array per axis
+        dx = [
+            (xi if pts is None else xi[pts]) - (self.lows[:, i].take(rows) + hw)
+            for i, xi in enumerate(x)
+        ]
         # per-axis tables of cutoff-factor derivatives in the x variable
         fac = []
         for i in range(self.n):
@@ -708,8 +797,9 @@ class _Block:
             fac.append(axis)
         # D^gp of the cell polynomials over the live columns, shared by every
         # gamma that needs it; None where no live column enters.  Every
-        # product and sum keeps its left-to-right order, so results stay
-        # bit for bit those of a gather of all columns
+        # product and sum keeps its left-to-right order, and broadcasting
+        # across the axes computes each point as on its own, so results stay
+        # bit for bit those of a gather of all columns at single points
         poly = {}
         for j, gamma in enumerate(gammas):
             total = None
@@ -734,8 +824,7 @@ class _Block:
                 term = cut * poly[gp]
                 total = term if total is None else total + term
             if total is not None:
-                # out is column-major: index its contiguous column
-                out[:, j][pts] += total
+                flat[j][at] += total.reshape(-1)
 
 
 class BumpPolySum:
@@ -793,7 +882,34 @@ class BumpPolySum:
 
         Column j of the (M, len(gammas)) result is D^gammas[j] of the sum;
         stages, when given, restricts the sum to the blocks of those stages.
+        Each point goes to the kernel as a 1-point row.
         """
+        gammas = self._check_gammas(gammas)
+        pts = np.asarray(x, float)
+        M = pts.shape[0]
+        out = np.zeros((M, len(gammas)), order="F")
+        # the column-major result is the C-ordered (J, 1, ..., 1, M) grid table
+        grid = out.T.reshape((len(gammas),) + (1,) * self._n + (M,))
+        rows = [pts[:, i][None, :] for i in range(self._n)]
+        self._add_jet(rows, gammas, stages, grid)
+        return out
+
+    def grid_jet(self, x, gammas, stages=None) -> np.ndarray:
+        """Exact derivatives on product grids, shape (J, k, ..., k, P).
+
+        x holds one (k, P) array per axis, and row p's grid is the product of
+        its columns x[0][:, p], ..., x[n-1][:, p]: entry [j, a_1, ..., a_n, p]
+        is D^gammas[j] of the sum at (x[0][a_1, p], ..., x[n-1][a_n, p]), bit
+        for bit the value jet gives at that point.  stages restricts the sum
+        as in jet.
+        """
+        gammas = self._check_gammas(gammas)
+        k, P = x[0].shape
+        out = np.zeros((len(gammas),) + (k,) * self._n + (P,))
+        self._add_jet(x, gammas, stages, out)
+        return out
+
+    def _check_gammas(self, gammas) -> list:
         gammas = [tuple(int(g) for g in gamma) for gamma in gammas]
         for gamma in gammas:
             if len(gamma) != self._n or any(g < 0 for g in gamma):
@@ -802,12 +918,12 @@ class BumpPolySum:
                 raise ValueError(
                     "derivatives above order %d are not defined" % self._m
                 )
-        pts = np.asarray(x, float)
-        out = np.zeros((pts.shape[0], len(gammas)), order="F")
+        return gammas
+
+    def _add_jet(self, x, gammas, stages, out):
         for b in self._blocks:
             if stages is None or b.stage in stages:
-                b.add_jet(pts, gammas, out)
-        return out
+                b.add_jet(x, gammas, out)
 
     def derivative(self, x, gamma=None, stages=None):
         """Exact D^gamma of the sum at x ((M, n) array or a single point)."""

@@ -242,6 +242,12 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
         raise FunctionFileError(
             f"numeric block holds {len(body)} bytes, expected {terms * width * 8}"
         )
+    # a header-only file passes the byte count with any width
+    if width * 8 > np.iinfo(np.intp).max:
+        raise FunctionFileError(
+            f"dimension {n} and order {m} give records of {width} values,"
+            " more than an array can hold"
+        )
     block = np.frombuffer(body, dtype="<f8").reshape(terms, width).astype(float)
     try:
         g = _sum_from_records(n, m, block)

@@ -103,7 +103,8 @@ def field_catalog(name: str) -> FieldCollection:
 
 
 # Cells a stage tests in one vectorised pass, and stencil points one call of
-# the evaluator takes: no array of a stage grows with the cells of a level.
+# the evaluator takes (a center's 3^n points count whole, as one grid row of
+# BumpPolySum.grid_jet): no array of a stage grows with the cells of a level.
 _BATCH = 2**15
 
 
@@ -167,32 +168,48 @@ def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
     return evaluate
 
 
-def _stencil_osc(evaluate, centers, center_vals, reach):
-    """Max deviation of the data from its center value over a 3^n stencil:
-    each center c and its reach r give the points c + {-r, 0, r}^n.
+def _stencil_osc(field: FieldCollection, g: BumpPolySum, centers, center_vals, reach):
+    """Max deviation of the residual data field - g from its center value over
+    a 3^n stencil: each center c and its reach r give the points
+    c + {-r, 0, r}^n.
 
-    Evaluates at most _BATCH points per call, or one center's 3^n if more.
+    The field callables get the stencil as flat points.  g gets it as one
+    grid row per center, the coordinates c_i + {-r, 0, r} on each axis i
+    (BumpPolySum.grid_jet): each block locates the row once and evaluates
+    its cutoff profile on 3 coordinates per axis, not 3^n points.  A row
+    whose grid straddles a block's cells goes through that block as single
+    points (a zero-data cell's stencil reaches its cell's edges, which may
+    lie on an earlier block's lattice lines), so the values are bit for bit
+    those of jet at the flat points.  At most _BATCH points go to each
+    call, or one center's 3^n if more.
     """
     n = centers.shape[1]
-    unit = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
-    S = unit.shape[0]
+    unit = np.array([-1.0, 0.0, 1.0])
+    # grid index along each axis of the stencil points, grid-major
+    ref = np.indices((3,) * n).reshape(n, -1)
+    S = ref.shape[1]
+    alphas = field.alphas
     out = np.empty(centers.shape[0])
     step = max(1, _BATCH // S)
     for s in range(0, centers.shape[0], step):
-        block = centers[s : s + step]
-        nb = block.shape[0]
-        r = np.repeat(reach[s : s + step], S)
-        pts = np.empty((nb * S, n), order="F")
+        r = reach[s : s + step]
+        rows = [centers[s : s + step, i] + unit[:, None] * r for i in range(n)]
+        nb = r.size
+        pts = np.empty((S * nb, n), order="F")
         for i in range(n):
-            pts[:, i] = np.repeat(block[:, i], S) + np.tile(unit[:, i], nb) * r
-        dev = np.abs(evaluate(pts) - np.repeat(center_vals[s : s + step], S, axis=0))
-        dev = _fold_columns(np.maximum, dev).reshape(nb, S)
-        out[s : s + step] = _fold_columns(np.maximum, dev)
+            pts[:, i] = rows[i][ref[i]].reshape(-1)
+        # (K, S, nb) tables: the column-major values of each component
+        res = field.evaluate(pts).T.reshape(-1, S, nb)
+        if g.term_count:
+            res -= g.grid_jet(rows, alphas).reshape(-1, S, nb)
+        dev = np.abs(res - center_vals[s : s + step].T[:, None, :])
+        out[s : s + step] = dev.reshape(-1, nb).max(axis=0)
     return out
 
 
 def _run_stage(
-    evaluate,
+    field: FieldCollection,
+    g: BumpPolySum,
     dom: BoxDomain,
     cfg: BuildConfig,
     profile: CutoffProfile,
@@ -204,6 +221,7 @@ def _run_stage(
 ):
     """One certification pass over the free cells, with dyadic refinement.
 
+    The residual data are field - g, g the sum of the earlier stages' terms.
     Returns (accepted, report): accepted lists (level, idx, coeffs) per
     queue entry, idx the cells of the level-r lattice, grid 2^r cells per
     axis, and coeffs None for zero-data cells, which are certified whole;
@@ -229,6 +247,7 @@ def _run_stage(
     as the pinch counts first.
     """
     n, m = dom.dimension, profile.order
+    evaluate = _residual_evaluator(field, g)
     lower = np.asarray(dom.lower)
     by_order, raises = _order_rows(n, m)
     K = sum(b.size for b in by_order)
@@ -323,7 +342,7 @@ def _run_stage(
             si = np.flatnonzero(code == 0)
             reach = np.where(zero.take(si), hw, p)
             osc = _stencil_osc(
-                evaluate, _take_rows(centers, si), _take_rows(vals, si), reach
+                field, g, _take_rows(centers, si), _take_rows(vals, si), reach
             )
             code[si[osc > cfg.tau]] = 6
             ok = code == 0
@@ -387,17 +406,21 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     c +- (1 - theta) hw, and a zero-data cell paints them all.  Painted
     ranges meet neither each other nor earlier coverage, so +-1 at the 2^n
     corners of each in a difference table, summed twice along each axis,
-    adds their own table and keeps every mask cell counted 0 or 1.
+    adds their own table and keeps every mask cell counted 0 or 1.  Each
+    corner of an entry's cells goes to np.add.at as one flat index array on
+    the int32 table with an int32 sign, which numpy serves on its fast path.
     """
     n = sat.ndim
     diff = np.zeros(sat.shape, np.int32)
+    flat = diff.reshape(-1)
     for level, idx, cf in accepted:
         f = 2 ** (refine_max - level)
         rim = 0 if cf is None else math.floor(theta * f / 2)
         lo, hi = idx * f + rim, idx * f + (f - rim)
         for corner in itertools.product((0, 1), repeat=n):
             at = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
-            np.add.at(diff, at, (-1) ** sum(corner))
+            sign = np.int32((-1) ** sum(corner))
+            np.add.at(flat, np.ravel_multi_index(at, diff.shape), sign)
     for axis in 2 * list(range(n)):
         np.cumsum(diff, axis=axis, out=diff)
     sat[(slice(1, None),) * n] += diff[(slice(-1),) * n]
@@ -502,7 +525,8 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             if all(idx.shape[0] == 0 for _, idx in seeds):
                 break
         accepted, report = _run_stage(
-            _residual_evaluator(field, g),
+            field,
+            g,
             dom,
             cfg,
             profile,

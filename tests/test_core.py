@@ -613,7 +613,7 @@ class TestLocate:
         for blk in g.blocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                pts, rows = blk.locate(x)
+                pts, rows = blk.locate(x.T)
             assert np.all(np.diff(pts) > 0)
             assert np.all(finite[pts])
             got = np.full(x.shape[0], -1)
@@ -734,7 +734,7 @@ def _reference_add_jet(blk, x, gammas, out):
     """The row-major kernel that the column kernel replaced, kept verbatim as
     an oracle: it gathers every coefficient column and seeds each product
     and sum with np.full and np.zeros."""
-    pts, rows = blk.locate(x)
+    pts, rows = blk.locate(x.T)
     if pts.size == 0:
         return
     _, _, poly_terms, leibniz = _bound_plan(blk.n, blk.profile.order)
@@ -826,6 +826,74 @@ class TestKernelOracle:
         # the probes reached plateaus, bands and the empty outside
         assert np.count_nonzero(got[:, 0]) > pts.shape[0] // 2
         assert np.all(got[-53:] == 0.0)
+
+
+class TestGridJet:
+    """grid_jet on 3^n stencil rows must equal jet at the same points sent one
+    by one, bit for bit: rows inside one cell of a block are evaluated on
+    their grid, and rows reaching cell edges straddle cells there and go
+    through the point fallback."""
+
+    @staticmethod
+    def _sum(n, m, theta, rng):
+        # a coarse and a fine block, on lattices whose origins are not dyadic
+        idx = multiindices_upto(n, m)
+        g = BumpPolySum(n, m)
+        for stage, (side, origin) in enumerate([(0.3, 0.1), (0.075, 0.137)], 1):
+            keys = rng.choice(4**n, size=min(10, 4**n), replace=False)
+            lows = origin + np.stack(np.unravel_index(keys, (4,) * n), axis=1) * side
+            coeffs = rng.normal(size=(keys.size, len(idx)))
+            g = g.with_block(lows, side, theta, stage, coeffs)
+        return g
+
+    @staticmethod
+    def _rows(g, theta, rng):
+        """Rows c_i + {-r, 0, r} per axis: each block's cells and their 2^n
+        children at reach (1 - theta) hw and at reach hw, and random rows."""
+        n = g.dimension
+        shifts = np.array(list(itertools.product((0, 1), repeat=n)))
+        centers, reach = [rng.uniform(0.0, 1.4, size=(50, n))], [
+            rng.uniform(0.01, 0.2, size=50)
+        ]
+        for blk in g.blocks:
+            h = blk.spacing
+            kids = (blk.lows[:, None, :] + h / 2 * shifts[None]).reshape(-1, n)
+            for lows, hw in ((blk.lows, h / 2), (kids, h / 4)):
+                for r in ((1.0 - theta) * hw, hw):
+                    centers.append(lows + hw)
+                    reach.append(np.full(lows.shape[0], r))
+        centers, reach = np.concatenate(centers), np.concatenate(reach)
+        unit = np.array([-1.0, 0.0, 1.0])
+        return [centers[:, i] + unit[:, None] * reach for i in range(n)]
+
+    @pytest.mark.parametrize("theta", [0.125, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_single_points_bit_for_bit(self, n, m, theta):
+        rng = np.random.default_rng(1000 * n + 100 * m + round(10 * theta))
+        g = self._sum(n, m, theta, rng)
+        rows = self._rows(g, theta, rng)
+        P = rows[0].shape[1]
+        # the grid points, grid-major as in grid_jet's output
+        ref = np.indices((3,) * n).reshape(n, -1)
+        pts = np.stack([rows[i][ref[i]].reshape(-1) for i in range(n)], axis=1)
+        gammas = list(g.multiindices)
+        for stages in (None, {1}, {2}, set()):
+            got = g.grid_jet(rows, gammas, stages=stages)
+            assert got.shape == (len(gammas),) + (3,) * n + (P,)
+            want = g.jet(pts, gammas, stages=stages).T.reshape(got.shape)
+            npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            if stages is None:
+                assert np.count_nonzero(got) > got.size // 4
+        # each block holds rows on one cell's grid and rows straddling cells
+        for blk in g.blocks:
+            at, rows_in = blk.locate(pts.T)
+            cells = np.full(pts.shape[0], -1)
+            cells[at] = rows_in
+            cells = cells.reshape(3**n, P)
+            one = np.all(cells == cells[:1], axis=0)
+            assert np.any(one & (cells[0] >= 0))
+            assert np.any(~one)
 
 
 class TestDraws:

@@ -425,6 +425,29 @@ class TestFunctionFile:
         with pytest.raises(FunctionFileError, match="numeric block holds 0 bytes"):
             load_function(str(bad))
 
+    def test_header_only_file_of_unholdable_records(self, tmp_path, monkeypatch):
+        # no terms pass the byte count, but C(80, 40) + 44 values make a
+        # record no array can hold: numpy's reshape would fail with a bare
+        # ValueError
+        def refuse(n, m):
+            raise AssertionError("multi-indices enumerated")
+
+        monkeypatch.setattr(harness, "multiindices_upto", refuse)
+        bad = tmp_path / "empty.lkf"
+        header = [
+            "lusinkit-function 1",
+            "dimension 40",
+            "order 40",
+            "domain-lower " + " ".join(["0x0p+0"] * 40),
+            "domain-upper " + " ".join(["0x1p+0"] * 40),
+            "stages 0",
+            "terms 0",
+            "end-header",
+        ]
+        bad.write_bytes("\n".join(header).encode() + b"\n")
+        with pytest.raises(FunctionFileError, match="more than an array can hold"):
+            load_function(str(bad))
+
 
 class TestAtomicWrite:
     @staticmethod

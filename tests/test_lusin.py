@@ -632,8 +632,11 @@ class TestPaintBoxes:
     def _stages(cls, rng, n, grid, count):
         """Two stages of disjoint accepted cells, (level, idx, coeffs) with
         coeffs None for a zero-data cell: a random dyadic partition of the
-        level-0 grid whose leaves are given to stage 1, stage 2 or neither."""
-        stages = ([], [])
+        level-0 grid whose leaves are given to stage 1, stage 2 or neither.
+        Each stage holds one entry per level and kind, as _run_stage gives
+        them: an entry holds many cells, adjacent ones among them, and each
+        np.add.at call of _paint takes one corner of all of them."""
+        leaves = ({}, {})
         queue = [(0, idx) for idx in np.ndindex(*(grid,) * n)]
         while queue:
             level, idx = queue.pop()
@@ -643,11 +646,28 @@ class TestPaintBoxes:
                     for shift in np.ndindex(*(2,) * n)
                 ]
             elif rng.random() < count:
-                term = None if rng.random() < 0.3 else np.ones((1, 1))
-                stages[int(rng.random() < 0.5)].append(
-                    (level, np.array([idx], np.int64), term)
-                )
-        return stages
+                zero = rng.random() < 0.3
+                stage = leaves[int(rng.random() < 0.5)]
+                stage.setdefault((level, zero), []).append(idx)
+        return tuple(
+            [
+                (level, np.array(cells, np.int64), None if zero else np.ones((1, 1)))
+                for (level, zero), cells in sorted(stage.items())
+            ]
+            for stage in leaves
+        )
+
+    @classmethod
+    def _shared_corners(cls, accepted, theta) -> bool:
+        """Whether an entry painted without a rim (zero-data cells, and terms
+        of f <= 2 mask cells) holds two cells sharing a face, and so two
+        cells sharing painted corners."""
+        for level, idx, cf in accepted:
+            f = 2 ** (cls.REFINE_MAX - level)
+            gap = np.abs(idx[:, None, :] - idx[None, :, :]).sum(axis=2)
+            if (cf is None or theta * f < 2) and np.any(gap == 1):
+                return True
+        return False
 
     @staticmethod
     def _boxes(accepted, lower, h0, theta):
@@ -671,18 +691,22 @@ class TestPaintBoxes:
         # plateau corners of refine_max cells lie on the fine lattice
         fine = 2 * round(1 / theta)
         R = grid * 2**refine_max
+        shared = False
         for _ in range(4):
             lower = rng.uniform(-1.0, 1.0, size=n)
             h0 = 1.7 / grid
             sat = np.zeros((R + 1,) * n, np.int32)
             want = np.zeros((R,) * n, bool)
-            for accepted in self._stages(rng, n, grid, 0.6):
+            stages = self._stages(rng, n, grid, 0.6)
+            shared |= any(self._shared_corners(a, theta) for a in stages)
+            for accepted in stages:
                 lusin._paint(sat, accepted, refine_max, theta)
                 if accepted:
                     boxes = self._boxes(accepted, lower, h0, theta)
                     h_fine = h0 / 2**refine_max / fine
                     want |= _fine_painted_mask(boxes, lower, h_fine, R * fine, fine)
                 npt.assert_array_equal(sat, _coverage_table(want))
+        assert shared
 
     @pytest.mark.parametrize("theta", [0.3, 0.6, 0.75])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -701,12 +725,13 @@ class TestPaintBoxes:
             for level, idx, cf in accepted:
                 f = 2 ** (refine_max - level)
                 rim = 0 if cf is None else exact * f / 2
-                ranges = [
-                    slice(math.floor(f * i + rim), math.ceil(f * (i + 1) - rim))
-                    for i in idx[0].tolist()
-                ]
-                assert not want[tuple(ranges)].any()
-                want[tuple(ranges)] = True
+                for cell in idx.tolist():
+                    ranges = [
+                        slice(math.floor(f * i + rim), math.ceil(f * (i + 1) - rim))
+                        for i in cell
+                    ]
+                    assert not want[tuple(ranges)].any()
+                    want[tuple(ranges)] = True
             npt.assert_array_equal(sat, _coverage_table(want))
 
 

@@ -1,4 +1,4 @@
-"""Print the sha256 of the function file and certificate of ten fixed builds.
+"""Print the sha256 of the function file and certificate of eleven fixed builds.
 
     python3 tools/artifact_hashes.py
 
@@ -73,6 +73,20 @@ def _spatial_quadratic() -> FieldCollection:
     )
 
 
+def _heisenberg_cut() -> FieldCollection:
+    """The heisenberg data, cut to zero beyond x = 0.37."""
+
+    def cut(fn):
+        return lambda p: np.where(p[:, 0] <= 0.37, fn(p), 0.0)
+
+    return FieldCollection.from_map(
+        "heisenberg_cut",
+        2,
+        1,
+        {(1, 0): cut(lambda p: 2.0 * p[:, 1]), (0, 1): cut(lambda p: -2.0 * p[:, 0])},
+    )
+
+
 # name: (field, domain, config)
 BUILDS = {
     "flagship": (
@@ -133,6 +147,16 @@ BUILDS = {
         BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         BuildConfig(
             sigma=50.0, tau=0.05, theta=0.5, grid=4, stages=2, refine_max=2,
+            modulus=PowerModulus(1.0),
+        ),
+    ),
+    # later stages test zero-data cells beside earlier terms, on a lattice
+    # whose corners are not dyadic
+    "heisenberg_cut": (
+        _heisenberg_cut(),
+        BoxDomain((0.1, -0.2), (0.8, 0.5)),
+        BuildConfig(
+            sigma=50.0, tau=0.05, theta=0.25, grid=16, stages=3, refine_max=3,
             modulus=PowerModulus(1.0),
         ),
     ),
