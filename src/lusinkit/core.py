@@ -9,13 +9,12 @@ computation rather than a scan over terms: one gather from a row table over
 the block's bounding lattice, padded by an empty border that catches every
 point outside it, non-finite ones included.  A block too sparse for such a
 table (more than 64 entries per cell) binary-searches its sorted cell keys.
-Points are (M, n) arrays, but hot paths work one column at a time: they
-reduce across columns, and the kernel and the cell bounds touch only live
-coefficient columns, those with a nonzero entry.  Evaluation outputs, one
-column per multi-index, are column-major (Fortran-ordered) arrays.  The
-kernel also evaluates product grids, such as the builder's 3^n stencils, as
-one row of coordinates per axis (:meth:`BumpPolySum.grid_jet`), bit for bit
-as at single points.
+The one evaluation kernel takes product grids, one row of coordinates per
+axis (:meth:`BumpPolySum.grid_jet`), such as the builder's 3^n stencils;
+:meth:`BumpPolySum.jet` hands it points (M, n) as 1-point rows, so a grid
+point gets the bits the same single point gets.  jet's output, one column
+per multi-index, is column-major (Fortran-ordered).  The kernel and the cell
+bounds touch only live coefficient columns, those with a nonzero entry.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -882,31 +881,37 @@ class BumpPolySum:
 
         Column j of the (M, len(gammas)) result is D^gammas[j] of the sum;
         stages, when given, restricts the sum to the blocks of those stages.
-        Each point goes to the kernel as a 1-point row.
+        This is grid_jet with each point a 1-point row, transposed: the
+        result is column-major (Fortran-ordered).
         """
-        gammas = self._check_gammas(gammas)
         pts = np.asarray(x, float)
-        M = pts.shape[0]
-        out = np.zeros((M, len(gammas)), order="F")
-        # the column-major result is the C-ordered (J, 1, ..., 1, M) grid table
-        grid = out.T.reshape((len(gammas),) + (1,) * self._n + (M,))
+        if pts.ndim != 2 or pts.shape[1] != self._n:
+            raise ValueError(f"points must be (M, {self._n}) for dimension {self._n}")
         rows = [pts[:, i][None, :] for i in range(self._n)]
-        self._add_jet(rows, gammas, stages, grid)
-        return out
+        out = self.grid_jet(rows, gammas, stages)
+        return out.reshape(out.shape[0], pts.shape[0]).T
 
     def grid_jet(self, x, gammas, stages=None) -> np.ndarray:
         """Exact derivatives on product grids, shape (J, k, ..., k, P).
 
         x holds one (k, P) array per axis, and row p's grid is the product of
         its columns x[0][:, p], ..., x[n-1][:, p]: entry [j, a_1, ..., a_n, p]
-        is D^gammas[j] of the sum at (x[0][a_1, p], ..., x[n-1][a_n, p]), bit
-        for bit the value jet gives at that point.  stages restricts the sum
-        as in jet.
+        is D^gammas[j] of the sum at (x[0][a_1, p], ..., x[n-1][a_n, p]), the
+        one evaluation kernel (_Block.add_jet) summed over the blocks.  A
+        1-point row (k = 1) is a single point, and every grid point gets the
+        bits it gets as one.  stages, when given, restricts the sum to the
+        blocks of those stages.
         """
         gammas = self._check_gammas(gammas)
-        k, P = x[0].shape
+        x = [np.asarray(xi, float) for xi in x]
+        shape = x[0].shape if x else ()
+        if len(x) != self._n or len(shape) != 2 or any(xi.shape != shape for xi in x):
+            raise ValueError(f"need {self._n} grid rows (k, P) for dimension {self._n}")
+        k, P = shape
         out = np.zeros((len(gammas),) + (k,) * self._n + (P,))
-        self._add_jet(x, gammas, stages, out)
+        for b in self._blocks:
+            if stages is None or b.stage in stages:
+                b.add_jet(x, gammas, out)
         return out
 
     def _check_gammas(self, gammas) -> list:
@@ -919,11 +924,6 @@ class BumpPolySum:
                     "derivatives above order %d are not defined" % self._m
                 )
         return gammas
-
-    def _add_jet(self, x, gammas, stages, out):
-        for b in self._blocks:
-            if stages is None or b.stage in stages:
-                b.add_jet(x, gammas, out)
 
     def derivative(self, x, gamma=None, stages=None):
         """Exact D^gamma of the sum at x ((M, n) array or a single point)."""

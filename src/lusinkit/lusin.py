@@ -24,7 +24,6 @@ from .core import (
     BumpPolySum,
     CutoffProfile,
     StageReport,
-    _fold_columns,
     _order_rows,
     cell_derivative_bounds,
     enumerate_multiindices,
@@ -71,11 +70,12 @@ class FieldCollection:
         pts = np.atleast_2d(np.asarray(x, float))
         if pts.shape[1] != self.dimension:
             raise ValueError("points do not match the field dimension")
-        out = np.zeros((pts.shape[0], len(self.sources)), order="F")
+        # each component's values contiguous: the transpose of a (K, M) array
+        out = np.zeros((len(self.sources), pts.shape[0]))
         for j, (_, fn) in enumerate(self.sources):
             if fn is not None:
-                out[:, j] = np.asarray(fn(pts), float)
-        return out
+                out[j] = np.asarray(fn(pts), float)
+        return out.T
 
 
 def field_catalog(name: str) -> FieldCollection:
@@ -103,8 +103,8 @@ def field_catalog(name: str) -> FieldCollection:
 
 
 # Cells a stage tests in one vectorised pass, and stencil points one call of
-# the evaluator takes (a center's 3^n points count whole, as one grid row of
-# BumpPolySum.grid_jet): no array of a stage grows with the cells of a level.
+# _residual takes (a center's 3^n points count whole, as one grid row): no
+# array of a stage grows with the cells of a level.
 _BATCH = 2**15
 
 
@@ -116,39 +116,46 @@ def _square_side(dom: BoxDomain) -> float:
 
 
 def _grid_cells(grid: int, n: int) -> list:
-    """Stage 1's seeds: every cell of the level-0 lattice."""
-    return [(0, np.indices((grid,) * n).reshape(n, -1).T)]
+    """Stage 1's seeds: every cell of the level-0 lattice, as (n, B) indices."""
+    return [(0, np.indices((grid,) * n).reshape(n, -1))]
 
 
-def _cell_lows(idx, lower, h: float) -> np.ndarray:
-    """Corners lower + idx h of cells idx (B, n), Fortran-ordered, per column."""
-    lows = np.empty(idx.shape, order="F")
-    for i in range(idx.shape[1]):
-        lows[:, i] = lower[i] + idx[:, i] * h
-    return lows
+def _residual(field: FieldCollection, g: BumpPolySum, rows) -> np.ndarray:
+    """The residual data field - g on product grids, as a (K, k^n, P) table.
+
+    rows holds one (k, P) array per axis, row p's grid being the product of
+    the columns rows[i][:, p], as BumpPolySum.grid_jet takes them: entry
+    [j, s, p] is component j at grid point s of row p, grid-major.  The
+    field callables get the grid points flat, and g gets the rows, so the
+    values are bit for bit field.evaluate(x) - g.jet(x, field.alphas) at the
+    flat points x.  A center is a row with k = 1.
+    """
+    n = len(rows)
+    k, P = rows[0].shape
+    # the grid points, axis by axis, broadcast into one array
+    pts = np.empty((n,) + (k,) * n + (P,))
+    for i, xi in enumerate(rows):
+        pts[i] = xi.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (P,))
+    res = field.evaluate(pts.reshape(n, -1).T).T.reshape(len(field.sources), k**n, P)
+    if g.term_count:
+        res -= g.grid_jet(rows, field.alphas).reshape(res.shape)
+    return res
 
 
-def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """a[rows] per column: numpy gathers rows of a Fortran-ordered a slowly."""
-    out = np.empty((rows.size, a.shape[1]), a.dtype, order="F")
-    for i in range(a.shape[1]):
-        a[:, i].take(rows, out=out[:, i])
-    return out
+def _truncation_level(field, g, seeds, lower, h0: float, quantile: float) -> float:
+    """Smallest level T with max|field - g| <= T at the requested fraction
+    of the seed cells' centers; quantile 1 gives the sampled maximum.
 
-
-def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> float:
-    """Smallest level T with max|data| <= T at the requested fraction of the
-    seed cells' centers; quantile 1 gives the sampled maximum.
-
-    seeds lists (level, idx) pairs of cells on the level-r lattice of
-    spacing h0 2^-r; evaluate takes at most _BATCH centers per call.
+    seeds lists (level, idx) pairs of cells (n, B) on the level-r lattice of
+    spacing h0 2^-r; _residual takes at most _BATCH centers per call.
     """
     samples = []
     for r, idx in seeds:
         h = h0 / 2**r
-        for s in range(0, idx.shape[0], _BATCH):
-            centers = _cell_lows(idx[s : s + _BATCH], lower, h) + h / 2.0
-            samples.append(_fold_columns(np.maximum, np.abs(evaluate(centers))))
+        for s in range(0, idx.shape[1], _BATCH):
+            centers = lower[:, None] + idx[:, s : s + _BATCH] * h + h / 2.0
+            vals = _residual(field, g, list(centers[:, None]))
+            samples.append(np.abs(vals[:, 0]).max(axis=0))
     vals = np.concatenate(samples)
     if quantile >= 1.0:
         return float(vals.max())
@@ -156,54 +163,22 @@ def _truncation_level(evaluate, seeds, lower, h0: float, quantile: float) -> flo
     return float(np.partition(vals, k)[k])
 
 
-def _residual_evaluator(field: FieldCollection, g: BumpPolySum):
-    alphas = field.alphas
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = field.evaluate(pts)
-        if g.term_count:
-            out -= g.jet(pts, alphas)
-        return out
-
-    return evaluate
-
-
 def _stencil_osc(field: FieldCollection, g: BumpPolySum, centers, center_vals, reach):
     """Max deviation of the residual data field - g from its center value over
-    a 3^n stencil: each center c and its reach r give the points
-    c + {-r, 0, r}^n.
-
-    The field callables get the stencil as flat points.  g gets it as one
-    grid row per center, the coordinates c_i + {-r, 0, r} on each axis i
-    (BumpPolySum.grid_jet): each block locates the row once and evaluates
-    its cutoff profile on 3 coordinates per axis, not 3^n points.  A row
-    whose grid straddles a block's cells goes through that block as single
-    points (a zero-data cell's stencil reaches its cell's edges, which may
-    lie on an earlier block's lattice lines), so the values are bit for bit
-    those of jet at the flat points.  At most _BATCH points go to each
-    call, or one center's 3^n if more.
+    a 3^n stencil: each center c, a column of centers (n, B), and its reach r
+    give the points c + {-r, 0, r}^n, one grid row of _residual, whose
+    center values are the columns of center_vals (K, B).  At most _BATCH
+    points go to each call, or one center's 3^n if more.
     """
-    n = centers.shape[1]
+    n = centers.shape[0]
     unit = np.array([-1.0, 0.0, 1.0])
-    # grid index along each axis of the stencil points, grid-major
-    ref = np.indices((3,) * n).reshape(n, -1)
-    S = ref.shape[1]
-    alphas = field.alphas
-    out = np.empty(centers.shape[0])
-    step = max(1, _BATCH // S)
-    for s in range(0, centers.shape[0], step):
+    out = np.empty(centers.shape[1])
+    step = max(1, _BATCH // 3**n)
+    for s in range(0, out.size, step):
         r = reach[s : s + step]
-        rows = [centers[s : s + step, i] + unit[:, None] * r for i in range(n)]
-        nb = r.size
-        pts = np.empty((S * nb, n), order="F")
-        for i in range(n):
-            pts[:, i] = rows[i][ref[i]].reshape(-1)
-        # (K, S, nb) tables: the column-major values of each component
-        res = field.evaluate(pts).T.reshape(-1, S, nb)
-        if g.term_count:
-            res -= g.grid_jet(rows, alphas).reshape(-1, S, nb)
-        dev = np.abs(res - center_vals[s : s + step].T[:, None, :])
-        out[s : s + step] = dev.reshape(-1, nb).max(axis=0)
+        rows = [c + unit[:, None] * r for c in centers[:, s : s + step]]
+        dev = np.abs(_residual(field, g, rows) - center_vals[:, None, s : s + step])
+        out[s : s + step] = dev.reshape(-1, r.size).max(axis=0)
     return out
 
 
@@ -223,8 +198,8 @@ def _run_stage(
 
     The residual data are field - g, g the sum of the earlier stages' terms.
     Returns (accepted, report): accepted lists (level, idx, coeffs) per
-    queue entry, idx the cells of the level-r lattice, grid 2^r cells per
-    axis, and coeffs None for zero-data cells, which are certified whole;
+    queue entry, idx the cells (n, B) of the level-r lattice, grid 2^r cells
+    per axis, and coeffs None for zero-data cells, which are certified whole;
     report is the StageReport; w_mod = stage_weight(stage), b_sup = sigma
     w_mod.  seeds lists (level, idx) pairs.  Checks per cell, cheapest
     first: truncation of the center data, the per-order sup caps (pinched
@@ -236,7 +211,8 @@ def _run_stage(
     of _BATCH cells; a refined entry holds the failing parents, and each
     batch expands only its own children.  Results are merged once per
     entry, so the outcome does not depend on _BATCH.
-    Batches are Fortran-ordered (B, n) arrays.  Each batch cell keeps one
+    A batch's cells and centers are (n, B) arrays, its residual values at
+    the centers (K, B), one column per cell.  Each batch cell keeps one
     code: 0 while it passes, k + 1 once the first check it fails is
     reasons[k]; the bound checks run on compact arrays of the cells past
     truncation, later checks written first.  Cells of code 0 go on to the
@@ -247,13 +223,12 @@ def _run_stage(
     as the pinch counts first.
     """
     n, m = dom.dimension, profile.order
-    evaluate = _residual_evaluator(field, g)
     lower = np.asarray(dom.lower)
     by_order, raises = _order_rows(n, m)
     K = sum(b.size for b in by_order)
     w_mod = stage_weight(stage)
     b_sup = cfg.sigma * w_mod
-    T = _truncation_level(evaluate, seeds, lower, h0, cfg.quantile)
+    T = _truncation_level(field, g, seeds, lower, h0, cfg.quantile)
     # stage 1 counts both sup checks as supnorm
     reasons = (
         "truncation",
@@ -263,7 +238,7 @@ def _run_stage(
         "modulus",
         "oscillation",
     )
-    shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
+    shifts = np.indices((2,) * n).reshape(n, -1)
     # refine_max cells per code
     tally = np.zeros(len(reasons) + 1, np.int64)
     accepted = []
@@ -277,14 +252,14 @@ def _run_stage(
     h_rm = h0 / 2**cfg.refine_max
 
     # (level, cells, split): with split, the entry's cells are the 2^n
-    # children of each row of cells, in row order
+    # children of each column of cells, in column order
     queue = [
-        (lvl, np.asarray(idx, np.int64).reshape(-1, n), False) for lvl, idx in seeds
+        (lvl, np.asarray(idx, np.int64).reshape(n, -1), False) for lvl, idx in seeds
     ]
     while queue:
         level, cells, split = queue.pop(0)
-        per_row = shifts.shape[0] if split else 1
-        N = cells.shape[0] * per_row
+        per_col = shifts.shape[1] if split else 1
+        N = cells.shape[1] * per_col
         if N == 0:
             continue
         considered += N
@@ -295,28 +270,27 @@ def _run_stage(
 
         for s in range(0, N, _BATCH):
             if split:
-                # children of the parent rows the batch reaches, axis by axis
-                r0 = s // per_row
-                par = cells[r0 : -(-(s + _BATCH) // per_row)]
-                idx = np.empty((par.shape[0] * per_row, n), np.int64, order="F")
-                for i in range(n):
-                    idx[:, i] = np.repeat(par[:, i] * 2, per_row)
-                    idx[:, i] += np.tile(shifts[:, i], par.shape[0])
-                idx = idx[s - r0 * per_row :][:_BATCH]
+                # children of the parent columns the batch reaches, one shift
+                # at a time: numpy broadcasts over a short last axis slowly
+                c0 = s // per_col
+                par = 2 * cells[:, c0 : -(-(s + _BATCH) // per_col)]
+                kids = np.empty((n, par.shape[1], per_col), np.int64)
+                for j in range(per_col):
+                    np.add(par, shifts[:, j : j + 1], out=kids[:, :, j])
+                idx = kids.reshape(n, -1)[:, s - c0 * per_col :][:, :_BATCH]
             else:
-                idx = np.asfortranarray(cells[s : s + _BATCH])
-            centers = _cell_lows(idx, lower, h) + hw
-            vals = evaluate(centers)
-            amax = _fold_columns(np.maximum, np.abs(vals))
+                idx = cells[:, s : s + _BATCH]
+            centers = lower[:, None] + idx * h + hw
+            vals = _residual(field, g, list(centers[:, None]))[:, 0]
+            amax = np.abs(vals).max(axis=0)
             zero = amax == 0.0
             code = (amax > T).astype(np.int8)
             ti = np.flatnonzero(~zero & (code == 0))
 
             if ti.size:
-                coeffs = np.zeros((ti.size, K), order="F")
-                for j, col in enumerate(by_order[m]):
-                    coeffs[:, col] = vals[:, j].take(ti)
-                bounds = cell_derivative_bounds(profile, n, m, coeffs, hw)
+                coeffs = np.zeros((K, ti.size))
+                coeffs[by_order[m]] = vals.take(ti, axis=1)
+                bounds = cell_derivative_bounds(profile, n, m, coeffs.T, hw)
                 bmax = np.stack([bounds[by_order[q]].max(axis=0) for q in range(m)])
                 lip = [
                     np.sqrt((bounds[raises[q]] ** 2).sum(axis=1)).max(axis=0)
@@ -335,47 +309,46 @@ def _run_stage(
                     pc = np.flatnonzero((code[ti] == 0) | (level == cfg.refine_max))
                     f = 2 ** (cfg.refine_max - level)
                     worst = bmax[:, pc].max(axis=0)
-                    near = _take_rows(idx, ti[pc])
+                    near = idx.take(ti[pc], axis=1)
                     code[ti[pc[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]]] = 2
 
             # zero cells and cells passing every bound check, in cell order
             si = np.flatnonzero(code == 0)
             reach = np.where(zero.take(si), hw, p)
             osc = _stencil_osc(
-                field, g, _take_rows(centers, si), _take_rows(vals, si), reach
+                field, g, centers.take(si, axis=1), vals.take(si, axis=1), reach
             )
             code[si[osc > cfg.tau]] = 6
             ok = code == 0
             oz, oi = np.flatnonzero(ok & zero), np.flatnonzero(ok & ~zero)
             if oz.size:
-                zero_idx.append(_take_rows(idx, oz))
+                zero_idx.append(idx.take(oz, axis=1))
             if oi.size:
-                term_idx.append(_take_rows(idx, oi))
-                term_vals.append(_take_rows(vals, oi))
+                term_idx.append(idx.take(oi, axis=1))
+                term_vals.append(vals.take(oi, axis=1))
                 k = np.searchsorted(ti, oi)
                 sup_acc = np.maximum(sup_acc, bmax[:, k].max(axis=1))
                 lip_acc = max(lip_acc, lip_low[k].max())
                 env_acc = max(env_acc, env_t[k].max())
 
             if level < cfg.refine_max:
-                failed.append(_take_rows(idx, np.flatnonzero(code)))
+                failed.append(idx.take(np.flatnonzero(code), axis=1))
             else:
                 tally += np.bincount(code, minlength=tally.size)
 
-        zeros = sum(part.shape[0] for part in zero_idx)
-        terms = sum(part.shape[0] for part in term_idx)
+        zeros = sum(part.shape[1] for part in zero_idx)
+        terms = sum(part.shape[1] for part in term_idx)
         if zeros:
-            accepted.append((level, np.concatenate(zero_idx), None))
+            accepted.append((level, np.concatenate(zero_idx, axis=1), None))
             covered += zeros * h**n
         if terms:
             cf = np.zeros((terms, K))
-            cf[:, by_order[m]] = np.concatenate(term_vals)
-            accepted.append((level, np.concatenate(term_idx), cf))
+            cf[:, by_order[m]] = np.concatenate(term_vals, axis=1).T
+            accepted.append((level, np.concatenate(term_idx, axis=1), cf))
             covered += terms * (2.0 * p) ** n
         accepted_count += zeros + terms
-        parents = np.concatenate(failed) if failed else cells[:0]
-        if parents.shape[0]:
-            queue.append((level + 1, parents, True))
+        if failed:
+            queue.append((level + 1, np.concatenate(failed, axis=1), True))
 
     reject = {}
     for name, count in zip(reasons, tally[1:].tolist()):
@@ -401,6 +374,7 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     sat is the summed-area table (Crow, SIGGRAPH 1984) of the coverage mask
     on the refine_max lattice: entry i counts the covered mask cells below
     i on every axis, so a box's coverage is a signed sum over its corners.
+    accepted lists (level, idx, coeffs) entries as _run_stage returns them.
     A level-r cell spans f = 2^(refine_max - r) mask cells per axis; a term
     paints them less a rim floor(theta f / 2) wide, which holds its plateau
     c +- (1 - theta) hw, and a zero-data cell paints them all.  Painted
@@ -418,7 +392,7 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
         rim = 0 if cf is None else math.floor(theta * f / 2)
         lo, hi = idx * f + rim, idx * f + (f - rim)
         for corner in itertools.product((0, 1), repeat=n):
-            at = tuple(hi[:, i] if c else lo[:, i] for i, c in enumerate(corner))
+            at = tuple(hi[i] if c else lo[i] for i, c in enumerate(corner))
             sign = np.int32((-1) ** sum(corner))
             np.add.at(flat, np.ravel_multi_index(at, diff.shape), sign)
     for axis in 2 * list(range(n)):
@@ -429,19 +403,19 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
 def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarray:
     """Covered mask cells in each cell, grown by gap mask cells on every side.
 
-    cells index a lattice of f mask cells per axis; gap is one integer or
-    one per cell.  Grown boxes are clipped to the mask.
+    cells (n, B) index a lattice of f mask cells per axis; gap is one
+    integer or one per cell.  Grown boxes are clipped to the mask.
     """
-    n = cells.shape[1]
+    n = cells.shape[0]
     side = sat.shape[0]
     gap = np.reshape(gap, -1)
     # flat offsets of each axis's low and high corner, clipped to the mask
     ends = [
         (np.maximum(c - gap, 0) * s, np.minimum(c + f + gap, side - 1) * s)
-        for c, s in zip((cells * f).T, side ** np.arange(n - 1, -1, -1))
+        for c, s in zip(cells * f, side ** np.arange(n - 1, -1, -1))
     ]
     flat = sat.reshape(-1)
-    count = np.zeros(cells.shape[0], np.int64)
+    count = np.zeros(cells.shape[1], np.int64)
     for corner in itertools.product((0, 1), repeat=n):
         at = sum(ends[i][c] for i, c in enumerate(corner))
         count += (-1) ** (n - sum(corner)) * np.take(flat, at)
@@ -463,7 +437,8 @@ def _pinch_fails(sat, cells, f, worst, b_sup: float, h_rm: float) -> np.ndarray:
 
 
 def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
-    """Maximal free dyadic cells per level, each listed once, in C order.
+    """Maximal free dyadic cells per level, each listed once, in C order, as
+    (level, idx) pairs with idx (n, B).
 
     sat is the build's coverage table on the refine_max lattice (see
     _paint).  The walk starts from the level-0 grid: a cell holding no
@@ -471,16 +446,16 @@ def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
     cells split into their 2^n children.
     """
     n = sat.ndim
-    shifts = np.array(list(itertools.product((0, 1), repeat=n)), np.int64)
+    shifts = np.indices((2,) * n).reshape(n, -1)
     cells = _grid_cells(grid, n)[0][1]
     out = []
     for r in range(refine_max + 1):
         f = 2 ** (refine_max - r)
         count = _coverage_near(sat, cells, f, 0)
-        out.append((r, cells[count == 0]))
-        mixed = cells[(count > 0) & (count < f**n)]
-        kids = (mixed[:, None, :] * 2 + shifts[None, :, :]).reshape(-1, n)
-        cells = kids[np.lexsort(kids.T[::-1])]
+        out.append((r, cells[:, count == 0]))
+        mixed = cells[:, (count > 0) & (count < f**n)]
+        kids = (mixed[:, :, None] * 2 + shifts[:, None, :]).reshape(n, -1)
+        cells = kids[:, np.lexsort(kids[::-1])]
     return out
 
 
@@ -502,16 +477,17 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     if field.dimension != dom.dimension:
         raise ValueError("field and domain dimensions differ")
     n, m = field.dimension, field.order
+    # 4^n times the coverage table's (grid 2^refine_max)^n mask cells stay
+    # under 3e8: its int32 counts cannot overflow and its memory stays small.
+    # Single-stage builds keep no table, but the rule bounds their lattice too
+    if (cfg.grid * 2 ** (cfg.refine_max + 2)) ** n > 3e8:
+        raise ValueError("grid * 2**(refine_max + 2) exceeds the mask budget")
     side = _square_side(dom)
     h0 = side / cfg.grid
     profile = CutoffProfile(m, cfg.theta)
     lower = np.asarray(dom.lower)
     sat = None
     if cfg.stages > 1:
-        # 4^n times the table's (grid 2^refine_max)^n mask cells stay under
-        # 3e8: its int32 counts cannot overflow and its memory stays small
-        if (cfg.grid * 2 ** (cfg.refine_max + 2)) ** n > 3e8:
-            raise ValueError("grid * 2**(refine_max + 2) exceeds the mask budget")
         sat = np.zeros((cfg.grid * 2**cfg.refine_max + 1,) * n, np.int32)
 
     g = BumpPolySum(n, m)
@@ -522,7 +498,7 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             seeds = _grid_cells(cfg.grid, n)
         else:
             seeds = _free_cells(sat, cfg.grid, cfg.refine_max)
-            if all(idx.shape[0] == 0 for _, idx in seeds):
+            if all(idx.shape[1] == 0 for _, idx in seeds):
                 break
         accepted, report = _run_stage(
             field,
@@ -540,7 +516,7 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
         boxes = [np.zeros((0, 2 * n))]
         for level, idx, cf in accepted:
             h = h0 / 2**level
-            lows = lower + idx * h
+            lows = (lower[:, None] + idx * h).T
             if cf is None:
                 boxes.append(np.concatenate([lows, lows + h], axis=1))
                 continue

@@ -728,6 +728,37 @@ class TestJet:
         with pytest.raises(ValueError):
             g.jet(pts, [(0,)])
         assert g.jet(pts, []).shape == (pts.shape[0], 0)
+        # points and grid rows of another dimension
+        n, gammas = g.dimension, [(0,) * g.dimension]
+        for bad in (pts[:5, :1], np.ones((5, n + 1)), np.ones(n), np.ones((2, 5, n))):
+            with pytest.raises(ValueError, match="dimension"):
+                g.jet(bad, gammas)
+        for call in (g.derivative, g.value):
+            for bad in (np.ones(n + 1), np.ones((5, n + 1))):
+                with pytest.raises(ValueError, match="dimension"):
+                    call(bad)
+        row = np.ones((3, 5))
+        for rows in (
+            [row] * (n + 1),
+            [row] * (n - 1),
+            [row] * (n - 1) + [np.ones((3, 4))],
+            [np.ones(5)] * n,
+        ):
+            with pytest.raises(ValueError, match="dimension"):
+                g.grid_jet(rows, gammas)
+
+    def test_empty_shapes(self, case):
+        g, pts = case
+        gammas = list(g.multiindices)
+        none = np.zeros((0, g.dimension))
+        for x, gm, shape in (
+            (none, [], (0, 0)),
+            (none, gammas, (0, len(gammas))),
+            (pts, [], (pts.shape[0], 0)),
+        ):
+            out = g.jet(x, gm)
+            assert out.shape == shape
+            assert out.dtype == np.float64
 
 
 def _reference_add_jet(blk, x, gammas, out):

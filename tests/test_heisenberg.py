@@ -383,6 +383,13 @@ class TestGraphMap:
         )
         npt.assert_array_equal(G.gradient(pts), np.tile([2.0, -3.0], (500, 1)))
 
+    def test_height_refuses_points_of_another_dimension(self):
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        G = GraphMap.from_sum(dom, _one_cell(1, [-1.5, -1.5], {(1, 0): 2.0}))
+        for pts in (np.zeros((4, 3)), np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="dimension"):
+                G.height(pts)
+
     def test_lift_shape(self):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
         G = GraphMap.from_sum(dom, BumpPolySum(2, 1))

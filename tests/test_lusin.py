@@ -264,6 +264,85 @@ class TestLusinTruncate:
         assert T == 1.4541666666666664
 
 
+def _heisenberg_cut():
+    """The heisenberg data, cut to zero beyond x = 0.37."""
+
+    def cut(fn):
+        return lambda p: np.where(p[:, 0] <= 0.37, fn(p), 0.0)
+
+    return FieldCollection.from_map(
+        "heisenberg_cut",
+        2,
+        1,
+        {(1, 0): cut(lambda p: 2.0 * p[:, 1]), (0, 1): cut(lambda p: -2.0 * p[:, 0])},
+    )
+
+
+class TestResidual:
+    """_residual on product grids must give, bit for bit, field - g.jet at the
+    flat grid points, for sums with no terms and for sums whose stencil rows
+    straddle block cells."""
+
+    DOM = BoxDomain((0.1, -0.2), (0.8, 0.5))
+
+    @pytest.fixture(scope="class")
+    def cut_build(self):
+        # later stages test zero-data cells beside earlier terms, on a
+        # lattice whose corners are not dyadic
+        cfg = BuildConfig(
+            sigma=50.0, tau=0.05, theta=0.25, grid=16, stages=3, refine_max=3,
+            modulus=PowerModulus(1.0),
+        )
+        field = _heisenberg_cut()
+        g, cert = multi_stage_build(field, self.DOM, cfg)
+        assert g.term_count and len(cert.stage_reports) > 1
+        return field, g
+
+    @classmethod
+    def _rows(cls, g, k, rng):
+        """k coordinates c_i + {-r, .., r} per axis around each block's cell
+        centers, at reach hw and (1 - theta) hw, and around random centers."""
+        centers = [rng.uniform(cls.DOM.lower, cls.DOM.upper, size=(40, 2))]
+        reach = [rng.uniform(0.01, 0.1, size=40)]
+        for blk in g.blocks:
+            hw = blk.half_width
+            for r in (hw, (1.0 - blk.theta) * hw):
+                centers.append(blk.lows + hw)
+                reach.append(np.full(blk.lows.shape[0], r))
+        centers, reach = np.concatenate(centers), np.concatenate(reach)
+        unit = np.linspace(-1.0, 1.0, k)
+        return [centers[:, i] + unit[:, None] * reach for i in range(2)]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("terms", [True, False])
+    def test_equals_field_minus_jet_bit_for_bit(self, cut_build, k, terms):
+        field, g = cut_build
+        if not terms:
+            g = type(g)(2, 1)
+        rows = self._rows(cut_build[1], k, np.random.default_rng(k))
+        P = rows[0].shape[1]
+        ref = np.indices((k, k)).reshape(2, -1)
+        pts = np.stack([rows[i][ref[i]].reshape(-1) for i in range(2)], axis=1)
+        want = field.evaluate(pts) - g.jet(pts, field.alphas)
+        got = lusin._residual(field, g, rows)
+        assert got.shape == (2, k**2, P)
+        want = want.T.reshape(got.shape)
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.count_nonzero(got) > got.size // 4
+        if terms and k > 1:
+            # some rows straddle a block's cells, some lie in one cell
+            straddle = inside = False
+            for blk in g.blocks:
+                at, cells = blk.locate(pts.T)
+                where = np.full(pts.shape[0], -1)
+                where[at] = cells
+                where = where.reshape(k**2, P)
+                one = np.all(where == where[:1], axis=0)
+                straddle |= np.any(~one)
+                inside |= np.any(one & (where[0] >= 0))
+            assert straddle and inside
+
+
 class TestSingleStage:
     def test_covers_most_of_the_box(self, single_build):
         _, _, _, cert = single_build
@@ -479,6 +558,13 @@ class TestMultiStage:
         with pytest.raises(ValueError, match="exceeds the mask budget"):
             multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
 
+    def test_mask_budget_refuses_unlistable_single_stage_grids(self):
+        # one stage keeps no coverage table, but 10^6 cells per axis cannot
+        # be listed: the build is refused before anything is allocated
+        cfg = BuildConfig(grid=10**6, stages=1)
+        with pytest.raises(ValueError, match="exceeds the mask budget"):
+            multi_stage_build(field_catalog("heisenberg"), UNIT_SQUARE, cfg)
+
     def test_mask_budget_does_not_depend_on_theta(self):
         # (64 * 2^(6 + 2))^2 = 2.7e8 cells pass at theta = 1/4 as at theta = 1/2
         cfg = BuildConfig(theta=0.25, grid=64, stages=2, refine_max=6)
@@ -621,6 +707,12 @@ def _fine_painted_mask(boxes, lower, h_fine, fine_R, f):
     return fine.reshape(shape).any(axis=tuple(range(1, 2 * n, 2)))
 
 
+def _axis_major(accepted):
+    """Entries (level, idx, coeffs) with their cells idx (B, n) transposed
+    to the (n, B) that _paint takes."""
+    return [(level, idx.T, cf) for level, idx, cf in accepted]
+
+
 class TestPaintBoxes:
     """A stage's accepted cells, painted into the coverage table as integer
     ranges, against the boxes the builder certifies for them."""
@@ -700,7 +792,7 @@ class TestPaintBoxes:
             stages = self._stages(rng, n, grid, 0.6)
             shared |= any(self._shared_corners(a, theta) for a in stages)
             for accepted in stages:
-                lusin._paint(sat, accepted, refine_max, theta)
+                lusin._paint(sat, _axis_major(accepted), refine_max, theta)
                 if accepted:
                     boxes = self._boxes(accepted, lower, h0, theta)
                     h_fine = h0 / 2**refine_max / fine
@@ -721,7 +813,7 @@ class TestPaintBoxes:
         sat = np.zeros((R + 1,) * n, np.int32)
         want = np.zeros((R,) * n, bool)
         for accepted in self._stages(rng, n, grid, 0.6):
-            lusin._paint(sat, accepted, refine_max, theta)
+            lusin._paint(sat, _axis_major(accepted), refine_max, theta)
             for level, idx, cf in accepted:
                 f = 2 ** (refine_max - level)
                 rim = 0 if cf is None else exact * f / 2
@@ -773,6 +865,7 @@ class TestCoverageTable:
             got = lusin._free_cells(_coverage_table(covered), grid, refine_max)
             assert [r for r, _ in got] == list(range(refine_max + 1))
             for r, cells in got:
+                cells = cells.T
                 # maximal free cells in C order: free, with a covered parent
                 f = 2 ** (refine_max - r)
                 want = [
@@ -817,7 +910,7 @@ class TestCoverageTable:
                 c = np.array([_block(dist, idx, f).min() for idx in cells], float)
                 D = np.maximum(c - 1.0, 0.0) * h_rm
                 want = worst > b_sup * np.minimum(D**2, 1.0)
-                got = lusin._pinch_fails(sat, cells, f, worst, b_sup, h_rm)
+                got = lusin._pinch_fails(sat, cells.T, f, worst, b_sup, h_rm)
                 npt.assert_array_equal(got, want)
 
 

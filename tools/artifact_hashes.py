@@ -1,12 +1,14 @@
-"""Print the sha256 of the function file and certificate of eleven fixed builds.
+"""Print the sha256 of the function file, certificate and jet of eleven fixed builds.
 
     python3 tools/artifact_hashes.py
 
 Takes no options.  Builds each case below from src/ into a temporary
 directory, writes its .lkf with save_function and its certificate with
-write_json, and prints one line per build: the name, the .lkf sha256 and the
-certificate sha256.  Run it before and after a change that should keep every
-output, and compare the two outputs with diff.
+write_json, and prints one line per build: the name, the .lkf sha256, the
+certificate sha256 and the sha256 of the built sum's jet, every multi-index
+up to its order at JET_POINTS points drawn uniformly in the box, as the
+result's bytes in logical order.  Run it before and after a change that
+should keep every output, and compare the two outputs with diff.
 """
 
 import hashlib
@@ -34,6 +36,7 @@ from lusinkit.lusin import (  # noqa: E402
     multi_stage_build,
 )
 
+JET_POINTS = 4096
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
 # the README demo's construct flags
 DEMO = BuildConfig(
@@ -175,7 +178,10 @@ def main() -> int:
             cert_json = Path(tmp) / f"{name}.certificate.json"
             harness.save_function(g, dom, str(lkf))
             harness.write_json(str(cert_json), cert.to_dict())
-            print(name, _sha256(lkf), _sha256(cert_json))
+            rng = np.random.default_rng(0)
+            pts = rng.uniform(dom.lower, dom.upper, size=(JET_POINTS, dom.dimension))
+            jet = hashlib.sha256(g.jet(pts, g.multiindices).tobytes()).hexdigest()
+            print(name, _sha256(lkf), _sha256(cert_json), jet)
     return 0
 
 
