@@ -12,9 +12,13 @@ table (more than 64 entries per cell) binary-searches its sorted cell keys.
 The one evaluation kernel takes product grids, one row of coordinates per
 axis (:meth:`BumpPolySum.grid_jet`), such as the builder's 3^n stencils;
 :meth:`BumpPolySum.jet` hands it points (M, n) as 1-point rows, so a grid
-point gets the bits the same single point gets.  jet's output, one column
-per multi-index, is column-major (Fortran-ordered).  The kernel and the cell
-bounds touch only live coefficient columns, those with a nonzero entry.
+point gets the bits the same single point gets, and
+:meth:`BumpPolySum.derivative` takes one multi-index, the value by default.
+jet's output, one column per multi-index, is column-major (Fortran-ordered).
+Every entry point sums all blocks: a part of the sum, such as the later
+stages' tail, is the sum of those blocks, BumpPolySum(n, m, blocks).  The
+kernel and the cell bounds touch only live coefficient columns, those with a
+nonzero entry.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -876,11 +880,10 @@ class BumpPolySum:
         blk = _Block(self._n, self._m, spacing, theta, stage, lows, coeffs)
         return BumpPolySum(self._n, self._m, self._blocks + (blk,))
 
-    def jet(self, x, gammas, stages=None) -> np.ndarray:
+    def jet(self, x, gammas) -> np.ndarray:
         """Exact derivatives at the points x (M, n), one column per multi-index.
 
-        Column j of the (M, len(gammas)) result is D^gammas[j] of the sum;
-        stages, when given, restricts the sum to the blocks of those stages.
+        Column j of the (M, len(gammas)) result is D^gammas[j] of the sum.
         This is grid_jet with each point a 1-point row, transposed: the
         result is column-major (Fortran-ordered).
         """
@@ -888,10 +891,10 @@ class BumpPolySum:
         if pts.ndim != 2 or pts.shape[1] != self._n:
             raise ValueError(f"points must be (M, {self._n}) for dimension {self._n}")
         rows = [pts[:, i][None, :] for i in range(self._n)]
-        out = self.grid_jet(rows, gammas, stages)
+        out = self.grid_jet(rows, gammas)
         return out.reshape(out.shape[0], pts.shape[0]).T
 
-    def grid_jet(self, x, gammas, stages=None) -> np.ndarray:
+    def grid_jet(self, x, gammas) -> np.ndarray:
         """Exact derivatives on product grids, shape (J, k, ..., k, P).
 
         x holds one (k, P) array per axis, and row p's grid is the product of
@@ -899,8 +902,7 @@ class BumpPolySum:
         is D^gammas[j] of the sum at (x[0][a_1, p], ..., x[n-1][a_n, p]), the
         one evaluation kernel (_Block.add_jet) summed over the blocks.  A
         1-point row (k = 1) is a single point, and every grid point gets the
-        bits it gets as one.  stages, when given, restricts the sum to the
-        blocks of those stages.
+        bits it gets as one.
         """
         gammas = self._check_gammas(gammas)
         x = [np.asarray(xi, float) for xi in x]
@@ -910,8 +912,7 @@ class BumpPolySum:
         k, P = shape
         out = np.zeros((len(gammas),) + (k,) * self._n + (P,))
         for b in self._blocks:
-            if stages is None or b.stage in stages:
-                b.add_jet(x, gammas, out)
+            b.add_jet(x, gammas, out)
         return out
 
     def _check_gammas(self, gammas) -> list:
@@ -925,17 +926,15 @@ class BumpPolySum:
                 )
         return gammas
 
-    def derivative(self, x, gamma=None, stages=None):
-        """Exact D^gamma of the sum at x ((M, n) array or a single point)."""
+    def derivative(self, x, gamma=None):
+        """Exact D^gamma of the sum at x ((M, n) array or a single point);
+        gamma None is the value."""
         if gamma is None:
             gamma = (0,) * self._n
         x = np.asarray(x, float)
         single = x.ndim == 1
-        out = self.jet(x[None, :] if single else x, [gamma], stages)[:, 0]
+        out = self.jet(x[None, :] if single else x, [gamma])[:, 0]
         return float(out[0]) if single else out
-
-    def value(self, x, stages=None):
-        return self.derivative(x, None, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -458,8 +458,8 @@ def _check_match(g, cert, field, dom, count, rng) -> dict:
     if not boxes:
         return _report(True, 0.0, cert.config.tau, vacuous=True)
     pts = _sample_in_boxes(np.concatenate(boxes, axis=0), count, rng)
-    resid = np.abs(g.jet(pts, field.alphas) - field.evaluate(pts))
-    resid = _fold_columns(np.maximum, resid)
+    # each point a 1-point row: |f - g| is |g - f| bit for bit
+    resid = np.abs(field.residual(g, [c[None, :] for c in pts.T])).max(axis=0)[0]
     i = int(resid.argmax())
     worst = float(resid[i])
     return _report(
@@ -537,9 +537,10 @@ def tail_pinch_check(
     n, m = cert.dimension, cert.order
     rng = np.random.default_rng(seed)
     gammas = multiindices_upto(n, m - 1)
-    # stages are numbered 1, 2, ..., so stage k's boxes are covered_cells[k - 1]
+    # stages are numbered 1, 2, ..., so stage k's boxes are covered_cells[k - 1];
+    # stage k's tail is the sum of the later stages' blocks
     usable = [
-        (k, boxes, {s for s in g.stage_ids if s > k})
+        (k, boxes, BumpPolySum(n, m, [b for b in g.blocks if b.stage > k]))
         for k, boxes in enumerate(cert.covered_cells, start=1)
         if boxes.shape[0] and any(s > k for s in g.stage_ids)
     ]
@@ -553,7 +554,7 @@ def tail_pinch_check(
         direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction
-        tail = _fold_columns(np.maximum, np.abs(g.jet(pts, gammas, stages=later)))
+        tail = _fold_columns(np.maximum, np.abs(later.jet(pts, gammas)))
         ratios = tail / (cert.config.sigma * radius**2)
         per_stage[k] = float(ratios.max())
     worst = max(per_stage.values())

@@ -149,7 +149,7 @@ class GraphMap:
         return cls(domain, surface)
 
     def height(self, pts) -> np.ndarray:
-        return self.surface.value(np.atleast_2d(np.asarray(pts, float)))
+        return self.surface.derivative(np.atleast_2d(np.asarray(pts, float)))
 
     def gradient(self, pts) -> np.ndarray:
         """(du/dx, du/dy) at planar points, as an (M, 2) array."""

@@ -77,6 +77,27 @@ class FieldCollection:
                 out[j] = np.asarray(fn(pts), float)
         return out.T
 
+    def residual(self, g: BumpPolySum, rows) -> np.ndarray:
+        """The residual data self - g on product grids, as a (K, k^n, P) table.
+
+        rows holds one (k, P) array per axis, row p's grid being the product of
+        the columns rows[i][:, p], as BumpPolySum.grid_jet takes them: entry
+        [j, s, p] is component j at grid point s of row p, grid-major.  The
+        callables get the grid points flat, and g gets the rows, so the values
+        are bit for bit self.evaluate(x) - g.jet(x, self.alphas) at the flat
+        points x.  A single point is a row with k = 1.
+        """
+        n = len(rows)
+        k, P = rows[0].shape
+        # the grid points, axis by axis, broadcast into one array
+        pts = np.empty((n,) + (k,) * n + (P,))
+        for i, xi in enumerate(rows):
+            pts[i] = xi.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (P,))
+        res = self.evaluate(pts.reshape(n, -1).T).T.reshape(len(self.sources), k**n, P)
+        if g.term_count:
+            res -= g.grid_jet(rows, self.alphas).reshape(res.shape)
+        return res
+
 
 def field_catalog(name: str) -> FieldCollection:
     """Named example fields used by the command line tools and tests."""
@@ -103,8 +124,8 @@ def field_catalog(name: str) -> FieldCollection:
 
 
 # Cells a stage tests in one vectorised pass, and stencil points one call of
-# _residual takes (a center's 3^n points count whole, as one grid row): no
-# array of a stage grows with the cells of a level.
+# FieldCollection.residual takes (a center's 3^n points count whole, as one
+# grid row): no array of a stage grows with the cells of a level.
 _BATCH = 2**15
 
 
@@ -120,41 +141,19 @@ def _grid_cells(grid: int, n: int) -> list:
     return [(0, np.indices((grid,) * n).reshape(n, -1))]
 
 
-def _residual(field: FieldCollection, g: BumpPolySum, rows) -> np.ndarray:
-    """The residual data field - g on product grids, as a (K, k^n, P) table.
-
-    rows holds one (k, P) array per axis, row p's grid being the product of
-    the columns rows[i][:, p], as BumpPolySum.grid_jet takes them: entry
-    [j, s, p] is component j at grid point s of row p, grid-major.  The
-    field callables get the grid points flat, and g gets the rows, so the
-    values are bit for bit field.evaluate(x) - g.jet(x, field.alphas) at the
-    flat points x.  A center is a row with k = 1.
-    """
-    n = len(rows)
-    k, P = rows[0].shape
-    # the grid points, axis by axis, broadcast into one array
-    pts = np.empty((n,) + (k,) * n + (P,))
-    for i, xi in enumerate(rows):
-        pts[i] = xi.reshape((1,) * i + (k,) + (1,) * (n - 1 - i) + (P,))
-    res = field.evaluate(pts.reshape(n, -1).T).T.reshape(len(field.sources), k**n, P)
-    if g.term_count:
-        res -= g.grid_jet(rows, field.alphas).reshape(res.shape)
-    return res
-
-
 def _truncation_level(field, g, seeds, lower, h0: float, quantile: float) -> float:
     """Smallest level T with max|field - g| <= T at the requested fraction
     of the seed cells' centers; quantile 1 gives the sampled maximum.
 
     seeds lists (level, idx) pairs of cells (n, B) on the level-r lattice of
-    spacing h0 2^-r; _residual takes at most _BATCH centers per call.
+    spacing h0 2^-r; field.residual takes at most _BATCH centers per call.
     """
     samples = []
     for r, idx in seeds:
         h = h0 / 2**r
         for s in range(0, idx.shape[1], _BATCH):
             centers = lower[:, None] + idx[:, s : s + _BATCH] * h + h / 2.0
-            vals = _residual(field, g, list(centers[:, None]))
+            vals = field.residual(g, list(centers[:, None]))
             samples.append(np.abs(vals[:, 0]).max(axis=0))
     vals = np.concatenate(samples)
     if quantile >= 1.0:
@@ -166,7 +165,7 @@ def _truncation_level(field, g, seeds, lower, h0: float, quantile: float) -> flo
 def _stencil_osc(field: FieldCollection, g: BumpPolySum, centers, center_vals, reach):
     """Max deviation of the residual data field - g from its center value over
     a 3^n stencil: each center c, a column of centers (n, B), and its reach r
-    give the points c + {-r, 0, r}^n, one grid row of _residual, whose
+    give the points c + {-r, 0, r}^n, one grid row of field.residual, whose
     center values are the columns of center_vals (K, B).  At most _BATCH
     points go to each call, or one center's 3^n if more.
     """
@@ -177,7 +176,7 @@ def _stencil_osc(field: FieldCollection, g: BumpPolySum, centers, center_vals, r
     for s in range(0, out.size, step):
         r = reach[s : s + step]
         rows = [c + unit[:, None] * r for c in centers[:, s : s + step]]
-        dev = np.abs(_residual(field, g, rows) - center_vals[:, None, s : s + step])
+        dev = np.abs(field.residual(g, rows) - center_vals[:, None, s : s + step])
         out[s : s + step] = dev.reshape(-1, r.size).max(axis=0)
     return out
 
@@ -207,10 +206,14 @@ def _run_stage(
     2 S M(S/L) <= w_mod, and last the sampled oscillation against tau: over
     the plateau c +- (1 - theta) hw of a term, and over the whole cell of a
     zero-data cell.  Failing cells split into 2^n children until
-    refine_max.  Each queue entry, one level's cells, is tested in batches
-    of _BATCH cells; a refined entry holds the failing parents, and each
-    batch expands only its own children.  Results are merged once per
-    entry, so the outcome does not depend on _BATCH.
+    refine_max.  Each queue entry (level, parents, scale, shifts) holds one
+    level's cells, scale * parent + shift for each parent column and each
+    shift column, parent-major: a seed entry has scale 1 and one zero
+    shift, a refined entry the failing cells of the level above, scale 2
+    and the 2^n child shifts.  An entry is tested in batches of whole
+    parents, at most _BATCH cells each unless one parent has more; each
+    cell's checks are its own and results are merged once per entry, so the
+    outcome does not depend on _BATCH.
     A batch's cells and centers are (n, B) arrays, its residual values at
     the centers (K, B), one column per cell.  Each batch cell keeps one
     code: 0 while it passes, k + 1 once the first check it fails is
@@ -238,7 +241,6 @@ def _run_stage(
         "modulus",
         "oscillation",
     )
-    shifts = np.indices((2,) * n).reshape(n, -1)
     # refine_max cells per code
     tally = np.zeros(len(reasons) + 1, np.int64)
     accepted = []
@@ -251,15 +253,15 @@ def _run_stage(
     sqrt_n = math.sqrt(n)
     h_rm = h0 / 2**cfg.refine_max
 
-    # (level, cells, split): with split, the entry's cells are the 2^n
-    # children of each column of cells, in column order
+    children = np.indices((2,) * n).reshape(n, -1)
     queue = [
-        (lvl, np.asarray(idx, np.int64).reshape(n, -1), False) for lvl, idx in seeds
+        (r, np.asarray(idx, np.int64).reshape(n, -1), 1, np.zeros((n, 1), np.int64))
+        for r, idx in seeds
     ]
     while queue:
-        level, cells, split = queue.pop(0)
-        per_col = shifts.shape[1] if split else 1
-        N = cells.shape[1] * per_col
+        level, parents, scale, shifts = queue.pop(0)
+        S = shifts.shape[1]
+        N = parents.shape[1] * S
         if N == 0:
             continue
         considered += N
@@ -268,20 +270,17 @@ def _run_stage(
         p = (1.0 - cfg.theta) * hw
         zero_idx, term_idx, term_vals, failed = [], [], [], []
 
-        for s in range(0, N, _BATCH):
-            if split:
-                # children of the parent columns the batch reaches, one shift
-                # at a time: numpy broadcasts over a short last axis slowly
-                c0 = s // per_col
-                par = 2 * cells[:, c0 : -(-(s + _BATCH) // per_col)]
-                kids = np.empty((n, par.shape[1], per_col), np.int64)
-                for j in range(per_col):
-                    np.add(par, shifts[:, j : j + 1], out=kids[:, :, j])
-                idx = kids.reshape(n, -1)[:, s - c0 * per_col :][:, :_BATCH]
-            else:
-                idx = cells[:, s : s + _BATCH]
+        step = max(1, _BATCH // S)
+        for s in range(0, parents.shape[1], step):
+            # the batch's cells one shift at a time: numpy broadcasts over a
+            # short last axis slowly
+            par = scale * parents[:, s : s + step]
+            kids = np.empty((n, par.shape[1], S), np.int64)
+            for j in range(S):
+                np.add(par, shifts[:, j : j + 1], out=kids[:, :, j])
+            idx = kids.reshape(n, -1)
             centers = lower[:, None] + idx * h + hw
-            vals = _residual(field, g, list(centers[:, None]))[:, 0]
+            vals = field.residual(g, list(centers[:, None]))[:, 0]
             amax = np.abs(vals).max(axis=0)
             zero = amax == 0.0
             code = (amax > T).astype(np.int8)
@@ -348,7 +347,7 @@ def _run_stage(
             covered += terms * (2.0 * p) ** n
         accepted_count += zeros + terms
         if failed:
-            queue.append((level + 1, np.concatenate(failed, axis=1), True))
+            queue.append((level + 1, np.concatenate(failed, axis=1), 2, children))
 
     reject = {}
     for name, count in zip(reasons, tally[1:].tolist()):

@@ -313,7 +313,7 @@ class TestFunctionFile:
         npt.assert_array_equal(
             g2.jet(pts, g.multiindices), g.jet(pts, g.multiindices)
         )
-        assert g2.value(np.array([0.52, 0.425])) > 0.0
+        assert g2.derivative(np.array([0.52, 0.425])) > 0.0
 
     def test_blocks_that_would_merge_off_lattice_are_refused(self, tmp_path):
         # equal side, theta and stage: the two blocks' records would
@@ -362,6 +362,23 @@ class TestFunctionFile:
         path = self._edit_first_record(growth_run, tmp_path, -1, 0.0)
         with pytest.raises(FunctionFileError, match="malformed cell term record"):
             load_function(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(math.nan, "non-finite"), (1e18, "too large to index")],
+    )
+    def test_first_corner_refused(self, growth_run, tmp_path, value, message):
+        # a NaN corner, and a corner so far out that its block's lattice
+        # has 2^63 entries or more
+        path = self._edit_first_record(growth_run, tmp_path, 0, value)
+        with pytest.raises(FunctionFileError, match=message):
+            load_function(path)
+
+    def test_domain_of_another_dimension_refused(self, tmp_path):
+        cube = BoxDomain((0.0,) * 3, (1.0,) * 3)
+        with pytest.raises(ValueError, match="domain dimension"):
+            save_function(BumpPolySum(2, 1), cube, str(tmp_path / "f.lkf"))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -601,6 +618,24 @@ def _uneven_grid(d):
     d["config"]["grid"] = [16, 8]
 
 
+# a corruption returning text is refused by the check whose message holds it
+
+
+def _dimension_of_another_domain(d):
+    d["dimension"] = 3
+    return "dimension does not match the domain"
+
+
+def _short_lower_corner(d):
+    d["domain"]["lower"] = d["domain"]["lower"][:1]
+    return "same length"
+
+
+def _string_covered_measure(d):
+    d["stages"][0]["covered_measure"] = "x"
+    return "expected a number"
+
+
 # a derived number that differs from what the stage reports, config and
 # domain give
 
@@ -681,6 +716,9 @@ def _stage_renumbered(d):
         _negative_tau,
         _theta_past_one,
         _uneven_grid,
+        _dimension_of_another_domain,
+        _short_lower_corner,
+        _string_covered_measure,
         _modulus_ledger_ulp,
         _flipped_budgets_ok,
         _numeric_budgets_ok,
@@ -697,9 +735,10 @@ def _stage_renumbered(d):
 def test_malformed_certificate(growth_run, tmp_path, capsys, corrupt):
     paths, _, _ = growth_run
     d = json.loads(Path(paths["certificate"]).read_text())
-    corrupt(d)
-    with pytest.raises(ValueError, match="malformed certificate"):
+    detail = corrupt(d)
+    with pytest.raises(ValueError, match="malformed certificate") as info:
         BuildCertificate.from_dict(d)
+    assert detail is None or detail in str(info.value)
     bad = tmp_path / "bad.certificate.json"
     bad.write_text(json.dumps(d))
     # loading refuses it, so even a check that never reads the bad field
@@ -1253,6 +1292,32 @@ class TestCli:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--domain", "0,0,1", "even number"),
+            ("--modulus", "pwl:0,0", "origin knot"),
+            ("--modulus", "pwl:0,0;1,0", "positive somewhere"),
+        ],
+    )
+    def test_refused_setting_names_its_check(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "none"
+        construct = ["construct", "--field", "heisenberg", flag, value]
+        assert main([*construct, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_modulus_flag(self, tmp_path, capsys):
+        out = tmp_path / "power"
+        flags = ["--grid", "8", "--stages", "1", "--refine-max", "1", "--sigma", "50"]
+        flags += ["--tau", "0.08", "--theta", "0.125", "--modulus", "power:0.5"]
+        construct = ["construct", "--field", "heisenberg", *flags]
+        assert main([*construct, "--out", str(out)]) == 0
+        cert = json.loads((out / "function.certificate.json").read_text())
+        assert cert["modulus"] == {"kind": "power", "beta": 0.5}
+
     def test_default_construct_builds_what_the_library_builds(self, tmp_path):
         out = tmp_path / "defaults"
         assert main(["construct", "--field", "heisenberg", "--out", str(out)]) == 0
@@ -1326,6 +1391,10 @@ class TestCli:
 
     def test_heis_dist_rejects_text(self, capsys):
         assert main(["heis", "dist", "0,0,abc", "1,0,0"]) == 2
+
+    def test_heis_dist_rejects_a_point_of_two_numbers(self, capsys):
+        assert main(["heis", "dist", "1,2", "3,4,5"]) == 2
+        assert "expected 3 numbers, got 2" in capsys.readouterr().err
 
     def test_heis_dist_negative_points_after_double_dash(self, capsys):
         # argparse reads -1,0,0 as an option; -- ends the options

@@ -390,6 +390,11 @@ class TestGraphMap:
             with pytest.raises(ValueError, match="dimension"):
                 G.height(pts)
 
+    def test_refuses_a_sum_that_is_not_planar(self):
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="planar function sum"):
+            GraphMap.from_sum(dom, BumpPolySum(3, 1))
+
     def test_lift_shape(self):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
         G = GraphMap.from_sum(dom, BumpPolySum(2, 1))

@@ -279,9 +279,9 @@ def _heisenberg_cut():
 
 
 class TestResidual:
-    """_residual on product grids must give, bit for bit, field - g.jet at the
-    flat grid points, for sums with no terms and for sums whose stencil rows
-    straddle block cells."""
+    """FieldCollection.residual on product grids must give, bit for bit,
+    field - g.jet at the flat grid points, for sums with no terms and for sums
+    whose stencil rows straddle block cells."""
 
     DOM = BoxDomain((0.1, -0.2), (0.8, 0.5))
 
@@ -324,7 +324,7 @@ class TestResidual:
         ref = np.indices((k, k)).reshape(2, -1)
         pts = np.stack([rows[i][ref[i]].reshape(-1) for i in range(2)], axis=1)
         want = field.evaluate(pts) - g.jet(pts, field.alphas)
-        got = lusin._residual(field, g, rows)
+        got = field.residual(g, rows)
         assert got.shape == (2, k**2, P)
         want = want.T.reshape(got.shape)
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -591,8 +591,9 @@ class TestMultiStage:
 
 class TestBatching:
     """Stages test their cells in batches of lusin._BATCH; outputs must not
-    depend on it.  The small sizes are not multiples of 2^n, so batches end
-    inside a parent's children, and each level spans many batches."""
+    depend on it.  The small sizes are not multiples of 2^n, so a refined
+    batch of whole parents holds fewer cells than the size, and each level
+    spans many batches."""
 
     CASES = {
         "growth": ("heisenberg", GROWTH_CFG, (5, 7)),
