@@ -39,6 +39,16 @@ def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
     return vals
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+
+
 def _point(text: str):
     from .group import HPoint
 
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("function", help="path to a saved function file")
     ga.add_argument("--tau", type=float, default=1e-3)
     ga.add_argument("--grid", type=int, default=255, help="cells per axis")
-    ga.add_argument("--seed", type=int, default=0)
+    ga.add_argument("--seed", type=_seed, default=0)
     ga.set_defaults(func=cli_heis_graph)
 
     ce = hs.add_parser("counterexample", help="two lifts of one planar loop")

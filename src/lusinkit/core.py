@@ -585,6 +585,9 @@ def cell_derivative_bounds(
 _DENSE_FILL = 64
 # how far, in lattice steps, a cell corner may sit from the block's lattice
 _LATTICE_TOL = 1e-6
+# located single points per kernel call: each temporary then stays small
+# enough for the heap to reuse, where a point-sized one takes fresh pages
+_POINT_CHUNK = 16384
 
 
 class _Block:
@@ -605,6 +608,9 @@ class _Block:
     the cutoff profile evaluated per axis and combined by broadcasting.  A
     single point is a row with k = 1; a row whose coordinates do not all
     floor to its middle point's lattice cell is split into single points.
+    Single points are located all at once and evaluated in slices of at most
+    _POINT_CHUNK, so the kernel's temporaries stay small enough for the heap
+    to reuse; product grids are evaluated whole.
     """
 
     __slots__ = (
@@ -764,12 +770,14 @@ class _Block:
     def _add_points(self, x, pos, gammas, flat):
         """Add this block's D^gammas[j] at single points to flat[j]: x holds
         one 1-D coordinate array per axis, and point q goes to position
-        pos[q], or q where pos is None."""
+        pos[q], or q where pos is None.  The located points go to _add_terms
+        in slices of _POINT_CHUNK: point-sized temporaries (800 KB at 100k
+        points) would come from fresh pages on every call."""
         pts, rows = self.locate(x)
-        if pts.size == 0:
-            return
         at = pts if pos is None else pos[pts]
-        self._add_terms(x, pts, rows, gammas, flat, at)
+        for s in range(0, pts.size, _POINT_CHUNK):
+            c = np.s_[s : s + _POINT_CHUNK]
+            self._add_terms(x, pts[c], rows[c], gammas, flat, at[c])
 
     def _add_terms(self, x, pts, rows, gammas, flat, at):
         """Add this block's D^gammas[j] at the coordinates x to flat[j][at].

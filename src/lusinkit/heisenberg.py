@@ -174,6 +174,11 @@ def horizontality_residual(G: GraphMap, at):
     return r[0] if at.ndim == 1 else r
 
 
+# characteristic_fraction evaluates whole grid rows, about this many cell
+# centers at a time, so its memory does not grow with the grid
+_FRACTION_BLOCK = 1 << 16
+
+
 def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
     """Fraction of grid cells whose center residual stays within tau.
 
@@ -182,6 +187,7 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
     grid, 255 cells per axis, aliases against a constructed surface's
     dyadic lattice: on the flagship surface, whose finest lattice has 1024
     cells per axis, it gives 0.0019 where uniform sampling gives 0.0069.
+    Hits are counted one block of grid rows at a time.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -190,10 +196,15 @@ def characteristic_fraction(G: GraphMap, tau: float, grid: int = 255) -> float:
     lo = np.asarray(G.domain.lower)
     h = G.domain.side_lengths() / grid
     ax = [lo[i] + h[i] * (np.arange(grid) + 0.5) for i in range(2)]
-    mesh = np.meshgrid(*ax, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    worst = _fold_columns(np.maximum, np.abs(horizontality_residual(G, centers)))
-    return float((worst <= tau).mean())
+    step = max(1, _FRACTION_BLOCK // grid)
+    hits = 0
+    for r in range(0, grid, step):
+        mesh = np.meshgrid(ax[0][r : r + step], ax[1], indexing="ij")
+        centers = np.stack([m.ravel() for m in mesh], axis=1)
+        worst = _fold_columns(np.maximum, np.abs(horizontality_residual(G, centers)))
+        hits += int(np.count_nonzero(worst <= tau))
+    # a count over grid**2 has the bits of the boolean mean
+    return hits / grid**2
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +278,8 @@ def holder_transfer_check(G: GraphMap, seed: int = 0) -> dict:
     height estimator (constant u) propagates its +inf sentinel and the
     comparison is reported as degenerate rather than passed.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     scales = float(G.domain.side_lengths().min()) * np.asarray(_HOLDER_SCALES)
     # probe the height range so evaluation rounding on constant data
     # cannot masquerade as displacement

@@ -17,6 +17,7 @@ from lusinkit.core import (
     LogModulus,
     PiecewiseLinearModulus,
     PowerModulus,
+    _POINT_CHUNK,
     _bound_plan,
     _fold_columns,
     _uniform_in_box,
@@ -851,14 +852,22 @@ class TestKernelOracle:
         rng = np.random.default_rng(100 * n + m)
         g, pts = self._sum_and_points(n, m, rng)
         gammas = list(g.multiindices)
-        want = np.zeros((pts.shape[0], len(gammas)))
-        for blk in g.blocks:
-            _reference_add_jet(blk, pts, gammas, want)
-        got = g.jet(pts, gammas)
-        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        # the probes reached plateaus, bands and the empty outside
-        assert np.count_nonzero(got[:, 0]) > pts.shape[0] // 2
-        assert np.all(got[-53:] == 0.0)
+        # the probes once, then tiled until the first block locates two
+        # point chunks and a remainder, so chunk edges fall among them
+        inside = g.blocks[0].locate(pts.T)[0].size
+        tiled = np.tile(pts, (2 * _POINT_CHUNK // inside + 1, 1))
+        located = g.blocks[0].locate(tiled.T)[0].size
+        assert 2 * _POINT_CHUNK < located < 3 * _POINT_CHUNK
+        for x in (pts, tiled):
+            want = np.zeros((x.shape[0], len(gammas)))
+            for blk in g.blocks:
+                _reference_add_jet(blk, x, gammas, want)
+            got = g.jet(x, gammas)
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            # the probes reached plateaus, bands and the empty outside
+            assert np.count_nonzero(got[:, 0]) > x.shape[0] // 2
+            assert np.all(got[-53:] == 0.0)
+        assert g.jet(np.zeros((0, n)), gammas).shape == (0, len(gammas))
 
 
 class TestGridJet:

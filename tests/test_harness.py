@@ -1441,6 +1441,17 @@ class TestCli:
         assert rc == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_heis_graph_rejects_a_seed_that_is_not_a_count(
+        self, growth_run, capsys, seed
+    ):
+        paths, _, _ = growth_run
+        rc = main(["heis", "graph", "analyze", paths["function"], "--seed", seed])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: not a non-negative integer" in captured.err
+
     def test_heis_graph_rejects_higher_order(self, tmp_path, capsys):
         dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
         path = str(tmp_path / "m2.lkf")

@@ -27,6 +27,7 @@ from lusinkit.heisenberg import (
     horizontality_residual,
     koranyi_dist,
     koranyi_norm,
+    _FRACTION_BLOCK,
     _pair_points,
 )
 from lusinkit.harness import load_function
@@ -580,6 +581,12 @@ class TestHolderTransfer:
         assert math.isinf(report["alpha_u"])
         assert not report["passed"]
 
+    def test_negative_seed_is_named(self):
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        G = GraphMap.from_sum(dom, BumpPolySum(2, 1))
+        with pytest.raises(ValueError, match="seed"):
+            holder_transfer_check(G, seed=-1)
+
 
 def test_demo_graph_outputs_pinned(tmp_path):
     # the README session's graph analysis, as the pair draws were before
@@ -634,6 +641,20 @@ class TestBuildHorizontalGraph:
         frac = characteristic_fraction(G, cfg.tau)
         assert frac == pytest.approx(0.2445, abs=2e-3)
         assert frac >= cert.coverage_fraction() - 0.01
+
+    def test_characteristic_fraction_in_row_blocks(self, built):
+        # a grid of several row blocks, the last one short, counts what one
+        # mask over the whole grid counts
+        (G, _), cfg = built
+        grid = 600
+        assert grid % (_FRACTION_BLOCK // grid) and grid > 4 * (_FRACTION_BLOCK // grid)
+        ax = (1.0 / grid) * (np.arange(grid) + 0.5)
+        mesh = np.meshgrid(ax, ax, indexing="ij")
+        centers = np.stack([c.ravel() for c in mesh], axis=1)
+        worst = np.abs(horizontality_residual(G, centers)).max(axis=1)
+        want = (worst <= cfg.tau).mean()
+        assert 0.0 < want < 1.0
+        assert characteristic_fraction(G, cfg.tau, grid=grid) == want
 
     def test_budget_ledgers_transfer(self, built):
         (G, cert), cfg = built

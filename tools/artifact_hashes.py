@@ -36,7 +36,8 @@ from lusinkit.lusin import (  # noqa: E402
     multi_stage_build,
 )
 
-JET_POINTS = 4096
+# the certify pair count of the benchmark, above one kernel point chunk
+JET_POINTS = 100_000
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
 # the README demo's construct flags
 DEMO = BuildConfig(
