@@ -143,7 +143,7 @@ def _fold_columns(ufunc, a: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """An axis-aligned open box."""
+    """An axis-aligned box, closed: contains counts its faces as inside."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]

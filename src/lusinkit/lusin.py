@@ -141,21 +141,16 @@ def _grid_cells(grid: int, n: int) -> list:
     return [(0, np.indices((grid,) * n).reshape(n, -1))]
 
 
-def _truncation_level(field, g, seeds, lower, h0: float, quantile: float) -> float:
+def _truncation_level(residuals, quantile: float) -> float:
     """Smallest level T with max|field - g| <= T at the requested fraction
     of the seed cells' centers; quantile 1 gives the sampled maximum.
 
-    seeds lists (level, idx) pairs of cells (n, B) on the level-r lattice of
-    spacing h0 2^-r; field.residual takes at most _BATCH centers per call.
+    residuals lists the residual data at the centers as (K, B) arrays, one
+    column per cell.  A NaN center counts as +inf, so data NaN at more than
+    the spared fraction give T = +inf, and never T = NaN.
     """
-    samples = []
-    for r, idx in seeds:
-        h = h0 / 2**r
-        for s in range(0, idx.shape[1], _BATCH):
-            centers = lower[:, None] + idx[:, s : s + _BATCH] * h + h / 2.0
-            vals = field.residual(g, list(centers[:, None]))
-            samples.append(np.abs(vals[:, 0]).max(axis=0))
-    vals = np.concatenate(samples)
+    vals = np.concatenate([np.abs(v).max(axis=0) for v in residuals])
+    vals[np.isnan(vals)] = np.inf
     if quantile >= 1.0:
         return float(vals.max())
     k = min(vals.size - 1, max(0, math.ceil(quantile * vals.size) - 1))
@@ -179,6 +174,21 @@ def _stencil_osc(field: FieldCollection, g: BumpPolySum, centers, center_vals, r
         dev = np.abs(field.residual(g, rows) - center_vals[:, None, s : s + step])
         out[s : s + step] = dev.reshape(-1, r.size).max(axis=0)
     return out
+
+
+def _batches(parents, scale: int, shifts):
+    """A queue entry's cells scale * parent + shift, parent-major, as (n, B)
+    arrays of whole parents, at most _BATCH cells each unless one parent
+    has more."""
+    n, S = shifts.shape
+    step = max(1, _BATCH // S)
+    for s in range(0, parents.shape[1], step):
+        # one shift at a time: numpy broadcasts over a short last axis slowly
+        par = scale * parents[:, s : s + step]
+        kids = np.empty((n, par.shape[1], S), np.int64)
+        for j in range(S):
+            np.add(par, shifts[:, j : j + 1], out=kids[:, :, j])
+        yield kids.reshape(n, -1)
 
 
 def _run_stage(
@@ -205,17 +215,21 @@ def _run_stage(
     in later stages), the Lipschitz caps, the modulus envelope
     2 S M(S/L) <= w_mod, and last the sampled oscillation against tau: over
     the plateau c +- (1 - theta) hw of a term, and over the whole cell of a
-    zero-data cell.  Failing cells split into 2^n children until
-    refine_max.  Each queue entry (level, parents, scale, shifts) holds one
-    level's cells, scale * parent + shift for each parent column and each
-    shift column, parent-major: a seed entry has scale 1 and one zero
-    shift, a refined entry the failing cells of the level above, scale 2
-    and the 2^n child shifts.  An entry is tested in batches of whole
-    parents, at most _BATCH cells each unless one parent has more; each
-    cell's checks are its own and results are merged once per entry, so the
-    outcome does not depend on _BATCH.
+    zero-data cell.  The truncation and oscillation tests read
+    not(value <= bound), so a NaN center fails truncation and a NaN stencil
+    point fails oscillation.  Failing cells split into 2^n children until
+    refine_max.  Each queue entry (level, parents, scale, shifts, res)
+    holds one level's cells, scale * parent + shift for each parent column
+    and each shift column, parent-major: a seed entry has scale 1 and one
+    zero shift, a refined entry the failing cells of the level above, scale
+    2 and the 2^n child shifts.  An entry is tested in the batches of
+    _batches; each cell's checks are its own and results are merged once
+    per entry, so the outcome does not depend on _BATCH.
     A batch's cells and centers are (n, B) arrays, its residual values at
-    the centers (K, B), one column per cell.  Each batch cell keeps one
+    the centers (K, B), one column per cell.  A seed entry's res lists
+    these values per batch: they are evaluated once, before any cell is
+    tested, as T is read off them.  A refined entry's res is None, and each
+    batch evaluates its own.  Each batch cell keeps one
     code: 0 while it passes, k + 1 once the first check it fails is
     reasons[k]; the bound checks run on compact arrays of the cells past
     truncation, later checks written first.  Cells of code 0 go on to the
@@ -231,7 +245,21 @@ def _run_stage(
     K = sum(b.size for b in by_order)
     w_mod = stage_weight(stage)
     b_sup = cfg.sigma * w_mod
-    T = _truncation_level(field, g, seeds, lower, h0, cfg.quantile)
+
+    def centers_of(idx, h):
+        return lower[:, None] + idx * h + h / 2.0
+
+    def residual(centers):
+        return field.residual(g, list(centers[:, None]))[:, 0]
+
+    children = np.indices((2,) * n).reshape(n, -1)
+    queue = []
+    for r, idx in seeds:
+        idx = np.asarray(idx, np.int64).reshape(n, -1)
+        shift = np.zeros((n, 1), np.int64)
+        res = [residual(centers_of(b, h0 / 2**r)) for b in _batches(idx, 1, shift)]
+        queue.append((r, idx, 1, shift, res))
+    T = _truncation_level([v for *_, res in queue for v in res], cfg.quantile)
     # stage 1 counts both sup checks as supnorm
     reasons = (
         "truncation",
@@ -253,15 +281,9 @@ def _run_stage(
     sqrt_n = math.sqrt(n)
     h_rm = h0 / 2**cfg.refine_max
 
-    children = np.indices((2,) * n).reshape(n, -1)
-    queue = [
-        (r, np.asarray(idx, np.int64).reshape(n, -1), 1, np.zeros((n, 1), np.int64))
-        for r, idx in seeds
-    ]
     while queue:
-        level, parents, scale, shifts = queue.pop(0)
-        S = shifts.shape[1]
-        N = parents.shape[1] * S
+        level, parents, scale, shifts, res = queue.pop(0)
+        N = parents.shape[1] * shifts.shape[1]
         if N == 0:
             continue
         considered += N
@@ -270,20 +292,12 @@ def _run_stage(
         p = (1.0 - cfg.theta) * hw
         zero_idx, term_idx, term_vals, failed = [], [], [], []
 
-        step = max(1, _BATCH // S)
-        for s in range(0, parents.shape[1], step):
-            # the batch's cells one shift at a time: numpy broadcasts over a
-            # short last axis slowly
-            par = scale * parents[:, s : s + step]
-            kids = np.empty((n, par.shape[1], S), np.int64)
-            for j in range(S):
-                np.add(par, shifts[:, j : j + 1], out=kids[:, :, j])
-            idx = kids.reshape(n, -1)
-            centers = lower[:, None] + idx * h + hw
-            vals = field.residual(g, list(centers[:, None]))[:, 0]
+        for b, idx in enumerate(_batches(parents, scale, shifts)):
+            centers = centers_of(idx, h)
+            vals = residual(centers) if res is None else res[b]
             amax = np.abs(vals).max(axis=0)
             zero = amax == 0.0
-            code = (amax > T).astype(np.int8)
+            code = (~(amax <= T)).astype(np.int8)
             ti = np.flatnonzero(~zero & (code == 0))
 
             if ti.size:
@@ -317,7 +331,7 @@ def _run_stage(
             osc = _stencil_osc(
                 field, g, centers.take(si, axis=1), vals.take(si, axis=1), reach
             )
-            code[si[osc > cfg.tau]] = 6
+            code[si[~(osc <= cfg.tau)]] = 6
             ok = code == 0
             oz, oi = np.flatnonzero(ok & zero), np.flatnonzero(ok & ~zero)
             if oz.size:
@@ -347,7 +361,7 @@ def _run_stage(
             covered += terms * (2.0 * p) ** n
         accepted_count += zeros + terms
         if failed:
-            queue.append((level + 1, np.concatenate(failed, axis=1), 2, children))
+            queue.append((level + 1, np.concatenate(failed, axis=1), 2, children, None))
 
     reject = {}
     for name, count in zip(reasons, tally[1:].tolist()):
@@ -377,26 +391,24 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     A level-r cell spans f = 2^(refine_max - r) mask cells per axis; a term
     paints them less a rim floor(theta f / 2) wide, which holds its plateau
     c +- (1 - theta) hw, and a zero-data cell paints them all.  Painted
-    ranges meet neither each other nor earlier coverage, so +-1 at the 2^n
-    corners of each in a difference table, summed twice along each axis,
-    adds their own table and keeps every mask cell counted 0 or 1.  Each
-    corner of an entry's cells goes to np.add.at as one flat index array on
-    the int32 table with an int32 sign, which numpy serves on its fast path.
+    ranges meet neither each other nor earlier coverage, so the stage's 0/1
+    mask, summed once along each axis, adds its own table and keeps every
+    mask cell counted 0 or 1.  Each entry is one assignment through a view
+    of the mask as (G_r, f) pairs of axes, G_r the level's cells per axis:
+    the cells index the G_r axes and one slice spans the painted range on
+    each f axis.
     """
     n = sat.ndim
-    diff = np.zeros(sat.shape, np.int32)
-    flat = diff.reshape(-1)
+    mask = np.zeros(tuple(s - 1 for s in sat.shape), np.int32)
     for level, idx, cf in accepted:
         f = 2 ** (refine_max - level)
         rim = 0 if cf is None else math.floor(theta * f / 2)
-        lo, hi = idx * f + rim, idx * f + (f - rim)
-        for corner in itertools.product((0, 1), repeat=n):
-            at = tuple(hi[i] if c else lo[i] for i, c in enumerate(corner))
-            sign = np.int32((-1) ** sum(corner))
-            np.add.at(flat, np.ravel_multi_index(at, diff.shape), sign)
-    for axis in 2 * list(range(n)):
-        np.cumsum(diff, axis=axis, out=diff)
-    sat[(slice(1, None),) * n] += diff[(slice(-1),) * n]
+        # a view, as mask is contiguous: writes through it land in mask
+        blocks = mask.reshape(sum(((s // f, f) for s in mask.shape), ()))
+        blocks[sum(((i, slice(rim, f - rim)) for i in idx), ())] = 1
+    for axis in range(n):
+        np.cumsum(mask, axis=axis, out=mask)
+    sat[(slice(1, None),) * n] += mask
 
 
 def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarray:
@@ -442,20 +454,35 @@ def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
     sat is the build's coverage table on the refine_max lattice (see
     _paint).  The walk starts from the level-0 grid: a cell holding no
     coverage is free, and only cells holding both covered and free mask
-    cells split into their 2^n children.
+    cells split into their 2^n children.  Each level reads the counts of a
+    window of cells, the children of the box spanned by the mixed cells of
+    the level above, as differences along each axis of one strided slice of
+    sat.  Its free cells are the window's free cells with a mixed parent,
+    which np.nonzero lists in C order.
     """
     n = sat.ndim
-    shifts = np.indices((2,) * n).reshape(n, -1)
-    cells = _grid_cells(grid, n)[0][1]
     out = []
+    # the window's first cell per axis, and its cells with a mixed parent
+    lo, cand = (0,) * n, np.ones((grid,) * n, bool)
     for r in range(refine_max + 1):
         f = 2 ** (refine_max - r)
-        count = _coverage_near(sat, cells, f, 0)
-        out.append((r, cells[:, count == 0]))
-        mixed = cells[:, (count > 0) & (count < f**n)]
-        kids = (mixed[:, :, None] * 2 + shifts[:, None, :]).reshape(n, -1)
-        cells = kids[:, np.lexsort(kids[::-1])]
-    return out
+        window = zip(lo, cand.shape)
+        count = sat[tuple(slice(a * f, (a + w) * f + 1, f) for a, w in window)]
+        for axis in range(n):
+            count = np.diff(count, axis=axis)
+        free = np.nonzero(cand & (count == 0))
+        out.append((r, np.stack([i + a for i, a in zip(free, lo)])))
+        mixed = cand & (count > 0) & (count < f**n)
+        at = np.nonzero(mixed)
+        if not at[0].size:
+            break
+        span = [(int(i.min()), int(i.max()) + 1) for i in at]
+        cand = mixed[tuple(slice(x, y) for x, y in span)]
+        for axis in range(n):
+            cand = cand.repeat(2, axis=axis)
+        lo = tuple(2 * (a + x) for a, (x, _) in zip(lo, span))
+    empty = np.zeros((n, 0), np.int64)
+    return out + [(r, empty) for r in range(len(out), refine_max + 1)]
 
 
 def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):

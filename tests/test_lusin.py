@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -264,11 +265,11 @@ class TestLusinTruncate:
         assert T == 1.4541666666666664
 
 
-def _heisenberg_cut():
-    """The heisenberg data, cut to zero beyond x = 0.37."""
+def _heisenberg_cut(at=0.37, beyond=0.0):
+    """The heisenberg data, replaced by the value beyond past x = at."""
 
     def cut(fn):
-        return lambda p: np.where(p[:, 0] <= 0.37, fn(p), 0.0)
+        return lambda p: np.where(p[:, 0] <= at, fn(p), beyond)
 
     return FieldCollection.from_map(
         "heisenberg_cut",
@@ -276,6 +277,51 @@ def _heisenberg_cut():
         1,
         {(1, 0): cut(lambda p: 2.0 * p[:, 1]), (0, 1): cut(lambda p: -2.0 * p[:, 0])},
     )
+
+
+class TestNonFiniteData:
+    """The heisenberg data, replaced by a non-finite value beyond x = 0.491.
+    The cut lies inside a refine_max cell of GROWTH_CFG, between its center
+    and the far side of its plateau, so that cell's center is finite and
+    its stencil is not."""
+
+    CUT = 0.491
+
+    @classmethod
+    def _build(cls, value):
+        field = _heisenberg_cut(cls.CUT, value)
+        with np.errstate(invalid="ignore"):
+            return multi_stage_build(field, UNIT_SQUARE, GROWTH_CFG)
+
+    @staticmethod
+    def _reports(cert):
+        return [
+            (r.truncation_bound, r.cells_considered, r.cells_accepted, r.reject_counts)
+            for r in cert.stage_reports
+        ]
+
+    def test_nan_data_are_never_certified(self, tmp_path):
+        # NaN compares false with everything: a NaN center fails truncation
+        # and a NaN stencil point fails oscillation, whatever T is
+        g, cert = self._build(np.nan)
+        assert self._reports(cert) == [
+            (math.inf, 45440, 800, {"truncation": 33280, "oscillation": 256}),
+            (math.inf, 44416, 0, {"truncation": 33280, "pinch": 256}),
+        ]
+        boxes = np.concatenate(cert.covered_cells)
+        assert boxes.shape[0] == 800 and boxes[:, 2].max() < self.CUT
+        assert all(np.isfinite(b.coeffs).all() for b in g.blocks)
+        harness.save_function(g, UNIT_SQUARE, str(tmp_path / "g.lkf"))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_data_fail_the_sup_caps(self, value):
+        # an infinite center passes truncation at T = +inf, then fails the
+        # sup caps; an infinite stencil point fails oscillation
+        _, cert = self._build(value)
+        assert self._reports(cert) == [
+            (math.inf, 45440, 800, {"supnorm": 33280, "oscillation": 256}),
+            (math.inf, 44416, 0, {"pinch": 33536}),
+        ]
 
 
 class TestResidual:
@@ -669,6 +715,33 @@ class TestBatching:
         )
         assert got == self.LATER_STAGES[case]
 
+    def test_each_seed_center_is_evaluated_once(self, monkeypatch):
+        # the truncation level and the seed batches share one residual call
+        name, cfg, _ = self.CASES["pwl_permissive"]
+        seeds, centers = [], []
+        run_stage, residual = lusin._run_stage, FieldCollection.residual
+
+        def spy_stage(*args, **kwargs):
+            seeds.append(kwargs["seeds"])
+            return run_stage(*args, **kwargs)
+
+        def spy_residual(field, g, rows):
+            if rows[0].shape[0] == 1:  # single points, not stencils
+                centers.append((len(seeds), np.stack([r[0] for r in rows], axis=1)))
+            return residual(field, g, rows)
+
+        monkeypatch.setattr(lusin, "_run_stage", spy_stage)
+        monkeypatch.setattr(FieldCollection, "residual", spy_residual)
+        multi_stage_build(field_catalog(name), UNIT_SQUARE, cfg)
+        assert len(seeds) == 3
+        for stage, entries in enumerate(seeds, 1):
+            points = np.concatenate([c for s, c in centers if s == stage])
+            seen = Counter(map(tuple, points.tolist()))
+            for r, idx in entries:
+                h = 1.0 / cfg.grid / 2**r
+                for center in (idx * h + h / 2.0).T.tolist():
+                    assert seen[tuple(center)] == 1
+
     def test_flagship_memory_stays_bounded(self):
         # the flagship settings: 1024^2 cells at level 4 of stage 1, and a
         # stage 2 seeded from free cells of every level
@@ -858,24 +931,55 @@ class TestCoverageTable:
                     mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
                 yield mask
 
+    @staticmethod
+    def _check_free_cells(covered, grid, refine_max):
+        """_free_cells of the mask's table against brute force."""
+        n = covered.ndim
+        got = lusin._free_cells(_coverage_table(covered), grid, refine_max)
+        assert [r for r, _ in got] == list(range(refine_max + 1))
+        for r, cells in got:
+            cells = cells.T
+            # maximal free cells in C order: free, with a covered parent
+            f = 2 ** (refine_max - r)
+            want = [
+                idx
+                for idx in np.ndindex(*(grid * 2**r,) * n)
+                if not _block(covered, idx, f).any()
+                and (r == 0 or _block(covered, [i // 2 for i in idx], 2 * f).any())
+            ]
+            npt.assert_array_equal(cells, np.array(want, np.int64).reshape(-1, n))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_free_cells_match_brute_force(self, n):
         grid, refine_max = self.SHAPES[n]
         rng = np.random.default_rng(n)
         for covered in self._masks(rng, n, grid * 2**refine_max):
-            got = lusin._free_cells(_coverage_table(covered), grid, refine_max)
-            assert [r for r, _ in got] == list(range(refine_max + 1))
-            for r, cells in got:
-                cells = cells.T
-                # maximal free cells in C order: free, with a covered parent
-                f = 2 ** (refine_max - r)
-                want = [
-                    idx
-                    for idx in np.ndindex(*(grid * 2**r,) * n)
-                    if not _block(covered, idx, f).any()
-                    and (r == 0 or _block(covered, [i // 2 for i in idx], 2 * f).any())
-                ]
-                npt.assert_array_equal(cells, np.array(want, np.int64).reshape(-1, n))
+            self._check_free_cells(covered, grid, refine_max)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corner_and_whole_table_coverage(self, n):
+        # coverage in one corner, so each level reads a window cropped to
+        # it, at the low end and at the high end of every axis; and level-0
+        # zero-data cells covering the whole table
+        grid, refine_max = self.SHAPES[n]
+        side = grid * 2**refine_max
+        theta, h0 = 0.5, 1.0 / grid
+        near = np.argwhere(np.ones((3,) * n, bool))
+        cases = (
+            [(refine_max, near, None)],
+            [(refine_max, side - 1 - near, np.ones((1, 1)))],
+            [(0, np.argwhere(np.ones((grid,) * n, bool)), None)],
+        )
+        for accepted in cases:
+            sat = np.zeros((side + 1,) * n, np.int32)
+            lusin._paint(sat, _axis_major(accepted), refine_max, theta)
+            boxes = TestPaintBoxes._boxes(accepted, np.zeros(n), h0, theta)
+            fine = 2 * round(1 / theta)
+            h_fine = h0 / 2**refine_max / fine
+            want = _fine_painted_mask(boxes, np.zeros(n), h_fine, side * fine, fine)
+            npt.assert_array_equal(sat, _coverage_table(want))
+            self._check_free_cells(want, grid, refine_max)
+        assert want.all()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pinch_matches_chessboard_oracle(self, n):

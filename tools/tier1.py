@@ -4,16 +4,17 @@
 
 Runs `python -m pytest -q --continue-on-collection-errors` from the
 repository root with src/ first on PYTHONPATH, as ROADMAP.md gives it,
-skipping and deselecting nothing, and prints the outcome counts.  Exits 0
-when the failing and erroring tests are exactly the three red acceptance
-tests, 3a, 3b and 7b, and 1 otherwise: a new failure and a red test turning
-green both show, and are listed.
+skipping and deselecting nothing, and prints the outcome counts and the
+run's wall time.  Exits 0 when the failing and erroring tests are exactly
+the three red acceptance tests, 3a, 3b and 7b, and 1 otherwise: a new
+failure and a red test turning green both show, and are listed.
 """
 
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,9 +34,11 @@ def main() -> int:
     )
     command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     # -rfE lists every failure and error by node id in the summary
+    start = time.perf_counter()
     run = subprocess.run(
         [*command, "-rfE"], cwd=ROOT, env=env, capture_output=True, text=True
     )
+    wall = time.perf_counter() - start
     lines = run.stdout.splitlines()
     failing = {
         line.split()[1]
@@ -44,7 +47,8 @@ def main() -> int:
     }
     summary = lines[-1] if lines else ""
     counts = re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", summary)
-    print(", ".join(f"{count} {kind}" for count, kind in counts) or "no counts")
+    outcome = ", ".join(f"{count} {kind}" for count, kind in counts) or "no counts"
+    print(f"{outcome} in {wall:.1f} s")
     new, green = sorted(failing - RED), sorted(RED - failing)
     for node in new:
         print(f"new failure: {node}")
