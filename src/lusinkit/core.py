@@ -123,18 +123,24 @@ def _order_rows(n: int, m: int):
     return by_order, tuple(up[rows] for rows in by_order[:m])
 
 
-def _fold_columns(ufunc, a: np.ndarray):
-    """ufunc folded left to right across the last axis of a.
+def _fold_columns(ufunc, a, out=None):
+    """ufunc folded left to right across the last axis of the array a, or
+    over a sequence a of equal-shape arrays, written to out if given.
 
     One pass per column: numpy reduces a trailing axis only a few entries
     wide one short row at a time, many times slower.  The result equals
     ufunc.reduce(a, axis=-1) bit for bit for maximum and the logical ufuncs,
     and for add over fewer than 8 columns, where numpy sums left to right.
     """
-    out = a[..., 0]
-    for k in range(1, a.shape[-1]):
-        out = ufunc(out, a[..., k])
-    return out[()]
+    if isinstance(a, np.ndarray):
+        a = [a[..., k] for k in range(a.shape[-1])]
+    acc = a[0]
+    for col in a[1:]:
+        acc = ufunc(acc, col, out=out)
+    if out is not None and len(a) == 1:
+        np.copyto(out, acc)
+        acc = out
+    return acc[()]
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +273,18 @@ class LogModulus(Modulus):
 
     def sup_ratio(self, delta):
         arr = _positive_array(delta)
-        out = np.full(arr.shape, math.e)
-        # mu(t)/t = 1/(t log(1/t)) is decreasing up to 1/e, constant e after
-        small = arr < INV_E
-        t = arr[small]
-        with np.errstate(over="ignore"):
-            inv = 1.0 / t
-        # 1/t overflows below about 5.6e-309, where the ratio passes 1e305
-        out[small] = np.where(np.isinf(inv), math.inf, 1.0 / (t * np.log(inv)))
+        # mu(t)/t = 1/(t log(1/t)) is decreasing up to 1/e, constant e after:
+        # computed everywhere in one array, then patched
+        out = np.empty_like(arr)
+        with np.errstate(over="ignore", divide="ignore"):
+            np.divide(1.0, arr, out=out)
+            np.log(out, out=out)
+            out *= arr
+            np.divide(1.0, out, out=out)
+        # 1/t overflows below about 5.6e-309, where the ratio passes 1e305:
+        # the only place below 1/e where the quotient reads 0
+        np.copyto(out, math.inf, where=out == 0.0)
+        np.copyto(out, math.e, where=~(arr < INV_E))
         return _match_shape(out, delta)
 
     def spec_dict(self) -> dict:
@@ -542,37 +552,56 @@ def cell_derivative_bounds(
     |D^g' P| <= sum_{alpha >= g'} |c_alpha| w^{|alpha|-|g'|} / (alpha-g')!,
     so it is a true sup bound, not an estimate.
     """
-    idx, pos, poly_terms, leibniz = _bound_plan(n, m)
+    idx = _index_table(n, m)[0]
     if coeffs.ndim != 2 or coeffs.shape[1] != len(idx):
         raise ValueError("coeffs must have shape (N, %d)" % len(idx))
+    live = {c: np.abs(coeffs[:, c]) for c in range(len(idx)) if coeffs[:, c].any()}
+    return _live_bounds(profile, n, m, live, coeffs.shape[0], half_width)
+
+
+def _live_bounds(profile, n, m, live: dict, N: int, half_width: float) -> np.ndarray:
+    """cell_derivative_bounds from the live coefficient columns: live maps a
+    column to its absolute values (N,), and a column it leaves out is zero
+    in all N cells.
+
+    For a positive half width every addend is +0 or more (or NaN).  A dead
+    column, or a sum with no live term, adds +0 unless its factor is not
+    finite, so sums start at their first live term, exactly as from zero,
+    and listing a zero column changes no bit.  Each sum is accumulated in
+    place, in the plan's order, the output rows included.
+    """
+    idx, pos, poly_terms, leibniz = _bound_plan(n, m)
     A = profile.derivative_maxima
     theta = profile.theta
-    # For a positive half width every addend is +0 or more (or NaN).  A dead
-    # column, or a sum with no live term, adds +0 unless its factor is not
-    # finite, so sums start at their first live term, exactly as from zero.
-    nil = np.zeros(coeffs.shape[0])
-    ac = {c: np.abs(coeffs[:, c]) for c in range(len(idx)) if coeffs[:, c].any()}
+    nil = np.zeros(N)
     ub: dict[tuple[int, ...], np.ndarray | None] = {}
     for gp in idx:
         tot = None
         for col, deg, invfact, _ in poly_terms[gp]:
             w = half_width**deg * invfact
-            if col in ac or not math.isfinite(w):
-                term = ac.get(col, nil) * w
-                tot = term if tot is None else tot + term
+            if col in live or not math.isfinite(w):
+                term = live.get(col, nil) * w
+                if tot is None:
+                    tot = term
+                else:
+                    tot += term
         ub[gp] = tot
-    out = np.empty((len(idx), coeffs.shape[0]))
+    out = np.empty((len(idx), N))
     for g, gamma in enumerate(idx):
-        tot = None
+        row = None
         for beta, comb, gp in leibniz[gamma]:
             afac = 1.0
             for b in beta:
                 afac *= A[b]
             w = comb * afac / (theta * half_width) ** sum(beta)
             if ub[gp] is not None or not math.isfinite(w):
-                term = w * (nil if ub[gp] is None else ub[gp])
-                tot = term if tot is None else tot + term
-        out[g] = nil if tot is None else tot
+                u = nil if ub[gp] is None else ub[gp]
+                if row is None:
+                    row = np.multiply(w, u, out=out[g])
+                else:
+                    row += w * u
+        if row is None:
+            out[g] = nil
     return out
 
 
@@ -628,6 +657,7 @@ class _Block:
         "_keys",
         "_rows",
         "_live",
+        "_reach",
     )
 
     def __init__(self, n, m, spacing, theta, stage, lows, coeffs):
@@ -647,6 +677,14 @@ class _Block:
         # the coefficient columns with a nonzero entry: the others add nothing
         self._live = frozenset(np.flatnonzero(self.coeffs.any(axis=0)).tolist())
         self.origin = self.lows.min(axis=0)
+        # per axis, the bounding lattice grown by one cell on every side: no
+        # point outside it floors into one of the cells
+        self._reach = list(
+            zip(
+                (self.origin - self.spacing).tolist(),
+                (self.lows.max(axis=0) + 2.0 * self.spacing).tolist(),
+            )
+        )
         rel = (self.lows - self.origin) / self.spacing
         idx = np.rint(rel)
         if not np.all(np.abs(rel - idx) <= _LATTICE_TOL):
@@ -909,8 +947,10 @@ class BumpPolySum:
         its columns x[0][:, p], ..., x[n-1][:, p]: entry [j, a_1, ..., a_n, p]
         is D^gammas[j] of the sum at (x[0][a_1, p], ..., x[n-1][a_n, p]), the
         one evaluation kernel (_Block.add_jet) summed over the blocks.  A
-        1-point row (k = 1) is a single point, and every grid point gets the
-        bits it gets as one.
+        block is skipped when the box of all the coordinates misses its
+        bounding lattice grown by one cell, as no point then lies in its
+        cells.  A 1-point row (k = 1) is a single point, and every grid point
+        gets the bits it gets as one.
         """
         gammas = self._check_gammas(gammas)
         x = [np.asarray(xi, float) for xi in x]
@@ -919,8 +959,14 @@ class BumpPolySum:
             raise ValueError(f"need {self._n} grid rows (k, P) for dimension {self._n}")
         k, P = shape
         out = np.zeros((len(gammas),) + (k,) * self._n + (P,))
+        if not out.size:
+            return out
+        # a NaN bound compares false, so it misses no block
+        lo = [xi.min() for xi in x]
+        hi = [xi.max() for xi in x]
         for b in self._blocks:
-            b.add_jet(x, gammas, out)
+            if not any(h < a or l > z for (a, z), l, h in zip(b._reach, lo, hi)):
+                b.add_jet(x, gammas, out)
         return out
 
     def _check_gammas(self, gammas) -> list:

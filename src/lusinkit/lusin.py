@@ -24,8 +24,9 @@ from .core import (
     BumpPolySum,
     CutoffProfile,
     StageReport,
+    _fold_columns,
+    _live_bounds,
     _order_rows,
-    cell_derivative_bounds,
     enumerate_multiindices,
     stage_weight,
 )
@@ -176,6 +177,45 @@ def _stencil_osc(field: FieldCollection, g: BumpPolySum, centers, center_vals, r
     return out
 
 
+def _bound_maxima(profile: CutoffProfile, n: int, top: np.ndarray, hw: float, modulus):
+    """The per-cell reductions the bound checks read, for cells of
+    half-width hw whose data are the rows of top: one per order-m index, in
+    _order_rows order, one column per cell.  top is overwritten.
+
+    Returns (bmax, lip, env), each reduced over cell_derivative_bounds's
+    rows: for each order q < m, bmax[q] is the cell's largest order-q sup
+    bound and lip[q] its largest order-q Lipschitz norm, the root sum of
+    squares of the bounds of a derivative's n raises; env is the modulus
+    envelope 2 S M(S/L) with S = bmax[m - 1] and L = lip[m - 1].  Every
+    reduction runs in place, left to right in row order, which gives the
+    bits of numpy's max and sum over the gathered rows.
+    """
+    m = profile.order
+    by_order, raises = _order_rows(n, m)
+    N = top.shape[1]
+    live = dict(zip(by_order[m].tolist(), np.abs(top, out=top)))
+    bounds = _live_bounds(profile, n, m, live, N, hw)
+    bmax = np.empty((m, N))
+    for q in range(m):
+        _fold_columns(np.maximum, [bounds[r] for r in by_order[q]], bmax[q])
+    # past the maxima only squares are read, and row 0, of order 0, is no raise
+    np.square(bounds[1:], out=bounds[1:])
+    lip = np.empty((m, N))
+    norm = np.empty(N)
+    for q in range(m):
+        for j, ups in enumerate(raises[q]):
+            acc = norm if j else lip[q]
+            _fold_columns(np.add, [bounds[u] for u in ups], acc)
+            np.sqrt(acc, out=acc)
+            if j:
+                np.maximum(lip[q], acc, out=lip[q])
+    S, L = bmax[m - 1], lip[m - 1]
+    # infinite data give inf / inf: NaN, whose ratio is e
+    with np.errstate(invalid="ignore"):
+        ratio = S / L
+    return bmax, lip, 2.0 * S * modulus.sup_ratio(ratio)
+
+
 def _batches(parents, scale: int, shifts):
     """A queue entry's cells scale * parent + shift, parent-major, as (n, B)
     arrays of whole parents, at most _BATCH cells each unless one parent
@@ -241,7 +281,7 @@ def _run_stage(
     """
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
-    by_order, raises = _order_rows(n, m)
+    by_order = _order_rows(n, m)[0]
     K = sum(b.size for b in by_order)
     w_mod = stage_weight(stage)
     b_sup = cfg.sigma * w_mod
@@ -301,29 +341,23 @@ def _run_stage(
             ti = np.flatnonzero(~zero & (code == 0))
 
             if ti.size:
-                coeffs = np.zeros((K, ti.size))
-                coeffs[by_order[m]] = vals.take(ti, axis=1)
-                bounds = cell_derivative_bounds(profile, n, m, coeffs.T, hw)
-                bmax = np.stack([bounds[by_order[q]].max(axis=0) for q in range(m)])
-                lip = [
-                    np.sqrt((bounds[raises[q]] ** 2).sum(axis=1)).max(axis=0)
-                    for q in range(m)
-                ]
-                S_t, L_t = bmax[m - 1], lip[m - 1]
-                env_t = 2.0 * S_t * cfg.modulus.sup_ratio(S_t / L_t)
-                lip_low = np.stack(lip[: m - 1] or [np.zeros(ti.size)]).max(axis=0)
+                top = vals.take(ti, axis=1)
+                bmax, lip, env_t = _bound_maxima(profile, n, top, hw, cfg.modulus)
                 code[ti[env_t > w_mod]] = 5
-                code[ti[lip_low > b_sup]] = 4
-                code[ti[S_t > b_sup / sqrt_n]] = 3
+                if m > 1:
+                    lip_low = lip[: m - 1].max(axis=0)
+                    code[ti[lip_low > b_sup]] = 4
+                code[ti[bmax[m - 1] > b_sup / sqrt_n]] = 3
                 if sat is None:
                     code[ti[(bmax > b_sup).any(axis=0)]] = 2
                 else:
                     # a failing cell splits whatever its pinch below refine_max
-                    pc = np.flatnonzero((code[ti] == 0) | (level == cfg.refine_max))
+                    pc = np.s_[:] if level == cfg.refine_max else code[ti] == 0
+                    at = ti[pc]
                     f = 2 ** (cfg.refine_max - level)
                     worst = bmax[:, pc].max(axis=0)
-                    near = idx.take(ti[pc], axis=1)
-                    code[ti[pc[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]]] = 2
+                    near = idx.take(at, axis=1)
+                    code[at[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]] = 2
 
             # zero cells and cells passing every bound check, in cell order
             si = np.flatnonzero(code == 0)
@@ -341,7 +375,8 @@ def _run_stage(
                 term_vals.append(vals.take(oi, axis=1))
                 k = np.searchsorted(ti, oi)
                 sup_acc = np.maximum(sup_acc, bmax[:, k].max(axis=1))
-                lip_acc = max(lip_acc, lip_low[k].max())
+                if m > 1:
+                    lip_acc = max(lip_acc, lip_low[k].max())
                 env_acc = max(env_acc, env_t[k].max())
 
             if level < cfg.refine_max:
@@ -426,10 +461,16 @@ def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarra
         for c, s in zip(cells * f, side ** np.arange(n - 1, -1, -1))
     ]
     flat = sat.reshape(-1)
-    count = np.zeros(cells.shape[1], np.int64)
-    for corner in itertools.product((0, 1), repeat=n):
-        at = sum(ends[i][c] for i, c in enumerate(corner))
-        count += (-1) ** (n - sum(corner)) * np.take(flat, at)
+    # the high corner first, whose sign is +; the int32 partial sums stay
+    # within 2^n times the mask's cells, which the mask budget keeps below 2^31
+    count = None
+    for corner in itertools.product((1, 0), repeat=n):
+        at = sum((ends[i][c] for i, c in enumerate(corner) if i), ends[0][corner[0]])
+        v = np.take(flat, at)
+        if count is None:
+            count = v
+        else:
+            (np.subtract if (n - sum(corner)) % 2 else np.add)(count, v, out=count)
     return count
 
 

@@ -125,6 +125,74 @@ class TestLogModulus:
         assert 1e305 < got[3] < math.inf
 
 
+def _reference_log_sup_ratio(delta):
+    """LogModulus.sup_ratio before it ran in one pass, kept verbatim as an
+    oracle: it gathers the entries below 1/e and scatters their ratios."""
+    arr = np.asarray(delta, dtype=float)
+    if np.any(arr <= 0):
+        raise ValueError("delta must be positive")
+    out = np.full(arr.shape, math.e)
+    small = arr < INV_E
+    t = arr[small]
+    with np.errstate(over="ignore"):
+        inv = 1.0 / t
+    out[small] = np.where(np.isinf(inv), math.inf, 1.0 / (t * np.log(inv)))
+    if np.isscalar(delta) or getattr(delta, "ndim", 1) == 0:
+        return float(out)
+    return out
+
+
+class TestLogSupRatioOracle:
+    """The one-pass sup_ratio must give the reference's bits everywhere."""
+
+    EDGES = [
+        INV_E,
+        np.nextafter(INV_E, 0.0),
+        np.nextafter(INV_E, 1.0),
+        5e-324,
+        1e-300,
+        5.6e-309,
+        1.0,
+        math.e,
+        1e308,
+        math.nan,
+        math.inf,
+    ]
+
+    def _deltas(self):
+        rng = np.random.default_rng(3)
+        return np.concatenate([self.EDGES, 10.0 ** rng.uniform(-320, 3, size=2000)])
+
+    def test_arrays_equal_reference_bit_for_bit(self):
+        d = self._deltas()
+        mu = LogModulus()
+        for arr in (d, d[:2010].reshape(201, 10), d[:2010].reshape(10, 201).T, d[::3]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = mu.sup_ratio(arr)
+            want = _reference_log_sup_ratio(arr)
+            assert got.shape == arr.shape
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(d).any() and (mu.sup_ratio(d)[np.isnan(d)] == math.e).all()
+
+    def test_scalars_equal_reference_and_are_floats(self):
+        mu = LogModulus()
+        for v in self.EDGES + [0.25, 1e-3]:
+            for delta in (v, np.float64(v), np.array(v)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = mu.sup_ratio(delta)
+                want = _reference_log_sup_ratio(delta)
+                assert type(got) is float
+                bits = np.array([got, want]).view(np.uint64)
+                assert bits[0] == bits[1]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, [0.5, 0.0], [[1e-3], [-math.inf]]])
+    def test_refuses_non_positive(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            LogModulus().sup_ratio(bad)
+
+
 class TestPowerModulus:
     def test_values_and_sup_ratio(self):
         mu = PowerModulus(0.5)
@@ -1001,6 +1069,14 @@ class TestFoldColumns:
             _fold_columns(np.logical_and, lit), np.all(lit, axis=-1)
         )
         assert np.shape(_fold_columns(np.maximum, a)) == shape
+        # a sequence of the columns, written to out, gives the same bits
+        for ufunc, arr in ((np.maximum, a), (np.add, a * a)):
+            cols = [arr[..., k].copy() for k in range(n)]
+            out = np.full(shape, 7.0)
+            _fold_columns(ufunc, cols, out)
+            want = np.asarray(_fold_columns(ufunc, arr))
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+            npt.assert_array_equal(cols[0], arr[..., 0])
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_box_contains(self, n):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -9,13 +10,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lusinkit import harness, lusin
+from lusinkit import core, harness, lusin
 from lusinkit.core import (
     BoxDomain,
+    CutoffProfile,
     LogModulus,
     PiecewiseLinearModulus,
     PowerModulus,
     StageReport,
+    _order_rows,
+    cell_derivative_bounds,
 )
 from lusinkit.harness import tail_pinch_check
 from lusinkit.lusin import (
@@ -290,7 +294,9 @@ class TestNonFiniteData:
     @classmethod
     def _build(cls, value):
         field = _heisenberg_cut(cls.CUT, value)
-        with np.errstate(invalid="ignore"):
+        # non-finite data are refused by the checks, never by a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             return multi_stage_build(field, UNIT_SQUARE, GROWTH_CFG)
 
     @staticmethod
@@ -387,6 +393,154 @@ class TestResidual:
                 straddle |= np.any(~one)
                 inside |= np.any(one & (where[0] >= 0))
             assert straddle and inside
+
+    @staticmethod
+    def _center_batches(g, dom, rng):
+        """Batches of centers (n, B): random ones over the box, each block's
+        cell centers, and points on, inside and just past each block's
+        bounding lattice grown by one cell, alone or beside a NaN."""
+        lo, hi = np.array(dom.lower), np.array(dom.upper)
+        out = [rng.uniform(lo, hi, size=(50, 2)).T]
+        for blk in g.blocks:
+            s = blk.spacing
+            first, last = blk.origin, blk.lows.max(axis=0) + s
+            out.append((blk.lows + blk.half_width).T)
+            for edge in (first - s, first - s / 2, last + s / 2, last + s):
+                for side in (-np.inf, np.inf):
+                    pt = np.nextafter(edge, side)
+                    # one coordinate at the edge, the other in the block
+                    for i in range(2):
+                        c = first + s / 2
+                        c[i] = pt[i]
+                        out.append(c[:, None])
+                out.append(np.nextafter(edge, side)[:, None])
+            nan = (blk.lows[:3] + blk.half_width).T.copy()
+            nan[0, 0] = np.nan
+            out.append(nan)
+        return out
+
+    @staticmethod
+    def _every_block(g, rows, gammas):
+        """grid_jet summed over every block, none skipped: the oracle."""
+        k, P = rows[0].shape
+        out = np.zeros((len(gammas),) + (k,) * g.dimension + (P,))
+        for blk in g.blocks:
+            blk.add_jet(rows, gammas, out)
+        return out
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_skipping_far_blocks_keeps_every_bit(self, cut_build, k):
+        field, g = cut_build
+        batches = self._center_batches(g, self.DOM, np.random.default_rng(5))
+        unit = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
+        reach = min(blk.spacing for blk in g.blocks) / 2.0
+        for centers in batches:
+            rows = [c + unit[:, None] * reach for c in centers]
+            want = self._every_block(g, rows, field.alphas)
+            got = g.grid_jet(rows, field.alphas)
+            npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            if k == 1:
+                res = field.residual(g, rows)[:, 0]
+                want = field.evaluate(centers.T).T - want.reshape(res.shape)
+                npt.assert_array_equal(res.view(np.int64), want.view(np.int64))
+        # the blocks change the residual at their own centers
+        inside = batches[1]
+        res = field.residual(g, list(inside[:, None]))[:, 0]
+        assert (res != field.evaluate(inside.T).T).any()
+        # rows with no points reach no block
+        empty = g.grid_jet([np.empty((k, 0))] * 2, field.alphas)
+        assert empty.shape == (len(field.alphas),) + (k, k) + (0,)
+
+    def test_grid_jet_skips_only_far_blocks(self, cut_build, monkeypatch):
+        field, g = cut_build
+        calls = []
+        add_jet = core._Block.add_jet
+
+        def counting(blk, x, gammas, out):
+            calls.append(blk)
+            return add_jet(blk, x, gammas, out)
+
+        monkeypatch.setattr(core._Block, "add_jet", counting)
+
+        def residual(centers):
+            return field.residual(g, list(centers[:, None]))[:, 0]
+
+        blk = g.blocks[0]
+        s, far = blk.spacing, blk.lows.max(axis=0) + 2.0 * blk.spacing
+        # just past the grown box on axis 0: no block of the build is that far
+        # right, as the cut data vanish there
+        beyond = np.array([[np.nextafter(far[0], np.inf)], [blk.origin[1] + s / 2]])
+        assert all(beyond[0, 0] > b.lows[:, 0].max() + 2 * b.spacing for b in g.blocks)
+        residual(beyond)
+        assert calls == []
+        for edge in (far, blk.origin - s):
+            residual(np.array([[edge[0]], [blk.origin[1] + s / 2]]))
+            assert blk in calls
+            calls.clear()
+        # a NaN coordinate skips nothing
+        residual(np.array([[beyond[0, 0], np.nan], [beyond[1, 0]] * 2]))
+        assert len(calls) == len(g.blocks)
+
+
+def _reference_bound_maxima(profile, n, top, hw, modulus):
+    """The builder's bound reductions before they ran in place, kept
+    verbatim as an oracle: the top-order rows zero-padded into a full
+    coefficient matrix, and max and sum over gathered rows of the table."""
+    m = profile.order
+    by_order, raises = _order_rows(n, m)
+    K = sum(b.size for b in by_order)
+    coeffs = np.zeros((K, top.shape[1]))
+    coeffs[by_order[m]] = top
+    bounds = cell_derivative_bounds(profile, n, m, coeffs.T, hw)
+    bmax = np.stack([bounds[by_order[q]].max(axis=0) for q in range(m)])
+    lip = [np.sqrt((bounds[raises[q]] ** 2).sum(axis=1)).max(axis=0) for q in range(m)]
+    S_t, L_t = bmax[m - 1], lip[m - 1]
+    with np.errstate(invalid="ignore"):
+        env_t = 2.0 * S_t * modulus.sup_ratio(S_t / L_t)
+    return bmax, np.stack(lip), env_t
+
+
+class TestBoundMaximaOracle:
+    """lusin._bound_maxima must give the reference's bits for every order
+    and dimension, zero columns and non-finite data included."""
+
+    @staticmethod
+    def _top(n, m, rng):
+        kt = len(_order_rows(n, m)[0][m])
+        top = rng.normal(size=(kt, 300)) * 10.0 ** rng.uniform(-3, 3, size=300)
+        top[:, 10] = 0.0
+        top[0, 11] = np.nan
+        top[-1, 12] = np.inf
+        top[0, 13] = -np.inf
+        top[:, 14] = [np.inf, -np.inf] * (kt // 2) + [np.nan] * (kt % 2)
+        tops = {"mixed": top}
+        if kt > 1:
+            # one top-order column zero in every cell
+            dead = top.copy()
+            dead[kt // 2] = 0.0
+            tops["dead_column"] = dead
+        return tops
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_reference_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        for theta in (0.5, 0.125):
+            profile = CutoffProfile(m, theta)
+            for name, top in self._top(n, m, rng).items():
+                for hw in (1e-12, 2.0**-11, 0.3, 1e6):
+                    for modulus in (LogModulus(), PowerModulus(0.5)):
+                        want = _reference_bound_maxima(profile, n, top, hw, modulus)
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            got = lusin._bound_maxima(
+                                profile, n, top.copy(), hw, modulus
+                            )
+                        for a, b in zip(got, want):
+                            assert a.shape == b.shape
+                            npt.assert_array_equal(
+                                a.view(np.uint64), b.view(np.uint64), err_msg=name
+                            )
 
 
 class TestSingleStage:
