@@ -17,8 +17,8 @@ point gets the bits the same single point gets, and
 jet's output, one column per multi-index, is column-major (Fortran-ordered).
 Every entry point sums all blocks: a part of the sum, such as the later
 stages' tail, is the sum of those blocks, BumpPolySum(n, m, blocks).  The
-kernel and the cell bounds touch only live coefficient columns, those with a
-nonzero entry.
+kernel touches only live coefficient columns, those with a nonzero entry; the
+cell bounds take the top-order columns, the only ones the builder writes.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -103,17 +103,10 @@ def dominates(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _index_table(n: int, m: int):
-    idx = tuple(multiindices_upto(n, m))
-    pos = {a: i for i, a in enumerate(idx)}
-    return idx, pos
-
-
-@lru_cache(maxsize=None)
 def _order_rows(n: int, m: int):
-    """Coefficient rows, in _index_table order, of each order q <= m, and
-    for each index of order q < m the rows of its n first-order raises."""
-    idx, pos = _index_table(n, m)
+    """Coefficient rows, in _bound_plan's index order, of each order q <= m,
+    and for each index of order q < m the rows of its n first-order raises."""
+    idx, pos = _bound_plan(n, m)[:2]
     orders = np.array([sum(a) for a in idx])
     by_order = tuple(np.flatnonzero(orders == q) for q in range(m + 1))
     # the row of a + e_i for each index a and axis i, -1 past order m
@@ -497,11 +490,9 @@ class CutoffProfile:
         cell_derivative_bounds for unit top-order coefficients: there the
         cell size cancels, so half-width 1 gives it.
         """
-        m = self.order
-        top = _order_rows(n, m)[0][m]
-        coeffs = np.zeros((1, len(_index_table(n, m)[0])))
-        coeffs[0, top] = 1.0
-        return float(cell_derivative_bounds(self, n, m, coeffs, 1.0)[top].max())
+        top = _order_rows(n, self.order)[0][self.order]
+        bounds = cell_derivative_bounds(self, n, np.ones((top.size, 1)), 1.0)
+        return float(bounds[top].max())
 
 
 def _subindices(gamma: tuple[int, ...]):
@@ -514,8 +505,11 @@ def _subindices(gamma: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def _bound_plan(n: int, m: int):
-    """Static combinatorics shared by cell_derivative_bounds."""
-    idx, pos = _index_table(n, m)
+    """Static combinatorics of the multi-indices of order <= m, shared by
+    cell_derivative_bounds, the evaluation kernel and _order_rows: the
+    indices, their positions, and the polynomial and Leibniz sum terms."""
+    idx = tuple(multiindices_upto(n, m))
+    pos = {a: i for i, a in enumerate(idx)}
     poly_terms = {}
     for gp in idx:
         rows = []
@@ -540,37 +534,35 @@ def _bound_plan(n: int, m: int):
 
 
 def cell_derivative_bounds(
-    profile: CutoffProfile, n: int, m: int, coeffs: np.ndarray, half_width: float
+    profile: CutoffProfile, n: int, top: np.ndarray, half_width: float
 ) -> np.ndarray:
     """Sup bounds over the cell for every derivative of a batch of cell terms.
 
-    coeffs has shape (N, K) with K = len(multiindices_upto(n, m)); row j holds
-    the c_alpha of term_j = cutoff(x) * sum_alpha c_alpha (x-c)^alpha / alpha!.
-    Returns an array (K, N): entry [g, j] bounds sup |D^gamma term_j| over the
-    cell, gamma the g-th multi-index.  The bound combines the Leibniz rule,
-    the profile's derivative maxima, and coefficientwise polynomial bounds
+    With m = profile.order, top has shape (K_m, N), K_m the number of order-m
+    multi-indices: row r holds the |c_alpha| of the r-th of them, in
+    _order_rows order, and column j those of term_j = cutoff(x) *
+    sum_{|alpha| = m} c_alpha (x-c)^alpha / alpha!, centered on its cell.
+    Returns an array (K, N) with K = len(multiindices_upto(n, m)): entry
+    [g, j] bounds sup |D^gamma term_j| over the cell, gamma the g-th
+    multi-index.  The bound combines the Leibniz rule, the profile's
+    derivative maxima, and coefficientwise polynomial bounds
     |D^g' P| <= sum_{alpha >= g'} |c_alpha| w^{|alpha|-|g'|} / (alpha-g')!,
     so it is a true sup bound, not an estimate.
+
+    For a positive half width every addend is +0 or more (or NaN).  A
+    lower-order column, or a sum with no top-order term, adds +0 unless its
+    factor is not finite, so sums start at their first top-order term,
+    exactly as from zero.  Each sum is accumulated in place, in the plan's
+    order, the output rows included.
     """
-    idx = _index_table(n, m)[0]
-    if coeffs.ndim != 2 or coeffs.shape[1] != len(idx):
-        raise ValueError("coeffs must have shape (N, %d)" % len(idx))
-    live = {c: np.abs(coeffs[:, c]) for c in range(len(idx)) if coeffs[:, c].any()}
-    return _live_bounds(profile, n, m, live, coeffs.shape[0], half_width)
-
-
-def _live_bounds(profile, n, m, live: dict, N: int, half_width: float) -> np.ndarray:
-    """cell_derivative_bounds from the live coefficient columns: live maps a
-    column to its absolute values (N,), and a column it leaves out is zero
-    in all N cells.
-
-    For a positive half width every addend is +0 or more (or NaN).  A dead
-    column, or a sum with no live term, adds +0 unless its factor is not
-    finite, so sums start at their first live term, exactly as from zero,
-    and listing a zero column changes no bit.  Each sum is accumulated in
-    place, in the plan's order, the output rows included.
-    """
-    idx, pos, poly_terms, leibniz = _bound_plan(n, m)
+    m = profile.order
+    rows = _order_rows(n, m)[0][m]
+    if np.ndim(top) != 2 or len(top) != rows.size:
+        raise ValueError("top must have shape (%d, N)" % rows.size)
+    # each top-order coefficient column's row of top
+    cols = dict(zip(rows.tolist(), top))
+    N = top.shape[1]
+    idx, _, poly_terms, leibniz = _bound_plan(n, m)
     A = profile.derivative_maxima
     theta = profile.theta
     nil = np.zeros(N)
@@ -579,8 +571,8 @@ def _live_bounds(profile, n, m, live: dict, N: int, half_width: float) -> np.nda
         tot = None
         for col, deg, invfact, _ in poly_terms[gp]:
             w = half_width**deg * invfact
-            if col in live or not math.isfinite(w):
-                term = live.get(col, nil) * w
+            if col in cols or not math.isfinite(w):
+                term = cols.get(col, nil) * w
                 if tot is None:
                     tot = term
                 else:

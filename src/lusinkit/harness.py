@@ -357,6 +357,14 @@ def _report(passed, worst: float, bound: float, **extra) -> dict:
     return {"passed": passed, "worst": worst, "bound": bound, "margin": margin, **extra}
 
 
+def _unit_vectors(rng, count: int, n: int) -> np.ndarray:
+    """count uniform directions in R^n, (count, n): normal draws scaled to
+    unit length."""
+    vec = rng.standard_normal((count, n))
+    vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
+    return vec
+
+
 def _stratified_pairs(dom: BoxDomain, count: int, rng):
     """Point pairs stratified over log-spaced separation bins.
 
@@ -384,9 +392,7 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng):
             if need <= 0:
                 break
             x = _uniform_in_box(rng, dom.lower, dom.upper, need)
-            vec = rng.standard_normal((need, dom.dimension))
-            vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
-            y = x + d * vec
+            y = x + d * _unit_vectors(rng, need, dom.dimension)
             ok = np.flatnonzero(dom.contains(y))
             xs.append(x.take(ok, axis=0))
             ys.append(y.take(ok, axis=0))
@@ -403,8 +409,7 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng):
         d = np.exp(rng.uniform(np.log(1e-8 * diam), np.log(top), size=short))
         lo, hi = [a + d for a in dom.lower], [b - d for b in dom.upper]
         x2 = _uniform_in_box(rng, lo, hi, short)
-        vec = rng.standard_normal((short, dom.dimension))
-        vec /= np.sqrt(_fold_columns(np.add, vec * vec))[:, None]
+        vec = _unit_vectors(rng, short, dom.dimension)
         x = np.concatenate([x, x2])
         y = np.concatenate([y, x2 + d[:, None] * vec])
     step = x - y
@@ -550,8 +555,7 @@ def tail_pinch_check(
     each = max(1, samples // len(usable))
     for k, boxes, later in usable:
         x = _sample_in_boxes(boxes, each, rng)
-        direction = rng.standard_normal((each, n))
-        direction /= np.sqrt(_fold_columns(np.add, direction * direction))[:, None]
+        direction = _unit_vectors(rng, each, n)
         radius = np.exp(rng.uniform(math.log(1e-4), math.log(1e-1), size=each))
         pts = x + radius[:, None] * direction
         tail = _fold_columns(np.maximum, np.abs(later.jet(pts, gammas)))

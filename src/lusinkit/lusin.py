@@ -25,8 +25,8 @@ from .core import (
     CutoffProfile,
     StageReport,
     _fold_columns,
-    _live_bounds,
     _order_rows,
+    cell_derivative_bounds,
     enumerate_multiindices,
     stage_weight,
 )
@@ -193,8 +193,7 @@ def _bound_maxima(profile: CutoffProfile, n: int, top: np.ndarray, hw: float, mo
     m = profile.order
     by_order, raises = _order_rows(n, m)
     N = top.shape[1]
-    live = dict(zip(by_order[m].tolist(), np.abs(top, out=top)))
-    bounds = _live_bounds(profile, n, m, live, N, hw)
+    bounds = cell_derivative_bounds(profile, n, np.abs(top, out=top), hw)
     bmax = np.empty((m, N))
     for q in range(m):
         _fold_columns(np.maximum, [bounds[r] for r in by_order[q]], bmax[q])
@@ -449,12 +448,11 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
 def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarray:
     """Covered mask cells in each cell, grown by gap mask cells on every side.
 
-    cells (n, B) index a lattice of f mask cells per axis; gap is one
-    integer or one per cell.  Grown boxes are clipped to the mask.
+    cells (n, B) index a lattice of f mask cells per axis; gap (B,) holds
+    one integer per cell.  Grown boxes are clipped to the mask.
     """
     n = cells.shape[0]
     side = sat.shape[0]
-    gap = np.reshape(gap, -1)
     # flat offsets of each axis's low and high corner, clipped to the mask
     ends = [
         (np.maximum(c - gap, 0) * s, np.minimum(c + f + gap, side - 1) * s)

@@ -1096,20 +1096,25 @@ class TestFoldColumns:
         assert dom.contains(hi) and not dom.contains(hi + 1e-9)
 
 
+def _top_rows(n, m):
+    """Columns of the order-m indices in multiindices_upto(n, m)."""
+    return [j for j, a in enumerate(multiindices_upto(n, m)) if sum(a) == m]
+
+
 class TestCellBounds:
-    def test_bounds_dominate_dense_sampling(self):
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bounds_dominate_dense_sampling(self, n, m):
         rng = np.random.default_rng(12)
-        n, m = 2, 2
         idx = multiindices_upto(n, m)
-        coeffs = rng.normal(size=(1, len(idx)))
+        top = _top_rows(n, m)
+        coeffs = np.zeros((1, len(idx)))
+        coeffs[0, top] = rng.normal(size=len(top))
         prof = CutoffProfile(m, 0.5)
-        g = BumpPolySum(n, m).with_block(
-            np.array([[0.0, 0.0]]), 1.0, 0.5, 1, coeffs
-        )
-        bounds = cell_derivative_bounds(prof, n, m, coeffs, 0.5)
-        xs = np.linspace(0.0, 1.0, 141)
-        X, Y = np.meshgrid(xs, xs)
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        g = BumpPolySum(n, m).with_block(np.zeros((1, n)), 1.0, 0.5, 1, coeffs)
+        bounds = cell_derivative_bounds(prof, n, np.abs(coeffs[:, top]).T, 0.5)
+        xs = np.linspace(0.0, 1.0, 141 if n == 2 else 2001)
+        pts = np.stack([a.ravel() for a in np.meshgrid(*(xs,) * n)], axis=1)
         for gi, gamma in enumerate(idx):
             sampled = np.abs(g.derivative(pts, gamma)).max()
             assert sampled <= bounds[gi, 0] * (1 + 1e-12)
@@ -1119,15 +1124,9 @@ class TestCellBounds:
         n, m = 2, 2
         idx = multiindices_upto(n, m)
         prof = CutoffProfile(m, 0.5)
-        coeffs = np.zeros((1, len(idx)))
-        for a in (
-            (0, 2),
-            (1, 1),
-            (2, 0),
-        ):
-            coeffs[0, idx.index(a)] = 1.0
-        b_small = cell_derivative_bounds(prof, n, m, coeffs, 1e-4)
-        b_large = cell_derivative_bounds(prof, n, m, coeffs, 10.0)
+        top = np.ones((len(_top_rows(n, m)), 1))
+        b_small = cell_derivative_bounds(prof, n, top, 1e-4)
+        b_large = cell_derivative_bounds(prof, n, top, 10.0)
         for gi, gamma in enumerate(idx):
             if sum(gamma) == m:
                 assert b_small[gi, 0] == pytest.approx(b_large[gi, 0], rel=1e-12)
@@ -1141,9 +1140,15 @@ class TestCellBounds:
         coeffs = np.zeros((1, len(idx)))
         coeffs[0, idx.index((0, 1))] = 1.0
         coeffs[0, idx.index((1, 0))] = -1.0
-        bounds = cell_derivative_bounds(prof, n, m, coeffs, 0.25)
-        top = max(bounds[idx.index(a), 0] for a in ((0, 1), (1, 0)))
-        assert top <= prof.bound_constant(n)
+        top = _top_rows(n, m)
+        bounds = cell_derivative_bounds(prof, n, np.abs(coeffs[:, top]).T, 0.25)
+        assert bounds[top, 0].max() <= prof.bound_constant(n)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 5), (3, 5), (2, 5, 1), ()])
+    def test_top_of_wrong_shape_rejected(self, shape):
+        # n = 2, m = 1 has two order-1 indices, so top must be (2, N)
+        with pytest.raises(ValueError, match=r"top must have shape \(2, N\)"):
+            cell_derivative_bounds(CutoffProfile(1, 0.5), 2, np.ones(shape), 0.5)
 
 
 def _reference_cell_derivative_bounds(profile, n, m, coeffs, half_width):
@@ -1176,13 +1181,13 @@ def _reference_cell_derivative_bounds(profile, n, m, coeffs, half_width):
 
 
 class TestCellBoundsOracle:
-    """Bounds that skip all-zero coefficient columns must equal the
-    all-column reference bit for bit."""
+    """Bounds from the top-order rows alone must equal the all-column
+    reference on the zero-padded coefficients bit for bit."""
 
     @staticmethod
     def _coeff_sets(n, m, rng):
         idx = multiindices_upto(n, m)
-        top = [j for j, a in enumerate(idx) if sum(a) == m]
+        top = _top_rows(n, m)
         full = rng.normal(size=(40, len(idx)))
         # rows of zeros, of negative zeros, and of non-finite entries
         full[5] = 0.0
@@ -1193,7 +1198,7 @@ class TestCellBoundsOracle:
         only_top[:, top] = full[:, top]
         one = np.zeros_like(full)
         one[:, top[-1]] = full[:, top[-1]]
-        return {"top": only_top, "all": full, "one": one, "zero": np.zeros((9, len(idx)))}
+        return {"top": only_top, "one": one, "zero": np.zeros((9, len(idx)))}
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1201,6 +1206,7 @@ class TestCellBoundsOracle:
     def test_equals_reference_bit_for_bit(self, n, m, order):
         rng = np.random.default_rng(10 * n + m)
         prof = CutoffProfile(m, 0.5)
+        top = _top_rows(n, m)
         for name, coeffs in self._coeff_sets(n, m, rng).items():
             coeffs = np.asarray(coeffs, order=order)
             # the last three make some factors non-finite; as a numpy scalar,
@@ -1208,7 +1214,9 @@ class TestCellBoundsOracle:
             for hw in (0.25, 3.0, np.inf, np.nan, np.float64(1e-120)):
                 with np.errstate(all="ignore"):
                     want = _reference_cell_derivative_bounds(prof, n, m, coeffs, hw)
-                    got = cell_derivative_bounds(prof, n, m, coeffs, hw)
+                    got = cell_derivative_bounds(
+                        prof, n, np.abs(coeffs[:, top]).T, hw
+                    )
                 assert got.shape == want.shape, name
                 npt.assert_array_equal(
                     got.view(np.uint64), want.view(np.uint64), err_msg=name
