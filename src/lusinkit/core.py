@@ -19,6 +19,9 @@ Every entry point sums all blocks: a part of the sum, such as the later
 stages' tail, is the sum of those blocks, BumpPolySum(n, m, blocks).  The
 kernel touches only live coefficient columns, those with a nonzero entry; the
 cell bounds take the top-order columns, the only ones the builder writes.
+Blocks store their lower corners and coefficients column-major, as the
+kernel reads them one axis or one column at a time: each gather at the
+located cells then reads contiguous memory.
 
 All derivative evaluation here is exact, by the Leibniz rule applied to the
 closed forms of the cutoff and the polynomial.  Tests check the closed forms
@@ -468,15 +471,24 @@ class CutoffProfile:
         band = np.flatnonzero((flat > 1.0 - self.theta) & (flat < 1.0))
         if band.size:
             rows = out.reshape(kmax + 1, -1)
-            u = (flat[band] - (1.0 - self.theta)) / self.theta
+            u = flat[band]
+            u -= 1.0 - self.theta
+            u /= self.theta
             for k in range(kmax + 1):
-                # numpy's polyval recurrence, zero terms included: its bits
+                # numpy's polyval recurrence, zero terms included: its bits.
+                # Every derivative up to the order has two coefficients or more
                 coeffs = self._step_derivs[k]
-                acc = np.full_like(u, coeffs[-1])
-                for c in coeffs[-2::-1]:
+                acc = u * coeffs[-1]
+                acc += coeffs[-2]
+                for c in coeffs[-3::-1]:
                     acc *= u
                     acc += c
-                rows[k, band] = 1.0 - acc if k == 0 else -acc / self.theta**k
+                if k == 0:
+                    np.subtract(1.0, acc, out=acc)
+                else:
+                    np.negative(acc, out=acc)
+                    acc /= self.theta**k
+                rows[k, band] = acc
         return out
 
     def bound_constant(self, n: int) -> float:
@@ -611,6 +623,16 @@ _LATTICE_TOL = 1e-6
 _POINT_CHUNK = 16384
 
 
+def _column_major(a) -> np.ndarray:
+    """a as a float array whose columns are contiguous: a itself where they
+    already are, as in a column-major array or a run of its rows, else a
+    column-major (np.asfortranarray) copy."""
+    a = np.asarray(a, float)
+    if a.ndim != 2 or a.strides[0] == a.itemsize:
+        return a
+    return np.asfortranarray(a)
+
+
 class _Block:
     """Congruent cubic cells on one uniform lattice (one stage, one level).
 
@@ -632,6 +654,12 @@ class _Block:
     Single points are located all at once and evaluated in slices of at most
     _POINT_CHUNK, so the kernel's temporaries stay small enough for the heap
     to reuse; product grids are evaluated whole.
+
+    lows (N, n) and coeffs (N, K) are stored column-major, or as views whose
+    columns are contiguous (the rows of a column-major function file): the
+    kernel gathers the cells' centres one axis at a time and their
+    coefficients one column at a time, and each gather then reads one
+    contiguous column rather than every n-th or K-th value.
     """
 
     __slots__ = (
@@ -659,8 +687,8 @@ class _Block:
         self.stage = int(stage)
         if self.stage < 1:
             raise ValueError("stages are numbered from 1")
-        self.lows = np.asarray(lows, float)
-        self.coeffs = np.asarray(coeffs, float)
+        self.lows = _column_major(lows)
+        self.coeffs = _column_major(coeffs)
         if self.lows.ndim != 2 or self.lows.shape[1] != n:
             raise ValueError("lows must have shape (N, n)")
         if self.coeffs.shape[0] != self.lows.shape[0]:
@@ -716,13 +744,16 @@ class _Block:
         clamped to it, times the axis stride; int64 keeps it exact."""
         with np.errstate(over="ignore"):
             # far-out finite points may overflow to +-inf: the border holds them
-            rel = (xi - self.origin[i]) / self.spacing
+            rel = xi - self.origin[i]
+            rel /= self.spacing
             np.floor(rel, out=rel)
             rel += 1.0
             # NaN and +-inf land on the empty border too
             np.fmax(rel, 0.0, out=rel)
             np.fmin(rel, self._top[i], out=rel)
-        return rel.astype(np.int64) * self._strides[i]
+        key = rel.astype(np.int64)
+        key *= self._strides[i]
+        return key
 
     def _rows_at(self, key: np.ndarray):
         """Indices (into key) and cell rows of the keys naming some cell."""
@@ -740,9 +771,9 @@ class _Block:
         """Indices and cell rows of the points inside some cell; x holds one
         1-D coordinate array per axis, such as the columns of an (M, n) array
         (its transpose)."""
-        key = 0
-        for i in range(self.n):
-            key = key + self._axis_keys(x[i], i)
+        key = self._axis_keys(x[0], 0)
+        for i in range(1, self.n):
+            key += self._axis_keys(x[i], i)
         return self._rows_at(key)
 
     def add_jet(self, x, gammas, out: np.ndarray):
@@ -815,32 +846,47 @@ class _Block:
         x holds one array per axis, broadcasting with the others, whose last
         axis runs over the cell rows; pts, unless None, picks the entries of
         1-D coordinates that lie in them.  Each axis is gathered only as its
-        offsets are taken, and each total is added before the next is
-        computed, so few point-sized arrays are alive at once.
+        offsets are taken, each live coefficient column once, on first use,
+        and each total is added before the next is computed, so few
+        point-sized arrays are alive at once.
         """
         _, _, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
         hw = self.half_width
         # offsets from the cell centers, one array per axis
-        dx = [
-            (xi if pts is None else xi[pts]) - (self.lows[:, i].take(rows) + hw)
-            for i, xi in enumerate(x)
-        ]
+        dx = []
+        for i, xi in enumerate(x):
+            center = self.lows[:, i].take(rows)
+            center += hw
+            if pts is None:
+                dx.append(xi - center)
+            else:
+                xi = xi[pts]
+                xi -= center
+                dx.append(xi)
         # per-axis tables of cutoff-factor derivatives in the x variable
         fac = []
         for i in range(self.n):
             k_i = max((gamma[i] for gamma in gammas), default=0)
-            tab = self.profile.profile_derivatives(np.abs(dx[i]) / hw, k_i)
+            s = np.abs(dx[i])
+            s /= hw
+            tab = self.profile.profile_derivatives(s, k_i)
             axis = [tab[0]]
             if k_i:
                 sgn = np.sign(dx[i])
                 for k in range(1, k_i + 1):
-                    axis.append(tab[k] * sgn**k / hw**k)
+                    row = tab[k]
+                    row *= sgn if k == 1 else sgn**k
+                    row /= hw**k
+                    axis.append(row)
             fac.append(axis)
         # D^gp of the cell polynomials over the live columns, shared by every
         # gamma that needs it; None where no live column enters.  Every
         # product and sum keeps its left-to-right order, and broadcasting
         # across the axes computes each point as on its own, so results stay
-        # bit for bit those of a gather of all columns at single points
+        # bit for bit those of a gather of all columns at single points.  A
+        # power 1 and a factor 1.0 are skipped: the product is the other
+        # operand, bit for bit
+        column = {}
         poly = {}
         for j, gamma in enumerate(gammas):
             total = None
@@ -850,16 +896,19 @@ class _Block:
                     for col, _deg, invfact, expo in poly_terms[gp]:
                         if col not in self._live:
                             continue
-                        mono = invfact
+                        mono = None if invfact == 1.0 else invfact
                         for i, e in enumerate(expo):
                             if e:
-                                mono = mono * dx[i] ** e
-                        term = self.coeffs[:, col].take(rows) * mono
+                                p = dx[i] if e == 1 else dx[i] ** e
+                                mono = p if mono is None else mono * p
+                        if col not in column:
+                            column[col] = self.coeffs[:, col].take(rows)
+                        term = column[col] if mono is None else column[col] * mono
                         pv = term if pv is None else pv + term
                     poly[gp] = pv
                 if poly[gp] is None:
                     continue
-                cut = comb * fac[0][beta[0]]
+                cut = fac[0][beta[0]] if comb == 1.0 else comb * fac[0][beta[0]]
                 for i in range(1, self.n):
                     cut = cut * fac[i][beta[i]]
                 term = cut * poly[gp]
@@ -988,13 +1037,16 @@ class BumpPolySum:
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
+    if isinstance(v, np.ndarray):
+        # one tolist() unless a non-finite float needs its repr spelling
+        if v.dtype.kind in "biu" or (v.dtype.kind == "f" and np.isfinite(v).all()):
+            return v.tolist()
+        v = v.tolist()
+    elif isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
         # keep certificates valid strict JSON
         return repr(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

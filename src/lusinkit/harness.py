@@ -162,7 +162,8 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
         raise ValueError("domain dimension does not match the function")
     n, m = g.dimension, g.order
     k = math.comb(n + m, m)
-    block = np.empty((g.term_count, _record_width(n, m)))
+    # column-major, so the blocks that check the records keep views of them
+    block = np.empty((g.term_count, _record_width(n, m)), order="F")
     row = 0
     for blk in g.blocks:
         rec = block[row : row + blk.lows.shape[0]]
@@ -188,7 +189,7 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
         "end-header",
     ]
     payload = "\n".join(header).encode() + b"\n"
-    payload += np.ascontiguousarray(block, dtype="<f8").tobytes()
+    payload += block.astype("<f8", copy=False).tobytes()
     _atomic_write(path, payload)
 
 
@@ -248,7 +249,9 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
             f"dimension {n} and order {m} give records of {width} values,"
             " more than an array can hold"
         )
-    block = np.frombuffer(body, dtype="<f8").reshape(terms, width).astype(float)
+    # column-major, so each block keeps views of its columns
+    block = np.frombuffer(body, dtype="<f8").reshape(terms, width)
+    block = block.astype(float, order="F")
     try:
         g = _sum_from_records(n, m, block)
     except ValueError as exc:

@@ -2,6 +2,7 @@ import ast
 import gzip
 import importlib
 import itertools
+import json
 import math
 import warnings
 from pathlib import Path
@@ -20,6 +21,7 @@ from lusinkit.core import (
     _POINT_CHUNK,
     _bound_plan,
     _fold_columns,
+    _jsonable,
     _uniform_in_box,
     cell_derivative_bounds,
     enumerate_multiindices,
@@ -908,6 +910,13 @@ class TestKernelOracle:
                 centers[np.arange(centers.shape[0]), axis] + sign * depth
             )
             probes += [on, band]
+            # exact centres (dx = 0), plateau joins (s = 1 - theta) and cell
+            # faces (s = 1), along the first axis and along every axis
+            for reach in (0.0, plateau, hw):
+                for sign in (-1.0, 1.0):
+                    first = lows + hw
+                    first[:, 0] += sign * reach
+                    probes += [first, lows + hw + sign * reach]
         outside = rng.uniform(3.0, 5.0, size=(50, n)) * rng.choice([-1.0, 1.0], n)
         nonfinite = np.full((3, n), 0.3)
         nonfinite[:, 0] = [np.nan, np.inf, -np.inf]
@@ -1094,6 +1103,63 @@ class TestFoldColumns:
             assert np.shape(got) == np.shape(want)
             npt.assert_array_equal(got, want)
         assert dom.contains(hi) and not dom.contains(hi + 1e-9)
+
+
+def _reference_jsonable(v):
+    """The per-element walk that _jsonable replaced for arrays, kept as an
+    oracle: an array walks its tolist(), entry by entry."""
+    if isinstance(v, np.ndarray):
+        return _reference_jsonable(v.tolist())
+    if isinstance(v, (np.floating, np.integer)):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    if isinstance(v, dict):
+        return {str(k): _reference_jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_reference_jsonable(x) for x in v]
+    return v
+
+
+class TestJsonable:
+    """Arrays written in one tolist() must give the per-element walk's JSON."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.random.default_rng(0).normal(size=(50, 4)),
+            np.array([[0.5, np.inf], [-np.inf, np.nan]]),
+            np.array([1.0, -0.0, np.nan], np.float32),
+            np.arange(-6, 6).reshape(3, 4),
+            np.arange(5, dtype=np.int32),
+            np.array([True, False]),
+            np.array(2.5),
+            np.array(-np.inf),
+            np.array(7),
+            np.zeros(0),
+            np.zeros((0, 4)),
+            np.zeros((3, 0), np.int64),
+            {"boxes": [np.ones((2, 2)), np.array([np.nan])], "t": (np.float64(1.5), 3)},
+        ],
+        ids=[
+            "finite",
+            "nonfinite",
+            "float32",
+            "int64",
+            "int32",
+            "bool",
+            "0d",
+            "0d-inf",
+            "0d-int",
+            "empty",
+            "no-rows",
+            "no-columns",
+            "nested",
+        ],
+    )
+    def test_equals_per_element_walk(self, value):
+        got = json.dumps(_jsonable(value), allow_nan=False)
+        assert got == json.dumps(_reference_jsonable(value), allow_nan=False)
 
 
 def _top_rows(n, m):

@@ -1,4 +1,5 @@
-"""Print the sha256 of the function file, certificate and jet of eleven fixed builds.
+"""Print the sha256 of the function file, certificate and jet of eleven fixed
+builds, and of the certify report of two committed surfaces.
 
     python3 tools/artifact_hashes.py
 
@@ -7,10 +8,15 @@ directory, writes its .lkf with save_function and its certificate with
 write_json, and prints one line per build: the name, the .lkf sha256, the
 certificate sha256 and the sha256 of the built sum's jet, every multi-index
 up to its order at JET_POINTS points drawn uniformly in the box, as the
-result's bytes in logical order.  Run it before and after a change that
-should keep every output, and compare the two outputs with diff.
+result's bytes in logical order.  Then, for each surface in CERTIFIED, it
+reads the function and certificate from bench/fixtures/ (leaving them as they
+are), runs certify_function with all five checks at JET_POINTS pairs and seed
+1, writes the report with write_json and prints "certify_<name>" and the
+report's sha256.  Run it before and after a change that should keep every
+output, and compare the two outputs with diff.
 """
 
+import gzip
 import hashlib
 import sys
 import tempfile
@@ -20,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "bench" / "fixtures"
 sys.path.insert(0, str(ROOT / "src"))
 
 from lusinkit import harness  # noqa: E402
@@ -38,6 +45,8 @@ from lusinkit.lusin import (  # noqa: E402
 
 # the certify pair count of the benchmark, above one kernel point chunk
 JET_POINTS = 100_000
+# the committed surfaces that the benchmark certifies
+CERTIFIED = ("demo", "xx2")
 UNIT_SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
 # the README demo's construct flags
 DEMO = BuildConfig(
@@ -183,6 +192,19 @@ def main() -> int:
             pts = rng.uniform(dom.lower, dom.upper, size=(JET_POINTS, dom.dimension))
             jet = hashlib.sha256(g.jet(pts, g.multiindices).tobytes()).hexdigest()
             print(name, _sha256(lkf), _sha256(cert_json), jet)
+        for name in CERTIFIED:
+            lkf, cert_json, report = (
+                Path(tmp) / f"{name}{suffix}"
+                for suffix in (".lkf", ".certificate.json", ".certify.json")
+            )
+            for path in (lkf, cert_json):
+                packed = (FIXTURES / f"{path.name}.gz").read_bytes()
+                path.write_bytes(gzip.decompress(packed))
+            g, dom = harness.load_function(str(lkf))
+            cert = harness.load_certificate(str(cert_json))
+            rep = harness.certify_function(g, dom, cert, pairs=JET_POINTS, seed=1)
+            harness.write_json(str(report), rep)
+            print(f"certify_{name}", _sha256(report))
     return 0
 
 
