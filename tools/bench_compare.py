@@ -1,12 +1,13 @@
-"""Compare a parent revision and this checkout on the benchmark.
+"""Compare a parent and a change, two git revisions, on the benchmark.
 
     python3 tools/bench_compare.py --parent REV --out BENCH_N.json
-        [--workloads a,b] [--seeds 1-10] [--seconds 20]
+        [--change REV] [--workloads a,b] [--seeds 1-10] [--seconds 20]
         [--claim WORKLOAD:METRIC ...]
 
-Unpacks REV with `git archive` into a temporary directory, so it needs no
-network and leaves the repository's worktrees alone.  The change is this
-checkout's working tree.  For each workload (all of BENCHMARK.json's by
+Unpacks the parent and the change (HEAD by default: commit the change
+first) with `git archive` into one temporary directory, so it needs no
+network, leaves the repository's worktrees alone and runs both sides' files
+from the same file system.  For each workload (all of BENCHMARK.json's by
 default) and each seed it runs `bench/run.py --trace 0` once per side, one
 process at a time: the parent first on odd seeds, the change first on even
 ones.  The pair of a seed is its two runs.
@@ -179,6 +180,7 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument(
         "--workloads", default=",".join(w["name"] for w in bench["workloads"])
@@ -194,8 +196,7 @@ def main() -> int:
 
     report = {
         "parent": _git("rev-parse", ns.parent),
-        "change": _git("rev-parse", "HEAD"),
-        "change_dirty": bool(_git("status", "--porcelain", "--", "src", "bench")),
+        "change": _git("rev-parse", ns.change),
         "seeds": seeds,
         "seconds": ns.seconds,
         "order": "parent first on odd seeds, change first on even seeds",
@@ -205,8 +206,9 @@ def main() -> int:
     }
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": Path(tmp) / "parent", "change": ROOT}
-        _unpack(ns.parent, sides["parent"])
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, path in sides.items():
+            _unpack(report[side], path)
         report["size"] = {side: _size(path) for side, path in sides.items()}
         for workload in workloads:
             runs = {"parent": [], "change": []}
