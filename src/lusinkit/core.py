@@ -846,9 +846,8 @@ class _Block:
         x holds one array per axis, broadcasting with the others, whose last
         axis runs over the cell rows; pts, unless None, picks the entries of
         1-D coordinates that lie in them.  Each axis is gathered only as its
-        offsets are taken, each live coefficient column once, on first use,
-        and each total is added before the next is computed, so few
-        point-sized arrays are alive at once.
+        offsets are taken, and each total is added before the next is
+        computed, so few point-sized arrays are alive at once.
         """
         _, _, poly_terms, leibniz = _bound_plan(self.n, self.profile.order)
         hw = self.half_width
@@ -886,7 +885,6 @@ class _Block:
         # bit for bit those of a gather of all columns at single points.  A
         # power 1 and a factor 1.0 are skipped: the product is the other
         # operand, bit for bit
-        column = {}
         poly = {}
         for j, gamma in enumerate(gammas):
             total = None
@@ -901,9 +899,9 @@ class _Block:
                             if e:
                                 p = dx[i] if e == 1 else dx[i] ** e
                                 mono = p if mono is None else mono * p
-                        if col not in column:
-                            column[col] = self.coeffs[:, col].take(rows)
-                        term = column[col] if mono is None else column[col] * mono
+                        term = self.coeffs[:, col].take(rows)
+                        if mono is not None:
+                            term = term * mono
                         pv = term if pv is None else pv + term
                     poly[gp] = pv
                 if poly[gp] is None:
@@ -1038,9 +1036,7 @@ class BumpPolySum:
 
 def _jsonable(v):
     if isinstance(v, np.ndarray):
-        # one tolist() unless a non-finite float needs its repr spelling
-        if v.dtype.kind in "biu" or (v.dtype.kind == "f" and np.isfinite(v).all()):
-            return v.tolist()
+        # nested lists, walked below, or the scalar of a 0-d array
         v = v.tolist()
     elif isinstance(v, (np.floating, np.integer)):
         v = v.item()

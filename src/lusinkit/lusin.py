@@ -478,43 +478,13 @@ def _pinch_fails(sat, cells, f, worst, b_sup: float, h_rm: float) -> np.ndarray:
 
     The cap is b_sup min((G h_rm)^2, 1), G the L-infinity gap in whole mask
     cells from the cell to the coverage.  The least gap whose cap holds
-    worst is found in a table of caps (_cap_gap), so the float comparison is
-    the cap's own; the cell fails if, grown by that gap, it holds coverage.
-    Past the table's end a grown cell holds the whole mask, never empty in a
-    later stage: a stage 1 that covers nothing ends the build.
+    worst is found in a table of caps, so the float comparison is the cap's
+    own; the cell fails if, grown by that gap, it holds coverage.  Past the
+    table's end a grown cell holds the whole mask, never empty in a later
+    stage: a stage 1 that covers nothing ends the build.
     """
-    return _coverage_near(sat, cells, f, _cap_gap(sat.shape[0], worst, b_sup, h_rm)) > 0
-
-
-def _cap_gap(size: int, worst, b_sup: float, h_rm: float) -> np.ndarray:
-    """np.searchsorted(caps, worst) for the caps b_sup min((G h_rm)^2, 1), G
-    = 0 .. size - 1 (size >= 2), found without a search.
-
-    The closed form ceil(sqrt(worst/b_sup)/h_rm), clipped to the table, is
-    off by at most one where rounding moves it across a cap, so one step down
-    where the cap below holds worst, or up where its own does not, puts it
-    right.  A worst that is not <= the last cap, NaN included, goes past the
-    table, as the closed form stops at the caps' saturation.  Subnormal caps
-    are too coarse for one step, and their table is searched.
-    """
-    caps = b_sup * np.minimum((np.arange(size) * h_rm) ** 2, 1.0)
-    if not caps[1] >= np.finfo(float).tiny:
-        return np.searchsorted(caps, worst)
-    with np.errstate(all="ignore"):
-        gap = worst / b_sup
-        np.sqrt(gap, out=gap)
-        gap /= h_rm
-    np.ceil(gap, out=gap)
-    # fmax drops NaN, so a NaN estimate (0/0, or a negative worst) starts at 0
-    np.fmax(gap, 0.0, out=gap)
-    np.fmin(gap, size - 1, out=gap)
-    gap = gap.astype(np.intp)
-    # caps shifted by one, so index gap reads the cap below gap's own
-    below = np.concatenate(([-np.inf], caps))
-    gap -= below[gap] >= worst
-    gap += below[gap + 1] < worst
-    gap[~(worst <= caps[-1])] = size
-    return gap
+    caps = b_sup * np.minimum((np.arange(sat.shape[0]) * h_rm) ** 2, 1.0)
+    return _coverage_near(sat, cells, f, np.searchsorted(caps, worst)) > 0
 
 
 def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:

@@ -1106,8 +1106,8 @@ class TestFoldColumns:
 
 
 def _reference_jsonable(v):
-    """The per-element walk that _jsonable replaced for arrays, kept as an
-    oracle: an array walks its tolist(), entry by entry."""
+    """The per-element walk as an oracle: an array walks its tolist(), entry
+    by entry, and a 0-d array's tolist() is its scalar."""
     if isinstance(v, np.ndarray):
         return _reference_jsonable(v.tolist())
     if isinstance(v, (np.floating, np.integer)):
@@ -1122,7 +1122,8 @@ def _reference_jsonable(v):
 
 
 class TestJsonable:
-    """Arrays written in one tolist() must give the per-element walk's JSON."""
+    """Arrays of every rank, dtype and size give the per-element walk's
+    strict JSON; a 0-d array gives its scalar rather than raising."""
 
     @pytest.mark.parametrize(
         "value",

@@ -33,12 +33,12 @@ import datetime
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +63,9 @@ def _unpack(rev: str, into: Path) -> None:
         ["git", "archive", "--format=tar", "-o", str(archive), rev], cwd=ROOT, check=True
     )
     with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
+        # extraction filters came with Python 3.12 and late 3.8-3.11 releases
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(into, **safe)
     archive.unlink()
 
 
@@ -78,9 +80,17 @@ def _size(side: Path) -> dict:
         ).stdout
         _, lines, code = text.splitlines()[-1].split()
         out = {"src_lines": int(lines), "src_code_lines": int(code)}
-    project = tomllib.loads((side / "pyproject.toml").read_text())["project"]
-    out["runtime_deps"] = project.get("dependencies", [])
+    out["runtime_deps"] = _dependencies((side / "pyproject.toml").read_text())
     return out
+
+
+def _dependencies(pyproject: str) -> list[str]:
+    """The strings of pyproject's `dependencies = [...]` array, read by
+    pattern, as tomllib needs Python 3.11."""
+    array = re.search(
+        r'^dependencies\s*=\s*\[((?:\s*"[^"]*"\s*,?)*)\s*\]', pyproject, re.M
+    )
+    return re.findall(r'"([^"]*)"', array.group(1)) if array else []
 
 
 def _run(side: Path, workload: str, seed: int, seconds: int) -> dict:
