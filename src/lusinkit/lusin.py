@@ -271,12 +271,14 @@ def _run_stage(
     batch evaluates its own.  Each batch cell keeps one
     code: 0 while it passes, k + 1 once the first check it fails is
     reasons[k]; the bound checks run on compact arrays of the cells past
-    truncation, later checks written first.  Cells of code 0 go on to the
-    oscillation check, the others split, and at refine_max the codes are
-    tallied.  In later stages sat is the build's coverage table (see
-    _paint), and _pinch_fails reads a cell's pinch off it: below refine_max
-    only for cells passing the other bound checks, at refine_max for all,
-    as the pinch counts first.
+    truncation, ti, and write their codes into one int8 array over ti,
+    later checks first, so the earliest failed check's code is the one
+    left; it is scattered into the batch's codes once.  Cells of code 0 go
+    on to the oscillation check, the others split, and at refine_max the
+    codes are tallied.  In later stages sat is the build's coverage table
+    (see _paint), and _pinch_fails reads a cell's pinch off it: below
+    refine_max only for cells passing the other bound checks, at refine_max
+    for all, as the pinch counts first.
     """
     n, m = dom.dimension, profile.order
     lower = np.asarray(dom.lower)
@@ -286,7 +288,11 @@ def _run_stage(
     b_sup = cfg.sigma * w_mod
 
     def centers_of(idx, h):
-        return lower[:, None] + idx * h + h / 2.0
+        # in place; float addition commutes, so the sum is lower + idx h + h/2
+        c = idx * h
+        c += lower[:, None]
+        c += h / 2.0
+        return c
 
     def residual(centers):
         return field.residual(g, list(centers[:, None]))[:, 0]
@@ -336,27 +342,30 @@ def _run_stage(
             vals = residual(centers) if res is None else res[b]
             amax = np.abs(vals).max(axis=0)
             zero = amax == 0.0
-            code = (~(amax <= T)).astype(np.int8)
+            code = (~(amax <= T)).view(np.int8)
             ti = np.flatnonzero(~zero & (code == 0))
 
             if ti.size:
                 top = vals.take(ti, axis=1)
                 bmax, lip, env_t = _bound_maxima(profile, n, top, hw, cfg.modulus)
-                code[ti[env_t > w_mod]] = 5
+                # the codes of the cells ti, later checks written first
+                c = np.zeros(ti.size, np.int8)
+                np.copyto(c, 5, where=env_t > w_mod)
                 if m > 1:
                     lip_low = lip[: m - 1].max(axis=0)
-                    code[ti[lip_low > b_sup]] = 4
-                code[ti[bmax[m - 1] > b_sup / sqrt_n]] = 3
+                    np.copyto(c, 4, where=lip_low > b_sup)
+                np.copyto(c, 3, where=bmax[m - 1] > b_sup / sqrt_n)
                 if sat is None:
-                    code[ti[(bmax > b_sup).any(axis=0)]] = 2
+                    np.copyto(c, 2, where=(bmax > b_sup).any(axis=0))
                 else:
                     # a failing cell splits whatever its pinch below refine_max
-                    pc = np.s_[:] if level == cfg.refine_max else code[ti] == 0
-                    at = ti[pc]
+                    pc = np.s_[:] if level == cfg.refine_max else c == 0
                     f = 2 ** (cfg.refine_max - level)
                     worst = bmax[:, pc].max(axis=0)
-                    near = idx.take(at, axis=1)
-                    code[at[_pinch_fails(sat, near, f, worst, b_sup, h_rm)]] = 2
+                    near = idx.take(ti[pc], axis=1)
+                    fail = _pinch_fails(sat, near, f, worst, b_sup, h_rm)
+                    c[pc] = np.where(fail, 2, c[pc])
+                code[ti] = c
 
             # zero cells and cells passing every bound check, in cell order
             si = np.flatnonzero(code == 0)
@@ -428,7 +437,9 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     c +- (1 - theta) hw, and a zero-data cell paints them all.  Painted
     ranges meet neither each other nor earlier coverage, so the stage's 0/1
     mask, summed once along each axis, adds its own table and keeps every
-    mask cell counted 0 or 1.  Each entry is one assignment through a view
+    mask cell counted 0 or 1.  The last axis sums with np.cumsum, each
+    leading axis by adding consecutive slices; integer sums are exact, so
+    the order is free.  Each entry is one assignment through a view
     of the mask as (G_r, f) pairs of axes, G_r the level's cells per axis:
     the cells index the G_r axes and one slice spans the painted range on
     each f axis.
@@ -441,30 +452,38 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
         # a view, as mask is contiguous: writes through it land in mask
         blocks = mask.reshape(sum(((s // f, f) for s in mask.shape), ()))
         blocks[sum(((i, slice(rim, f - rim)) for i in idx), ())] = 1
-    for axis in range(n):
-        np.cumsum(mask, axis=axis, out=mask)
+    for axis in range(n - 1):
+        # numpy sums a leading axis one strided column at a time, so the
+        # leading axes add consecutive slices instead
+        rows = np.moveaxis(mask, axis, 0)
+        for i in range(1, rows.shape[0]):
+            np.add(rows[i], rows[i - 1], out=rows[i])
+    np.cumsum(mask, axis=n - 1, out=mask)
     sat[(slice(1, None),) * n] += mask
 
 
-def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarray:
-    """Covered mask cells in each cell, grown by gap mask cells on every side.
+def _coverage_near(sat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Covered mask cells in each box lo <= i < hi of mask cells, clipped to
+    the mask.
 
-    cells (n, B) index a lattice of f mask cells per axis; gap (B,) holds
-    one integer per cell.  Grown boxes are clipped to the mask.
+    lo and hi (n, B) hold each box's low and high corner, one column per
+    box, as int64; both are overwritten with flat offsets into sat.
     """
-    n = cells.shape[0]
+    n = lo.shape[0]
     side = sat.shape[0]
     # flat offsets of each axis's low and high corner, clipped to the mask
-    ends = [
-        (np.maximum(c - gap, 0) * s, np.minimum(c + f + gap, side - 1) * s)
-        for c, s in zip(cells * f, side ** np.arange(n - 1, -1, -1))
-    ]
+    stride = side ** np.arange(n - 1, -1, -1)[:, None]
+    np.maximum(lo, 0, out=lo)
+    lo *= stride
+    np.minimum(hi, side - 1, out=hi)
+    hi *= stride
+    ends = (lo, hi)
     flat = sat.reshape(-1)
     # the high corner first, whose sign is +; the int32 partial sums stay
     # within 2^n times the mask's cells, which the mask budget keeps below 2^31
     count = None
     for corner in itertools.product((1, 0), repeat=n):
-        at = sum((ends[i][c] for i, c in enumerate(corner) if i), ends[0][corner[0]])
+        at = sum((ends[c][i] for i, c in enumerate(corner) if i), ends[corner[0]][0])
         v = np.take(flat, at)
         if count is None:
             count = v
@@ -476,15 +495,36 @@ def _coverage_near(sat: np.ndarray, cells: np.ndarray, f: int, gap) -> np.ndarra
 def _pinch_fails(sat, cells, f, worst, b_sup: float, h_rm: float) -> np.ndarray:
     """Whether each cell's worst order-<m sup bound exceeds its pinched cap.
 
-    The cap is b_sup min((G h_rm)^2, 1), G the L-infinity gap in whole mask
-    cells from the cell to the coverage.  The least gap whose cap holds
-    worst is found in a table of caps, so the float comparison is the cap's
-    own; the cell fails if, grown by that gap, it holds coverage.  Past the
-    table's end a grown cell holds the whole mask, never empty in a later
-    stage: a stage 1 that covers nothing ends the build.
+    cells (n, B) index a lattice of f mask cells per axis, and worst (B,)
+    holds one bound per cell.  The cap is b_sup min((G h_rm)^2, 1), G the
+    L-infinity gap in whole mask cells from the cell to the coverage.  The
+    least gap whose cap holds worst is found in a table of caps, so the
+    float comparison is the cap's own; the cell fails if, grown by that
+    gap, it holds coverage.  Past the table's end a grown cell holds the
+    whole mask, never empty in a later stage: a stage 1 that covers nothing
+    ends the build.  A NaN worst sorts past the table too.
+
+    The batch is read once first: its cells' bounding box, grown by the gap
+    of worst.max(), a NaN if any worst is.  The search is monotone and puts
+    a NaN last, so every cell's gap is at most that one, and each cell's
+    grown box, clipped, lies inside the
+    grown bounding box, clipped.  Coverage counts are never negative, so
+    when that box holds none, no cell fails, and the per-cell search and
+    reads are skipped.
     """
+    if not worst.size:
+        return np.zeros(0, bool)
     caps = b_sup * np.minimum((np.arange(sat.shape[0]) * h_rm) ** 2, 1.0)
-    return _coverage_near(sat, cells, f, np.searchsorted(caps, worst)) > 0
+    widest = np.searchsorted(caps, worst.max())
+    lo = cells.min(axis=1, keepdims=True) * f - widest
+    hi = cells.max(axis=1, keepdims=True) * f + (f + widest)
+    if not _coverage_near(sat, lo, hi)[0]:
+        return np.zeros(worst.shape, bool)
+    gap = np.searchsorted(caps, worst)
+    lo = cells * f
+    lo -= gap
+    hi = lo + (2 * gap + f)
+    return _coverage_near(sat, lo, hi) > 0
 
 
 def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:

@@ -1147,14 +1147,7 @@ class TestCoverageTable:
             for r in range(refine_max + 1):
                 f = 2 ** (refine_max - r)
                 # tested cells are free
-                cells = np.array(
-                    [
-                        idx
-                        for idx in np.ndindex(*(grid * 2**r,) * n)
-                        if not _block(covered, idx, f).any()
-                    ],
-                    np.int64,
-                ).reshape(-1, n)
+                cells = self._free_blocks(covered, grid, r, f)
                 if not cells.shape[0]:
                     continue
                 # worst from one ulp below 0 to above b_sup and inf, hitting
@@ -1169,11 +1162,94 @@ class TestCoverageTable:
                     ]
                 )
                 worst = rng.choice(pool, size=cells.shape[0])
-                c = np.array([_block(dist, idx, f).min() for idx in cells], float)
-                D = np.maximum(c - 1.0, 0.0) * h_rm
-                want = worst > b_sup * np.minimum(D**2, 1.0)
-                got = lusin._pinch_fails(sat, cells.T, f, worst, b_sup, h_rm)
-                npt.assert_array_equal(got, want)
+                self._check_pinch(sat, dist, cells, f, worst, b_sup, h_rm)
+
+    @staticmethod
+    def _free_blocks(covered, grid, r, f):
+        n = covered.ndim
+        return np.array(
+            [
+                idx
+                for idx in np.ndindex(*(grid * 2**r,) * n)
+                if not _block(covered, idx, f).any()
+            ],
+            np.int64,
+        ).reshape(-1, n)
+
+    @staticmethod
+    def _check_pinch(sat, dist, cells, f, worst, b_sup, h_rm):
+        """_pinch_fails on cells (B, n) against the chessboard oracle: a cell
+        fails unless worst <= b_sup min(D^2, 1), so a NaN fails."""
+        c = np.array([_block(dist, idx, f).min() for idx in cells], float)
+        D = np.maximum(c - 1.0, 0.0) * h_rm
+        want = ~(worst <= b_sup * np.minimum(D**2, 1.0))
+        got = lusin._pinch_fails(sat, cells.T, f, worst, b_sup, h_rm)
+        npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pinch_batch_read_matches_chessboard_oracle(self, n, monkeypatch):
+        # every worst at most the table's last cap, so a batch's grown
+        # bounding box can miss the coverage and settle the batch in one read
+        grid, refine_max = self.SHAPES[n]
+        side = grid * 2**refine_max
+        rng = np.random.default_rng(20 + n)
+        b_sup = 0.37
+        reads = []
+        near = lusin._coverage_near
+
+        def counting(sat, lo, hi):
+            reads.append(lo.shape[1])
+            return near(sat, lo, hi)
+
+        monkeypatch.setattr(lusin, "_coverage_near", counting)
+        settled = 0
+        # the random masks, then one covering only the first corner cell
+        masks = [*self._masks(rng, n, side), np.zeros((side,) * n, bool)]
+        for k, covered in enumerate(masks):
+            covered[(0,) * n] = True
+            sat = _coverage_table(covered)
+            dist = _chessboard_oracle(~covered)
+            h_rm = (1.7 if k % 2 else 0.3) / side
+            # the program's table: one cap per gap 0 .. side
+            caps = b_sup * np.minimum((np.arange(side + 1) * h_rm) ** 2, 1.0)
+            pool = np.concatenate(
+                [
+                    caps,
+                    np.nextafter(caps, 1.0),
+                    np.nextafter(caps, -1.0),
+                    [0.0],
+                    rng.uniform(0.0, caps[-1], 50),
+                ]
+            )
+            pool = pool[pool <= caps[-1]]
+            # gaps below a quarter side keep a far batch's box off the corner
+            low = pool[pool <= caps[side // 4]]
+            for r in range(refine_max + 1):
+                f = 2 ** (refine_max - r)
+                cells = self._free_blocks(covered, grid, r, f)
+                if not cells.shape[0]:
+                    continue
+                worst = rng.choice(pool, size=cells.shape[0])
+                self._check_pinch(sat, dist, cells, f, worst, b_sup, h_rm)
+                # one NaN sorts past the table: the batch's box holds the
+                # whole mask, and the NaN cell fails
+                worst[rng.integers(worst.size)] = np.nan
+                self._check_pinch(sat, dist, cells, f, worst, b_sup, h_rm)
+                # the free cells in the far half of every axis
+                far = cells[(cells * f >= side // 2).all(axis=1)]
+                if far.shape[0]:
+                    worst = rng.choice(low, size=far.shape[0])
+                    del reads[:]
+                    self._check_pinch(sat, dist, far, f, worst, b_sup, h_rm)
+                    # one read of one box answers the whole batch
+                    settled += far.shape[0] > 1 and reads == [1]
+                # an empty batch reads nothing
+                del reads[:]
+                got = lusin._pinch_fails(
+                    sat, np.zeros((n, 0), np.int64), f, np.zeros(0), b_sup, h_rm
+                )
+                assert got.shape == (0,) and got.dtype == bool and not reads
+        assert settled
 
 
 class TestTailPinch:
