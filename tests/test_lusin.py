@@ -1166,6 +1166,8 @@ class TestCoverageTable:
 
     @staticmethod
     def _free_blocks(covered, grid, r, f):
+        """The level-r cells, f mask cells per axis, that hold no coverage,
+        as (B, n) in C order."""
         n = covered.ndim
         return np.array(
             [
@@ -1239,12 +1241,12 @@ class TestCoverageTable:
                 far = cells[(cells * f >= side // 2).all(axis=1)]
                 if far.shape[0]:
                     worst = rng.choice(low, size=far.shape[0])
-                    del reads[:]
+                    reads.clear()
                     self._check_pinch(sat, dist, far, f, worst, b_sup, h_rm)
                     # one read of one box answers the whole batch
                     settled += far.shape[0] > 1 and reads == [1]
                 # an empty batch reads nothing
-                del reads[:]
+                reads.clear()
                 got = lusin._pinch_fails(
                     sat, np.zeros((n, 0), np.int64), f, np.zeros(0), b_sup, h_rm
                 )
