@@ -279,7 +279,8 @@ class LogModulus(Modulus):
             np.divide(1.0, out, out=out)
         # 1/t overflows below about 5.6e-309, where the ratio passes 1e305:
         # the only place below 1/e where the quotient reads 0
-        np.copyto(out, math.inf, where=out == 0.0)
+        if not out.all():
+            np.copyto(out, math.inf, where=out == 0.0)
         np.copyto(out, math.e, where=~(arr < INV_E))
         return _match_shape(out, delta)
 
@@ -565,7 +566,9 @@ def cell_derivative_bounds(
     lower-order column, or a sum with no top-order term, adds +0 unless its
     factor is not finite, so sums start at their first top-order term,
     exactly as from zero.  Each sum is accumulated in place, in the plan's
-    order, the output rows included.
+    order, the output rows included; an output row whose first addend has
+    weight 1.0 starts from its second addend and adds the first to it,
+    which gives the same bits, as addition commutes.
     """
     m = profile.order
     rows = _order_rows(n, m)[0][m]
@@ -580,32 +583,45 @@ def cell_derivative_bounds(
     nil = np.zeros(N)
     ub: dict[tuple[int, ...], np.ndarray | None] = {}
     for gp in idx:
-        tot = None
+        # a column of factor 1.0 is used as it is, and copied before an add
+        tot, own = None, False
         for col, deg, invfact, _ in poly_terms[gp]:
             w = half_width**deg * invfact
             if col in cols or not math.isfinite(w):
-                term = cols.get(col, nil) * w
+                term = cols.get(col, nil)
+                if w != 1.0:
+                    term = term * w
                 if tot is None:
-                    tot = term
-                else:
+                    tot, own = term, w != 1.0
+                elif own:
                     tot += term
+                else:
+                    tot, own = tot + term, True
         ub[gp] = tot
     out = np.empty((len(idx), N))
+    tmp = np.empty(N)
     for g, gamma in enumerate(idx):
-        row = None
+        addends = []
         for beta, comb, gp in leibniz[gamma]:
             afac = 1.0
             for b in beta:
                 afac *= A[b]
             w = comb * afac / (theta * half_width) ** sum(beta)
             if ub[gp] is not None or not math.isfinite(w):
-                u = nil if ub[gp] is None else ub[gp]
-                if row is None:
-                    row = np.multiply(w, u, out=out[g])
-                else:
-                    row += w * u
-        if row is None:
-            out[g] = nil
+                addends.append((w, nil if ub[gp] is None else ub[gp]))
+        row = out[g]
+        if not addends:
+            row[...] = nil
+            continue
+        if len(addends) > 1 and addends[0][0] == 1.0:
+            np.multiply(addends[1][0], addends[1][1], out=row)
+            row += addends[0][1]
+            rest = addends[2:]
+        else:
+            np.multiply(addends[0][0], addends[0][1], out=row)
+            rest = addends[1:]
+        for w, u in rest:
+            row += np.multiply(w, u, out=tmp)
     return out
 
 

@@ -84,7 +84,9 @@ def stream_rng(master: int, label: str) -> np.random.Generator:
 # atomic files
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, payload: bytes, more=()) -> None:
+    """Replace path with a new file of payload and then each bytes-like
+    chunk of the iterable more, in order."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, ".tmp-lusinkit-" + secrets.token_hex(8))
     # exclusive like mkstemp, but with open()'s mode 0666 less the umask
@@ -92,6 +94,8 @@ def _atomic_write(path: str, payload: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            for chunk in more:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -188,9 +192,13 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
         f"terms {block.shape[0]}",
         "end-header",
     ]
-    payload = "\n".join(header).encode() + b"\n"
-    payload += block.astype("<f8", copy=False).tobytes()
-    _atomic_write(path, payload)
+    # the records in C order, a few at a time, so no copy holds them all
+    step = max(1, 2**17 // block.shape[1])
+    records = (
+        np.ascontiguousarray(block[s : s + step], "<f8")
+        for s in range(0, block.shape[0], step)
+    )
+    _atomic_write(path, "\n".join(header).encode() + b"\n", records)
 
 
 def _header_int(fields: dict, key: str) -> int:
@@ -238,7 +246,8 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
     dom = BoxDomain(lower, upper)
 
     width = _record_width(n, m)
-    body = raw[cut + len(marker) :]
+    # a view of the records, dropped with raw once the block holds them
+    body = memoryview(raw)[cut + len(marker) :]
     if len(body) != terms * width * 8:
         raise FunctionFileError(
             f"numeric block holds {len(body)} bytes, expected {terms * width * 8}"
@@ -252,6 +261,7 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
     # column-major, so each block keeps views of its columns
     block = np.frombuffer(body, dtype="<f8").reshape(terms, width)
     block = block.astype(float, order="F")
+    del body, raw
     try:
         g = _sum_from_records(n, m, block)
     except ValueError as exc:

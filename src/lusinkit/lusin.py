@@ -128,6 +128,10 @@ def field_catalog(name: str) -> FieldCollection:
 # FieldCollection.residual takes (a center's 3^n points count whole, as one
 # grid row): no array of a stage grows with the cells of a level.
 _BATCH = 2**15
+# Consecutive cells of a pinch test that one grown box reads at a time (see
+# _pinch_fails): fewer cells than a batch, so that a box misses coverage
+# that lies near only some of the batch's cells.
+_GROUP = 2**8
 
 
 def _square_side(dom: BoxDomain) -> float:
@@ -218,15 +222,26 @@ def _bound_maxima(profile: CutoffProfile, n: int, top: np.ndarray, hw: float, mo
 def _batches(parents, scale: int, shifts):
     """A queue entry's cells scale * parent + shift, parent-major, as (n, B)
     arrays of whole parents, at most _BATCH cells each unless one parent
-    has more."""
+    has more.  parents lists (n, P) arrays, walked in order as one."""
     n, S = shifts.shape
     step = max(1, _BATCH // S)
-    for s in range(0, parents.shape[1], step):
-        # one shift at a time: numpy broadcasts over a short last axis slowly
-        par = scale * parents[:, s : s + step]
-        kids = np.empty((n, par.shape[1], S), np.int64)
-        for j in range(S):
-            np.add(par, shifts[:, j : j + 1], out=kids[:, :, j])
+    total = sum(part.shape[1] for part in parents)
+    parts = iter(parents)
+    part, at = np.zeros((n, 0), np.int64), 0
+    for s in range(0, total, step):
+        kids = np.empty((n, min(step, total - s), S), np.int64)
+        # the batch's parents, run by run of one part
+        done = 0
+        while done < kids.shape[1]:
+            while at == part.shape[1]:
+                part, at = next(parts), 0
+            k = min(kids.shape[1] - done, part.shape[1] - at)
+            par = scale * part[:, at : at + k]
+            # one shift at a time: numpy broadcasts over a short last axis slowly
+            for j in range(S):
+                np.add(par, shifts[:, j : j + 1], out=kids[:, done : done + k, j])
+            done += k
+            at += k
         yield kids.reshape(n, -1)
 
 
@@ -259,11 +274,13 @@ def _run_stage(
     point fails oscillation.  Failing cells split into 2^n children until
     refine_max.  Each queue entry (level, parents, scale, shifts, res)
     holds one level's cells, scale * parent + shift for each parent column
-    and each shift column, parent-major: a seed entry has scale 1 and one
-    zero shift, a refined entry the failing cells of the level above, scale
-    2 and the 2^n child shifts.  An entry is tested in the batches of
-    _batches; each cell's checks are its own and results are merged once
-    per entry, so the outcome does not depend on _BATCH.
+    and each shift column, parent-major, parents a list of (n, P) arrays
+    read in order as one: a seed entry has its seeds, scale 1 and one zero
+    shift, a refined entry the failing cells of the level above, one array
+    per batch that found them, scale 2 and the 2^n child shifts.  An entry
+    is tested in the batches of _batches; each cell's checks are its own
+    and results are merged once per entry, so the outcome does not depend
+    on _BATCH.
     A batch's cells and centers are (n, B) arrays, its residual values at
     the centers (K, B), one column per cell.  A seed entry's res lists
     these values per batch: they are evaluated once, before any cell is
@@ -302,8 +319,8 @@ def _run_stage(
     for r, idx in seeds:
         idx = np.asarray(idx, np.int64).reshape(n, -1)
         shift = np.zeros((n, 1), np.int64)
-        res = [residual(centers_of(b, h0 / 2**r)) for b in _batches(idx, 1, shift)]
-        queue.append((r, idx, 1, shift, res))
+        res = [residual(centers_of(b, h0 / 2**r)) for b in _batches([idx], 1, shift)]
+        queue.append((r, [idx], 1, shift, res))
     T = _truncation_level([v for *_, res in queue for v in res], cfg.quantile)
     # stage 1 counts both sup checks as supnorm
     reasons = (
@@ -328,7 +345,7 @@ def _run_stage(
 
     while queue:
         level, parents, scale, shifts, res = queue.pop(0)
-        N = parents.shape[1] * shifts.shape[1]
+        N = sum(part.shape[1] for part in parents) * shifts.shape[1]
         if N == 0:
             continue
         considered += N
@@ -364,7 +381,11 @@ def _run_stage(
                     worst = bmax[:, pc].max(axis=0)
                     near = idx.take(ti[pc], axis=1)
                     fail = _pinch_fails(sat, near, f, worst, b_sup, h_rm)
-                    c[pc] = np.where(fail, 2, c[pc])
+                    if level == cfg.refine_max:
+                        np.copyto(c, 2, where=fail)
+                    else:
+                        # the cells pc have code 0
+                        c[pc] = np.where(fail, 2, 0)
                 code[ti] = c
 
             # zero cells and cells passing every bound check, in cell order
@@ -405,7 +426,7 @@ def _run_stage(
             covered += terms * (2.0 * p) ** n
         accepted_count += zeros + terms
         if failed:
-            queue.append((level + 1, np.concatenate(failed, axis=1), 2, children, None))
+            queue.append((level + 1, failed, 2, children, None))
 
     reject = {}
     for name, count in zip(reasons, tally[1:].tolist()):
@@ -482,9 +503,13 @@ def _coverage_near(sat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     # the high corner first, whose sign is +; the int32 partial sums stay
     # within 2^n times the mask's cells, which the mask budget keeps below 2^31
     count = None
+    # each corner's flat offsets, summed axis by axis into one buffer
+    buf = np.empty(lo.shape[1], np.int64)
     for corner in itertools.product((1, 0), repeat=n):
-        at = sum((ends[c][i] for i, c in enumerate(corner) if i), ends[corner[0]][0])
-        v = np.take(flat, at)
+        at = ends[corner[0]][0]
+        for i in range(1, n):
+            at = np.add(at, ends[corner[i]][i], out=buf)
+        v = flat[at]
         if count is None:
             count = v
         else:
@@ -504,27 +529,44 @@ def _pinch_fails(sat, cells, f, worst, b_sup: float, h_rm: float) -> np.ndarray:
     whole mask, never empty in a later stage: a stage 1 that covers nothing
     ends the build.  A NaN worst sorts past the table too.
 
-    The batch is read once first: its cells' bounding box, grown by the gap
-    of worst.max(), a NaN if any worst is.  The search is monotone and puts
-    a NaN last, so every cell's gap is at most that one, and each cell's
-    grown box, clipped, lies inside the
-    grown bounding box, clipped.  Coverage counts are never negative, so
-    when that box holds none, no cell fails, and the per-cell search and
-    reads are skipped.
+    The cells are read in groups of _GROUP consecutive cells first, one box
+    per group, all in one read: the group's bounding box, grown by the gap
+    of the group's largest worst, a NaN if any is.  The search is monotone
+    and puts a NaN last, so every cell's gap is at most its group's, and
+    each cell's grown box, clipped, lies inside its group's grown box,
+    clipped.  Coverage counts are never negative, so no cell of a group
+    whose box holds none fails: only the other groups' cells go on to the
+    per-cell search and reads, and none when no group's box holds coverage.
     """
-    if not worst.size:
+    B = worst.size
+    if not B:
         return np.zeros(0, bool)
     caps = b_sup * np.minimum((np.arange(sat.shape[0]) * h_rm) ** 2, 1.0)
-    widest = np.searchsorted(caps, worst.max())
-    lo = cells.min(axis=1, keepdims=True) * f - widest
-    hi = cells.max(axis=1, keepdims=True) * f + (f + widest)
-    if not _coverage_near(sat, lo, hi)[0]:
-        return np.zeros(worst.shape, bool)
+    starts = np.arange(0, B, _GROUP)
+    widest = np.searchsorted(caps, np.maximum.reduceat(worst, starts))
+    lo = np.minimum.reduceat(cells, starts, axis=1)
+    lo *= f
+    lo -= widest
+    hi = np.maximum.reduceat(cells, starts, axis=1)
+    hi *= f
+    hi += widest + f
+    held = _coverage_near(sat, lo, hi) > 0
+    if not held.any():
+        return np.zeros(B, bool)
+    # the cells of the groups whose box holds coverage, gathered unless all
+    keep = None if held.all() else np.flatnonzero(held.repeat(_GROUP)[:B])
+    if keep is not None:
+        cells, worst = cells.take(keep, axis=1), worst.take(keep)
     gap = np.searchsorted(caps, worst)
     lo = cells * f
+    hi = lo + (gap + f)
     lo -= gap
-    hi = lo + (2 * gap + f)
-    return _coverage_near(sat, lo, hi) > 0
+    hit = _coverage_near(sat, lo, hi) > 0
+    if keep is None:
+        return hit
+    fails = np.zeros(B, bool)
+    fails[keep] = hit
+    return fails
 
 
 def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -464,6 +465,34 @@ class TestFunctionFile:
         bad.write_bytes("\n".join(header).encode() + b"\n")
         with pytest.raises(FunctionFileError, match="more than an array can hold"):
             load_function(str(bad))
+
+    def test_save_and_load_hold_few_copies_of_the_records(self, tmp_path):
+        # 65,536 terms, written in several chunks: neither call may hold
+        # the records more than about twice over at once
+        side = 256
+        lows = np.indices((side, side)).reshape(2, -1).T / side
+        coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (lows.shape[0], 3))
+        g = BumpPolySum(2, 1).with_block(lows, 1.0 / side, 0.5, 1, coeffs)
+        path = str(tmp_path / "large.lkf")
+        dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+        peaks, loaded = [], []
+        for call in (
+            lambda: save_function(g, dom, path),
+            lambda: loaded.append(load_function(path)[0]),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = os.path.getsize(path)
+        assert g.term_count >= 50_000
+        assert peaks[0] < 2.5 * size, peaks[0] / size
+        assert peaks[1] < 2.5 * size, peaks[1] / size
+        (blk,) = loaded[0].blocks
+        npt.assert_array_equal(blk.lows, lows)
+        npt.assert_array_equal(blk.coeffs, coeffs)
 
 
 class TestAtomicWrite:

@@ -1188,10 +1188,25 @@ class TestCoverageTable:
         got = lusin._pinch_fails(sat, cells.T, f, worst, b_sup, h_rm)
         npt.assert_array_equal(got, want)
 
+    @staticmethod
+    def _held_groups(covered, cells, f, worst, caps, group):
+        """Per cell (B, n), whether the box of its group of `group`
+        consecutive cells, grown by the gap of the group's largest worst,
+        holds coverage on the mask."""
+        held = np.zeros(cells.shape[0], bool)
+        for s in range(0, cells.shape[0], group):
+            part = cells[s : s + group]
+            widest = np.searchsorted(caps, worst[s : s + group].max())
+            lo = np.maximum(part.min(axis=0) * f - widest, 0)
+            hi = part.max(axis=0) * f + f + widest
+            held[s : s + group] = covered[tuple(map(slice, lo, hi))].any()
+        return held
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pinch_batch_read_matches_chessboard_oracle(self, n, monkeypatch):
-        # every worst at most the table's last cap, so a batch's grown
-        # bounding box can miss the coverage and settle the batch in one read
+        # every worst at most the table's last cap, so a group's grown
+        # bounding box can miss the coverage and settle the group's cells;
+        # small groups split a batch into many, the last one short
         grid, refine_max = self.SHAPES[n]
         side = grid * 2**refine_max
         rng = np.random.default_rng(20 + n)
@@ -1199,12 +1214,13 @@ class TestCoverageTable:
         reads = []
         near = lusin._coverage_near
 
-        def counting(sat, lo, hi):
-            reads.append(lo.shape[1])
+        def recording(sat, lo, hi):
+            reads.append((lo.copy(), hi.copy()))
             return near(sat, lo, hi)
 
-        monkeypatch.setattr(lusin, "_coverage_near", counting)
-        settled = 0
+        monkeypatch.setattr(lusin, "_coverage_near", recording)
+        seen = Counter()
+        groups = (3, 16, lusin._GROUP)
         # the random masks, then one covering only the first corner cell
         masks = [*self._masks(rng, n, side), np.zeros((side,) * n, bool)]
         for k, covered in enumerate(masks):
@@ -1231,27 +1247,53 @@ class TestCoverageTable:
                 cells = self._free_blocks(covered, grid, r, f)
                 if not cells.shape[0]:
                     continue
-                worst = rng.choice(pool, size=cells.shape[0])
-                self._check_pinch(sat, dist, cells, f, worst, b_sup, h_rm)
-                # one NaN sorts past the table: the batch's box holds the
-                # whole mask, and the NaN cell fails
-                worst[rng.integers(worst.size)] = np.nan
-                self._check_pinch(sat, dist, cells, f, worst, b_sup, h_rm)
-                # the free cells in the far half of every axis
-                far = cells[(cells * f >= side // 2).all(axis=1)]
-                if far.shape[0]:
-                    worst = rng.choice(low, size=far.shape[0])
+                for group in groups:
+                    monkeypatch.setattr(lusin, "_GROUP", group)
+
+                    def check(cells, worst):
+                        """One call against the oracle; the per-cell read
+                        holds exactly the cells of the groups whose box
+                        holds coverage, and comes only if some group's does."""
+                        reads.clear()
+                        self._check_pinch(sat, dist, cells, f, worst, b_sup, h_rm)
+                        held = self._held_groups(covered, cells, f, worst, caps, group)
+                        B = cells.shape[0]
+                        assert reads[0][0].shape[1] == -(-B // group)
+                        assert len(reads) == 1 + held.any()
+                        if held.any():
+                            lo, hi = reads[1]
+                            npt.assert_array_equal((lo + hi - f) // (2 * f), cells[held].T)
+                        seen["long"] += B > group and B % group > 0
+                        seen["mixed"] += held.any() and not held.all()
+                        return held
+
+                    worst = rng.choice(pool, size=cells.shape[0])
+                    check(cells, worst)
+                    # one NaN sorts past the table: its group's box holds
+                    # the whole mask, and the NaN cell fails
+                    worst[rng.integers(worst.size)] = np.nan
+                    check(cells, worst)
+                    # a NaN among low bounds: the other groups may settle
+                    worst = rng.choice(low, size=cells.shape[0])
+                    at = rng.integers(worst.size)
+                    worst[at] = np.nan
+                    held = check(cells, worst)
+                    assert held[at]
+                    seen["nan_mixed"] += not held.all()
+                    # the free cells in the far half of every axis
+                    far = cells[(cells * f >= side // 2).all(axis=1)]
+                    if far.shape[0]:
+                        worst = rng.choice(low, size=far.shape[0])
+                        check(far, worst)
+                        # one call settles the far batch
+                        seen["settled"] += far.shape[0] > 1 and len(reads) == 1
+                    # an empty batch reads nothing
                     reads.clear()
-                    self._check_pinch(sat, dist, far, f, worst, b_sup, h_rm)
-                    # one read of one box answers the whole batch
-                    settled += far.shape[0] > 1 and reads == [1]
-                # an empty batch reads nothing
-                reads.clear()
-                got = lusin._pinch_fails(
-                    sat, np.zeros((n, 0), np.int64), f, np.zeros(0), b_sup, h_rm
-                )
-                assert got.shape == (0,) and got.dtype == bool and not reads
-        assert settled
+                    got = lusin._pinch_fails(
+                        sat, np.zeros((n, 0), np.int64), f, np.zeros(0), b_sup, h_rm
+                    )
+                    assert got.shape == (0,) and got.dtype == bool and not reads
+        assert all(seen[key] for key in ("long", "mixed", "nan_mixed", "settled")), seen
 
 
 class TestTailPinch:

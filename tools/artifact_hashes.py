@@ -12,8 +12,11 @@ result's bytes in logical order.  Then, for each surface in CERTIFIED, it
 reads the function and certificate from bench/fixtures/ (leaving them as they
 are), runs certify_function with all five checks at JET_POINTS pairs and seed
 1, writes the report with write_json and prints "certify_<name>" and the
-report's sha256.  Run it before and after a change that should keep every
-output, and compare the two outputs with diff.
+report's sha256.  Last, for each build, it prints "reload_<name>" and the
+sha256 of the .lkf that load_function reads and save_function writes again,
+which equals the build's own .lkf sha256 when the file round-trips.  Run it
+before and after a change that should keep every output, and compare the
+two outputs with diff.
 """
 
 import gzip
@@ -181,6 +184,7 @@ def _sha256(path: Path) -> str:
 
 
 def main() -> int:
+    reloaded = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (field, dom, cfg) in BUILDS.items():
             g, cert = multi_stage_build(field, dom, cfg)
@@ -192,6 +196,9 @@ def main() -> int:
             pts = rng.uniform(dom.lower, dom.upper, size=(JET_POINTS, dom.dimension))
             jet = hashlib.sha256(g.jet(pts, g.multiindices).tobytes()).hexdigest()
             print(name, _sha256(lkf), _sha256(cert_json), jet)
+            again = Path(tmp) / f"{name}.reloaded.lkf"
+            harness.save_function(*harness.load_function(str(lkf)), str(again))
+            reloaded.append(f"reload_{name} {_sha256(again)}")
         for name in CERTIFIED:
             lkf, cert_json, report = (
                 Path(tmp) / f"{name}{suffix}"
@@ -205,6 +212,7 @@ def main() -> int:
             rep = harness.certify_function(g, dom, cert, pairs=JET_POINTS, seed=1)
             harness.write_json(str(report), rep)
             print(f"certify_{name}", _sha256(report))
+    print(*reloaded, sep="\n")
     return 0
 
 
