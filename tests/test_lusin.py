@@ -843,6 +843,26 @@ class TestBatching:
             for part in range(4):
                 assert got[part] == want[part]
 
+    @pytest.mark.parametrize("batch", [1, 5, 16, 97])
+    def test_batches_walk_the_parts_as_one(self, batch, monkeypatch):
+        # a refined level's parents come as one part per batch that failed
+        # them, empty parts among them; batches run across part boundaries
+        rng = np.random.default_rng(batch)
+        n, S = 2, 4
+        parts = [rng.integers(0, 50, (n, k)) for k in (3, 0, 7, 1, 0, 12, 5)]
+        shifts = rng.integers(0, 2, (n, S))
+        monkeypatch.setattr(lusin, "_BATCH", batch)
+        got = list(lusin._batches(parts, 2, shifts))
+        whole = np.concatenate(parts, axis=1)
+        want = (2 * whole[:, :, None] + shifts[:, None, :]).reshape(n, -1)
+        npt.assert_array_equal(np.concatenate(got, axis=1), want)
+        # whole parents, at most _BATCH cells unless one parent has more
+        step = max(1, batch // S)
+        P = whole.shape[1]
+        assert [b.shape[1] for b in got] == [
+            S * min(step, P - s) for s in range(0, P, step)
+        ]
+
     # cells considered, cells accepted and reject counts of stages 2 and 3
     LATER_STAGES = {
         "growth": (
