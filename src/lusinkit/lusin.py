@@ -141,11 +141,6 @@ def _square_side(dom: BoxDomain) -> float:
     return float(sides[0])
 
 
-def _grid_cells(grid: int, n: int) -> list:
-    """Stage 1's seeds: every cell of the level-0 lattice, as (n, B) indices."""
-    return [(0, np.indices((grid,) * n).reshape(n, -1))]
-
-
 def _truncation_level(residuals, quantile: float) -> float:
     """Smallest level T with max|field - g| <= T at the requested fraction
     of the seed cells' centers; quantile 1 gives the sampled maximum.
@@ -156,8 +151,6 @@ def _truncation_level(residuals, quantile: float) -> float:
     """
     vals = np.concatenate([np.abs(v).max(axis=0) for v in residuals])
     vals[np.isnan(vals)] = np.inf
-    if quantile >= 1.0:
-        return float(vals.max())
     k = min(vals.size - 1, max(0, math.ceil(quantile * vals.size) - 1))
     return float(np.partition(vals, k)[k])
 
@@ -317,7 +310,6 @@ def _run_stage(
     children = np.indices((2,) * n).reshape(n, -1)
     queue = []
     for r, idx in seeds:
-        idx = np.asarray(idx, np.int64).reshape(n, -1)
         shift = np.zeros((n, 1), np.int64)
         res = [residual(centers_of(b, h0 / 2**r)) for b in _batches([idx], 1, shift)]
         queue.append((r, [idx], 1, shift, res))
@@ -402,7 +394,8 @@ def _run_stage(
             if oi.size:
                 term_idx.append(idx.take(oi, axis=1))
                 term_vals.append(vals.take(oi, axis=1))
-                k = np.searchsorted(ti, oi)
+                # the cells oi among ti, as every accepted term passed truncation
+                k = ok[ti]
                 sup_acc = np.maximum(sup_acc, bmax[:, k].max(axis=1))
                 if m > 1:
                     lip_acc = max(lip_acc, lip_low[k].max())
@@ -580,7 +573,8 @@ def _free_cells(sat: np.ndarray, grid: int, refine_max: int) -> list:
     window of cells, the children of the box spanned by the mixed cells of
     the level above, as differences along each axis of one strided slice of
     sat.  Its free cells are the window's free cells with a mixed parent,
-    which np.nonzero lists in C order.
+    which np.nonzero lists in C order.  On the empty table, stage 1's, this
+    is the whole level-0 grid.
     """
     n = sat.ndim
     out = []
@@ -617,37 +611,33 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     sigma w_k and modulus weight w_k = stage_weight(k), so the ledgers sum
     strictly below the global budgets.  Certified plateau boxes of earlier
     stages repel later cells through a quadratic pinch on their sup bounds.
-    Later stages read their free cells and each tested cell's pinch off one
-    coverage table, into which each stage's cells are painted before the
-    next stage reads it (see _paint); as painting widens plateaus to whole
-    mask cells, any theta keeps the stages' boxes disjoint.
+    Every stage reads its free cells, and every later stage each tested
+    cell's pinch, off one coverage table, into which each stage's cells are
+    painted before the next stage reads it (see _paint); as painting widens
+    plateaus to whole mask cells, any theta keeps the stages' boxes disjoint.
     """
     if field.dimension != dom.dimension:
         raise ValueError("field and domain dimensions differ")
     n, m = field.dimension, field.order
     # 4^n times the coverage table's (grid 2^refine_max)^n mask cells stay
-    # under 3e8: its int32 counts cannot overflow and its memory stays small.
-    # Single-stage builds keep no table, but the rule bounds their lattice too
+    # under 3e8: its int32 counts cannot overflow and its memory stays small
     if (cfg.grid * 2 ** (cfg.refine_max + 2)) ** n > 3e8:
         raise ValueError("grid * 2**(refine_max + 2) exceeds the mask budget")
     side = _square_side(dom)
     h0 = side / cfg.grid
     profile = CutoffProfile(m, cfg.theta)
     lower = np.asarray(dom.lower)
-    sat = None
-    if cfg.stages > 1:
-        sat = np.zeros((cfg.grid * 2**cfg.refine_max + 1,) * n, np.int32)
+    # every stage seeds from the table; a single stage only reads its level-0
+    # corners, and pages never written never become resident
+    sat = np.zeros((cfg.grid * 2**cfg.refine_max + 1,) * n, np.int32)
 
     g = BumpPolySum(n, m)
     reports = []
     covered_arrays = []
     for stage in range(1, cfg.stages + 1):
-        if stage == 1:
-            seeds = _grid_cells(cfg.grid, n)
-        else:
-            seeds = _free_cells(sat, cfg.grid, cfg.refine_max)
-            if all(idx.shape[1] == 0 for _, idx in seeds):
-                break
+        seeds = _free_cells(sat, cfg.grid, cfg.refine_max)
+        if all(idx.shape[1] == 0 for _, idx in seeds):
+            break
         accepted, report = _run_stage(
             field,
             g,
@@ -677,6 +667,8 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             break
         if stage < cfg.stages:
             _paint(sat, accepted, cfg.refine_max, cfg.theta)
+        # the stage's cells and boxes end with it, before the next one runs
+        del accepted, boxes, idx, lows
 
     return g, BuildCertificate(
         order=m,

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -256,6 +257,15 @@ class TestLusinTruncate:
     def test_quantile_one_keeps_everything(self):
         T = self._truncation("invx", BoxDomain((0.0,), (1.0,)), 1.0, 100)
         assert T == pytest.approx(200.0, rel=1e-12)
+
+    def test_quantile_one_reads_the_sampled_maximum(self):
+        # one order statistic for every quantile: at 1 it is the largest
+        # center value, and a NaN center counts as +inf
+        vals = [np.array([[1.0, -3.0], [0.5, 2.0]]), np.array([[0.25], [-2.5]])]
+        assert lusin._truncation_level(vals, 1.0) == 3.0
+        vals.append(np.array([[np.nan], [0.0]]))
+        assert lusin._truncation_level(vals, 1.0) == math.inf
+        assert lusin._truncation_level(vals, 0.75) == 3.0
 
     def test_bounded_field_keeps_everything(self):
         T = self._truncation("heisenberg", UNIT_SQUARE, 0.5, 16)
@@ -912,6 +922,26 @@ class TestBatching:
                 for center in (idx * h + h / 2.0).T.tolist():
                     assert seen[tuple(center)] == 1
 
+    def test_stage_cells_end_with_the_stage(self, monkeypatch):
+        # when a stage starts, the cell arrays the stage before accepted are
+        # gone: one stage's arrays never add to the next one's peak
+        name, cfg, _ = self.CASES["pwl_permissive"]
+        run_stage = lusin._run_stage
+        refs, entries, alive = [], [], []
+
+        def spy_stage(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            accepted, report = run_stage(*args, **kwargs)
+            refs[:] = [weakref.ref(idx) for _, idx, _ in accepted]
+            entries.append(len(refs))
+            return accepted, report
+
+        monkeypatch.setattr(lusin, "_run_stage", spy_stage)
+        multi_stage_build(field_catalog(name), UNIT_SQUARE, cfg)
+        # stages 1 and 2 accept cells, stage 3 none
+        assert entries[0] and entries[1] and not entries[2]
+        assert alive == [0, 0, 0]
+
     def test_flagship_memory_stays_bounded(self):
         # the flagship settings: 1024^2 cells at level 4 of stage 1, and a
         # stage 2 seeded from free cells of every level
@@ -1121,9 +1151,12 @@ class TestCoverageTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_free_cells_match_brute_force(self, n):
+        # the empty table too, from which stage 1 seeds the level-0 grid
         grid, refine_max = self.SHAPES[n]
+        side = grid * 2**refine_max
         rng = np.random.default_rng(n)
-        for covered in self._masks(rng, n, grid * 2**refine_max):
+        empty = np.zeros((side,) * n, bool)
+        for covered in [empty, *self._masks(rng, n, side)]:
             self._check_free_cells(covered, grid, refine_max)
 
     @pytest.mark.parametrize("n", [1, 2, 3])

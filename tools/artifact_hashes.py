@@ -1,4 +1,4 @@
-"""Print the sha256 of the function file, certificate and jet of eleven fixed
+"""Print the sha256 of the function file, certificate and jet of twelve fixed
 builds, and of the certify report of two committed surfaces.
 
     python3 tools/artifact_hashes.py
@@ -142,6 +142,10 @@ BUILDS = {
         ),
     ),
     "theta_0.3": (field_catalog("heisenberg"), UNIT_SQUARE, replace(DEMO, theta=0.3)),
+    # one stage, whose truncation level is the sampled maximum
+    "single_stage_top_quantile": (
+        field_catalog("heisenberg"), UNIT_SQUARE, replace(DEMO, stages=1, quantile=1.0)
+    ),
     "invx": (
         field_catalog("invx"),
         BoxDomain((0.5,), (2.5,)),
