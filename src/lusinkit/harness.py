@@ -397,34 +397,42 @@ def _stratified_pairs(dom: BoxDomain, count: int, rng):
     diam = dom.diameter()
     seps = np.geomspace(1e-8 * diam, 0.99 * diam, bins)
     per = max(1, count // bins)
-    xs, ys = [], []
+    n = dom.dimension
+    # each round's kept rows go straight to their place: the bins keep at
+    # most bins * per <= count pairs, in draw order
+    x, y = np.empty((count, n)), np.empty((count, n))
+    at = 0
     for d in seps:
         got = 0
         for _ in range(PAIR_ROUNDS):
             need = per - got
             if need <= 0:
                 break
-            x = _uniform_in_box(rng, dom.lower, dom.upper, need)
-            y = x + d * _unit_vectors(rng, need, dom.dimension)
-            ok = np.flatnonzero(dom.contains(y))
-            xs.append(x.take(ok, axis=0))
-            ys.append(y.take(ok, axis=0))
+            xr = _uniform_in_box(rng, dom.lower, dom.upper, need)
+            # y = x + d u in the buffer of the directions u
+            yr = _unit_vectors(rng, need, n)
+            yr *= d
+            yr += xr
+            ok = np.flatnonzero(dom.contains(yr))
+            # the indices are in range, so "clip" clips none; "raise" would
+            # gather into a buffer and copy it to out
+            xr.take(ok, axis=0, out=x[at : at + ok.size], mode="clip")
+            yr.take(ok, axis=0, out=y[at : at + ok.size], mode="clip")
+            at += ok.size
             got += ok.size
             if not got:
                 break
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    short = count - x.shape[0]
+    short = count - at
     if short > 0:
         # rejection cannot always fill the near-diameter bins; spend the
         # remainder at small separations, where the increment bounds bind
         top = min(np.asarray(dom.side_lengths()).min() / 3.0, diam)
         d = np.exp(rng.uniform(np.log(1e-8 * diam), np.log(top), size=short))
         lo, hi = [a + d for a in dom.lower], [b - d for b in dom.upper]
-        x2 = _uniform_in_box(rng, lo, hi, short)
-        vec = _unit_vectors(rng, short, dom.dimension)
-        x = np.concatenate([x, x2])
-        y = np.concatenate([y, x2 + d[:, None] * vec])
+        x[at:] = _uniform_in_box(rng, lo, hi, short)
+        vec = _unit_vectors(rng, short, n)
+        vec *= d[:, None]
+        np.add(x[at:], vec, out=y[at:])
     step = x - y
     return x, y, np.sqrt(_fold_columns(np.add, step * step))
 

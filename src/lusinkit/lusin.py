@@ -252,7 +252,9 @@ def _run_stage(
 ):
     """One certification pass over the free cells, with dyadic refinement.
 
-    The residual data are field - g, g the sum of the earlier stages' terms.
+    The residual data are field - g, g the sum of the earlier blocks that
+    reach the stage's free cells (see multi_stage_build), as every centre
+    and stencil point lies in a free cell or on its faces.
     Returns (accepted, report): accepted lists (level, idx, coeffs) per
     queue entry, idx the cells (n, B) of the level-r lattice, grid 2^r cells
     per axis, and coeffs None for zero-data cells, which are certified whole;
@@ -439,6 +441,14 @@ def _run_stage(
     return accepted, report
 
 
+def _rim(theta: float, f: int) -> int:
+    """Mask cells per axis that a term of a cell f mask cells wide leaves
+    unpainted on each side, floor(theta f / 2): its collar past the plateau
+    c +- (1 - theta) hw, less any part of a mask cell.  A term of rim 0 is
+    painted whole, so no later stage's free cell reaches into it."""
+    return math.floor(theta * f / 2)
+
+
 def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     """Add a stage's certified mask cells to the coverage table sat, in place.
 
@@ -447,7 +457,7 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     i on every axis, so a box's coverage is a signed sum over its corners.
     accepted lists (level, idx, coeffs) entries as _run_stage returns them.
     A level-r cell spans f = 2^(refine_max - r) mask cells per axis; a term
-    paints them less a rim floor(theta f / 2) wide, which holds its plateau
+    paints them less a rim _rim(theta, f) wide, which holds its plateau
     c +- (1 - theta) hw, and a zero-data cell paints them all.  Painted
     ranges meet neither each other nor earlier coverage, so the stage's 0/1
     mask, summed once along each axis, adds its own table and keeps every
@@ -462,7 +472,7 @@ def _paint(sat: np.ndarray, accepted: list, refine_max: int, theta: float):
     mask = np.zeros(tuple(s - 1 for s in sat.shape), np.int32)
     for level, idx, cf in accepted:
         f = 2 ** (refine_max - level)
-        rim = 0 if cf is None else math.floor(theta * f / 2)
+        rim = 0 if cf is None else _rim(theta, f)
         # a view, as mask is contiguous: writes through it land in mask
         blocks = mask.reshape(sum(((s // f, f) for s in mask.shape), ()))
         blocks[sum(((i, slice(rim, f - rim)) for i in idx), ())] = 1
@@ -615,6 +625,11 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     cell's pinch, off one coverage table, into which each stage's cells are
     painted before the next stage reads it (see _paint); as painting widens
     plateaus to whole mask cells, any theta keeps the stages' boxes disjoint.
+    A stage's residual data are the field less the earlier blocks that reach
+    its free cells: a sum sharing g's blocks, less those whose terms have
+    rim 0 (see _rim).  Such a term is painted whole, so the free cells meet
+    its cell at most on a face, where it vanishes to order m: the residual
+    keeps its bits.
     """
     if field.dimension != dom.dimension:
         raise ValueError("field and domain dimensions differ")
@@ -632,6 +647,8 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
     sat = np.zeros((cfg.grid * 2**cfg.refine_max + 1,) * n, np.int32)
 
     g = BumpPolySum(n, m)
+    # the blocks of g whose terms can reach a later stage's free cells
+    reach = []
     reports = []
     covered_arrays = []
     for stage in range(1, cfg.stages + 1):
@@ -640,7 +657,7 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             break
         accepted, report = _run_stage(
             field,
-            g,
+            BumpPolySum(n, m, reach),
             dom,
             cfg,
             profile,
@@ -659,6 +676,8 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
                 boxes.append(np.concatenate([lows, lows + h], axis=1))
                 continue
             g = g.with_block(lows, h, cfg.theta, stage, cf)
+            if _rim(cfg.theta, 2 ** (cfg.refine_max - level)):
+                reach.append(g.blocks[-1])
             c, p = lows + h / 2.0, (1.0 - cfg.theta) * (h / 2.0)
             boxes.append(np.concatenate([c - p, c + p], axis=1))
         reports.append(report)

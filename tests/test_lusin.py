@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -490,6 +492,68 @@ class TestResidual:
         # a NaN coordinate skips nothing
         residual(np.array([[beyond[0, 0], np.nan], [beyond[1, 0]] * 2]))
         assert len(calls) == len(g.blocks)
+
+
+def _load_artifact_builds():
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_hashes.py"
+    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BUILDS
+
+
+class TestReachingBlocks:
+    """Later stages take field - g against only the earlier blocks whose terms
+    can reach their free cells; the blocks left out must change no bit."""
+
+    NAMES = (
+        "demo",
+        "demo_shifted",
+        "theta_0.3",
+        "heisenberg_cut",
+        "invx",
+        "spatial_quadratic",
+        "pwl_permissive",
+    )
+
+    @pytest.fixture(scope="class")
+    def builds(self):
+        builds = _load_artifact_builds()
+        field, dom, cfg = builds["pwl_permissive"]
+        builds["pwl_permissive"] = (field, dom, replace(cfg, grid=16))
+        return builds
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_left_out_blocks_change_no_bit(self, builds, name, monkeypatch):
+        field, dom, cfg = builds[name]
+        # the build's whole sum so far: the last that with_block returned
+        whole = [None]
+        with_block = core.BumpPolySum.with_block
+
+        def tracking(g, *args):
+            whole[0] = with_block(g, *args)
+            return whole[0]
+
+        residual = FieldCollection.residual
+        left_out = []
+
+        def comparing(fc, g, rows):
+            got = residual(fc, g, rows)
+            if whole[0] is not None:
+                every = whole[0].blocks
+                assert all(any(b is e for e in every) for b in g.blocks)
+                want = residual(fc, whole[0], rows)
+                npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                left_out.append(len(every) - len(g.blocks))
+            return got
+
+        monkeypatch.setattr(core.BumpPolySum, "with_block", tracking)
+        monkeypatch.setattr(FieldCollection, "residual", comparing)
+        multi_stage_build(field, dom, cfg)
+        # later stages ran against earlier terms
+        assert left_out
+        if name == "demo":
+            assert max(left_out) > 0
 
 
 def _reference_bound_maxima(profile, n, top, hw, modulus):
@@ -1158,6 +1222,24 @@ class TestCoverageTable:
         empty = np.zeros((side,) * n, bool)
         for covered in [empty, *self._masks(rng, n, side)]:
             self._check_free_cells(covered, grid, refine_max)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rim_zero_exactly_when_a_term_is_painted_whole(self, n):
+        # the rule by which later stages leave a block out of their residual
+        grid, refine_max = self.SHAPES[n]
+        side = grid * 2**refine_max
+        seen = set()
+        for theta in (0.125, 0.3, 0.5, 0.9):
+            for level in range(refine_max + 1):
+                f = 2 ** (refine_max - level)
+                idx = np.full((n, 1), grid * 2**level - 1, np.int64)
+                sat = np.zeros((side + 1,) * n, np.int32)
+                lusin._paint(sat, [(level, idx, np.ones((1, 1)))], refine_max, theta)
+                count = lusin._coverage_near(sat, idx * f, idx * f + f)[0]
+                whole = lusin._rim(theta, f) == 0
+                assert (count == f**n) == whole
+                seen.add(whole)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_corner_and_whole_table_coverage(self, n):
