@@ -12,6 +12,7 @@ from disk.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .core import (
     BuildCertificate,
     BuildConfig,
     InfeasibleBudgetError,
+    _Block,
     _FROM_JSON,
     _fold_columns,
     _jsonable,
@@ -124,62 +126,72 @@ def write_json(path: str, payload: dict) -> None:
 # stage >= 1.
 # Consecutive records with equal side, theta and stage form one block, whose
 # lattice is that of its own cells (see _Block), so save_function refuses a
-# sum whose records would merge into a block off one lattice.
+# sum whose records would merge into a block off one lattice.  Both ways the
+# records move 2**17 // width at a time, so no copy of them all is made.
 
 
 def _record_width(n: int, m: int) -> int:
     return n + 1 + math.comb(n + m, m) + 3
 
 
-def _sum_from_records(n: int, m: int, block: np.ndarray) -> BumpPolySum:
-    """The sum that a function file's term records describe.
+def _check_reloads(n: int, m: int, blocks) -> None:
+    """Raise ValueError unless the records of blocks load as these blocks.
 
-    Raises ValueError for records that no sum holds: non-finite values, a
-    bad side, theta or stage, a weight other than the stage's, or a block
-    whose cells are off one lattice or overlap.
+    The checks are load_function's: finite values, a positive side and a
+    theta in (0, 1) (a block's stage is at least 1, and its records' weight
+    is written from it), and one lattice for each run of consecutive blocks
+    of equal side, theta and stage, which load as one block.
     """
-    g = BumpPolySum(n, m)
-    if not np.isfinite(block).all():
-        raise ValueError("numeric block contains non-finite values")
-    if not block.shape[0]:
-        return g
-    k = math.comb(n + m, m)
-    meta_cols = [n, n + 1 + k, n + 3 + k]
-    steps = np.diff(block[:, meta_cols], axis=0) != 0.0
-    splits = np.nonzero(_fold_columns(np.logical_or, steps))
-    for part in np.split(block, splits[0] + 1):
-        side, theta, stage = part[0, meta_cols]
-        if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage) or stage < 1:
+    for b in blocks:
+        if not (
+            math.isfinite(b.spacing)
+            and math.isfinite(b.theta)
+            and np.isfinite(b.lows).all()
+            and np.isfinite(b.coeffs).all()
+        ):
+            raise ValueError("numeric block contains non-finite values")
+    for (side, theta, stage), run in itertools.groupby(
+        blocks, lambda b: (b.spacing, b.theta, b.stage)
+    ):
+        if side <= 0.0 or not 0.0 < theta < 1.0:
             raise ValueError("malformed cell term record")
-        if (part[:, n + 2 + k] != stage_weight(stage)).any():
-            raise ValueError("a weight is not its stage's 2^-stage")
-        g = g.with_block(part[:, :n], side, theta, stage, part[:, n + 1 : n + 1 + k])
-    return g
+        run = list(run)
+        if len(run) > 1:
+            lows = np.concatenate([b.lows for b in run])
+            coeffs = np.concatenate([b.coeffs for b in run])
+            _Block(n, m, side, theta, stage, lows, coeffs)
+
+
+def _records(blocks, n: int, k: int, rows: int):
+    """The blocks' term records in C order, at most rows at a time, each a
+    fill of one reused buffer."""
+    buf = np.empty((rows, n + k + 4), "<f8")
+    for b in blocks:
+        for s in range(0, b.lows.shape[0], rows):
+            rec = buf[: min(rows, b.lows.shape[0] - s)]
+            rec[:, :n] = b.lows[s : s + rows]
+            rec[:, n] = b.spacing
+            rec[:, n + 1 : n + 1 + k] = b.coeffs[s : s + rows]
+            rec[:, n + 1 + k] = b.theta
+            rec[:, n + 2 + k] = stage_weight(b.stage)
+            rec[:, n + 3 + k] = b.stage
+            yield rec
 
 
 def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
     """Write the sum and its domain box; load_function inverts bit-exactly.
 
-    Raises ValueError, writing nothing, when the records would not reload.
+    Checks the blocks one at a time, and each run of consecutive blocks of
+    equal side, theta and stage as the one block it loads as, then writes
+    the records a chunk at a time from one buffer: no array of all the
+    records is made.  Raises ValueError, writing nothing, when the records
+    would not reload.
     """
     if g.dimension != dom.dimension:
         raise ValueError("domain dimension does not match the function")
     n, m = g.dimension, g.order
-    k = math.comb(n + m, m)
-    # column-major, so the blocks that check the records keep views of them
-    block = np.empty((g.term_count, _record_width(n, m)), order="F")
-    row = 0
-    for blk in g.blocks:
-        rec = block[row : row + blk.lows.shape[0]]
-        rec[:, :n] = blk.lows
-        rec[:, n] = blk.spacing
-        rec[:, n + 1 : n + 1 + k] = blk.coeffs
-        rec[:, n + 1 + k] = blk.theta
-        rec[:, n + 2 + k] = stage_weight(blk.stage)
-        rec[:, n + 3 + k] = blk.stage
-        row += rec.shape[0]
     try:
-        _sum_from_records(n, m, block)
+        _check_reloads(n, m, g.blocks)
     except ValueError as exc:
         raise ValueError(f"function would not reload from its file: {exc}") from exc
     header = [
@@ -189,15 +201,11 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
         "domain-lower " + " ".join(float(v).hex() for v in dom.lower),
         "domain-upper " + " ".join(float(v).hex() for v in dom.upper),
         f"stages {len(g.stage_ids)}",
-        f"terms {block.shape[0]}",
+        f"terms {g.term_count}",
         "end-header",
     ]
-    # the records in C order, a few at a time, so no copy holds them all
-    step = max(1, 2**17 // block.shape[1])
-    records = (
-        np.ascontiguousarray(block[s : s + step], "<f8")
-        for s in range(0, block.shape[0], step)
-    )
+    rows = min(max(1, 2**17 // _record_width(n, m)), g.term_count)
+    records = _records(g.blocks, n, math.comb(n + m, m), rows)
     _atomic_write(path, "\n".join(header).encode() + b"\n", records)
 
 
@@ -208,17 +216,86 @@ def _header_int(fields: dict, key: str) -> int:
         raise FunctionFileError(f"missing or malformed header field {key!r}")
 
 
+def _read_header(fh) -> str:
+    """The text before the header terminator, read a piece at a time; fh is
+    left at the first record."""
+    marker = b"end-header\n"
+    head = bytearray()
+    while True:
+        piece = fh.read(4096)
+        if not piece:
+            raise FunctionFileError("no header terminator found")
+        # the terminator may straddle two pieces
+        start = max(0, len(head) - len(marker) + 1)
+        head += piece
+        cut = head.find(marker, start)
+        if cut >= 0:
+            fh.seek(cut + len(marker))
+            return head[:cut].decode("ascii", errors="replace")
+
+
+def _read_terms(fh, n: int, k: int, terms: int):
+    """Corners, coefficients and runs of the terms records at fh's position.
+
+    The records are read 2**17 // width at a time into one buffer.  Each
+    chunk's values, sides, thetas, weights and stages are checked, and its
+    corners (terms, n) and coefficients (terms, k) copied into column-major
+    arrays, which alone outlive the read: each block keeps views of their
+    columns.  runs lists (first row, side, theta, stage) for each run of
+    consecutive records of equal side, theta and stage.  Raises ValueError
+    for a non-finite value, a bad side, theta or stage, or a weight other
+    than the stage's.
+    """
+    width = n + k + 4
+    lows = np.empty((terms, n), order="F")
+    coeffs = np.empty((terms, k), order="F")
+    meta = [n, n + 1 + k, n + 3 + k]
+    step = max(1, 2**17 // width)
+    buf = np.empty((min(step, terms), width), "<f8")
+    runs, last = [], None
+    for s in range(0, terms, step):
+        rec = buf[: min(step, terms - s)]
+        if fh.readinto(rec) != rec.nbytes:
+            raise ValueError("numeric block ended early")
+        if not np.isfinite(rec).all():
+            raise ValueError("numeric block contains non-finite values")
+        keys = rec[:, meta]
+        steps = _fold_columns(np.logical_or, np.diff(keys, axis=0) != 0.0)
+        firsts = [0, *(np.flatnonzero(steps) + 1).tolist()]
+        for a, b in zip(firsts, firsts[1:] + [rec.shape[0]]):
+            key = tuple(keys[a].tolist())
+            side, theta, stage = key
+            if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage) or stage < 1:
+                raise ValueError("malformed cell term record")
+            if (rec[a:b, n + 2 + k] != stage_weight(int(stage))).any():
+                raise ValueError("a weight is not its stage's 2^-stage")
+            if a or key != last:
+                runs.append((s + a, *key))
+        last = key
+        lows[s : s + rec.shape[0]] = rec[:, :n]
+        coeffs[s : s + rec.shape[0]] = rec[:, n + 1 : n + 1 + k]
+    return lows, coeffs, runs
+
+
 def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
+    """The sum and domain box that save_function wrote to path.
+
+    Reads the header, checks the body's length against it, then reads the
+    records a chunk at a time into the blocks' arrays: neither the file's
+    bytes nor a copy of all its records is held.  Raises FunctionFileError
+    for a file that cannot be read, is of another format or version, has a
+    malformed header, a body of the wrong length, or records that no sum
+    holds or that contradict the header's stage count.
+    """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_function(fh)
     except OSError as exc:
         raise FunctionFileError(f"cannot read function file: {exc}")
-    marker = b"end-header\n"
-    cut = raw.find(marker)
-    if cut < 0:
-        raise FunctionFileError("no header terminator found")
-    lines = raw[:cut].decode("ascii", errors="replace").splitlines()
+
+
+def _read_function(fh) -> tuple[BumpPolySum, BoxDomain]:
+    lines = _read_header(fh).splitlines()
     if not lines or not lines[0].startswith(FORMAT_MAGIC + " "):
         raise FunctionFileError("not a lusinkit function file")
     found = lines[0][len(FORMAT_MAGIC) + 1 :].strip()
@@ -246,11 +323,10 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
     dom = BoxDomain(lower, upper)
 
     width = _record_width(n, m)
-    # a view of the records, dropped with raw once the block holds them
-    body = memoryview(raw)[cut + len(marker) :]
-    if len(body) != terms * width * 8:
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    if body != terms * width * 8:
         raise FunctionFileError(
-            f"numeric block holds {len(body)} bytes, expected {terms * width * 8}"
+            f"numeric block holds {body} bytes, expected {terms * width * 8}"
         )
     # a header-only file passes the byte count with any width
     if width * 8 > np.iinfo(np.intp).max:
@@ -258,15 +334,20 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
             f"dimension {n} and order {m} give records of {width} values,"
             " more than an array can hold"
         )
-    # column-major, so each block keeps views of its columns
-    block = np.frombuffer(body, dtype="<f8").reshape(terms, width)
-    block = block.astype(float, order="F")
-    del body, raw
     try:
-        g = _sum_from_records(n, m, block)
+        lows, coeffs, runs = _read_terms(fh, n, math.comb(n + m, m), terms)
+        ends = [r[0] for r in runs[1:]] + [terms]
+        g = BumpPolySum(
+            n,
+            m,
+            [
+                _Block(n, m, side, theta, stage, lows[a:b], coeffs[a:b])
+                for (a, side, theta, stage), b in zip(runs, ends)
+            ],
+        )
     except ValueError as exc:
         raise FunctionFileError(f"malformed cell terms: {exc}")
-    if len({int(s) for s in block[:, -1]}) != stages:
+    if len(g.stage_ids) != stages:
         raise FunctionFileError("stage count disagrees with the term records")
     return g, dom
 

@@ -666,28 +666,39 @@ def multi_stage_build(field: FieldCollection, dom: BoxDomain, cfg: BuildConfig):
             h0=h0,
             sat=sat if stage > 1 else None,
         )
-        # certified boxes: the plateau c +- (1 - theta) hw of a term, the
-        # whole cell of a zero-data cell
-        boxes = [np.zeros((0, 2 * n))]
+        # each entry's cell corners; a term block keeps its own as lows
+        corners = []
         for level, idx, cf in accepted:
             h = h0 / 2**level
-            lows = (lower[:, None] + idx * h).T
+            corners.append((lower[:, None] + idx * h).T)
+            if cf is not None:
+                g = g.with_block(corners[-1], h, cfg.theta, stage, cf)
+                if _rim(cfg.theta, 2 ** (cfg.refine_max - level)):
+                    reach.append(g.blocks[-1])
+        # certified boxes, low corner then high, written in place once the
+        # blocks' construction temporaries are gone: the plateau
+        # c +- (1 - theta) hw of a term, the whole cell of a zero-data cell
+        boxes = np.empty((report.cells_accepted, 2 * n))
+        at = 0
+        for (level, idx, cf), lows in zip(accepted, corners):
+            h = h0 / 2**level
+            low, high = np.hsplit(boxes[at : at + len(lows)], 2)
+            at += len(lows)
             if cf is None:
-                boxes.append(np.concatenate([lows, lows + h], axis=1))
-                continue
-            g = g.with_block(lows, h, cfg.theta, stage, cf)
-            if _rim(cfg.theta, 2 ** (cfg.refine_max - level)):
-                reach.append(g.blocks[-1])
-            c, p = lows + h / 2.0, (1.0 - cfg.theta) * (h / 2.0)
-            boxes.append(np.concatenate([c - p, c + p], axis=1))
+                low[...] = lows
+                np.add(lows, h, out=high)
+            else:
+                c, p = lows + h / 2.0, (1.0 - cfg.theta) * (h / 2.0)
+                np.subtract(c, p, out=low)
+                np.add(c, p, out=high)
         reports.append(report)
-        covered_arrays.append(np.concatenate(boxes))
+        covered_arrays.append(boxes)
         if report.cells_accepted == 0:
             break
         if stage < cfg.stages:
             _paint(sat, accepted, cfg.refine_max, cfg.theta)
         # the stage's cells and boxes end with it, before the next one runs
-        del accepted, boxes, idx, lows
+        del accepted, boxes, corners, idx, lows
 
     return g, BuildCertificate(
         order=m,

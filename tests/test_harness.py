@@ -255,6 +255,39 @@ def growth_run(tmp_path_factory):
     return paths, g, cert
 
 
+# the pwl_permissive benchmark workload's build: 74,898 terms in three
+# blocks, a 5.39 MB function file written in several chunks
+PWL_PERMISSIVE_CFG = BuildConfig(
+    eps=0.05,
+    sigma=1e6,
+    tau=10.0,
+    theta=0.5,
+    grid=32,
+    stages=6,
+    refine_max=4,
+    modulus=PiecewiseLinearModulus(((0.0, 0.0), (1.0, 1e-12))),
+)
+
+
+@pytest.fixture(scope="module")
+def pwl_file(tmp_path_factory):
+    field = field_catalog("heisenberg")
+    g, _ = multi_stage_build(field, UNIT_SQUARE, PWL_PERMISSIVE_CFG)
+    path = tmp_path_factory.mktemp("pwl") / "pwl.lkf"
+    save_function(g, UNIT_SQUARE, str(path))
+    return g, path
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreams:
     def test_labels_are_independent(self):
         assert stream_seed(0, "match") != stream_seed(0, "supnorm")
@@ -300,6 +333,89 @@ class TestFunctionFile:
         with pytest.raises(FunctionFileError, match="bytes"):
             load_function(bad)
 
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_body_one_byte_off(self, growth_run, tmp_path, cut):
+        raw = Path(growth_run[0]["function"]).read_bytes()
+        body = len(raw.partition(b"end-header\n")[2])
+        bad = tmp_path / "off.lkf"
+        bad.write_bytes(raw[:-1] if cut < 0 else raw + b"\0")
+        with pytest.raises(
+            FunctionFileError,
+            match=f"numeric block holds {body + cut} bytes, expected {body}$",
+        ):
+            load_function(str(bad))
+
+    def test_terms_beyond_the_body(self, growth_run, tmp_path):
+        paths, g, _ = growth_run
+        raw = Path(paths["function"]).read_bytes()
+        body = len(raw.partition(b"end-header\n")[2])
+        width = body // g.term_count
+        bad = tmp_path / "more.lkf"
+        bad.write_bytes(
+            raw.replace(
+                f"terms {g.term_count}\n".encode(),
+                f"terms {g.term_count + 1}\n".encode(),
+                1,
+            )
+        )
+        with pytest.raises(
+            FunctionFileError,
+            match=f"numeric block holds {body} bytes, expected {body + width}$",
+        ):
+            load_function(str(bad))
+
+    def test_terminator_straddling_a_read(self, growth_run, tmp_path):
+        # the header is read a piece at a time: pad it so that its
+        # terminator straddles each power of two from 2^8 to 2^17 bytes
+        paths, g, _ = growth_run
+        head, marker, body = Path(paths["function"]).read_bytes().partition(
+            b"end-header\n"
+        )
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, size=(500, 2))
+        for size in (2**p for p in range(8, 18)):
+            pad = size - 5 - len(head) - len(b"pad \n")
+            path = tmp_path / f"pad{size}.lkf"
+            path.write_bytes(head + b"pad " + b"x" * pad + b"\n" + marker + body)
+            assert (path.read_bytes().index(marker) + 5) == size
+            g2, _ = load_function(str(path))
+            npt.assert_array_equal(
+                g2.jet(pts, g.multiindices), g.jet(pts, g.multiindices)
+            )
+
+    def test_missing_terminator_past_one_read(self, tmp_path):
+        bad = tmp_path / "headless.lkf"
+        bad.write_bytes(b"lusinkit-function 1\ndimension 2\n" + b"x" * 2**18)
+        with pytest.raises(FunctionFileError, match="no header terminator found"):
+            load_function(str(bad))
+
+    def test_stage_count_counts_stages_not_runs(self, tmp_path):
+        # three blocks in three runs, of two stages
+        g = BumpPolySum(2, 1)
+        for low, stage in (([0.0, 0.0], 1), ([0.5, 0.5], 2), ([0.5, 0.0], 1)):
+            g = g.with_block([low], 0.25, 0.5, stage, [[1.0, 0.0, 0.0]])
+        path = tmp_path / "f.lkf"
+        save_function(g, UNIT_SQUARE, str(path))
+        g2, _ = load_function(str(path))
+        assert [b.stage for b in g2.blocks] == [1, 2, 1]
+        raw = path.read_bytes()
+        assert b"\nstages 2\n" in raw
+        for count in (b"1", b"3"):
+            path.write_bytes(raw.replace(b"\nstages 2\n", b"\nstages " + count + b"\n"))
+            with pytest.raises(FunctionFileError, match="stage count disagrees"):
+                load_function(str(path))
+
+    def test_consecutive_blocks_on_one_lattice_load_as_one(self, tmp_path):
+        g = BumpPolySum(2, 1)
+        for low, cf in (([0.0, 0.0], 1.0), ([0.5, 0.25], -2.0)):
+            g = g.with_block([low], 0.25, 0.5, 1, [[cf, 0.5, 0.0]])
+        path = str(tmp_path / "f.lkf")
+        save_function(g, UNIT_SQUARE, path)
+        g2, _ = load_function(path)
+        (blk,) = g2.blocks
+        npt.assert_array_equal(blk.lows, [[0.0, 0.0], [0.5, 0.25]])
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 2))
+        npt.assert_array_equal(g2.jet(pts, g.multiindices), g.jet(pts, g.multiindices))
+
     def test_cells_off_the_domain_lattice(self, tmp_path):
         # a block's lattice is that of its own cells, not the domain corner's
         g = BumpPolySum(2, 1).with_block(
@@ -323,6 +439,22 @@ class TestFunctionFile:
         for low in ([0.0, 0.0], [0.3, 0.3]):
             g = g.with_block([low], 0.25, 0.5, 1, [[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="reload.*lattice"):
+            save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(tmp_path / "f.lkf"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "second, coeff, message",
+        [([0.0, 0.0], 1.0, "overlapping"), ([0.5, 0.5], math.inf, "non-finite")],
+    )
+    def test_blocks_that_would_not_reload_are_refused(
+        self, tmp_path, second, coeff, message
+    ):
+        # two blocks of equal side, theta and stage load as one block: on
+        # one cell they overlap; and a value must be finite
+        g = BumpPolySum(2, 1)
+        for low, cf in (([0.0, 0.0], 1.0), (second, coeff)):
+            g = g.with_block([low], 0.25, 0.5, 1, [[cf, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="reload.*" + message):
             save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(tmp_path / "f.lkf"))
         assert list(tmp_path.iterdir()) == []
 
@@ -493,6 +625,54 @@ class TestFunctionFile:
         (blk,) = loaded[0].blocks
         npt.assert_array_equal(blk.lows, lows)
         npt.assert_array_equal(blk.coeffs, coeffs)
+
+
+    def test_load_holds_the_records_about_once(self, pwl_file):
+        # the blocks' corners and coefficients, with no copy of the file's
+        # bytes or of all its records beside them
+        g, path = pwl_file
+        loaded = []
+        peak = _traced_peak(lambda: loaded.append(load_function(str(path))[0]))
+        size = path.stat().st_size
+        assert g.term_count == 74_898 and size > 5_000_000
+        assert peak < 1.5 * size, peak / size
+        (g2,) = loaded
+        assert [b.lows.shape[0] for b in g2.blocks] == [
+            b.lows.shape[0] for b in g.blocks
+        ]
+        for b, b2 in zip(g.blocks, g2.blocks):
+            npt.assert_array_equal(b2.lows, b.lows)
+            npt.assert_array_equal(b2.coeffs, b.coeffs)
+            assert (b2.spacing, b2.theta, b2.stage) == (b.spacing, b.theta, b.stage)
+
+    def test_save_holds_one_chunk_of_records(self, pwl_file, tmp_path):
+        g, path = pwl_file
+        again = tmp_path / "again.lkf"
+        peak = _traced_peak(lambda: save_function(g, UNIT_SQUARE, str(again)))
+        size = path.stat().st_size
+        assert peak < 0.25 * size, peak / size
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (-2, 0.5, "weight is not"),
+            (-1, 1.5, "malformed cell term record"),
+            (0, math.nan, "non-finite"),
+        ],
+    )
+    def test_last_chunks_records_are_checked(
+        self, pwl_file, tmp_path, column, value, message
+    ):
+        # the last record, of stage 2, lies in the file's last chunk
+        g, path = pwl_file
+        head, marker, body = path.read_bytes().partition(b"end-header\n")
+        block = np.frombuffer(body, "<f8").reshape(g.term_count, -1).copy()
+        block[-1, column] = value
+        bad = tmp_path / "edited.lkf"
+        bad.write_bytes(head + marker + block.astype("<f8").tobytes())
+        with pytest.raises(FunctionFileError, match=message):
+            load_function(str(bad))
 
 
 class TestAtomicWrite:
