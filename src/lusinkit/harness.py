@@ -162,10 +162,12 @@ def _check_reloads(n: int, m: int, blocks) -> None:
             _Block(n, m, side, theta, stage, lows, coeffs)
 
 
-def _records(blocks, n: int, k: int, rows: int):
-    """The blocks' term records in C order, at most rows at a time, each a
-    fill of one reused buffer."""
-    buf = np.empty((rows, n + k + 4), "<f8")
+def _records(blocks, n: int, m: int, terms: int):
+    """The records of blocks, terms in all, in C order: 2**17 // width at a
+    time, each a fill of one reused buffer."""
+    k = math.comb(n + m, m)
+    rows = min(max(1, 2**17 // _record_width(n, m)), terms)
+    buf = np.empty((rows, _record_width(n, m)), "<f8")
     for b in blocks:
         for s in range(0, b.lows.shape[0], rows):
             rec = buf[: min(rows, b.lows.shape[0] - s)]
@@ -204,8 +206,7 @@ def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
         f"terms {g.term_count}",
         "end-header",
     ]
-    rows = min(max(1, 2**17 // _record_width(n, m)), g.term_count)
-    records = _records(g.blocks, n, math.comb(n + m, m), rows)
+    records = _records(g.blocks, n, m, g.term_count)
     _atomic_write(path, "\n".join(header).encode() + b"\n", records)
 
 
@@ -234,19 +235,19 @@ def _read_header(fh) -> str:
             return head[:cut].decode("ascii", errors="replace")
 
 
-def _read_terms(fh, n: int, k: int, terms: int):
+def _read_terms(fh, n: int, m: int, terms: int):
     """Corners, coefficients and runs of the terms records at fh's position.
 
     The records are read 2**17 // width at a time into one buffer.  Each
     chunk's values, sides, thetas, weights and stages are checked, and its
-    corners (terms, n) and coefficients (terms, k) copied into column-major
+    corners (terms, n) and coefficients (terms, K) copied into column-major
     arrays, which alone outlive the read: each block keeps views of their
     columns.  runs lists (first row, side, theta, stage) for each run of
     consecutive records of equal side, theta and stage.  Raises ValueError
     for a non-finite value, a bad side, theta or stage, or a weight other
     than the stage's.
     """
-    width = n + k + 4
+    k, width = math.comb(n + m, m), _record_width(n, m)
     lows = np.empty((terms, n), order="F")
     coeffs = np.empty((terms, k), order="F")
     meta = [n, n + 1 + k, n + 3 + k]
@@ -335,7 +336,7 @@ def _read_function(fh) -> tuple[BumpPolySum, BoxDomain]:
             " more than an array can hold"
         )
     try:
-        lows, coeffs, runs = _read_terms(fh, n, math.comb(n + m, m), terms)
+        lows, coeffs, runs = _read_terms(fh, n, m, terms)
         ends = [r[0] for r in runs[1:]] + [terms]
         g = BumpPolySum(
             n,
