@@ -721,10 +721,14 @@ class _Block:
                 (self.lows.max(axis=0) + 2.0 * self.spacing).tolist(),
             )
         )
-        rel = (self.lows - self.origin) / self.spacing
+        # in place, and freed before the keys are made: two (N, n) float
+        # arrays at once, not four
+        rel = self.lows - self.origin
+        rel /= self.spacing
         idx = np.rint(rel)
-        if not np.all(np.abs(rel - idx) <= _LATTICE_TOL):
+        if not np.all(np.abs(np.subtract(rel, idx, out=rel), out=rel) <= _LATTICE_TOL):
             raise ValueError("cell corners off the block's lattice")
+        del rel
         # on the padded lattice, index 0 and _top are the empty border
         idx += 1.0
         shape = [int(d) + 2 for d in idx.max(axis=0)]

@@ -114,7 +114,7 @@ def write_json(path: str, payload: dict) -> None:
 # function files
 #
 # Layout: an ASCII header (one key per line, domain corners as hex floats so
-# they survive exactly) terminated by "end-header\n", then one raw
+# they survive exactly) ended by the line "end-header", then one raw
 # little-endian float64 record per cell term:
 #
 #     low[0..n)  side  coeffs[0..K)  theta  weight  stage
@@ -127,87 +127,91 @@ def write_json(path: str, payload: dict) -> None:
 # Consecutive records with equal side, theta and stage form one block, whose
 # lattice is that of its own cells (see _Block), so save_function refuses a
 # sum whose records would merge into a block off one lattice.  Both ways the
-# records move 2**17 // width at a time, so no copy of them all is made.
+# records move one chunk at a time, each checked by _check_records, so no
+# copy of them all is made.
 
 
-def _record_width(n: int, m: int) -> int:
-    return n + 1 + math.comb(n + m, m) + 3
+def _record_layout(n: int, m: int) -> tuple[int, int, int]:
+    """K, the values in one record, and the records in one chunk."""
+    k = math.comb(n + m, m)
+    width = n + k + 4
+    return k, width, max(1, 2**17 // width)
 
 
-def _check_reloads(n: int, m: int, blocks) -> None:
-    """Raise ValueError unless the records of blocks load as these blocks.
-
-    The checks are load_function's: finite values, a positive side and a
-    theta in (0, 1) (a block's stage is at least 1, and its records' weight
-    is written from it), and one lattice for each run of consecutive blocks
-    of equal side, theta and stage, which load as one block.
-    """
-    for b in blocks:
-        if not (
-            math.isfinite(b.spacing)
-            and math.isfinite(b.theta)
-            and np.isfinite(b.lows).all()
-            and np.isfinite(b.coeffs).all()
-        ):
-            raise ValueError("numeric block contains non-finite values")
-    for (side, theta, stage), run in itertools.groupby(
-        blocks, lambda b: (b.spacing, b.theta, b.stage)
-    ):
-        if side <= 0.0 or not 0.0 < theta < 1.0:
+def _check_records(rec: np.ndarray, n: int, k: int) -> list:
+    """Raise ValueError unless every record of the chunk rec holds finite
+    values, a positive side, a theta in (0, 1), an integer stage >= 1 and
+    that stage's weight.  Returns (first row, side, theta, stage) for each
+    run of consecutive records of equal side, theta and stage."""
+    if not np.isfinite(rec).all():
+        raise ValueError("numeric block contains non-finite values")
+    cols = [rec[:, n], rec[:, n + 1 + k], rec[:, n + 3 + k]]
+    steps = _fold_columns(np.logical_or, [c[1:] != c[:-1] for c in cols])
+    firsts = [0, *(np.flatnonzero(steps) + 1).tolist()]
+    runs = []
+    for a, b in zip(firsts, firsts[1:] + [rec.shape[0]]):
+        side, theta, stage = (c[a].item() for c in cols)
+        if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage) or stage < 1:
             raise ValueError("malformed cell term record")
+        if (rec[a:b, n + 2 + k] != stage_weight(int(stage))).any():
+            raise ValueError("a weight is not its stage's 2^-stage")
+        runs.append((a, side, theta, stage))
+    return runs
+
+
+def _records(g: BumpPolySum):
+    """g's records in C order, each chunk checked, then yielded as a fill of
+    one reused buffer.  A run of consecutive blocks of equal side, theta and
+    stage, which loads as one block, is checked as that block after its
+    records."""
+    n, m = g.dimension, g.order
+    k, width, step = _record_layout(n, m)
+    buf = np.empty((min(step, g.term_count), width), "<f8")
+    for key, run in itertools.groupby(
+        g.blocks, lambda b: (b.spacing, b.theta, b.stage)
+    ):
         run = list(run)
+        for b in run:
+            for s in range(0, b.lows.shape[0], step):
+                rec = buf[: min(step, b.lows.shape[0] - s)]
+                rec[:, :n] = b.lows[s : s + step]
+                rec[:, n] = b.spacing
+                rec[:, n + 1 : n + 1 + k] = b.coeffs[s : s + step]
+                rec[:, n + 1 + k] = b.theta
+                rec[:, n + 2 + k] = stage_weight(b.stage)
+                rec[:, n + 3 + k] = b.stage
+                _check_records(rec, n, k)
+                yield rec
         if len(run) > 1:
             lows = np.concatenate([b.lows for b in run])
             coeffs = np.concatenate([b.coeffs for b in run])
-            _Block(n, m, side, theta, stage, lows, coeffs)
-
-
-def _records(blocks, n: int, m: int, terms: int):
-    """The records of blocks, terms in all, in C order: 2**17 // width at a
-    time, each a fill of one reused buffer."""
-    k = math.comb(n + m, m)
-    rows = min(max(1, 2**17 // _record_width(n, m)), terms)
-    buf = np.empty((rows, _record_width(n, m)), "<f8")
-    for b in blocks:
-        for s in range(0, b.lows.shape[0], rows):
-            rec = buf[: min(rows, b.lows.shape[0] - s)]
-            rec[:, :n] = b.lows[s : s + rows]
-            rec[:, n] = b.spacing
-            rec[:, n + 1 : n + 1 + k] = b.coeffs[s : s + rows]
-            rec[:, n + 1 + k] = b.theta
-            rec[:, n + 2 + k] = stage_weight(b.stage)
-            rec[:, n + 3 + k] = b.stage
-            yield rec
+            _Block(n, m, *key, lows, coeffs)
 
 
 def save_function(g: BumpPolySum, dom: BoxDomain, path: str) -> None:
     """Write the sum and its domain box; load_function inverts bit-exactly.
 
-    Checks the blocks one at a time, and each run of consecutive blocks of
-    equal side, theta and stage as the one block it loads as, then writes
-    the records a chunk at a time from one buffer: no array of all the
-    records is made.  Raises ValueError, writing nothing, when the records
-    would not reload.
+    Writes the records a chunk at a time from one buffer, checking each
+    chunk as load_function does: no array of all the records is made.
+    Raises ValueError, writing nothing, when the records would not reload.
     """
     if g.dimension != dom.dimension:
         raise ValueError("domain dimension does not match the function")
-    n, m = g.dimension, g.order
-    try:
-        _check_reloads(n, m, g.blocks)
-    except ValueError as exc:
-        raise ValueError(f"function would not reload from its file: {exc}") from exc
     header = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",
-        f"dimension {n}",
-        f"order {m}",
+        f"dimension {g.dimension}",
+        f"order {g.order}",
         "domain-lower " + " ".join(float(v).hex() for v in dom.lower),
         "domain-upper " + " ".join(float(v).hex() for v in dom.upper),
         f"stages {len(g.stage_ids)}",
         f"terms {g.term_count}",
         "end-header",
     ]
-    records = _records(g.blocks, n, m, g.term_count)
-    _atomic_write(path, "\n".join(header).encode() + b"\n", records)
+    try:
+        # a refused chunk raises inside _atomic_write, which drops the file
+        _atomic_write(path, "\n".join(header).encode() + b"\n", _records(g))
+    except ValueError as exc:
+        raise ValueError(f"function would not reload from its file: {exc}") from exc
 
 
 def _header_int(fields: dict, key: str) -> int:
@@ -217,62 +221,28 @@ def _header_int(fields: dict, key: str) -> int:
         raise FunctionFileError(f"missing or malformed header field {key!r}")
 
 
-def _read_header(fh) -> str:
-    """The text before the header terminator, read a piece at a time; fh is
-    left at the first record."""
-    marker = b"end-header\n"
-    head = bytearray()
-    while True:
-        piece = fh.read(4096)
-        if not piece:
-            raise FunctionFileError("no header terminator found")
-        # the terminator may straddle two pieces
-        start = max(0, len(head) - len(marker) + 1)
-        head += piece
-        cut = head.find(marker, start)
-        if cut >= 0:
-            fh.seek(cut + len(marker))
-            return head[:cut].decode("ascii", errors="replace")
-
-
 def _read_terms(fh, n: int, m: int, terms: int):
     """Corners, coefficients and runs of the terms records at fh's position.
 
-    The records are read 2**17 // width at a time into one buffer.  Each
-    chunk's values, sides, thetas, weights and stages are checked, and its
-    corners (terms, n) and coefficients (terms, K) copied into column-major
-    arrays, which alone outlive the read: each block keeps views of their
-    columns.  runs lists (first row, side, theta, stage) for each run of
-    consecutive records of equal side, theta and stage.  Raises ValueError
-    for a non-finite value, a bad side, theta or stage, or a weight other
-    than the stage's.
+    The records are read a chunk at a time into one buffer, checked, and
+    their corners (terms, n) and coefficients (terms, K) copied into
+    column-major arrays, which alone outlive the read: each block keeps
+    views of their columns.  runs lists (first row, side, theta, stage) for
+    each run of consecutive records of equal side, theta and stage.
     """
-    k, width = math.comb(n + m, m), _record_width(n, m)
+    k, width, step = _record_layout(n, m)
     lows = np.empty((terms, n), order="F")
     coeffs = np.empty((terms, k), order="F")
-    meta = [n, n + 1 + k, n + 3 + k]
-    step = max(1, 2**17 // width)
     buf = np.empty((min(step, terms), width), "<f8")
-    runs, last = [], None
+    runs = []
     for s in range(0, terms, step):
         rec = buf[: min(step, terms - s)]
         if fh.readinto(rec) != rec.nbytes:
             raise ValueError("numeric block ended early")
-        if not np.isfinite(rec).all():
-            raise ValueError("numeric block contains non-finite values")
-        keys = rec[:, meta]
-        steps = _fold_columns(np.logical_or, np.diff(keys, axis=0) != 0.0)
-        firsts = [0, *(np.flatnonzero(steps) + 1).tolist()]
-        for a, b in zip(firsts, firsts[1:] + [rec.shape[0]]):
-            key = tuple(keys[a].tolist())
-            side, theta, stage = key
-            if side <= 0.0 or not 0.0 < theta < 1.0 or stage != int(stage) or stage < 1:
-                raise ValueError("malformed cell term record")
-            if (rec[a:b, n + 2 + k] != stage_weight(int(stage))).any():
-                raise ValueError("a weight is not its stage's 2^-stage")
-            if a or key != last:
+        for a, *key in _check_records(rec, n, k):
+            # a run may go on from the last chunk
+            if a or not runs or tuple(key) != runs[-1][1:]:
                 runs.append((s + a, *key))
-        last = key
         lows[s : s + rec.shape[0]] = rec[:, :n]
         coeffs[s : s + rec.shape[0]] = rec[:, n + 1 : n + 1 + k]
     return lows, coeffs, runs
@@ -281,12 +251,13 @@ def _read_terms(fh, n: int, m: int, terms: int):
 def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
     """The sum and domain box that save_function wrote to path.
 
-    Reads the header, checks the body's length against it, then reads the
-    records a chunk at a time into the blocks' arrays: neither the file's
-    bytes nor a copy of all its records is held.  Raises FunctionFileError
-    for a file that cannot be read, is of another format or version, has a
-    malformed header, a body of the wrong length, or records that no sum
-    holds or that contradict the header's stage count.
+    Reads the header line by line up to the line end-header, checks the
+    body's length against it, then reads the records a chunk at a time into
+    the blocks' arrays: neither the file's bytes nor a copy of all its
+    records is held.  Raises FunctionFileError for a file that cannot be
+    read, is of another format or version, has a malformed header, a body of
+    the wrong length, or records that no sum holds or that contradict the
+    header's stage count.
     """
     try:
         with open(path, "rb") as fh:
@@ -296,7 +267,13 @@ def load_function(path: str) -> tuple[BumpPolySum, BoxDomain]:
 
 
 def _read_function(fh) -> tuple[BumpPolySum, BoxDomain]:
-    lines = _read_header(fh).splitlines()
+    lines = []
+    for line in iter(fh.readline, b""):
+        if line == b"end-header\n":
+            break
+        lines.append(line.decode("ascii", errors="replace").rstrip("\n"))
+    else:
+        raise FunctionFileError("no header terminator found")
     if not lines or not lines[0].startswith(FORMAT_MAGIC + " "):
         raise FunctionFileError("not a lusinkit function file")
     found = lines[0][len(FORMAT_MAGIC) + 1 :].strip()
@@ -323,7 +300,7 @@ def _read_function(fh) -> tuple[BumpPolySum, BoxDomain]:
         raise FunctionFileError("domain corners do not match the dimension")
     dom = BoxDomain(lower, upper)
 
-    width = _record_width(n, m)
+    width = _record_layout(n, m)[1]
     body = os.fstat(fh.fileno()).st_size - fh.tell()
     if body != terms * width * 8:
         raise FunctionFileError(

@@ -365,8 +365,8 @@ class TestFunctionFile:
             load_function(str(bad))
 
     def test_terminator_straddling_a_read(self, growth_run, tmp_path):
-        # the header is read a piece at a time: pad it so that its
-        # terminator straddles each power of two from 2^8 to 2^17 bytes
+        # pad the header so that its terminator straddles each power of two
+        # from 2^8 to 2^17 bytes, where a buffered read of it may end
         paths, g, _ = growth_run
         head, marker, body = Path(paths["function"]).read_bytes().partition(
             b"end-header\n"
@@ -381,6 +381,23 @@ class TestFunctionFile:
             npt.assert_array_equal(
                 g2.jet(pts, g.multiindices), g.jet(pts, g.multiindices)
             )
+
+    def test_terminator_only_as_a_whole_line(self, growth_run, tmp_path):
+        # a line ending in "end-header" is a header field, not its end
+        paths, g, _ = growth_run
+        raw = Path(paths["function"]).read_bytes()
+        path = tmp_path / "note.lkf"
+        path.write_bytes(
+            raw.replace(b"\nend-header\n", b"\nnote end-header\nend-header\n", 1)
+        )
+        assert path.read_bytes().count(b"end-header\n") == 2
+        g2, dom2 = load_function(str(path))
+        g3, dom3 = load_function(paths["function"])
+        assert (dom2.lower, dom2.upper) == (dom3.lower, dom3.upper)
+        for b2, b3 in zip(g2.blocks, g3.blocks, strict=True):
+            npt.assert_array_equal(b2.lows, b3.lows)
+            npt.assert_array_equal(b2.coeffs, b3.coeffs)
+            assert (b2.spacing, b2.theta, b2.stage) == (b3.spacing, b3.theta, b3.stage)
 
     def test_missing_terminator_past_one_read(self, tmp_path):
         bad = tmp_path / "headless.lkf"
@@ -443,17 +460,23 @@ class TestFunctionFile:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "second, coeff, message",
-        [([0.0, 0.0], 1.0, "overlapping"), ([0.5, 0.5], math.inf, "non-finite")],
+        "second, side, coeff, message",
+        [
+            ([0.0, 0.0], 0.25, 1.0, "overlapping"),
+            ([0.5, 0.5], 0.25, math.inf, "non-finite"),
+            ([0.5, 0.5], -0.25, 1.0, "malformed cell term record"),
+            ([0.5, 0.5], math.inf, 1.0, "non-finite"),
+        ],
     )
     def test_blocks_that_would_not_reload_are_refused(
-        self, tmp_path, second, coeff, message
+        self, tmp_path, second, side, coeff, message
     ):
         # two blocks of equal side, theta and stage load as one block: on
-        # one cell they overlap; and a value must be finite
+        # one cell they overlap; a value must be finite and a side positive.
+        # The first block's record is written before the second is refused.
         g = BumpPolySum(2, 1)
-        for low, cf in (([0.0, 0.0], 1.0), (second, coeff)):
-            g = g.with_block([low], 0.25, 0.5, 1, [[cf, 0.0, 0.0]])
+        for low, h, cf in (([0.0, 0.0], 0.25, 1.0), (second, side, coeff)):
+            g = g.with_block([low], h, 0.5, 1, [[cf, 0.0, 0.0]])
         with pytest.raises(ValueError, match="reload.*" + message):
             save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(tmp_path / "f.lkf"))
         assert list(tmp_path.iterdir()) == []
@@ -635,7 +658,7 @@ class TestFunctionFile:
         peak = _traced_peak(lambda: loaded.append(load_function(str(path))[0]))
         size = path.stat().st_size
         assert g.term_count == 74_898 and size > 5_000_000
-        assert peak < 1.5 * size, peak / size
+        assert peak < 1.15 * size, peak / size
         (g2,) = loaded
         assert [b.lows.shape[0] for b in g2.blocks] == [
             b.lows.shape[0] for b in g.blocks

@@ -2,8 +2,8 @@
 
 bench/tracing.py wraps lusinkit functions by name; when a refactor routes
 the program around a wrapped name, its metrics read 0 and look like a
-speedup.  This test traces one small build and asserts that each builder
-layer the benchmark reports is reached.
+speedup.  These tests trace one small build and one function-file round
+trip and assert that each layer the benchmark reports for them is reached.
 """
 
 import importlib.util
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lusinkit import lusin
+from lusinkit import harness, lusin
 from lusinkit.core import BoxDomain, LogModulus
 from lusinkit.lusin import BuildConfig, field_catalog
 
@@ -70,3 +70,21 @@ def test_builder_layers_are_traced():
         for a1, a2 in ((b1.lows, b2.lows), (b1.coeffs, b2.coeffs)):
             assert a1.shape == a2.shape
             np.testing.assert_array_equal(a1.view(np.uint64), a2.view(np.uint64))
+
+
+def test_function_file_layers_are_traced(tmp_path):
+    g, _ = _build()
+    path = tmp_path / "f.lkf"
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        # through the module attributes, which the tracer wraps
+        harness.save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(path))
+        g2, _ = harness.load_function(str(path))
+    finally:
+        restore()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["harness.save_function.bytes"] == path.stat().st_size
+    assert metrics["harness.load_function.s"] > 0.0
+    assert g2.term_count == g.term_count
