@@ -460,23 +460,24 @@ class TestFunctionFile:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "second, side, coeff, message",
+        "second, coeff, message",
         [
-            ([0.0, 0.0], 0.25, 1.0, "overlapping"),
-            ([0.5, 0.5], 0.25, math.inf, "non-finite"),
-            ([0.5, 0.5], -0.25, 1.0, "malformed cell term record"),
-            ([0.5, 0.5], math.inf, 1.0, "non-finite"),
+            (([0.0, 0.0], 0.25), 1.0, "overlapping"),
+            (([0.5, 0.5], 0.25), math.inf, "non-finite"),
+            (([0.5, 0.5], -0.25), 1.0, "malformed cell term record"),
+            (([0.5, 0.5], math.inf), 1.0, "non-finite"),
         ],
     )
     def test_blocks_that_would_not_reload_are_refused(
-        self, tmp_path, second, side, coeff, message
+        self, tmp_path, second, coeff, message
     ):
-        # two blocks of equal side, theta and stage load as one block: on
-        # one cell they overlap; a value must be finite and a side positive.
-        # The first block's record is written before the second is refused.
+        # second is a one-cell block's corner and side.  Two blocks of equal
+        # side, theta and stage load as one block: on one cell they overlap;
+        # a value must be finite and a side positive.  The first block's
+        # record is written before the second is refused.
         g = BumpPolySum(2, 1)
-        for low, h, cf in (([0.0, 0.0], 0.25, 1.0), (second, side, coeff)):
-            g = g.with_block([low], h, 0.5, 1, [[cf, 0.0, 0.0]])
+        for (low, side), cf in ((([0.0, 0.0], 0.25), 1.0), (second, coeff)):
+            g = g.with_block([low], side, 0.5, 1, [[cf, 0.0, 0.0]])
         with pytest.raises(ValueError, match="reload.*" + message):
             save_function(g, BoxDomain((0.0, 0.0), (1.0, 1.0)), str(tmp_path / "f.lkf"))
         assert list(tmp_path.iterdir()) == []
